@@ -244,8 +244,14 @@ def _eval(cfg: CliConfig, args) -> dict:
 
 
 def _transform(cfg: CliConfig, args) -> dict:
-    pt = _load_point(cfg.point_path, cfg.n)
     kind = args.kind
+    if kind == "inv-fc":
+        import json
+
+        with open(cfg.point_path) as fh:
+            eta, W = serialize.fc_from_json(json.load(fh))
+        return serialize.point_to_json(inverse_fc_transform(eta, W))
+    pt = _load_point(cfg.point_path, cfg.n)
     if kind == "cayley":
         if not isinstance(pt, SiegelUpperPoint):
             raise GeometryError("cayley expects an upper-half-plane point (V, u)")
@@ -263,17 +269,6 @@ def _transform(cfg: CliConfig, args) -> dict:
             "eta": serialize.encode_vector(eta),
             "W": serialize.encode_matrix(W),
         }
-    if kind == "inv-fc":
-        import json
-
-        with open(cfg.point_path) as fh:
-            raw = json.load(fh)
-        if "eta" not in raw:
-            raise GeometryError("inv-fc expects {'eta': ..., 'W': ...}")
-        pt = inverse_fc_transform(
-            serialize.decode_vector(raw["eta"]), serialize.decode_matrix(raw["W"])
-        )
-        return serialize.point_to_json(pt)
     raise AssertionError(kind)
 
 

@@ -9,16 +9,20 @@ Conventions fixed here and relied on package-wide:
 * Ordered pairs ``(p, q)`` with ``p <= q`` are enumerated lexicographically
   ``(1,1), (1,2), ..., (n,n)``; the full coordinate order on the Jacobi ball
   is ``(z_1 .. z_n, pairs)``, total dimension ``d = n(n+3)/2``.
+* ``PairIndex.P``, ``PairIndex.Q`` and ``PairIndex.f`` (rows, columns and
+  half weights of the pairs) are the one source of that layout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import (
     IndexOutOfRange,
+    InvalidInput,
     NonSymmetric,
     NotInBall,
     NotInUpperHalfPlane,
@@ -41,11 +45,30 @@ _REJECTION_LIMIT = 1000
 _MIN_EIG_MARGIN = 1e-3
 
 
+def _finite(a: np.ndarray, name: str) -> np.ndarray:
+    if not np.all(np.isfinite(a)):
+        raise InvalidInput(f"{name} has non-finite entries")
+    return a
+
+
 def _as_complex_matrix(a, name: str) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
-    return m
+    return _finite(m, name)
+
+
+def _as_complex_vector(a, name: str, n: int) -> np.ndarray:
+    v = np.asarray(a, dtype=complex).reshape(-1)
+    if v.shape[0] != n:
+        raise ValueError(f"{name} must have length n")
+    return _frozen(_finite(v, name))
+
+
+def cross_gram(W: np.ndarray) -> np.ndarray:
+    """N = 1 - W Wbar, hermitized exactly against roundoff."""
+    N = np.eye(W.shape[0]) - W @ W.conj()
+    return 0.5 * (N + N.conj().T)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -54,18 +77,35 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+@lru_cache(maxsize=64)
+def _pair_layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    P, Q = np.triu_indices(n)
+    return _frozen(P), _frozen(Q), _frozen(1.0 - 0.5 * (P == Q))
+
+
 @dataclass(frozen=True)
 class PairIndex:
-    """Lexicographic enumeration of ordered pairs (p, q), 0-based p <= q < n."""
+    """Lexicographic enumeration of ordered pairs (p, q), 0-based p <= q < n.
+
+    Pair i sits at row ``P[i]``, column ``Q[i]`` and carries the half weight
+    ``f[i] = 1 - delta_pq / 2``; every ordered-pair expression in the package
+    indexes through these three arrays.
+    """
 
     n: int
-    pairs: tuple[tuple[int, int], ...] = field(init=False)
-    _flat: dict = field(init=False, repr=False)
+    P: np.ndarray = field(init=False, repr=False, compare=False)
+    Q: np.ndarray = field(init=False, repr=False, compare=False)
+    f: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        pairs = tuple((p, q) for p in range(self.n) for q in range(p, self.n))
-        object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "_flat", {pq: i for i, pq in enumerate(pairs)})
+        P, Q, f = _pair_layout(self.n)
+        object.__setattr__(self, "P", P)
+        object.__setattr__(self, "Q", Q)
+        object.__setattr__(self, "f", f)
+
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        return tuple(zip(self.P.tolist(), self.Q.tolist()))
 
     @property
     def size(self) -> int:
@@ -77,23 +117,23 @@ class PairIndex:
         return self.n + self.size
 
     def flatten(self, p: int, q: int) -> int:
-        if p > q:
-            p, q = q, p
-        return self._flat[(p, q)]
+        p, q = min(p, q), max(p, q)
+        if p < 0 or q >= self.n:
+            raise IndexError(f"pair ({p}, {q}) outside 0..{self.n - 1}")
+        return p * self.n - p * (p - 1) // 2 + q - p
 
     def unflatten(self, i: int) -> tuple[int, int]:
-        return self.pairs[i]
+        return int(self.P[i]), int(self.Q[i])
 
     def pack(self, sym: np.ndarray) -> np.ndarray:
         """Extract the ordered-pair entries of a symmetric matrix."""
-        return np.array([sym[p, q] for p, q in self.pairs])
+        return sym[self.P, self.Q]
 
     def unpack(self, vec: np.ndarray) -> np.ndarray:
         """Rebuild a symmetric matrix from ordered-pair coordinates."""
         m = np.zeros((self.n, self.n), dtype=complex)
-        for i, (p, q) in enumerate(self.pairs):
-            m[p, q] = vec[i]
-            m[q, p] = vec[i]
+        m[self.P, self.Q] = vec
+        m[self.Q, self.P] = vec
         return m
 
 
@@ -128,9 +168,7 @@ def validate_ball_point(W, tol: float = 1e-12) -> BallDiagnostics:
     sym_defect = float(np.max(np.abs(W - W.T))) if W.size else 0.0
     if sym_defect > tol:
         raise NonSymmetric(f"max |W - W^t| = {sym_defect:.3e} exceeds tol {tol:.3e}")
-    N = np.eye(W.shape[0]) - W @ W.conj()
-    N = 0.5 * (N + N.conj().T)  # exact hermitization against roundoff
-    lam_min = float(np.linalg.eigvalsh(N)[0])
+    lam_min = float(np.linalg.eigvalsh(cross_gram(W))[0])
     if lam_min <= tol:
         raise NotInBall(f"smallest eigenvalue of 1 - W Wbar is {lam_min:.3e}")
     return BallDiagnostics(symmetry_defect=sym_defect, min_eigenvalue=lam_min)
@@ -154,8 +192,7 @@ class SiegelBallPoint:
 
     def cross_gram(self) -> np.ndarray:
         """N = 1 - W Wbar, hermitized."""
-        N = np.eye(self.n) - self.W @ self.W.conj()
-        return 0.5 * (N + N.conj().T)
+        return cross_gram(self.W)
 
     @classmethod
     def trusted(cls, W: np.ndarray) -> "SiegelBallPoint":
@@ -185,10 +222,7 @@ class SiegelUpperPoint:
             raise NotInUpperHalfPlane(f"smallest eigenvalue of Im V is {lam_min:.3e}")
         object.__setattr__(self, "V", _frozen(V))
         if self.u is not None:
-            u = np.asarray(self.u, dtype=complex).reshape(-1)
-            if u.shape[0] != V.shape[0]:
-                raise ValueError("u must have length n")
-            object.__setattr__(self, "u", _frozen(u))
+            object.__setattr__(self, "u", _as_complex_vector(self.u, "u", V.shape[0]))
 
     @property
     def n(self) -> int:
@@ -222,10 +256,7 @@ class JacobiBallPoint:
         W = _as_complex_matrix(self.W, "W")
         validate_ball_point(W, tol=1e-10)
         W = 0.5 * (W + W.T)
-        z = np.asarray(self.z, dtype=complex).reshape(-1)
-        if z.shape[0] != W.shape[0]:
-            raise ValueError("z must have length n")
-        object.__setattr__(self, "z", _frozen(z))
+        object.__setattr__(self, "z", _as_complex_vector(self.z, "z", W.shape[0]))
         object.__setattr__(self, "W", _frozen(W))
 
     @property
@@ -237,8 +268,7 @@ class JacobiBallPoint:
         return SiegelBallPoint(self.W)
 
     def cross_gram(self) -> np.ndarray:
-        N = np.eye(self.n) - self.W @ self.W.conj()
-        return 0.5 * (N + N.conj().T)
+        return cross_gram(self.W)
 
     @classmethod
     def trusted(cls, z: np.ndarray, W: np.ndarray) -> "JacobiBallPoint":
@@ -263,10 +293,7 @@ class TangentVector:
             raise NonSymmetric(f"max |dW - dW^t| = {defect:.3e}")
         object.__setattr__(self, "dW", _frozen(0.5 * (dW + dW.T)))
         if self.dz is not None:
-            dz = np.asarray(self.dz, dtype=complex).reshape(-1)
-            if dz.shape[0] != dW.shape[0]:
-                raise ValueError("dz must have length n")
-            object.__setattr__(self, "dz", _frozen(dz))
+            object.__setattr__(self, "dz", _as_complex_vector(self.dz, "dz", dW.shape[0]))
 
     @property
     def n(self) -> int:
@@ -295,8 +322,7 @@ def _sample_ball_matrix(n: int, rng: np.random.Generator, radius: float) -> np.n
         if norm == 0.0:
             continue
         W = radius * S / (2.0 * norm) if radius > 0 else np.zeros((n, n), dtype=complex)
-        N = np.eye(n) - W @ W.conj()
-        if np.linalg.eigvalsh(0.5 * (N + N.conj().T))[0] > _MIN_EIG_MARGIN:
+        if np.linalg.eigvalsh(cross_gram(W))[0] > _MIN_EIG_MARGIN:
             return W
     raise RejectionLimit(f"no interior point after {_REJECTION_LIMIT} tries")
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, roots_legendre
 
 from .domains import JacobiBallPoint
 from .errors import BranchAmbiguity, GammaPoleError, NotConverged
@@ -175,6 +174,9 @@ def normalization_constant(params: MetricParams) -> float:
 
     Requires k > 3 (norm integrability) and every Gamma argument positive.
     """
+    # imported where used: scipy.special adds ~4 MB resident to every process
+    from scipy.special import gammaln
+
     n, k, mu = params.n, params.k, params.mu
     if k <= 3:
         raise GammaPoleError(f"k = {k} <= 3: squared norms are not integrable")
@@ -225,6 +227,8 @@ def parseval_check_n1(k: float, mu: float, spec: QuadratureSpec | None = None) -
     the disk integral uses panel-adaptive Gauss-Legendre in u = r^2 and a
     trapezoid average in angle.  Expected value 1.
     """
+    from scipy.special import roots_legendre
+
     spec = spec or QuadratureSpec()
     lam = normalization_constant(MetricParams(n=1, k=k, mu=mu))
 

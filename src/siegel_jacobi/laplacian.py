@@ -93,12 +93,7 @@ def _sym_derivative_matrix(f: Callable, pt, cfg: FdConfig) -> np.ndarray:
     symmetric matrix; e_ab = (1 + delta_ab) / 2."""
     idx = PairIndex(pt.n)
     hol, _ = fd_wirtinger_gradient(f, pt, cfg)
-    G = np.zeros((pt.n, pt.n), dtype=complex)
-    for i, (p, q) in enumerate(idx.pairs):
-        weight = 1.0 if p == q else 0.5
-        G[p, q] = weight * hol[i]
-        G[q, p] = G[p, q]
-    return G
+    return idx.unpack(0.5 * hol / idx.f)  # e_ab = 1 / (2 f_ab)
 
 
 def cayley_chain_rule_check(

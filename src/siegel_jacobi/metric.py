@@ -10,7 +10,13 @@ Block layout over the coordinates (z_1..z_n, ordered pairs of W):
 
 with auxiliary data M = (1 - W Wbar)^{-1}, eta = M (z + W zbar), and the
 half-weights f_pq = 1 - delta_pq / 2 that absorb the symmetric double
-counting.  ``h @ metric_inverse(...).h_inv`` is the literal identity in this
+counting.  Each pair block is a single expression over the index arrays
+``PairIndex.P, Q, f``; the Siegel-ball block is
+
+    hk_pq,mn = 2 f_pq f_mn (M_mp M_nq + M_mq M_np).
+
+Every top-level call computes N, M and eta once (``compute_aux``).
+``h @ metric_inverse(...).h_inv`` is the literal identity in this
 ordered-pair indexing.
 """
 
@@ -87,25 +93,27 @@ class AuxMatrices:
     S: np.ndarray          # S_n = sum_q eta_q Nbar_qn
     alpha: float           # eta^t Nbar conj(eta) >= 0
     theta: float           # 1/mu + 2 alpha / k
-    f: np.ndarray          # half weights 1 - delta_pq / 2
-    e: np.ndarray          # symmetric-derivative weights (1 + delta_pq) / 2
+
+
+def _inverse_gram(N: np.ndarray) -> np.ndarray:
+    """M = N^{-1}, hermitized."""
+    M = np.linalg.inv(N)
+    return 0.5 * (M + M.conj().T)
 
 
 def compute_aux(params: MetricParams, pt: JacobiBallPoint) -> AuxMatrices:
+    if params.n != pt.n:
+        raise DimensionMismatch("params and point of different dimension")
     N = pt.cross_gram()
-    M = np.linalg.inv(N)
-    M = 0.5 * (M + M.conj().T)
+    M = _inverse_gram(N)
     X = pt.W.conj() @ M
     eta = M @ (pt.z + pt.W @ pt.z.conj())
     Nbar = N.conj()
     S = eta @ Nbar
     alpha = float((eta @ Nbar @ eta.conj()).real)
-    n = params.n
     return AuxMatrices(
         N=N, M=M, X=X, eta=eta, S=S, alpha=alpha,
         theta=1.0 / params.mu + 2.0 * alpha / params.k,
-        f=np.ones((n, n)) - 0.5 * np.eye(n),
-        e=0.5 * (np.ones((n, n)) + np.eye(n)),
     )
 
 
@@ -118,32 +126,41 @@ def kahler_potential(params: MetricParams, pt: JacobiBallPoint) -> float:
     return -0.5 * params.k * float(logdet) + params.mu * float(quad)
 
 
+def _grid(A: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The pair x pair matrix A[rows[i], cols[j]]."""
+    return A[rows[:, None], cols]
+
+
+def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Complex a * b with each real product rounded on its own.
+
+    NumPy's vector complex multiply may fuse multiply-adds (AVX2/AVX-512) and
+    so move last bits; a product with a real factor cannot fuse.  The
+    finite-difference checks of ln det h amplify last-bit changes of the pair
+    x pair blocks into the seeded fuzz reports, so those blocks use this form
+    and the n x m blocks h2, i2 the vector product; changing either form
+    changes the report bytes.
+    """
+    return a * b.real + 1j * (a * b.imag)
+
+
 def _fold_pair_metric(M: np.ndarray, idx: PairIndex) -> np.ndarray:
     """Ordered-pair matrix of the quadratic form Tr(M dW Mbar dWbar):
-    entry[(p,q),(m,n)] = 2 M_mp M_nq (1-d_pq) + 2 M_mq M_np (1-d_mn)
-                         + M_mp^2 d_pq d_mn."""
-    out = np.empty((idx.size, idx.size), dtype=complex)
-    for i, (p, q) in enumerate(idx.pairs):
-        for j, (m, n) in enumerate(idx.pairs):
-            if p == q and m == n:
-                out[i, j] = M[m, p] ** 2
-            elif p == q:
-                out[i, j] = 2.0 * M[m, q] * M[n, p]
-            elif m == n:
-                out[i, j] = 2.0 * M[m, p] * M[n, q]
-            else:
-                out[i, j] = 2.0 * (M[m, p] * M[n, q] + M[m, q] * M[n, p])
-    return out
+    entry[(p,q),(m,n)] = 2 f_pq f_mn (M_mp M_nq + M_mq M_np)."""
+    P, Q, f = idx.P, idx.Q, idx.f
+    A = M.T
+    return 2.0 * f[:, None] * f * (
+        _cmul(_grid(A, P, P), _grid(A, Q, Q)) + _cmul(_grid(A, Q, P), _grid(A, P, Q))
+    )
 
 
 def _pair_metric_inverse(N: np.ndarray, idx: PairIndex) -> np.ndarray:
     """entry[(m,n),(u,v)] = (N_vn Nbar_mu + N_vm Nbar_nu) / 2."""
-    Nb = N.conj()
-    out = np.empty((idx.size, idx.size), dtype=complex)
-    for i, (m, n) in enumerate(idx.pairs):
-        for j, (u, v) in enumerate(idx.pairs):
-            out[i, j] = 0.5 * (N[v, n] * Nb[m, u] + N[v, m] * Nb[n, u])
-    return out
+    P, Q = idx.P, idx.Q
+    A, Nb = N.T, N.conj()
+    return 0.5 * (
+        _cmul(_grid(A, Q, Q), _grid(Nb, P, P)) + _cmul(_grid(A, P, Q), _grid(Nb, Q, P))
+    )
 
 
 def ball_metric_pair(W) -> tuple[np.ndarray, np.ndarray]:
@@ -152,9 +169,7 @@ def ball_metric_pair(W) -> tuple[np.ndarray, np.ndarray]:
     pt = W if isinstance(W, SiegelBallPoint) else SiegelBallPoint(W)
     idx = PairIndex(pt.n)
     N = pt.cross_gram()
-    M = np.linalg.inv(N)
-    M = 0.5 * (M + M.conj().T)
-    return _fold_pair_metric(M, idx), _pair_metric_inverse(N, idx)
+    return _fold_pair_metric(_inverse_gram(N), idx), _pair_metric_inverse(N, idx)
 
 
 def upper_metric_pair(pt: SiegelUpperPoint) -> tuple[np.ndarray, np.ndarray]:
@@ -192,39 +207,24 @@ def metric_blocks(params: MetricParams, pt: JacobiBallPoint) -> MetricEval:
     hmu_pq,mn  = [etab_p (eta_n Mbar_qm + eta_m Mbar_qn)
                   + etab_q (eta_n Mbar_pm + eta_m Mbar_pn)] f_pq f_mn.
     """
-    if params.n != pt.n:
-        raise DimensionMismatch("params and point of different dimension")
+    return _blocks(params, compute_aux(params, pt))
+
+
+def _blocks(params: MetricParams, aux: AuxMatrices) -> MetricEval:
     idx = params.pair_index
-    aux = compute_aux(params, pt)
+    P, Q, f = idx.P, idx.Q, idx.f
     Mb = aux.M.conj()
     eta = aux.eta
     etab = eta.conj()
     mu, k = params.mu, params.k
 
     h1 = mu * Mb
-
-    m = idx.size
-    h2 = np.empty((params.n, m), dtype=complex)
-    for j, (p, q) in enumerate(idx.pairs):
-        f = 0.5 if p == q else 1.0
-        h2[:, j] = mu * f * (eta[q] * Mb[:, p] + eta[p] * Mb[:, q])
+    h2 = mu * f * (eta[Q] * Mb[:, P] + eta[P] * Mb[:, Q])
     h3 = h2.conj().T
-
-    hk = _fold_pair_metric(aux.M, idx)
-    hmu = np.empty((m, m), dtype=complex)
-    for i, (p, q) in enumerate(idx.pairs):
-        fpq = 0.5 if p == q else 1.0
-        for j, (mm, nn) in enumerate(idx.pairs):
-            fmn = 0.5 if mm == nn else 1.0
-            hmu[i, j] = (
-                fpq
-                * fmn
-                * (
-                    etab[p] * (eta[nn] * Mb[q, mm] + eta[mm] * Mb[q, nn])
-                    + etab[q] * (eta[nn] * Mb[p, mm] + eta[mm] * Mb[p, nn])
-                )
-            )
-    h4 = 0.5 * k * hk + mu * hmu
+    # K_a,mn = eta_n Mbar_am + eta_m Mbar_an
+    K = _cmul(eta[Q], Mb[:, P]) + _cmul(eta[P], Mb[:, Q])
+    hmu = f[:, None] * f * (_cmul(etab[P, None], K[Q]) + _cmul(etab[Q, None], K[P]))
+    h4 = 0.5 * k * _fold_pair_metric(aux.M, idx) + mu * hmu
 
     h = np.block([[h1, h2], [h3, h4]])
     return MetricEval(h1=h1, h2=h2, h3=h3, h4=h4, h=h)
@@ -250,27 +250,19 @@ def metric_inverse(params: MetricParams, pt: JacobiBallPoint) -> MetricInverse:
     The rank-one term in hinv1 comes from hinv2 @ h3 =
     -(mu/k)(alpha delta_ik + Sbar_i eta_k); for n = 1 it collapses into the
     scalar and hinv1 reduces to (1/mu + 2 alpha/k) Nbar = theta Nbar.
+    hinv4 is the Siegel-ball pair inverse scaled by 2/k.
     """
-    if params.n != pt.n:
-        raise DimensionMismatch("params and point of different dimension")
     idx = params.pair_index
+    P, Q = idx.P, idx.Q
     aux = compute_aux(params, pt)
     Nb = aux.N.conj()
     S = aux.S
     k = params.k
 
     i1 = (1.0 / params.mu + aux.alpha / k) * Nb + np.outer(S.conj(), S) / k
-
-    m = idx.size
-    i2 = np.empty((params.n, m), dtype=complex)
-    for j, (mm, nn) in enumerate(idx.pairs):
-        i2[:, j] = -(S[nn] * Nb[:, mm] + S[mm] * Nb[:, nn]) / k
+    i2 = -(S[Q] * Nb[:, P] + S[P] * Nb[:, Q]) / k
     i3 = i2.conj().T
-
-    i4 = np.empty((m, m), dtype=complex)
-    for i, (p, q) in enumerate(idx.pairs):
-        for j, (mm, nn) in enumerate(idx.pairs):
-            i4[i, j] = (Nb[q, nn] * Nb[p, mm] + Nb[p, nn] * Nb[q, mm]) / k
+    i4 = _pair_metric_inverse(aux.N, idx) / (0.5 * k)
 
     h_inv = np.block([[i1.astype(complex), i2], [i3, i4]])
     return MetricInverse(h1=i1, h2=i2, h3=i3, h4=i4, h_inv=h_inv)
@@ -284,11 +276,11 @@ class DetResult:
 
 
 def metric_det(params: MetricParams, pt: JacobiBallPoint) -> DetResult:
-    ev = metric_blocks(params, pt)
-    det = np.linalg.det(ev.h)
+    aux = compute_aux(params, pt)
+    det = np.linalg.det(_blocks(params, aux).h)
     value = float(det.real)
     n = params.n
-    sign, logdet_n = np.linalg.slogdet(compute_aux(params, pt).N)
+    sign, logdet_n = np.linalg.slogdet(aux.N)
     const = 2.0 ** (n * (n - 1) // 2)
     closed = (
         const
@@ -312,13 +304,12 @@ def curvature(params: MetricParams, pt: JacobiBallPoint) -> CurvatureData:
     matrix ((n+1)(n+2)/2) h - Ric."""
     n = params.n
     idx = params.pair_index
-    hk, _ = ball_metric_pair(pt.ball)
+    aux = compute_aux(params, pt)
     d = idx.total_dim
     ric = np.zeros((d, d), dtype=complex)
-    ric[n:, n:] = -(n + 2) * hk
+    ric[n:, n:] = -(n + 2) * _fold_pair_metric(aux.M, idx)
     scalar = -(2.0 / params.k) * n * (n + 1) * (n + 2) / 2.0
-    ev = metric_blocks(params, pt)
-    qk = ((n + 1) * (n + 2) / 2.0) * ev.h - ric
+    qk = ((n + 1) * (n + 2) / 2.0) * _blocks(params, aux).h - ric
     return CurvatureData(ric=ric, scalar_curvature=scalar, qk_lu=qk)
 
 
@@ -342,8 +333,7 @@ def ds2_eval(domain: str, params: MetricParams, pt, tangent: TangentVector) -> f
         dV = tangent.dW
         return float(np.trace(Rinv @ dV @ Rinv @ dV.conj()).real)
     if domain == "ball":
-        N = pt.cross_gram()
-        M = np.linalg.inv(N)
+        M = _inverse_gram(pt.cross_gram())
         dW = tangent.dW
         return float(4.0 * np.trace(M @ dW @ M.conj() @ dW.conj()).real)
     if domain == "jacobi_ball":

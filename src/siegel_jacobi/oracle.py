@@ -64,86 +64,39 @@ class Chart:
     margin: float                            # distance proxy to the boundary
 
 
-def _pair_basis(n: int, idx: PairIndex) -> list[np.ndarray]:
-    basis = []
-    for p, q in idx.pairs:
-        e = np.zeros((n, n), dtype=complex)
-        e[p, q] = 1.0
-        e[q, p] = 1.0
-        basis.append(e)
-    return basis
+def _parts(pt):
+    """(vector part or None, symmetric matrix part, rebuild(vec, mat))."""
+    if isinstance(pt, JacobiBallPoint):
+        return pt.z, pt.W, JacobiBallPoint.trusted
+    if isinstance(pt, SiegelBallPoint):
+        return None, pt.W, lambda _, W: SiegelBallPoint.trusted(W)
+    if isinstance(pt, SiegelUpperPoint):
+        return pt.u, pt.V, lambda u, V: SiegelUpperPoint.trusted(V, u)
+    raise TypeError(f"no chart for {type(pt).__name__}")
 
 
 def chart_for(pt) -> Chart:
     """Coordinate chart for a domain point (see the module docstring)."""
-    if isinstance(pt, SiegelBallPoint):
-        idx = PairIndex(pt.n)
-        basis = _pair_basis(pt.n, idx)
-        W0 = np.array(pt.W)
+    vec0, mat0, rebuild = _parts(pt)
+    idx = PairIndex(pt.n)
+    k = 0 if vec0 is None else pt.n
 
-        def at_offset(delta: np.ndarray):
-            W = W0.copy()
-            for c, e in zip(delta, basis):
-                if c != 0.0:
-                    W = W + c * e
-            return SiegelBallPoint.trusted(W)
-
-        margin = float(np.linalg.eigvalsh(pt.cross_gram())[0])
-        return Chart(idx.size, idx.pack(W0), at_offset, margin)
-
-    if isinstance(pt, JacobiBallPoint):
-        idx = PairIndex(pt.n)
-        basis = _pair_basis(pt.n, idx)
-        z0, W0, n = np.array(pt.z), np.array(pt.W), pt.n
-
-        def at_offset(delta: np.ndarray):
-            W = W0.copy()
-            for c, e in zip(delta[n:], basis):
-                if c != 0.0:
-                    W = W + c * e
-            return JacobiBallPoint.trusted(z0 + delta[:n], W)
-
-        margin = float(np.linalg.eigvalsh(pt.cross_gram())[0])
-        coords = np.concatenate([z0, idx.pack(W0)])
-        return Chart(n + idx.size, coords, at_offset, margin)
+    def at_offset(delta: np.ndarray):
+        vec = None if vec0 is None else vec0 + delta[:k]
+        return rebuild(vec, mat0 + idx.unpack(delta[k:]))
 
     if isinstance(pt, SiegelUpperPoint):
-        idx = PairIndex(pt.n)
-        basis = _pair_basis(pt.n, idx)
-        V0, n = np.array(pt.V), pt.n
-        u0 = None if pt.u is None else np.array(pt.u)
-
-        if u0 is None:
-
-            def at_offset(delta: np.ndarray):
-                V = V0.copy()
-                for c, e in zip(delta, basis):
-                    if c != 0.0:
-                        V = V + c * e
-                return SiegelUpperPoint.trusted(V)
-
-            coords = idx.pack(V0)
-            dim = idx.size
-        else:
-
-            def at_offset(delta: np.ndarray):
-                V = V0.copy()
-                for c, e in zip(delta[n:], basis):
-                    if c != 0.0:
-                        V = V + c * e
-                return SiegelUpperPoint.trusted(V, u0 + delta[:n])
-
-            coords = np.concatenate([u0, idx.pack(V0)])
-            dim = n + idx.size
         margin = float(np.linalg.eigvalsh(0.5 * (pt.R + pt.R.T))[0])
-        return Chart(dim, coords, at_offset, margin)
-
-    raise TypeError(f"no chart for {type(pt).__name__}")
+    else:
+        margin = float(np.linalg.eigvalsh(pt.cross_gram())[0])
+    return Chart(k + idx.size, flatten_point(pt), at_offset, margin)
 
 
 def flatten_point(pt) -> np.ndarray:
     """Complex coordinate vector of a point in its chart."""
-    return chart_for(pt).coords
+    vec, mat, _ = _parts(pt)
+    w = PairIndex(pt.n).pack(mat)
+    return w if vec is None else np.concatenate([vec, w])
 
 
 def _steps(chart: Chart, cfg: FdConfig) -> np.ndarray:

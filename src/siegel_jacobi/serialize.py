@@ -3,7 +3,9 @@
 Wire format: a complex scalar is [re, im]; a vector is an array of scalars; a
 matrix is a row-major array of rows.  Floats are emitted through ``repr``
 (shortest round-trip form, at most 17 significant digits), so decode(encode)
-is bit-exact.
+is bit-exact.  Malformed input (not an object, a missing key, wrong nesting)
+raises ``ValueError``; non-finite numbers are refused by the point
+constructors on the way in and by ``dumps`` on the way out.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ __all__ = [
     "point_from_json",
     "element_to_json",
     "element_from_json",
+    "fc_from_json",
     "dumps",
 ]
 
@@ -74,15 +77,36 @@ def point_to_json(pt) -> dict:
     raise TypeError(f"cannot serialize {type(pt).__name__}")
 
 
+def _object(d, what: str) -> None:
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} JSON must be an object, got {type(d).__name__}")
+
+
+def _field(d: dict, key: str, decode):
+    """decode(d[key]), reporting a missing key or a malformed value as
+    ValueError."""
+    try:
+        return decode(d[key])
+    except (KeyError, TypeError, IndexError) as exc:
+        raise ValueError(f"missing or malformed {key!r} in JSON ({exc!r})") from exc
+
+
 def point_from_json(d: dict):
+    _object(d, "point")
     if "V" in d:
-        u = decode_vector(d["u"]) if "u" in d else None
-        return SiegelUpperPoint(V=decode_matrix(d["V"]), u=u)
+        u = _field(d, "u", decode_vector) if "u" in d else None
+        return SiegelUpperPoint(V=_field(d, "V", decode_matrix), u=u)
     if "z" in d:
-        return JacobiBallPoint(z=decode_vector(d["z"]), W=decode_matrix(d["W"]))
+        return JacobiBallPoint(z=_field(d, "z", decode_vector), W=_field(d, "W", decode_matrix))
     if "W" in d:
-        return SiegelBallPoint(decode_matrix(d["W"]))
+        return SiegelBallPoint(_field(d, "W", decode_matrix))
     raise ValueError("point JSON needs W, (z, W) or V keys")
+
+
+def fc_from_json(d: dict) -> tuple[np.ndarray, np.ndarray]:
+    """(eta, W) of a Fock-coordinate record as written by ``sjk transform fc``."""
+    _object(d, "fc")
+    return _field(d, "eta", decode_vector), _field(d, "W", decode_matrix)
 
 
 def element_to_json(h) -> dict:
@@ -105,27 +129,25 @@ def element_to_json(h) -> dict:
     raise TypeError(f"cannot serialize {type(h).__name__}")
 
 
+def _real_array(v) -> np.ndarray:
+    return np.array(v, dtype=float)
+
+
 def element_from_json(d: dict):
+    _object(d, "element")
     if "p" in d:
-        g = SymplecticC(decode_matrix(d["p"]), decode_matrix(d["q"]))
-        return JacobiElementC(g, decode_vector(d["alpha"]), float(d.get("t", 0.0)))
+        g = SymplecticC(_field(d, "p", decode_matrix), _field(d, "q", decode_matrix))
+        t = _field(d, "t", float) if "t" in d else 0.0
+        return JacobiElementC(g, _field(d, "alpha", decode_vector), t)
     if "a" in d:
-        g = SymplecticR(
-            np.array(d["a"], dtype=float),
-            np.array(d["b"], dtype=float),
-            np.array(d["c"], dtype=float),
-            np.array(d["d"], dtype=float),
-        )
-        return JacobiElementR(
-            g,
-            np.array(d["lambda_mu"], dtype=float),
-            float(d.get("k_center", 0.0)),
-        )
+        g = SymplecticR(*(_field(d, key, _real_array) for key in "abcd"))
+        k_center = _field(d, "k_center", float) if "k_center" in d else 0.0
+        return JacobiElementR(g, _field(d, "lambda_mu", _real_array), k_center)
     raise ValueError("element JSON needs (p, q, alpha) or (a, b, c, d, lambda_mu)")
 
 
 def dumps(obj, pretty: bool = False) -> str:
     """Deterministic JSON text: sorted keys, repr floats."""
     if pretty:
-        return json.dumps(obj, sort_keys=True, indent=2)
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)

@@ -5,14 +5,13 @@ report.
 Per-trial RNG streams derive from (master seed, property name, trial index)
 through SHA-256, so any reported worst case is reproducible in isolation.
 Property failures are data, not exceptions: a check that raises records an
-infinite error with the exception text.
+infinite error (``null`` in the JSON report) with the exception text.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,7 +80,8 @@ class PropertyResult:
         return {
             "property": self.property,
             "trials": self.trials,
-            "max_error": self.max_error,
+            # a trial that raised has an infinite error; JSON has no inf
+            "max_error": self.max_error if math.isfinite(self.max_error) else None,
             "tol": self.tol,
             "pass": self.passed,
             "worst": self.worst,
@@ -641,13 +641,7 @@ def _run_property(prop: _Prop, ctx: _Ctx, master_seed: int, trials: int, tol: fl
             err, point = float("inf"), {"error": f"{type(exc).__name__}: {exc}"}
         return seed, float(err), point
 
-    threads = int(os.environ.get("SJK_THREADS", "1"))
-    if threads > 1 and count > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(one, range(count)))
-    else:
-        outcomes = [one(t) for t in range(count)]
-
+    outcomes = [one(t) for t in range(count)]
     worst_seed, max_err, worst_point = max(outcomes, key=lambda o: o[1])
     worst = None
     if max_err > 0.0 and worst_point is not None:

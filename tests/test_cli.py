@@ -196,7 +196,46 @@ class TestVerify:
         assert code == 2
 
 
+def _reject_constant(token):
+    raise AssertionError(f"{token} is not valid JSON")
+
+
+_ELEMENT = {"p": [[[1.0, 0.0]]], "q": [[[0.0, 0.0]]], "t": 0.0}
+
+
 class TestErrors:
+    @pytest.mark.parametrize(
+        "payload,code,kind",
+        [
+            ({"n": 1, "z": [[0.1, 0.0]]}, 2, "ValueError"),
+            ({"n": 1, "z": 0.5, "W": [[[0.1, 0.0]]]}, 2, "ValueError"),
+            ([[0.1, 0.0]], 2, "ValueError"),
+            (3, 2, "ValueError"),
+            (_ELEMENT, 2, "ValueError"),
+            ({"n": 1, "z": [[float("nan"), 0.0]], "W": [[[0.1, 0.0]]]}, 3, "InvalidInput"),
+            ({"n": 1, "z": [[0.1, 0.0]], "W": [[[float("inf"), 0.0]]]}, 3, "InvalidInput"),
+        ],
+        ids=["missing-W", "scalar-z", "list", "number", "element-missing-alpha", "nan-z", "inf-W"],
+    )
+    def test_malformed_point_file(self, capsys, tmp_path, payload, code, kind):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(payload))
+        got = main(["eval", "det", "--n", "1", "--k", "2", "--mu", "1", "--point", str(path)])
+        captured = capsys.readouterr()
+        assert got == code
+        assert captured.err == ""
+        assert json.loads(captured.out, parse_constant=_reject_constant)["error"]["kind"] == kind
+
+    @pytest.mark.parametrize(
+        "payload", [{"n": 1, "W": [[[0.1, 0.0]]]}, {"n": 1, "eta": 0.5, "W": [[[0.1, 0.0]]]}]
+    )
+    def test_malformed_fc_file(self, capsys, tmp_path, payload):
+        path = tmp_path / "fc.json"
+        path.write_text(json.dumps(payload))
+        code, out = run_cli(capsys, "transform", "inv-fc", "--point", str(path))
+        assert code == 2
+        assert json.loads(out)["error"]["kind"] == "ValueError"
+
     def test_usage_error(self, capsys):
         code, out = run_cli(capsys, "frobnicate")
         assert code == 2

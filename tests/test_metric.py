@@ -127,6 +127,53 @@ class TestBlocks:
         assert np.linalg.eigvalsh(ev.h)[0] > 0
 
 
+def _loop_pair_blocks(params, pt):
+    """Entry-by-entry reference for the pair blocks: (h2, h4, hinv2, hinv4,
+    h^k, k_inv), written from the closed forms with one Python loop per
+    entry and the four-way case split of h^k."""
+    aux = compute_aux(params, pt)
+    M, N, eta, S, k, mu = aux.M, aux.N, aux.eta, aux.S, params.k, params.mu
+    Mb, Nb, etab = M.conj(), N.conj(), eta.conj()
+    pairs = params.pair_index.pairs
+    n, m = params.n, len(pairs)
+    h2, i2 = np.empty((n, m), complex), np.empty((n, m), complex)
+    hk, hmu, kinv, i4 = (np.empty((m, m), complex) for _ in range(4))
+    for j, (a, b) in enumerate(pairs):
+        fab = 0.5 if a == b else 1.0
+        h2[:, j] = mu * fab * (eta[b] * Mb[:, a] + eta[a] * Mb[:, b])
+        i2[:, j] = -(S[b] * Nb[:, a] + S[a] * Nb[:, b]) / k
+    for i, (p, q) in enumerate(pairs):
+        fpq = 0.5 if p == q else 1.0
+        for j, (a, b) in enumerate(pairs):
+            fab = 0.5 if a == b else 1.0
+            if p == q and a == b:
+                hk[i, j] = M[a, p] ** 2
+            elif p == q:
+                hk[i, j] = 2.0 * M[a, q] * M[b, p]
+            elif a == b:
+                hk[i, j] = 2.0 * M[a, p] * M[b, q]
+            else:
+                hk[i, j] = 2.0 * (M[a, p] * M[b, q] + M[a, q] * M[b, p])
+            hmu[i, j] = fpq * fab * (
+                etab[p] * (eta[b] * Mb[q, a] + eta[a] * Mb[q, b])
+                + etab[q] * (eta[b] * Mb[p, a] + eta[a] * Mb[p, b])
+            )
+            kinv[i, j] = 0.5 * (N[b, q] * Nb[p, a] + N[b, p] * Nb[q, a])
+            i4[i, j] = (Nb[q, b] * Nb[p, a] + Nb[p, b] * Nb[q, a]) / k
+    return h2, 0.5 * k * hk + mu * hmu, i2, i4, hk, kinv
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_pair_blocks_match_loop_reference(n):
+    # n >= 4 has pairs sharing no index, where an index slip would first show
+    params = MetricParams(n=n, k=3.0, mu=1.3)
+    pt = sample_point("jacobi_ball", n, np.random.default_rng(1000 + n), radius=0.6)
+    ev, inv = metric_blocks(params, pt), metric_inverse(params, pt)
+    got = (ev.h2, ev.h4, inv.h2, inv.h4) + ball_metric_pair(pt.ball)
+    for block, ref in zip(got, _loop_pair_blocks(params, pt)):
+        assert np.max(np.abs(block - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 class TestInverse:
     def test_origin(self):
         params = MetricParams(n=2, k=3.0, mu=2.0)
@@ -161,7 +208,7 @@ class TestInverse:
             P / params.mu + 2 * P**2 * abs(eta) ** 2 / params.k
         )
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
     def test_identity(self, rng, n):
         params = MetricParams(n=n, k=2.0, mu=1.0)
         for _ in range(5):
@@ -187,7 +234,7 @@ class TestBallPair:
         assert hk[0, 0] == pytest.approx(1 / P**2)
         assert kinv[0, 0] == pytest.approx(P**2)
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
     def test_pair_identity(self, rng, n):
         pt = sample_point("ball", n, rng)
         hk, kinv = ball_metric_pair(pt)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from siegel_jacobi import serialize
 from siegel_jacobi.domains import JacobiBallPoint, sample_point
 from siegel_jacobi.errors import NonHolomorphic, StepTooLarge
 from siegel_jacobi.groups import (
@@ -18,7 +19,7 @@ from siegel_jacobi.oracle import (
     fd_wirtinger_hessian,
     volume_invariance_check,
 )
-from siegel_jacobi.verify import PROPERTY_GROUPS, fuzz_all
+from siegel_jacobi.verify import PROPERTY_GROUPS, PropertyResult, fuzz_all
 
 
 class TestHessian:
@@ -38,11 +39,13 @@ class TestHessian:
         assert np.max(np.abs(H)) < 1e-7
 
     def test_matches_metric_blocks(self, rng):
-        params = MetricParams(n=2, k=2.5, mu=1.2)
-        pt = sample_point("jacobi_ball", 2, rng)
-        ev = metric_blocks(params, pt)
-        H = fd_wirtinger_hessian(lambda q: kahler_potential(params, q), pt)
-        assert np.max(np.abs(H - ev.h)) / np.max(np.abs(ev.h)) < 1e-6
+        # n = 4 is the first size with two pairs that share no index
+        for n in (2, 4):
+            params = MetricParams(n=n, k=2.5, mu=1.2)
+            pt = sample_point("jacobi_ball", n, rng)
+            ev = metric_blocks(params, pt)
+            H = fd_wirtinger_hessian(lambda q: kahler_potential(params, q), pt)
+            assert np.max(np.abs(H - ev.h)) / np.max(np.abs(ev.h)) < 1e-6
 
     def test_half_step_consistency(self, rng):
         # independent cross-check of the oracle against its half-step run
@@ -169,6 +172,12 @@ class TestFuzzAll:
         for entry in data["properties"]:
             assert set(entry) == {"property", "trials", "max_error", "tol", "pass", "worst"}
 
+    def test_raised_check_reports_null_error(self):
+        # a check that raised has an infinite error, which JSON cannot carry
+        res = PropertyResult("p", 1, float("inf"), 1e-8, False, {"seed": 0, "point": None})
+        assert res.to_json()["max_error"] is None
+        assert serialize.dumps(res.to_json())
+
     def test_groups_cover_all_properties(self):
         names = set().union(*(set(v) for k, v in PROPERTY_GROUPS.items() if k != "all"))
         assert names == set(PROPERTY_GROUPS["all"])
@@ -176,10 +185,3 @@ class TestFuzzAll:
     def test_unknown_group(self):
         with pytest.raises(ValueError):
             fuzz_all(n=1, k=4.0, mu=1.0, properties="bogus")
-
-    def test_threads_env(self, monkeypatch):
-        monkeypatch.setenv("SJK_THREADS", "2")
-        r1 = fuzz_all(n=1, k=4.0, mu=1.0, trials=4, master_seed=3, properties="inverse")
-        monkeypatch.setenv("SJK_THREADS", "1")
-        r2 = fuzz_all(n=1, k=4.0, mu=1.0, trials=4, master_seed=3, properties="inverse")
-        assert r1.to_json() == r2.to_json()

@@ -62,6 +62,25 @@ def test_element_roundtrip(rng):
     assert np.array_equal(back.lambda_mu, hr.lambda_mu)
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"p": [[[1.0, 0.0]]], "q": [[[0.0, 0.0]]]},
+        {"p": [[[1.0, 0.0]]], "q": [[[0.0, 0.0]]], "alpha": [[0, 0]], "t": [1]},
+        ["p"],
+    ],
+    ids=["missing-alpha", "list-t", "list"],
+)
+def test_malformed_element_is_value_error(payload):
+    with pytest.raises(ValueError):
+        serialize.element_from_json(payload)
+
+
+def test_dumps_refuses_nan():
+    with pytest.raises(ValueError):
+        serialize.dumps({"value": float("nan")})
+
+
 def test_dumps_deterministic(rng):
     pt = sample_point("jacobi_ball", 2, rng)
     a = serialize.dumps(serialize.point_to_json(pt))

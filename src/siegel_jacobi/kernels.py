@@ -38,7 +38,8 @@ _MAX_PATH_STEPS = 4096
 def _tracked_logdet(W: np.ndarray, Vbar: np.ndarray) -> complex:
     """log det(1 - W Vbar) with the argument tracked continuously from the
     identity (t = 0) to t = 1; raises BranchAmbiguity if the running
-    argument crosses +-pi."""
+    argument crosses +-pi, and NotConverged if a step still turns it by
+    pi/2 or more at _MAX_PATH_STEPS steps."""
     n = W.shape[0]
     eye = np.eye(n)
     steps = 8
@@ -48,8 +49,13 @@ def _tracked_logdet(W: np.ndarray, Vbar: np.ndarray) -> complex:
         if np.any(dets == 0):
             raise BranchAmbiguity("det(1 - t W Vbar) vanishes on the path")
         increments = np.angle(dets[1:] / dets[:-1])
-        if np.max(np.abs(increments)) < 0.5 * np.pi or steps >= _MAX_PATH_STEPS:
+        if np.max(np.abs(increments)) < 0.5 * np.pi:
             break
+        if steps >= _MAX_PATH_STEPS:
+            raise NotConverged(
+                f"argument of det(1 - t W Vbar) still moves by >= pi/2 per step "
+                f"after {steps} path steps; its branch cannot be tracked"
+            )
         steps *= 2
     arg = 0.0
     for inc in increments:
@@ -216,6 +222,38 @@ class QuadratureSpec:
     angular_points: int = 16
     rtol: float = 1e-6
 
+    def __post_init__(self):
+        # 1 - 0.5^47 is the last panel edge still < 1 in floats
+        if not 2 <= self.radial_panels <= 48:
+            raise ValueError(f"radial_panels must be in 2..48, got {self.radial_panels}")
+        # the error estimate reruns each panel with radial_order // 2 nodes
+        if self.radial_order < 2 or self.radial_order % 2:
+            raise ValueError(f"radial_order must be even and >= 2, got {self.radial_order}")
+        if self.angular_points < 1:
+            raise ValueError(f"angular_points must be >= 1, got {self.angular_points}")
+        if not self.rtol > 0:
+            raise ValueError(f"rtol must be positive, got {self.rtol}")
+
+
+def _ring_average(u: np.ndarray, k: float, mu: float, angular_points: int) -> np.ndarray:
+    """Angle average of Q K^{-1} after the z-integral, at every u = |w|^2."""
+    P = 1.0 - u
+    # scalar powers: NumPy's array power may differ from them in the last bit
+    radial = np.array([p ** (0.5 * k - 3.0) for p in P.ravel()]).reshape(P.shape)
+    r = np.sqrt(u)
+    total = 0.0
+    for phi in np.linspace(0.0, 2.0 * np.pi, angular_points, endpoint=False):
+        w = r * np.exp(1j * phi)
+        a, b = w.real, w.imag
+        # completed square of 2F = (2|z|^2 + z^2 wbar + zbar^2 w)/P
+        q2 = np.empty(u.shape + (2, 2))
+        q2[..., 0, 0] = (1.0 + a) / P
+        q2[..., 0, 1] = q2[..., 1, 0] = b / P
+        q2[..., 1, 1] = (1.0 - a) / P
+        gaussian = np.pi / (mu * np.sqrt(np.linalg.det(q2)))
+        total = total + gaussian * radial
+    return total / angular_points
+
 
 def parseval_check_n1(k: float, mu: float, spec: QuadratureSpec | None = None) -> float:
     """Norm of the constant function in the weighted Bergman space for n = 1:
@@ -226,48 +264,35 @@ def parseval_check_n1(k: float, mu: float, spec: QuadratureSpec | None = None) -
     w-dependent covariance and is done analytically (pi / (mu sqrt(det Q2)));
     the disk integral uses panel-adaptive Gauss-Legendre in u = r^2 and a
     trapezoid average in angle.  Expected value 1.
+
+    All panels and nodes are evaluated as arrays, one stacked det per angle;
+    angles, nodes and panels are each summed in sequence, so the result
+    rounds like a scalar loop over them.
     """
     from scipy.special import roots_legendre
 
     spec = spec or QuadratureSpec()
     lam = normalization_constant(MetricParams(n=1, k=k, mu=mu))
 
-    phis = np.linspace(0.0, 2.0 * np.pi, spec.angular_points, endpoint=False)
-
-    def ring_integrand(u: float) -> float:
-        # average over angle of Lambda_1 * Q * K^{-1} after the z-integral
-        total = 0.0
-        for phi in phis:
-            w = np.sqrt(u) * np.exp(1j * phi)
-            a, b = w.real, w.imag
-            P = 1.0 - u
-            # completed square of 2F = (2|z|^2 + z^2 wbar + zbar^2 w)/P
-            q2 = np.array([[1.0 + a, b], [b, 1.0 - a]]) / P
-            det_q2 = float(np.linalg.det(q2))
-            gaussian = np.pi / (mu * np.sqrt(det_q2))
-            total += gaussian * P ** (0.5 * k - 3.0)
-        return total / len(phis)
-
     nodes, weights = roots_legendre(spec.radial_order)
     nodes_lo, weights_lo = roots_legendre(spec.radial_order // 2)
 
     # geometric panels accumulating toward the boundary u = 1; the final
     # sliver [1 - delta, 1) is bounded analytically via P^{(k-5)/2}
-    panels = min(spec.radial_panels, 48)  # 1 - 0.5^47 is still < 1 in floats
-    edges = [0.0] + [1.0 - 0.5**j for j in range(1, panels)]
+    edges = [0.0] + [1.0 - 0.5**j for j in range(1, spec.radial_panels)]
+    lo, hi = np.array(edges[:-1]), np.array(edges[1:])
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
+    # ring[panel, node]: the high-order nodes, then the low-order ones
+    u = mid[:, None] + half[:, None] * np.concatenate([nodes, nodes_lo])
+    ring = _ring_average(u, k, mu, spec.angular_points)
+    hi_sums = sum(w * col for w, col in zip(weights, ring[:, : len(nodes)].T))
+    lo_sums = sum(w * col for w, col in zip(weights_lo, ring[:, len(nodes) :].T))
     value = 0.0
     err_est = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (hi - lo)
-        mid = 0.5 * (hi + lo)
-        hi_sum = sum(
-            w * ring_integrand(mid + half * x) for x, w in zip(nodes, weights)
-        )
-        lo_sum = sum(
-            w * ring_integrand(mid + half * x) for x, w in zip(nodes_lo, weights_lo)
-        )
-        value += half * hi_sum
-        err_est += half * abs(hi_sum - lo_sum)
+    for hw, hi_sum, lo_sum in zip(half, hi_sums, lo_sums):
+        value += hw * hi_sum
+        err_est += hw * abs(hi_sum - lo_sum)
     delta = 1.0 - edges[-1]
     err_est += (np.pi / mu) * delta ** (0.5 * (k - 3.0)) * 2.0 / (k - 3.0)
     value *= 0.5  # dA = r dr dphi = du dphi / 2

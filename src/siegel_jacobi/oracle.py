@@ -114,62 +114,88 @@ def _steps(chart: Chart, cfg: FdConfig) -> np.ndarray:
     return h
 
 
-def _second_dir(f, chart, ea, eb, ha, hb, f0):
-    """Second derivative along two real directions (complex unit steps)."""
-    if ea is eb and ha == hb:
-        up = f(chart.at_offset(ha * ea))
-        dn = f(chart.at_offset(-ha * ea))
-        return (up - 2.0 * f0 + dn) / (ha.real**2 + ha.imag**2)
-    pp = f(chart.at_offset(ha * ea + hb * eb))
-    pm = f(chart.at_offset(ha * ea - hb * eb))
-    mp = f(chart.at_offset(-ha * ea + hb * eb))
-    mm = f(chart.at_offset(-ha * ea - hb * eb))
-    na = abs(ha)
-    nb = abs(hb)
-    return (pp - pm - mp + mm) / (4.0 * na * nb)
+def _unit(dim: int, a: int) -> np.ndarray:
+    e = np.zeros(dim, dtype=complex)
+    e[a] = 1.0
+    return e
 
 
-def _hessian_entry(f, chart, a, b, ha, hb, f0):
-    """d^2 f / dz_a dzbar_b = (Dxx + Dyy + i (Dxy - Dyx)) / 4."""
-    ea = np.zeros(chart.dim, dtype=complex)
-    eb = np.zeros(chart.dim, dtype=complex)
-    ea[a] = 1.0
-    eb[b] = 1.0
-    if a == b:
-        dxx = _second_dir(f, chart, ea, ea, ha, ha, f0)
-        dyy = _second_dir(f, chart, ea, ea, 1j * ha, 1j * ha, f0)
-        return 0.25 * (dxx + dyy)
-    dxx = _second_dir(f, chart, ea, eb, ha, hb, f0)
-    dyy = _second_dir(f, chart, ea, eb, 1j * ha, 1j * hb, f0)
-    dxy = _second_dir(f, chart, ea, eb, ha, 1j * hb, f0)
-    dyx = _second_dir(f, chart, ea, eb, 1j * ha, hb, f0)
-    return 0.25 * (dxx + dyy + 1j * (dxy - dyx))
+def _diagonal_entry(f, chart, a, ha, f0):
+    """H[a, a] = (Dxx + Dyy) / 4 from the 4 points +-ha e_a, +-i ha e_a."""
+    ea = _unit(chart.dim, a)
+
+    def second(s):
+        up = f(chart.at_offset(s * ea))
+        dn = f(chart.at_offset(-s * ea))
+        return (up - 2.0 * f0 + dn) / (s.real**2 + s.imag**2)
+
+    return 0.25 * (second(ha) + second(1j * ha))
+
+
+def _pair_entries(f, chart, a, b, ha, hb):
+    """(H[a, b], H[b, a]) for a != b, d^2 f / dz_a dzbar_b = (Dxx + Dyy +
+    i (Dxy - Dyx)) / 4.  Both entries difference the same 16 points
+    sa e_a + sb e_b, so each point is evaluated once; each entry keeps its
+    own difference order and divisor, so it rounds as if computed alone."""
+    ea = _unit(chart.dim, a)
+    eb = _unit(chart.dim, b)
+
+    def second(sa, sb):
+        """Mixed second difference along (sa e_a, sb e_b), and along
+        (sb e_b, sa e_a) from the same four values."""
+        pp = f(chart.at_offset(sa * ea + sb * eb))
+        pm = f(chart.at_offset(sa * ea - sb * eb))
+        mp = f(chart.at_offset(-sa * ea + sb * eb))
+        mm = f(chart.at_offset(-sa * ea - sb * eb))
+        na = abs(sa)
+        nb = abs(sb)
+        return (pp - pm - mp + mm) / (4.0 * na * nb), (pp - mp - pm + mm) / (4.0 * nb * na)
+
+    dxx, dxx_t = second(ha, hb)
+    dyy, dyy_t = second(1j * ha, 1j * hb)
+    dxy, dyx_t = second(ha, 1j * hb)   # x along a, y along b
+    dyx, dxy_t = second(1j * ha, hb)   # y along a, x along b
+    return (
+        0.25 * (dxx + dyy + 1j * (dxy - dyx)),
+        0.25 * (dxx_t + dyy_t + 1j * (dxy_t - dyx_t)),
+    )
 
 
 def fd_wirtinger_hessian(f: Callable, pt, cfg: FdConfig | None = None) -> np.ndarray:
     """Mixed Wirtinger Hessian H[a, b] = d^2 f / dz_a dzbar_b over the
     point's chart, via central differences (optionally Richardson-refined).
+
+    H[a, b] and H[b, a] share their 16 stencil points per step size, so each
+    unordered pair a < b is evaluated once and both entries are differenced
+    from the shared values.  H[b, a] is not taken as conj(H[a, b]): that
+    holds only for real f, and each entry keeps the arithmetic it would have
+    on its own.  f is called 1 + 4d + 8d(d-1) times with the
+    central scheme and 1 + 8d + 16d(d-1) times with Richardson refinement,
+    d = chart dimension.
     """
     cfg = cfg or FdConfig()
     chart = chart_for(pt)
     h = _steps(chart, cfg)
     f0 = f(chart.at_offset(np.zeros(chart.dim, dtype=complex)))
     d = chart.dim
+    richardson = cfg.scheme == "richardson"
     out = np.empty((d, d), dtype=complex)
     for a in range(d):
-        for b in range(d):
-            coarse = _hessian_entry(f, chart, a, b, h[a], h[b], f0)
-            if cfg.scheme == "central":
-                out[a, b] = coarse
-            else:
-                fine = _hessian_entry(f, chart, a, b, h[a] / 2, h[b] / 2, f0)
-                out[a, b] = (4.0 * fine - coarse) / 3.0
+        aa = _diagonal_entry(f, chart, a, h[a], f0)
+        if richardson:
+            aa = (4.0 * _diagonal_entry(f, chart, a, h[a] / 2, f0) - aa) / 3.0
+        out[a, a] = aa
+        for b in range(a + 1, d):
+            ab, ba = _pair_entries(f, chart, a, b, h[a], h[b])
+            if richardson:
+                ab2, ba2 = _pair_entries(f, chart, a, b, h[a] / 2, h[b] / 2)
+                ab, ba = (4.0 * ab2 - ab) / 3.0, (4.0 * ba2 - ba) / 3.0
+            out[a, b], out[b, a] = ab, ba
     return out
 
 
 def _gradient_entry(f, chart, a, ha):
-    e = np.zeros(chart.dim, dtype=complex)
-    e[a] = 1.0
+    e = _unit(chart.dim, a)
     dx = (f(chart.at_offset(ha * e)) - f(chart.at_offset(-ha * e))) / (2 * ha)
     hy = 1j * ha
     dy = (f(chart.at_offset(hy * e)) - f(chart.at_offset(-hy * e))) / (2 * ha)
@@ -218,8 +244,7 @@ def fd_jacobian(
     Jbar = np.empty((out_dim, chart.dim), dtype=complex)
 
     def column(a, ha):
-        e = np.zeros(chart.dim, dtype=complex)
-        e[a] = 1.0
+        e = _unit(chart.dim, a)
         dx = (coords_of(ha * e) - coords_of(-ha * e)) / (2 * ha)
         dy = (coords_of(1j * ha * e) - coords_of(-1j * ha * e)) / (2 * ha)
         return 0.5 * (dx - 1j * dy), 0.5 * (dx + 1j * dy)

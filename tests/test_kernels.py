@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from siegel_jacobi import kernels
 from siegel_jacobi.domains import JacobiBallPoint, sample_point
 from siegel_jacobi.errors import BranchAmbiguity, GammaPoleError, NotConverged
 from siegel_jacobi.kernels import (
@@ -78,6 +79,20 @@ class TestTwoPointKernel:
         pb = JacobiBallPoint(z=np.zeros(3), W=W)
         with pytest.raises(BranchAmbiguity):
             two_point_kernel(MetricParams(n=3, k=2, mu=1), pa, pb)
+
+    def test_step_limit_raises(self, monkeypatch):
+        # an eigenvalue of W Vbar near 1 turns the argument by ~3 rad in the
+        # last of 8 path steps; refining resolves it, a capped path must not
+        # return the coarse sum
+        W = 0.9999 * np.exp(0.01j) * np.eye(2)
+        pa = JacobiBallPoint(z=np.zeros(2), W=0.9999 * np.eye(2))
+        pb = JacobiBallPoint(z=np.zeros(2), W=W)
+        params = MetricParams(n=2, k=2, mu=1)
+        F, K = two_point_kernel(params, pa, pb)
+        assert np.isfinite(K)
+        monkeypatch.setattr(kernels, "_MAX_PATH_STEPS", 8)
+        with pytest.raises(NotConverged, match="8 path steps"):
+            two_point_kernel(params, pa, pb)
 
 
 class TestNormalizedKernels:
@@ -184,6 +199,77 @@ class TestParseval:
     def test_not_converged_near_threshold(self):
         with pytest.raises(NotConverged):
             parseval_check_n1(3.5, 1.0, QuadratureSpec(rtol=1e-10))
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"radial_panels": 1},
+            {"radial_panels": 49},
+            {"radial_panels": 100},
+            {"radial_order": 0},
+            {"radial_order": 7},
+            {"angular_points": 0},
+            {"rtol": 0.0},
+            {"rtol": -1e-6},
+            {"rtol": float("nan")},
+        ],
+    )
+    def test_spec_rejects_out_of_range(self, bad):
+        with pytest.raises(ValueError):
+            QuadratureSpec(**bad)
+
+    def test_spec_extremes_accepted(self):
+        coarse = QuadratureSpec(radial_panels=2, radial_order=2, angular_points=1, rtol=10.0)
+        assert np.isfinite(parseval_check_n1(9.0, 1.0, coarse))
+        QuadratureSpec(radial_panels=48)
+
+
+def _loop_parseval_reference(k, mu, spec):
+    """The scalar panel x node x angle loop the vectorised quadrature
+    replaced; same nodes, order of summation and error estimate."""
+    from scipy.special import roots_legendre
+
+    lam = normalization_constant(MetricParams(n=1, k=k, mu=mu))
+    phis = np.linspace(0.0, 2.0 * np.pi, spec.angular_points, endpoint=False)
+
+    def ring_integrand(u):
+        total = 0.0
+        for phi in phis:
+            w = np.sqrt(u) * np.exp(1j * phi)
+            a, b = w.real, w.imag
+            P = 1.0 - u
+            q2 = np.array([[1.0 + a, b], [b, 1.0 - a]]) / P
+            det_q2 = float(np.linalg.det(q2))
+            gaussian = np.pi / (mu * np.sqrt(det_q2))
+            total += gaussian * P ** (0.5 * k - 3.0)
+        return total / len(phis)
+
+    nodes, weights = roots_legendre(spec.radial_order)
+    nodes_lo, weights_lo = roots_legendre(spec.radial_order // 2)
+    edges = [0.0] + [1.0 - 0.5**j for j in range(1, spec.radial_panels)]
+    value = 0.0
+    err_est = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        half = 0.5 * (hi - lo)
+        mid = 0.5 * (hi + lo)
+        hi_sum = sum(w * ring_integrand(mid + half * x) for x, w in zip(nodes, weights))
+        lo_sum = sum(w * ring_integrand(mid + half * x) for x, w in zip(nodes_lo, weights_lo))
+        value += half * hi_sum
+        err_est += half * abs(hi_sum - lo_sum)
+    delta = 1.0 - edges[-1]
+    err_est += (np.pi / mu) * delta ** (0.5 * (k - 3.0)) * 2.0 / (k - 3.0)
+    value *= 0.5
+    err_est *= 0.5
+    return float(lam * 2.0 * np.pi * value), err_est * lam * 2.0 * np.pi
+
+
+@pytest.mark.parametrize("k", [4.0, 5.5, 10.0])
+def test_parseval_matches_loop_reference(k):
+    # same rounding as the loop, so equality is exact, not approximate
+    for mu in (0.5, 2.0):
+        assert parseval_check_n1(k, mu) == _loop_parseval_reference(k, mu, QuadratureSpec())[0]
+    spec = QuadratureSpec(radial_panels=20, radial_order=8, angular_points=5, rtol=1.0)
+    assert parseval_check_n1(k, 1.3, spec) == _loop_parseval_reference(k, 1.3, spec)[0]
 
 
 class TestKernelEval:

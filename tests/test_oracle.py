@@ -12,11 +12,15 @@ from siegel_jacobi.groups import (
     partial_cayley,
     random_jacobi_c,
 )
+from siegel_jacobi.laplacian import builtin_field
 from siegel_jacobi.metric import MetricParams, kahler_potential, metric_blocks
 from siegel_jacobi.oracle import (
     FdConfig,
+    _steps,
+    chart_for,
     fd_jacobian,
     fd_wirtinger_hessian,
+    flatten_point,
     volume_invariance_check,
 )
 from siegel_jacobi.verify import PROPERTY_GROUPS, PropertyResult, fuzz_all
@@ -74,6 +78,83 @@ class TestHessian:
             fd_wirtinger_hessian(lambda p: 0.0, pt, FdConfig(step=1e-3))
         # the default step still fits inside the 1e-3 margin
         fd_wirtinger_hessian(lambda p: 0.0, pt, FdConfig(step=1e-4, scale_step=False))
+
+
+def _loop_hessian_reference(f, pt, cfg):
+    """The per-entry double loop the pair-shared stencil replaced: every
+    ordered entry (a, b) evaluates its own stencil points."""
+    chart = chart_for(pt)
+    h = _steps(chart, cfg)
+    f0 = f(chart.at_offset(np.zeros(chart.dim, dtype=complex)))
+
+    def second_dir(ea, eb, ha, hb):
+        if ea is eb and ha == hb:
+            up = f(chart.at_offset(ha * ea))
+            dn = f(chart.at_offset(-ha * ea))
+            return (up - 2.0 * f0 + dn) / (ha.real**2 + ha.imag**2)
+        pp = f(chart.at_offset(ha * ea + hb * eb))
+        pm = f(chart.at_offset(ha * ea - hb * eb))
+        mp = f(chart.at_offset(-ha * ea + hb * eb))
+        mm = f(chart.at_offset(-ha * ea - hb * eb))
+        return (pp - pm - mp + mm) / (4.0 * abs(ha) * abs(hb))
+
+    def entry(a, b, ha, hb):
+        ea = np.zeros(chart.dim, dtype=complex)
+        eb = np.zeros(chart.dim, dtype=complex)
+        ea[a] = 1.0
+        eb[b] = 1.0
+        if a == b:
+            return 0.25 * (second_dir(ea, ea, ha, ha) + second_dir(ea, ea, 1j * ha, 1j * ha))
+        dxx = second_dir(ea, eb, ha, hb)
+        dyy = second_dir(ea, eb, 1j * ha, 1j * hb)
+        dxy = second_dir(ea, eb, ha, 1j * hb)
+        dyx = second_dir(ea, eb, 1j * ha, hb)
+        return 0.25 * (dxx + dyy + 1j * (dxy - dyx))
+
+    out = np.empty((chart.dim, chart.dim), dtype=complex)
+    for a in range(chart.dim):
+        for b in range(chart.dim):
+            coarse = entry(a, b, h[a], h[b])
+            if cfg.scheme == "central":
+                out[a, b] = coarse
+            else:
+                out[a, b] = (4.0 * entry(a, b, h[a] / 2, h[b] / 2) - coarse) / 3.0
+    return out
+
+
+@pytest.mark.parametrize("scheme", ["central", "richardson"])
+@pytest.mark.parametrize("domain", ["jacobi_ball", "ball", "upper"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_hessian_matches_entry_loop_reference(n, domain, scheme):
+    # ln det h is the field whose FD Hessian the curvature and Laplacian
+    # checks difference; any last-bit change there shows in the reports.
+    # The complex field zeta_0 * sum(zeta_bar) has H[0, b] = 1, H[b, 0] = 0:
+    # H[b, a] must come from its own differences, not from conj(H[a, b]).
+    params = MetricParams(n=n, k=4.0, mu=1.0)
+    pt = sample_point(domain, n, np.random.default_rng(300 + n))
+    cfg = FdConfig(scheme=scheme)
+    fields = [
+        builtin_field("lnG", domain, params),
+        builtin_field("re_poly(5)", domain),
+        lambda q: complex(flatten_point(q)[0] * np.sum(flatten_point(q).conj())),
+    ]
+    if domain == "jacobi_ball":
+        fields.append(lambda q: kahler_potential(params, q))
+    for f in fields:
+        assert np.array_equal(fd_wirtinger_hessian(f, pt, cfg), _loop_hessian_reference(f, pt, cfg))
+
+
+@pytest.mark.parametrize("scheme", ["central", "richardson"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_hessian_evaluates_each_stencil_point_once(n, scheme):
+    pt = sample_point("jacobi_ball", n, np.random.default_rng(n))
+    calls = []
+    fd_wirtinger_hessian(lambda p: calls.append(1) or 0.0, pt, FdConfig(scheme=scheme))
+    d = n * (n + 3) // 2
+    expected = 1 + 4 * d + 8 * d * (d - 1)
+    if scheme == "richardson":
+        expected = 1 + 8 * d + 16 * d * (d - 1)  # 361 at d = 5
+    assert len(calls) == expected
 
 
 class TestJacobian:

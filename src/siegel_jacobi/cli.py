@@ -10,8 +10,9 @@ keys, shortest round-trip floats); errors are {"error": {"kind", "detail"}}.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -107,7 +108,10 @@ def _add_io(p: argparse.ArgumentParser):
     p.add_argument("--format", choices=("json", "pretty"), default="json")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The `sjk` parser, built on first use and shared by every `run()` in
+    the process: building it costs ~1 ms, most of a small request."""
     parser = _Parser(prog="sjk", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -305,6 +309,15 @@ def _emit(obj: dict, cfg: CliConfig) -> None:
         sys.stdout.write(text + "\n")
 
 
+def _fail(exc: Exception, cfg: CliConfig, code: int) -> int:
+    obj = {"error": {"kind": type(exc).__name__, "detail": str(exc)}}
+    try:
+        _emit(obj, cfg)
+    except OSError:  # the --output file itself cannot be written
+        _emit(obj, replace(cfg, output_path=None))
+    return code
+
+
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -325,11 +338,9 @@ def run(argv=None) -> int:
             _emit(report, cfg)
             return 0 if passed else 1
     except GeometryError as exc:
-        _emit({"error": {"kind": type(exc).__name__, "detail": str(exc)}}, cfg)
-        return 3
+        return _fail(exc, cfg, 3)
     except (ValueError, OSError) as exc:
-        _emit({"error": {"kind": type(exc).__name__, "detail": str(exc)}}, cfg)
-        return 2
+        return _fail(exc, cfg, 2)
     raise AssertionError(args.command)
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .domains import JacobiBallPoint, SiegelBallPoint, SiegelUpperPoint, TangentVector
 from .errors import DimensionMismatch, InvalidInput, SingularDenominator
@@ -418,6 +417,9 @@ def random_symplectic_r(
     norm = np.linalg.norm(X)
     if norm > scale:
         X *= scale / norm
+    # imported where used: scipy.linalg is over half of a cold package import
+    from scipy.linalg import expm
+
     return SymplecticR.from_matrix(expm(X))
 
 

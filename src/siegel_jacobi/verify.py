@@ -630,7 +630,7 @@ def _trial_seed(master_seed: int, prop: str, trial: int) -> int:
 
 
 def _run_property(prop: _Prop, ctx: _Ctx, master_seed: int, trials: int, tol: float):
-    count = 1 if prop.once else max(trials, 1)
+    count = 1 if prop.once else trials
 
     def one(trial: int):
         seed = _trial_seed(master_seed, prop.name, trial)
@@ -673,6 +673,8 @@ def fuzz_all(
     ("h4_scale" perturbs the metric before the inverse-identity check)."""
     if corruption not in (None, "h4_scale"):
         raise ValueError(f"unknown corruption hook {corruption!r}")
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     if isinstance(properties, str):
         if properties not in PROPERTY_GROUPS:
             raise ValueError(

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from siegel_jacobi import serialize
-from siegel_jacobi.cli import main
+from siegel_jacobi import cli, serialize
+from siegel_jacobi.cli import build_parser, main
 from siegel_jacobi.domains import sample_point
 
 
@@ -195,6 +195,52 @@ class TestVerify:
         )
         assert code == 2
 
+    def test_negative_trials_rejected(self, capsys):
+        code, out = run_cli(capsys, "verify", "metric", "--trials", "-3")
+        assert code == 2
+        assert json.loads(out)["error"]["kind"] == "ValueError"
+
+
+_INVERSE_ARGS = ("verify", "inverse", "--n", "1", "--k", "4", "--trials", "2", "--seed", "7")
+
+
+class TestParserReuse:
+    def test_shared_parser_matches_fresh_parser(self, capsys, tmp_path, rng):
+        point = write_point(tmp_path, sample_point("jacobi_ball", 2, rng))
+        sequence = [
+            ("eval", "det", "--n", "2", "--k", "3", "--point", point),
+            ("transform", "fc", "--point", point),
+            ("sample", "group", "--domain", "upper", "--n", "2", "--seed", "7"),
+            (*_INVERSE_ARGS, "--tol", "inverse_identity=1e-30",
+             "--tol", "ball_pair_inverse=1e-30"),
+            ("eval", "det", "--n", "one", "--point", "origin"),
+            _INVERSE_ARGS,
+        ]
+        fresh = []
+        for argv in sequence:
+            build_parser.cache_clear()
+            fresh.append(run_cli(capsys, *argv))
+        build_parser.cache_clear()
+        shared = [run_cli(capsys, *argv) for argv in sequence]
+        assert shared == fresh
+        # a --tol list shared across calls would fail the last verify too
+        assert [code for code, _ in shared] == [0, 0, 0, 1, 2, 0]
+
+    def test_parser_built_once(self, capsys, monkeypatch):
+        run_cli(capsys, "eval", "det", "--point", "origin")
+        built = []
+        init = cli._Parser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+        for quantity in ("det", "potential", "metric"):
+            code, _ = run_cli(capsys, "eval", quantity, "--point", "origin")
+            assert code == 0
+        assert built == []
+
 
 def _reject_constant(token):
     raise AssertionError(f"{token} is not valid JSON")
@@ -275,6 +321,16 @@ class TestErrors:
         )
         assert code == 0
         assert json.loads(out_path.read_text())["value"] == 1.0
+
+    @pytest.mark.parametrize("fmt", ["json", "pretty"])
+    def test_unwritable_output_file(self, capsys, tmp_path, fmt):
+        out_path = tmp_path / "missing" / "out.json"
+        code = main(["sample", "point", "--output", str(out_path), "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ""
+        assert json.loads(captured.out)["error"]["kind"] == "FileNotFoundError"
+        assert not out_path.exists()
 
     def test_pretty_format(self, capsys):
         code, out = run_cli(

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import siegel_jacobi
 from siegel_jacobi.domains import JacobiBallPoint, SiegelUpperPoint, TangentVector, sample_point
 from siegel_jacobi.errors import DimensionMismatch, InvalidInput
 from siegel_jacobi.groups import (
@@ -305,3 +310,31 @@ class TestDifferential:
         tv = TangentVector(dz=np.zeros(2), dW=np.array([[0.3, 0.1], [0.1, 0.0]]))
         out = act_ball_differential(JacobiElementC.identity(2), origin, tv)
         assert np.allclose(out.dW, tv.dW)
+
+
+class TestLazyExpm:
+    def test_cli_import_leaves_scipy_linalg_unloaded(self):
+        src = os.path.dirname(os.path.dirname(siegel_jacobi.__file__))
+        path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+        code = "import sys, siegel_jacobi.cli; print('scipy.linalg' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        assert proc.stdout.strip() == "False"
+
+    def test_seeded_element_unchanged(self):
+        # random_jacobi_r(2, default_rng(7)) as computed with expm imported at module level
+        h = random_jacobi_r(2, np.random.default_rng(7))
+        g = h.g
+        assert np.array_equal(g.a, [[1.0205128236100147, 0.09969210842220515],
+                                    [-0.0908923572065964, 0.7059082676076753]])
+        assert np.array_equal(g.b, [[-0.20655096360149455, -0.24147406855102285],
+                                    [-0.21122502217868783, 0.6407047395582812]])
+        assert np.array_equal(g.c, [[-0.22813438224989904, -0.027104222579185367],
+                                    [-0.029063182492718945, 0.17161983843367457]])
+        assert np.array_equal(g.d, [[1.015449172607847, 0.174411408186213],
+                                    [-0.1868291900700805, 1.5570226617372318]])
+        assert np.array_equal(h.lambda_mu, [0.10541424899789856, -0.9304680447082047,
+                                            -0.02925182246327349, 0.6953031944582878])
+        assert h.k_center == -1.344214547285082

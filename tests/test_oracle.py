@@ -219,6 +219,10 @@ class TestFuzzAll:
         assert rep.passed
         assert all(r.trials == 0 for r in rep.results)
 
+    def test_negative_trials_rejected(self):
+        with pytest.raises(ValueError, match="trials"):
+            fuzz_all(n=1, k=4.0, mu=1.0, trials=-3, master_seed=1, properties="metric")
+
     def test_default_run_passes(self):
         rep = fuzz_all(n=2, k=4.0, mu=1.0, trials=3, master_seed=7)
         failing = [r.property for r in rep.results if not r.passed]

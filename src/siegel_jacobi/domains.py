@@ -66,9 +66,10 @@ def _as_complex_vector(a, name: str, n: int) -> np.ndarray:
 
 
 def cross_gram(W: np.ndarray) -> np.ndarray:
-    """N = 1 - W Wbar, hermitized exactly against roundoff."""
-    N = np.eye(W.shape[0]) - W @ W.conj()
-    return 0.5 * (N + N.conj().T)
+    """N = 1 - W Wbar, hermitized exactly against roundoff; broadcasts over
+    leading axes of W."""
+    N = np.eye(W.shape[-1]) - W @ W.conj()
+    return 0.5 * (N + N.conj().swapaxes(-1, -2))
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -130,10 +131,11 @@ class PairIndex:
         return sym[self.P, self.Q]
 
     def unpack(self, vec: np.ndarray) -> np.ndarray:
-        """Rebuild a symmetric matrix from ordered-pair coordinates."""
-        m = np.zeros((self.n, self.n), dtype=complex)
-        m[self.P, self.Q] = vec
-        m[self.Q, self.P] = vec
+        """Rebuild a symmetric matrix from ordered-pair coordinates (the last
+        axis of vec; leading axes are kept)."""
+        m = np.zeros(vec.shape[:-1] + (self.n, self.n), dtype=complex)
+        m[..., self.P, self.Q] = vec
+        m[..., self.Q, self.P] = vec
         return m
 
 
@@ -188,7 +190,7 @@ class SiegelBallPoint:
 
     @property
     def n(self) -> int:
-        return self.W.shape[0]
+        return self.W.shape[-1]
 
     def cross_gram(self) -> np.ndarray:
         """N = 1 - W Wbar, hermitized."""
@@ -197,7 +199,11 @@ class SiegelBallPoint:
     @classmethod
     def trusted(cls, W: np.ndarray) -> "SiegelBallPoint":
         """Skip validation; caller guarantees the invariants (used by
-        finite-difference stencils whose margin was checked up front)."""
+        finite-difference stencils whose margin was checked up front).
+        The arrays may carry leading axes, e.g. W of shape (S, n, n) for S
+        stencil points; the closed forms that broadcast (metric_det,
+        kahler_potential, ball_metric_pair, upper_metric_pair) then return
+        one value per leading index."""
         obj = object.__new__(cls)
         object.__setattr__(obj, "W", W)
         return obj
@@ -226,7 +232,7 @@ class SiegelUpperPoint:
 
     @property
     def n(self) -> int:
-        return self.V.shape[0]
+        return self.V.shape[-1]
 
     @property
     def S(self) -> np.ndarray:
@@ -261,7 +267,7 @@ class JacobiBallPoint:
 
     @property
     def n(self) -> int:
-        return self.W.shape[0]
+        return self.W.shape[-1]
 
     @property
     def ball(self) -> SiegelBallPoint:

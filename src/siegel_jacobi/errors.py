@@ -61,3 +61,8 @@ class StepTooLarge(GeometryError):
 class NonHolomorphic(GeometryError):
     """Numerical Jacobian detected a non-vanishing dbar block for a map
     expected to be holomorphic."""
+
+
+class NumericalOverflow(GeometryError):
+    """A closed-form value exceeds the floating-point range (e.g. the metric
+    determinant at large n); it is reported instead of returned as inf."""

@@ -25,6 +25,7 @@ from .errors import DimensionMismatch
 from .groups import inverse_partial_cayley, partial_cayley
 from .metric import (
     MetricParams,
+    _item,
     ball_metric_pair,
     metric_det,
     metric_inverse,
@@ -80,9 +81,16 @@ def apply_laplacian(
 ) -> complex:
     """Contract the coefficient matrix with the finite-difference Wirtinger
     Hessian of f.  The callback receives perturbed points of the same type
-    as pt; symmetric-matrix coordinates are perturbed jointly."""
+    as pt; symmetric-matrix coordinates are perturbed jointly.
+
+    The ``stacked`` attribute is the declaration of the built-in fields
+    only (see ``builtin_field``): a field that carries ``stacked = True``
+    (``lnG``) receives the stencil as stacked points; any other f, user
+    callables included, receives one point per call and should not carry
+    the attribute."""
     coeff = laplacian_coefficients(domain, params, pt)
-    hess = fd_wirtinger_hessian(f, pt, FdConfig(step=fd_step))
+    stacked = getattr(f, "stacked", False)
+    hess = fd_wirtinger_hessian(f, pt, FdConfig(step=fd_step), stacked=stacked)
     if hess.shape != coeff.matrix.shape:
         raise DimensionMismatch("field chart and coefficient matrix disagree")
     return complex(np.trace(coeff.matrix @ hess))
@@ -139,25 +147,33 @@ def laplacian_correspondence_check(
 
 
 def _ln_g(domain: str, params: MetricParams | None):
+    """ln det of the domain's assembled metric matrix (never the closed form
+    of the determinant, which the lnG checks verify).  The field broadcasts
+    over a leading stencil axis and carries ``stacked = True``, the one
+    declaration that apply_laplacian and direct Hessian callers read."""
     if domain == "jacobi_ball":
         if params is None:
             raise ValueError("lnG on the jacobi ball needs metric parameters")
-        return lambda pt: float(np.log(metric_det(params, pt).value))
-    if domain == "ball":
+
+        def f(pt):
+            return _item(np.log(metric_det(params, pt).value))
+
+    elif domain == "ball":
 
         def f(pt):
             hk, _ = ball_metric_pair(pt)
-            return float(np.log(np.linalg.det(hk).real))
+            return _item(np.log(np.linalg.det(hk).real))
 
-        return f
-    if domain == "upper":
+    elif domain == "upper":
 
         def f(pt):
             hx, _ = upper_metric_pair(pt)
-            return float(np.log(np.linalg.det(hx).real))
+            return _item(np.log(np.linalg.det(hx).real))
 
-        return f
-    raise ValueError(f"unknown domain {domain!r}")
+    else:
+        raise ValueError(f"unknown domain {domain!r}")
+    f.stacked = True
+    return f
 
 
 def _re_poly(seed: int):
@@ -181,7 +197,8 @@ BUILTIN_FIELDS = ("const", "lnG", "trWWbar", "normz2", "re_poly(seed)")
 
 
 def builtin_field(name: str, domain: str, params: MetricParams | None = None):
-    """CLI-facing test fields, keyed by name."""
+    """CLI-facing test fields, keyed by name.  A field that broadcasts over
+    a leading stencil axis (``lnG``) carries ``stacked = True``."""
     if name == "const":
         return lambda pt: 1.0
     if name == "lnG":

@@ -18,17 +18,26 @@ counting.  Each pair block is a single expression over the index arrays
 Every top-level call computes N, M and eta once (``compute_aux``).
 ``h @ metric_inverse(...).h_inv`` is the literal identity in this
 ordered-pair indexing.
+
+``compute_aux``, ``kahler_potential``, ``metric_det``, ``ball_metric_pair``
+and ``upper_metric_pair`` broadcast over leading axes of a trusted point
+(z of shape (..., n), W of shape (..., n, n)), so a finite-difference
+stencil is evaluated in one call.  A single point is the case with no
+leading axis; each stacked value equals the single-point value to the last
+bit, because every product, matrix product and factorisation runs per
+point exactly as it does alone.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .domains import JacobiBallPoint, PairIndex, SiegelBallPoint, SiegelUpperPoint, TangentVector
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NumericalOverflow
 
 __all__ = [
     "MetricParams",
@@ -91,14 +100,34 @@ class AuxMatrices:
     X: np.ndarray          # Wbar M = Mbar Wbar, complex symmetric
     eta: np.ndarray        # M (z + W zbar)
     S: np.ndarray          # S_n = sum_q eta_q Nbar_qn
-    alpha: float           # eta^t Nbar conj(eta) >= 0
+    alpha: float           # eta^t Nbar conj(eta) >= 0 (an array over a stack)
     theta: float           # 1/mu + 2 alpha / k
+
+
+def _item(x):
+    """A Python float at one point; the array over a stack of points."""
+    return x.item() if np.ndim(x) == 0 else x
+
+
+# Matrix-vector products over leading axes.  Each is one matmul with the
+# same core shapes as the 1-d form (gemv, or dot for vector @ vector), so a
+# stacked point rounds exactly as it does alone.
+def _matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return (A @ v[..., None])[..., 0]
+
+
+def _vecmat(v: np.ndarray, A: np.ndarray) -> np.ndarray:
+    return (v[..., None, :] @ A)[..., 0, :]
+
+
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return (u[..., None, :] @ v[..., None])[..., 0, 0]
 
 
 def _inverse_gram(N: np.ndarray) -> np.ndarray:
     """M = N^{-1}, hermitized."""
     M = np.linalg.inv(N)
-    return 0.5 * (M + M.conj().T)
+    return 0.5 * (M + M.conj().swapaxes(-1, -2))
 
 
 def compute_aux(params: MetricParams, pt: JacobiBallPoint) -> AuxMatrices:
@@ -107,10 +136,10 @@ def compute_aux(params: MetricParams, pt: JacobiBallPoint) -> AuxMatrices:
     N = pt.cross_gram()
     M = _inverse_gram(N)
     X = pt.W.conj() @ M
-    eta = M @ (pt.z + pt.W @ pt.z.conj())
+    eta = _matvec(M, pt.z + _matvec(pt.W, pt.z.conj()))
     Nbar = N.conj()
-    S = eta @ Nbar
-    alpha = float((eta @ Nbar @ eta.conj()).real)
+    S = _vecmat(eta, Nbar)
+    alpha = _item(_dot(S, eta.conj()).real)
     return AuxMatrices(
         N=N, M=M, X=X, eta=eta, S=S, alpha=alpha,
         theta=1.0 / params.mu + 2.0 * alpha / params.k,
@@ -122,13 +151,15 @@ def kahler_potential(params: MetricParams, pt: JacobiBallPoint) -> float:
           + mu [ zbar^t M z + Re(z^t Wbar M z) ]."""
     aux = compute_aux(params, pt)
     sign, logdet = np.linalg.slogdet(aux.N)
-    quad = np.vdot(pt.z, aux.M @ pt.z).real + (pt.z @ aux.X @ pt.z).real
-    return -0.5 * params.k * float(logdet) + params.mu * float(quad)
+    z = pt.z
+    quad = _dot(z.conj(), _matvec(aux.M, z)).real + _dot(_vecmat(z, aux.X), z).real
+    return _item(-0.5 * params.k * logdet + params.mu * quad)
 
 
 def _grid(A: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """The pair x pair matrix A[rows[i], cols[j]]."""
-    return A[rows[:, None], cols]
+    """The pair x pair matrix A[..., rows[i], cols[j]] (two gathers, which
+    cost less than one fancy index over leading axes)."""
+    return A.take(rows, -2).take(cols, -1)
 
 
 def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -148,7 +179,7 @@ def _fold_pair_metric(M: np.ndarray, idx: PairIndex) -> np.ndarray:
     """Ordered-pair matrix of the quadratic form Tr(M dW Mbar dWbar):
     entry[(p,q),(m,n)] = 2 f_pq f_mn (M_mp M_nq + M_mq M_np)."""
     P, Q, f = idx.P, idx.Q, idx.f
-    A = M.T
+    A = M.swapaxes(-1, -2)
     return 2.0 * f[:, None] * f * (
         _cmul(_grid(A, P, P), _grid(A, Q, Q)) + _cmul(_grid(A, Q, P), _grid(A, P, Q))
     )
@@ -157,7 +188,7 @@ def _fold_pair_metric(M: np.ndarray, idx: PairIndex) -> np.ndarray:
 def _pair_metric_inverse(N: np.ndarray, idx: PairIndex) -> np.ndarray:
     """entry[(m,n),(u,v)] = (N_vn Nbar_mu + N_vm Nbar_nu) / 2."""
     P, Q = idx.P, idx.Q
-    A, Nb = N.T, N.conj()
+    A, Nb = N.swapaxes(-1, -2), N.conj()
     return 0.5 * (
         _cmul(_grid(A, Q, Q), _grid(Nb, P, P)) + _cmul(_grid(A, P, Q), _grid(Nb, Q, P))
     )
@@ -176,7 +207,7 @@ def upper_metric_pair(pt: SiegelUpperPoint) -> tuple[np.ndarray, np.ndarray]:
     """Upper-half-plane analogue: the pair form of (1/4) Tr(R^{-1} dV R^{-1}
     dVbar) and its inverse 2(R_vn R_mu + R_vm R_nu)."""
     idx = PairIndex(pt.n)
-    R = 0.5 * (pt.R + pt.R.T)
+    R = 0.5 * (pt.R + pt.R.swapaxes(-1, -2))
     half_rinv = 0.5 * np.linalg.inv(R)
     return (
         _fold_pair_metric(half_rinv.astype(complex), idx),
@@ -219,11 +250,16 @@ def _blocks(params: MetricParams, aux: AuxMatrices) -> MetricEval:
     mu, k = params.mu, params.k
 
     h1 = mu * Mb
-    h2 = mu * f * (eta[Q] * Mb[:, P] + eta[P] * Mb[:, Q])
-    h3 = h2.conj().T
+    eQ, eP = eta.take(Q, -1)[..., None, :], eta.take(P, -1)[..., None, :]
+    MP, MQ = Mb.take(P, -1), Mb.take(Q, -1)
+    h2 = mu * f * (eQ * MP + eP * MQ)
+    h3 = h2.conj().swapaxes(-1, -2)
     # K_a,mn = eta_n Mbar_am + eta_m Mbar_an
-    K = _cmul(eta[Q], Mb[:, P]) + _cmul(eta[P], Mb[:, Q])
-    hmu = f[:, None] * f * (_cmul(etab[P, None], K[Q]) + _cmul(etab[Q, None], K[P]))
+    K = _cmul(eQ, MP) + _cmul(eP, MQ)
+    hmu = f[:, None] * f * (
+        _cmul(etab.take(P, -1)[..., None], K.take(Q, -2))
+        + _cmul(etab.take(Q, -1)[..., None], K.take(P, -2))
+    )
     h4 = 0.5 * k * _fold_pair_metric(aux.M, idx) + mu * hmu
 
     h = np.block([[h1, h2], [h3, h4]])
@@ -276,19 +312,32 @@ class DetResult:
 
 
 def metric_det(params: MetricParams, pt: JacobiBallPoint) -> DetResult:
+    """Determinant of the assembled metric and its closed form.
+
+    Raises NumericalOverflow when either value leaves the float range, e.g.
+    at the origin for n >= 32 with k = 4, mu = 1, where both equal 2^{n^2}.
+    """
     aux = compute_aux(params, pt)
-    det = np.linalg.det(_blocks(params, aux).h)
-    value = float(det.real)
     n = params.n
-    sign, logdet_n = np.linalg.slogdet(aux.N)
-    const = 2.0 ** (n * (n - 1) // 2)
-    closed = (
-        const
-        * (0.5 * params.k) ** (n * (n + 1) / 2.0)
-        * params.mu**n
-        * float(np.exp(-(n + 2) * logdet_n))
-    )
-    return DetResult(value=value, closed_form=closed, constant_C=const)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = np.linalg.det(_blocks(params, aux).h).real
+        sign, logdet_n = np.linalg.slogdet(aux.N)
+        try:
+            const = 2.0 ** (n * (n - 1) // 2)
+            closed = (
+                const
+                * (0.5 * params.k) ** (n * (n + 1) / 2.0)
+                * params.mu**n
+                * np.exp(-(n + 2) * logdet_n)
+            )
+        except OverflowError:  # a Python float power beyond the range
+            const = closed = math.inf
+    if not (np.all(np.isfinite(value)) and np.all(np.isfinite(closed))):
+        raise NumericalOverflow(
+            f"metric determinant at n={n}, k={params.k}, mu={params.mu} "
+            "exceeds the float range"
+        )
+    return DetResult(value=_item(value), closed_form=_item(closed), constant_C=const)
 
 
 @dataclass(frozen=True)

@@ -60,7 +60,7 @@ class Chart:
 
     dim: int
     coords: np.ndarray                       # base coordinates, complex
-    at_offset: Callable[[np.ndarray], object]  # complex offset -> point
+    at_offset: Callable[[np.ndarray], object]  # offset (..., dim) -> point
     margin: float                            # distance proxy to the boundary
 
 
@@ -82,8 +82,10 @@ def chart_for(pt) -> Chart:
     k = 0 if vec0 is None else pt.n
 
     def at_offset(delta: np.ndarray):
-        vec = None if vec0 is None else vec0 + delta[:k]
-        return rebuild(vec, mat0 + idx.unpack(delta[k:]))
+        # delta of shape (S, dim) gives one trusted point whose arrays carry
+        # the leading stencil axis S
+        vec = None if vec0 is None else vec0 + delta[..., :k]
+        return rebuild(vec, mat0 + idx.unpack(delta[..., k:]))
 
     if isinstance(pt, SiegelUpperPoint):
         margin = float(np.linalg.eigvalsh(0.5 * (pt.R + pt.R.T))[0])
@@ -120,77 +122,139 @@ def _unit(dim: int, a: int) -> np.ndarray:
     return e
 
 
-def _diagonal_entry(f, chart, a, ha, f0):
-    """H[a, a] = (Dxx + Dyy) / 4 from the 4 points +-ha e_a, +-i ha e_a."""
-    ea = _unit(chart.dim, a)
+def _stencil(s: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Offsets of the Hessian stencil at step vector s, one row per point.
 
-    def second(s):
-        up = f(chart.at_offset(s * ea))
-        dn = f(chart.at_offset(-s * ea))
+    First 4 rows per coordinate a (the diagonal entry): +-s_a e_a and
+    +-i s_a e_a.  Then 16 rows per pair (A[p], B[p]): for the directions
+    (sa, sb) = (s_a, s_b), (i s_a, i s_b), (s_a, i s_b), (i s_a, s_b), the
+    points sa e_a + sb e_b, sa e_a - sb e_b, -sa e_a + sb e_b, -sa e_a - sb e_b.
+    Each row is built with the products and sums of the scalar expressions
+    in ``_diagonal_entry``/``_pair_entries``, so it is the same offset to the
+    last bit (signed zeros included).
+    """
+    E = np.eye(s.shape[0], dtype=complex)
+    x, y = s[:, None], 1j * s[:, None]
+    diag = np.stack([x * E, -x * E, y * E, -y * E], axis=1)
+
+    def four(sa, sb):
+        ta, tb, ma = sa * E[A], sb * E[B], -sa * E[A]
+        return [ta + tb, ta - tb, ma + tb, ma - tb]
+
+    pair = np.stack(
+        four(x[A], x[B]) + four(y[A], y[B]) + four(x[A], y[B]) + four(y[A], x[B]), axis=1
+    )
+    return np.concatenate([diag.reshape(-1, s.shape[0]), pair.reshape(-1, s.shape[0])])
+
+
+def _diagonal_entry(v, ha, f0):
+    """H[a, a] = (Dxx + Dyy) / 4 from the 4 values of f at +-ha e_a,
+    +-i ha e_a (the order of ``_stencil``)."""
+
+    def second(s, up, dn):
         return (up - 2.0 * f0 + dn) / (s.real**2 + s.imag**2)
 
-    return 0.25 * (second(ha) + second(1j * ha))
+    return 0.25 * (second(ha, v[0], v[1]) + second(1j * ha, v[2], v[3]))
 
 
-def _pair_entries(f, chart, a, b, ha, hb):
+def _pair_entries(v, ha, hb):
     """(H[a, b], H[b, a]) for a != b, d^2 f / dz_a dzbar_b = (Dxx + Dyy +
-    i (Dxy - Dyx)) / 4.  Both entries difference the same 16 points
-    sa e_a + sb e_b, so each point is evaluated once; each entry keeps its
-    own difference order and divisor, so it rounds as if computed alone."""
-    ea = _unit(chart.dim, a)
-    eb = _unit(chart.dim, b)
+    i (Dxy - Dyx)) / 4, from the 16 values of f at sa e_a + sb e_b (the order
+    of ``_stencil``).  Both entries difference the same values; each keeps
+    its own difference order and divisor, so it rounds as if computed
+    alone."""
 
-    def second(sa, sb):
+    def second(sa, sb, pp, pm, mp, mm):
         """Mixed second difference along (sa e_a, sb e_b), and along
         (sb e_b, sa e_a) from the same four values."""
-        pp = f(chart.at_offset(sa * ea + sb * eb))
-        pm = f(chart.at_offset(sa * ea - sb * eb))
-        mp = f(chart.at_offset(-sa * ea + sb * eb))
-        mm = f(chart.at_offset(-sa * ea - sb * eb))
         na = abs(sa)
         nb = abs(sb)
         return (pp - pm - mp + mm) / (4.0 * na * nb), (pp - mp - pm + mm) / (4.0 * nb * na)
 
-    dxx, dxx_t = second(ha, hb)
-    dyy, dyy_t = second(1j * ha, 1j * hb)
-    dxy, dyx_t = second(ha, 1j * hb)   # x along a, y along b
-    dyx, dxy_t = second(1j * ha, hb)   # y along a, x along b
+    dxx, dxx_t = second(ha, hb, *v[0:4])
+    dyy, dyy_t = second(1j * ha, 1j * hb, *v[4:8])
+    dxy, dyx_t = second(ha, 1j * hb, *v[8:12])   # x along a, y along b
+    dyx, dxy_t = second(1j * ha, hb, *v[12:16])  # y along a, x along b
     return (
         0.25 * (dxx + dyy + 1j * (dxy - dyx)),
         0.25 * (dxx_t + dyy_t + 1j * (dxy_t - dyx_t)),
     )
 
 
-def fd_wirtinger_hessian(f: Callable, pt, cfg: FdConfig | None = None) -> np.ndarray:
+# A stacked field gets at most STACK_ENTRIES // d^2 stencil points per call.
+# A point's metric has d^2 entries, so the field's arrays stay near
+# STACK_ENTRIES complex entries (8 MiB) whatever n is: at n = 8 (d = 44) the
+# 30625-point Richardson stencil goes in chunks of 270, while every stencil
+# up to n = 3 (d = 9, 1225 points) is a single call.
+STACK_ENTRIES = 2**19
+
+
+def fd_wirtinger_hessian(
+    f: Callable, pt, cfg: FdConfig | None = None, *, stacked: bool = False
+) -> np.ndarray:
     """Mixed Wirtinger Hessian H[a, b] = d^2 f / dz_a dzbar_b over the
     point's chart, via central differences (optionally Richardson-refined).
 
-    H[a, b] and H[b, a] share their 16 stencil points per step size, so each
-    unordered pair a < b is evaluated once and both entries are differenced
-    from the shared values.  H[b, a] is not taken as conj(H[a, b]): that
-    holds only for real f, and each entry keeps the arithmetic it would have
-    on its own.  f is called 1 + 4d + 8d(d-1) times with the
-    central scheme and 1 + 8d + 16d(d-1) times with Richardson refinement,
-    d = chart dimension.
+    All stencil offsets are built first.  H[a, b] and H[b, a] share their 16
+    stencil points per step size, so each unordered pair a < b is evaluated
+    once and both entries are differenced from the shared values.  H[b, a]
+    is not taken as conj(H[a, b]): that holds only for real f, and each entry
+    keeps the arithmetic it would have on its own.
+
+    With ``stacked=False`` f is called once per stencil point:
+    1 + 4d + 8d(d-1) times with the central scheme and 1 + 8d + 16d(d-1)
+    times with Richardson refinement, d = chart dimension.  With
+    ``stacked=True`` f is called on points whose arrays carry a leading
+    stencil axis of at most STACK_ENTRIES // d^2 points, and must return one
+    value per stencil point: once per Hessian when the stencil fits (every
+    stencil up to n = 3), else once per consecutive chunk of it.  The caller declares this, since f cannot be
+    told apart from a per-point field.  Both conventions give the same
+    Hessian when the stacked values equal the per-point ones.
     """
     cfg = cfg or FdConfig()
     chart = chart_for(pt)
     h = _steps(chart, cfg)
-    f0 = f(chart.at_offset(np.zeros(chart.dim, dtype=complex)))
     d = chart.dim
     richardson = cfg.scheme == "richardson"
+    A, B = np.triu_indices(d, 1)
+    levels = [h, h / 2] if richardson else [h]
+    offsets = np.concatenate(
+        [np.zeros((1, d), dtype=complex)] + [_stencil(s, A, B) for s in levels]
+    )
+    if stacked:
+        values = []
+        size = max(1, STACK_ENTRIES // d**2)
+        for start in range(0, offsets.shape[0], size):
+            chunk = offsets[start : start + size]
+            vals = np.asarray(f(chart.at_offset(chunk)))
+            if vals.shape != chunk.shape[:1]:
+                raise ValueError(
+                    f"stacked field returned shape {vals.shape}, "
+                    f"expected one value per stencil point ({chunk.shape[0]},)"
+                )
+            # Python scalars, as per-point fields return them: for a complex
+            # field, numpy complex scalars would divide by the real step with
+            # a different rounding than Python complex numbers do
+            values += vals.tolist()
+    else:
+        values = [f(chart.at_offset(delta)) for delta in offsets]
+    f0 = values[0]
+    per_level = 4 * d + 16 * len(A)
+    coarse = values[1 : 1 + per_level]
+    fine = values[1 + per_level :]
     out = np.empty((d, d), dtype=complex)
     for a in range(d):
-        aa = _diagonal_entry(f, chart, a, h[a], f0)
+        aa = _diagonal_entry(coarse[4 * a : 4 * a + 4], h[a], f0)
         if richardson:
-            aa = (4.0 * _diagonal_entry(f, chart, a, h[a] / 2, f0) - aa) / 3.0
+            aa = (4.0 * _diagonal_entry(fine[4 * a : 4 * a + 4], h[a] / 2, f0) - aa) / 3.0
         out[a, a] = aa
-        for b in range(a + 1, d):
-            ab, ba = _pair_entries(f, chart, a, b, h[a], h[b])
-            if richardson:
-                ab2, ba2 = _pair_entries(f, chart, a, b, h[a] / 2, h[b] / 2)
-                ab, ba = (4.0 * ab2 - ab) / 3.0, (4.0 * ba2 - ba) / 3.0
-            out[a, b], out[b, a] = ab, ba
+    for p, (a, b) in enumerate(zip(A.tolist(), B.tolist())):
+        i = 4 * d + 16 * p
+        ab, ba = _pair_entries(coarse[i : i + 16], h[a], h[b])
+        if richardson:
+            ab2, ba2 = _pair_entries(fine[i : i + 16], h[a] / 2, h[b] / 2)
+            ab, ba = (4.0 * ab2 - ab) / 3.0, (4.0 * ba2 - ba) / 3.0
+        out[a, b], out[b, a] = ab, ba
     return out
 
 

@@ -163,7 +163,7 @@ def _tangent(n: int, rng) -> TangentVector:
 def _metric_fd_match(ctx, rng):
     pt = _pt(ctx, rng)
     ev = metric_blocks(ctx.params, pt)
-    H = fd_wirtinger_hessian(lambda q: kahler_potential(ctx.params, q), pt)
+    H = fd_wirtinger_hessian(lambda q: kahler_potential(ctx.params, q), pt, stacked=True)
     err = float(np.max(np.abs(H - ev.h)) / np.max(np.abs(ev.h)))
     return err, _pt_json(pt)
 
@@ -248,8 +248,8 @@ def _ball_pair_inverse(ctx, rng):
 
 
 def _ricci_fd(ctx, pt):
-    f = lambda q: float(np.log(metric_det(ctx.params, q).value))
-    return -fd_wirtinger_hessian(f, pt, _RICCI_CFG)
+    f = builtin_field("lnG", "jacobi_ball", ctx.params)
+    return -fd_wirtinger_hessian(f, pt, _RICCI_CFG, stacked=f.stacked)
 
 
 @_register("ricci_fd_match", "curvature", 1e-5)

@@ -297,6 +297,15 @@ class TestErrors:
         assert code == 3
         assert json.loads(out)["error"]["kind"] == "NotInBall"
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_det_overflow_exit_three(self, capsys):
+        # 2^{n^2} at the origin with k = 4: finite at n = 31, inf at n = 32
+        code, out = run_cli(
+            capsys, "eval", "det", "--n", "32", "--k", "4", "--point", "origin"
+        )
+        assert code == 3
+        assert json.loads(out)["error"]["kind"] == "NumericalOverflow"
+
     def test_point2_dimension_mismatch(self, capsys, tmp_path, rng):
         p2 = sample_point("jacobi_ball", 2, rng)
         code, out = run_cli(

@@ -102,6 +102,34 @@ class TestApply:
             assert val.real == pytest.approx(expected, rel=1e-5)
             assert abs(val.imag) < 1e-6
 
+    @pytest.mark.parametrize("domain", ["jacobi_ball", "ball", "upper"])
+    def test_builtin_lng_evaluated_as_one_stack(self, monkeypatch, domain):
+        # apply_laplacian passes a broadcasting built-in field the whole
+        # stencil at once, with the value of the per-point Hessian
+        from siegel_jacobi import laplacian
+        from siegel_jacobi.oracle import FdConfig
+
+        params = MetricParams(n=2, k=2.0, mu=1.0)
+        pt = sample_point(domain, 2, np.random.default_rng(5))
+        f = builtin_field("lnG", domain, params)
+        C = laplacian_coefficients(domain, params, pt).matrix
+        per_point = complex(np.trace(C @ fd_wirtinger_hessian(f, pt, FdConfig(step=2e-3))))
+        ndims = []  # of the matrix part of each point the closed form receives
+        name = {"jacobi_ball": "metric_det", "ball": "ball_metric_pair"}.get(
+            domain, "upper_metric_pair"
+        )
+        inner = getattr(laplacian, name)
+
+        def counted(*args):
+            q = args[-1]
+            ndims.append((q.V if domain == "upper" else q.W).ndim)
+            return inner(*args)
+
+        monkeypatch.setattr(laplacian, name, counted)
+        assert apply_laplacian(domain, params, f, pt, fd_step=2e-3) == per_point
+        # ball and upper also build their coefficient matrix from the pair
+        assert ndims == ([3] if domain == "jacobi_ball" else [2, 3])
+
     def test_invariance_under_action(self, rng):
         params = MetricParams(n=2, k=2.0, mu=1.0)
         f = builtin_field("re_poly(11)", "jacobi_ball")

@@ -1,7 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from siegel_jacobi.domains import JacobiBallPoint, SiegelUpperPoint, TangentVector, sample_point
+from siegel_jacobi.errors import NumericalOverflow
+from siegel_jacobi.laplacian import builtin_field
 from siegel_jacobi.metric import (
     MetricParams,
     ball_metric_pair,
@@ -269,6 +273,26 @@ class TestDeterminant:
         ratio = res.value / metric_det(params, origin(n)).value
         det_n = np.linalg.det(pt.cross_gram()).real
         assert ratio == pytest.approx(det_n ** -(n + 2), rel=1e-10)
+
+
+    def test_overflow_raises(self):
+        # at the origin with k = 4, mu = 1 both values are 2^{n^2}: inf at n = 32
+        params = MetricParams(n=32, k=4, mu=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy overflow warning leaks
+            with pytest.raises(NumericalOverflow):
+                metric_det(params, origin(32))
+            with pytest.raises(NumericalOverflow):
+                builtin_field("lnG", "jacobi_ball", params)(origin(32))
+            # a Python float power out of range raises the same error
+            with pytest.raises(NumericalOverflow):
+                metric_det(MetricParams(n=2, k=1e200, mu=1), origin(2))
+
+    def test_large_n_finite(self):
+        res = metric_det(MetricParams(n=30, k=4, mu=1), origin(30))
+        assert res.closed_form == 2.0**900
+        assert res.constant_C == 2.0**435
+        assert res.value == pytest.approx(2.0**900, rel=1e-11)
 
 
 class TestCurvature:

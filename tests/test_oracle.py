@@ -157,6 +157,141 @@ def test_hessian_evaluates_each_stencil_point_once(n, scheme):
     assert len(calls) == expected
 
 
+def _complex_field(q):
+    """z_0 conj(W_00): complex-valued, a Python complex at one point."""
+    v = q.z[..., 0] * np.conj(q.W[..., 0, 0])
+    return v.item() if np.ndim(v) == 0 else v
+
+
+def _broadcasting_fields(domain, params):
+    """The closed-form fields that accept a stacked point."""
+    fields = [builtin_field("lnG", domain, params)]
+    if domain == "jacobi_ball":
+        fields += [lambda q: kahler_potential(params, q), _complex_field]
+    return fields
+
+
+def _stacked_matches_per_point(f, pt, cfg):
+    return np.array_equal(
+        fd_wirtinger_hessian(f, pt, cfg, stacked=True), fd_wirtinger_hessian(f, pt, cfg)
+    )
+
+
+@pytest.mark.parametrize("scheme", ["central", "richardson"])
+@pytest.mark.parametrize("domain", ["jacobi_ball", "ball", "upper"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stacked_hessian_matches_per_point(n, domain, scheme):
+    # the per-point Hessian is pinned to the entry loop above; the stacked
+    # one must equal it to the last bit, or the seeded reports would move
+    params = MetricParams(n=n, k=4.0, mu=1.0)
+    pt = sample_point(domain, n, np.random.default_rng(300 + n))
+    chart = chart_for(pt)
+    offsets = 1e-3 * np.random.default_rng(n).standard_normal((7, chart.dim, 2)) @ [1, 1j]
+    for f in _broadcasting_fields(domain, params):
+        stacked = f(chart.at_offset(offsets))
+        assert np.array_equal(stacked, [f(chart.at_offset(o)) for o in offsets])
+        assert _stacked_matches_per_point(f, pt, FdConfig(scheme=scheme))
+
+
+def test_stacked_identity_catches_broadcast_index_swap(monkeypatch):
+    # negative control: a pair block whose index is swapped only over a
+    # stack leaves every single-point value intact but must fail the check
+    from siegel_jacobi import metric
+
+    fold = metric._fold_pair_metric
+
+    def swapped(M, idx):
+        if M.ndim == 2:
+            return fold(M, idx)
+        P, Q, f = idx.P, idx.Q, idx.f
+        A = M.swapaxes(-1, -2)
+        grid, cmul = metric._grid, metric._cmul
+        return 2.0 * f[:, None] * f * (  # Q for P in the last grid's rows
+            cmul(grid(A, P, P), grid(A, Q, Q)) + cmul(grid(A, Q, P), grid(A, Q, Q))
+        )
+
+    params = MetricParams(n=2, k=4.0, mu=1.0)
+    pt = sample_point("jacobi_ball", 2, np.random.default_rng(302))
+    cases = [
+        (builtin_field("lnG", "jacobi_ball", params), pt),
+        (builtin_field("lnG", "ball"), pt.ball),
+    ]
+    per_point = [fd_wirtinger_hessian(f, p) for f, p in cases]
+    monkeypatch.setattr(metric, "_fold_pair_metric", swapped)
+    for (f, p), H in zip(cases, per_point):
+        assert np.array_equal(fd_wirtinger_hessian(f, p), H)
+        assert np.all(np.isfinite(fd_wirtinger_hessian(f, p, stacked=True)))  # wrong, not NaN
+        assert not _stacked_matches_per_point(f, p, FdConfig())
+
+
+@pytest.mark.parametrize("scheme", ["central", "richardson"])
+def test_stacked_field_called_once_per_hessian(scheme):
+    params = MetricParams(n=2, k=4.0, mu=1.0)
+    pt = sample_point("jacobi_ball", 2, np.random.default_rng(2))
+    stacks = []
+
+    def f(q):
+        stacks.append(q.z.shape[0])
+        return kahler_potential(params, q)
+
+    fd_wirtinger_hessian(f, pt, FdConfig(scheme=scheme), stacked=True)
+    d = 5
+    points = 1 + 4 * d + 8 * d * (d - 1)
+    if scheme == "richardson":
+        points = 1 + 8 * d + 16 * d * (d - 1)
+    assert stacks == [points]
+
+
+@pytest.mark.parametrize("domain", ["jacobi_ball", "ball", "upper"])
+def test_chunked_stacked_hessian_matches_per_point(monkeypatch, domain):
+    # a stencil split over several stacked calls still gives the per-point
+    # Hessian to the last bit
+    from siegel_jacobi import oracle
+
+    monkeypatch.setattr(oracle, "STACK_ENTRIES", 500)  # 20 points at d = 5
+    params = MetricParams(n=2, k=4.0, mu=1.0)
+    pt = sample_point(domain, 2, np.random.default_rng(7))
+    for f in _broadcasting_fields(domain, params):
+        assert _stacked_matches_per_point(f, pt, FdConfig())
+
+
+def test_stacked_lng_stack_size_bounded_at_n8():
+    # the stacked field's working set must not grow with the stencil: at
+    # n = 8 (d = 44) the 15313 central points go in chunks of at most
+    # STACK_ENTRIES // d^2
+    from siegel_jacobi.oracle import STACK_ENTRIES
+
+    n, d = 8, 44
+    params = MetricParams(n=n, k=4.0, mu=1.0)
+    pt = sample_point("jacobi_ball", n, np.random.default_rng(8))
+    f = builtin_field("lnG", "jacobi_ball", params)
+    stacks = []
+
+    def recorded(q):
+        stacks.append(q.z.shape[0])
+        return f(q)
+
+    H = fd_wirtinger_hessian(recorded, pt, FdConfig(scheme="central"), stacked=True)
+    assert max(stacks) <= STACK_ENTRIES // d**2
+    assert sum(stacks) == 1 + 4 * d + 8 * d * (d - 1)
+    assert np.all(np.isfinite(H))
+
+
+def test_stacked_step_too_large():
+    W = np.diag([np.sqrt(1 - 1e-3), 0.1]).astype(complex)
+    pt = JacobiBallPoint(z=np.zeros(2), W=W)
+    calls = []
+    with pytest.raises(StepTooLarge):
+        fd_wirtinger_hessian(lambda p: calls.append(p), pt, FdConfig(step=1e-3), stacked=True)
+    assert calls == []
+
+
+def test_stacked_field_must_return_one_value_per_point():
+    pt = sample_point("jacobi_ball", 1, np.random.default_rng(1))
+    with pytest.raises(ValueError, match="one value per stencil point"):
+        fd_wirtinger_hessian(lambda p: 0.0, pt, stacked=True)
+
+
 class TestJacobian:
     def test_identity_map(self, rng):
         pt = sample_point("jacobi_ball", 2, rng)

@@ -242,7 +242,9 @@ def _eval(cfg: CliConfig, args) -> dict:
         return out
     if q == "laplacian":
         f = builtin_field(args.field, "jacobi_ball", params)
-        val = apply_laplacian("jacobi_ball", params, f, pt, fd_step=args.fd_step)
+        val = apply_laplacian(
+            "jacobi_ball", params, f, pt, fd_step=args.fd_step, stacked=True
+        )
         return {"field": args.field, "value": serialize.encode_complex(val)}
     raise AssertionError(q)
 

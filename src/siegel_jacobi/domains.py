@@ -127,8 +127,12 @@ class PairIndex:
         return int(self.P[i]), int(self.Q[i])
 
     def pack(self, sym: np.ndarray) -> np.ndarray:
-        """Extract the ordered-pair entries of a symmetric matrix."""
-        return sym[self.P, self.Q]
+        """Extract the ordered-pair entries of a symmetric matrix (the last
+        two axes of sym; leading axes are kept).  The result is C-ordered
+        over a stack as well, so that each row takes the same BLAS path as
+        a single point's vector (a fancy index over leading axes returns
+        the pair axis outermost in memory)."""
+        return np.ascontiguousarray(sym[..., self.P, self.Q])
 
     def unpack(self, vec: np.ndarray) -> np.ndarray:
         """Rebuild a symmetric matrix from ordered-pair coordinates (the last
@@ -203,7 +207,8 @@ class SiegelBallPoint:
         The arrays may carry leading axes, e.g. W of shape (S, n, n) for S
         stencil points; the closed forms that broadcast (metric_det,
         kahler_potential, ball_metric_pair, upper_metric_pair) then return
-        one value per leading index."""
+        one value per leading index, and the group maps (act_ball,
+        act_upper, partial_cayley, ...) one trusted stacked point."""
         obj = object.__new__(cls)
         object.__setattr__(obj, "W", W)
         return obj
@@ -271,7 +276,9 @@ class JacobiBallPoint:
 
     @property
     def ball(self) -> SiegelBallPoint:
-        return SiegelBallPoint(self.W)
+        """The W part; the constructor already validated and symmetrised it
+        (a trusted stacked point gives a trusted stacked ball point)."""
+        return SiegelBallPoint.trusted(self.W)
 
     def cross_gram(self) -> np.ndarray:
         return cross_gram(self.W)

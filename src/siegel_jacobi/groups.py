@@ -6,6 +6,14 @@ The complexified symplectic element is the block matrix ``[[p, q], [qbar,
 pbar]]``; the real one is ``[[a, b], [c, d]]``.  Jacobi elements extend these
 by a translation (``alpha`` in C^n, resp. a real 2n-vector) and a central
 coordinate that composes but never enters the actions.
+
+``act_siegel_ball``, ``act_ball``, ``act_upper``, ``partial_cayley`` and
+``inverse_partial_cayley`` broadcast over leading axes of a trusted point
+(z of shape (..., n), W of shape (..., n, n)), so a finite-difference
+stencil is mapped in one call and the image is a trusted stacked point.  A
+single point is the case with no leading axis and keeps the validating
+constructors.  Each stacked image equals the single-point image to the last
+bit: every matrix product and solve runs per point exactly as it does alone.
 """
 
 from __future__ import annotations
@@ -44,12 +52,19 @@ __all__ = [
 
 
 def _solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """A^{-1} B with singularity mapped to SingularDenominator."""
+    """A^{-1} B with singularity mapped to SingularDenominator.
+
+    Broadcasts over leading axes of A; B is a matrix, or a vector per point
+    (one axis fewer than A).  One singular matrix fails the whole stack."""
     try:
-        out = np.linalg.solve(A, B)
+        if A.ndim > 2 and B.ndim == A.ndim - 1:
+            # a stack of vectors: numpy reads a 2-d b as one matrix
+            out = np.linalg.solve(A, B[..., None])[..., 0]
+        else:
+            out = np.linalg.solve(A, B)
     except np.linalg.LinAlgError as exc:
         raise SingularDenominator(str(exc)) from exc
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise SingularDenominator("non-finite entries in solve result")
     return out
 
@@ -303,8 +318,9 @@ def act_siegel_ball(g: SymplecticC, W: np.ndarray) -> np.ndarray:
     """W1 = (p W + q)(qbar W + pbar)^{-1}, returned exactly symmetrized."""
     num = g.p @ W + g.q
     den = g.q.conj() @ W + g.p.conj()
-    W1 = _solve(den.T, num.T).T  # num @ den^{-1}
-    return 0.5 * (W1 + W1.T)
+    # (num @ den^{-1})^t; the symmetrization is the same sum either way
+    W1 = _solve(den.swapaxes(-1, -2), num.swapaxes(-1, -2))
+    return 0.5 * (W1.swapaxes(-1, -2) + W1)
 
 
 def act_ball(h: JacobiElementC, pt: JacobiBallPoint) -> JacobiBallPoint:
@@ -317,6 +333,8 @@ def act_ball(h: JacobiElementC, pt: JacobiBallPoint) -> JacobiBallPoint:
     W1 = act_siegel_ball(g, pt.W)
     lhs = pt.W @ g.q.conj().T + g.p.conj().T
     z1 = _solve(lhs, pt.z + h.alpha - pt.W @ h.alpha.conj())
+    if W1.ndim > 2:
+        return JacobiBallPoint.trusted(z1, W1)
     return JacobiBallPoint(z=z1, W=W1)
 
 
@@ -327,36 +345,39 @@ def act_upper(h: JacobiElementR, pt: SiegelUpperPoint) -> SiegelUpperPoint:
     g = h.g
     num = g.a @ pt.V + g.b
     den = g.c @ pt.V + g.d
-    V1 = _solve(den.T, num.T).T
-    V1 = 0.5 * (V1 + V1.T)
+    V1 = _solve(den.swapaxes(-1, -2), num.swapaxes(-1, -2))  # transposed
+    V1 = 0.5 * (V1.swapaxes(-1, -2) + V1)
     u1 = None
     if pt.u is not None:
         u1 = _solve(pt.V @ g.c.T + g.d.T, pt.u + pt.V @ h.alpha_im + h.alpha_re)
+    if V1.ndim > 2:
+        return SiegelUpperPoint.trusted(V1, u1)
     return SiegelUpperPoint(V=V1, u=u1)
 
 
 def partial_cayley(pt: SiegelUpperPoint) -> JacobiBallPoint | SiegelBallPoint:
     """Biholomorphism onto the ball model:
     W = (V - i)(V + i)^{-1}, z = 2i (V + i)^{-1} u."""
-    n = pt.n
-    eye = np.eye(n)
+    eye = np.eye(pt.n)
     den = pt.V + 1j * eye
-    W = _solve(den.T, (pt.V - 1j * eye).T).T
-    W = 0.5 * (W + W.T)
+    W = _solve(den.swapaxes(-1, -2), (pt.V - 1j * eye).swapaxes(-1, -2))  # transposed
+    W = 0.5 * (W.swapaxes(-1, -2) + W)
+    stacked = W.ndim > 2
     if pt.u is None:
-        return SiegelBallPoint(W)
+        return SiegelBallPoint.trusted(W) if stacked else SiegelBallPoint(W)
     z = 2j * _solve(den, pt.u)
-    return JacobiBallPoint(z=z, W=W)
+    return JacobiBallPoint.trusted(z, W) if stacked else JacobiBallPoint(z=z, W=W)
 
 
 def inverse_partial_cayley(pt: JacobiBallPoint | SiegelBallPoint) -> SiegelUpperPoint:
     """V = i (1 - W)^{-1} (1 + W), u = (1 - W)^{-1} z."""
-    n = pt.n
-    eye = np.eye(n)
+    eye = np.eye(pt.n)
     A = eye - pt.W
     V = 1j * _solve(A, eye + pt.W)
-    V = 0.5 * (V + V.T)
+    V = 0.5 * (V + V.swapaxes(-1, -2))
     u = _solve(A, pt.z) if isinstance(pt, JacobiBallPoint) else None
+    if V.ndim > 2:
+        return SiegelUpperPoint.trusted(V, u)
     return SiegelUpperPoint(V=V, u=u)
 
 
@@ -382,7 +403,8 @@ def act_ball_differential(
     The W-part uses the closed form dW1 = (W q* + p*)^{-1} dW (qbar W +
     pbar)^{-1}; the z-part is a Richardson-refined directional derivative of
     the full action (the map is holomorphic, so the real directional
-    derivative along the complex tangent is the pushforward).
+    derivative along the complex tangent is the pushforward), whose four
+    points go through one stacked act_ball call.
     """
     if tangent.dz is None:
         raise ValueError("jacobi-ball tangent needs a dz component")
@@ -392,14 +414,15 @@ def act_ball_differential(
     dW1 = _solve(left, tangent.dW) @ np.linalg.inv(right)
     dW1 = 0.5 * (dW1 + dW1.T)
 
-    def z_of(s: float) -> np.ndarray:
-        moved = act_ball(
-            h, JacobiBallPoint(z=pt.z + s * tangent.dz, W=pt.W + s * tangent.dW)
-        )
-        return moved.z
-
-    d1 = (z_of(fd_step) - z_of(-fd_step)) / (2 * fd_step)
-    d2 = (z_of(fd_step / 2) - z_of(-fd_step / 2)) / fd_step
+    s = np.array([fd_step, -fd_step, fd_step / 2, -fd_step / 2])
+    z = act_ball(
+        h,
+        JacobiBallPoint.trusted(
+            pt.z + s[:, None] * tangent.dz, pt.W + s[:, None, None] * tangent.dW
+        ),
+    ).z
+    d1 = (z[0] - z[1]) / (2 * fd_step)
+    d2 = (z[2] - z[3]) / fd_step
     dz1 = (4 * d2 - d1) / 3.0
     return TangentVector(dz=dz1, dW=dW1)
 

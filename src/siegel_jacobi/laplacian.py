@@ -25,7 +25,9 @@ from .errors import DimensionMismatch
 from .groups import inverse_partial_cayley, partial_cayley
 from .metric import (
     MetricParams,
+    _dot,
     _item,
+    _vecmat,
     ball_metric_pair,
     metric_det,
     metric_inverse,
@@ -78,62 +80,62 @@ def apply_laplacian(
     f: Callable,
     pt,
     fd_step: float = 1e-4,
+    *,
+    stacked: bool = False,
 ) -> complex:
     """Contract the coefficient matrix with the finite-difference Wirtinger
     Hessian of f.  The callback receives perturbed points of the same type
-    as pt; symmetric-matrix coordinates are perturbed jointly.
-
-    The ``stacked`` attribute is the declaration of the built-in fields
-    only (see ``builtin_field``): a field that carries ``stacked = True``
-    (``lnG``) receives the stencil as stacked points; any other f, user
-    callables included, receives one point per call and should not carry
-    the attribute."""
+    as pt; symmetric-matrix coordinates are perturbed jointly.  With
+    ``stacked=True`` (every built-in field) f receives the stencil as
+    stacked points, as in ``fd_wirtinger_hessian``."""
     coeff = laplacian_coefficients(domain, params, pt)
-    stacked = getattr(f, "stacked", False)
     hess = fd_wirtinger_hessian(f, pt, FdConfig(step=fd_step), stacked=stacked)
     if hess.shape != coeff.matrix.shape:
         raise DimensionMismatch("field chart and coefficient matrix disagree")
     return complex(np.trace(coeff.matrix @ hess))
 
 
-def _sym_derivative_matrix(f: Callable, pt, cfg: FdConfig) -> np.ndarray:
+def _sym_derivative_matrix(f: Callable, pt, cfg: FdConfig, stacked: bool) -> np.ndarray:
     """G[a, b] = e_ab df/dz_ab over a symmetric-matrix chart, as an n x n
     symmetric matrix; e_ab = (1 + delta_ab) / 2."""
     idx = PairIndex(pt.n)
-    hol, _ = fd_wirtinger_gradient(f, pt, cfg)
+    hol, _ = fd_wirtinger_gradient(f, pt, cfg, stacked=stacked)
     return idx.unpack(0.5 * hol / idx.f)  # e_ab = 1 / (2 f_ab)
 
 
 def cayley_chain_rule_check(
-    f: Callable, pt: SiegelUpperPoint, cfg: FdConfig | None = None
+    f: Callable, pt: SiegelUpperPoint, cfg: FdConfig | None = None, *, stacked: bool = False
 ) -> float:
     """Defect of the symmetric-derivative chain rule across the Cayley map:
 
         e_ab df/dv_ab  =  -(i/2) [(1 - W) G_W (1 - W)]_ab,
 
     where W is the Cayley image of V, G_W the weighted w-derivative matrix of
-    f expressed in W, and f a scalar field on the upper half-plane.
+    f expressed in W, and f a scalar field on the upper half-plane.  The
+    Cayley maps broadcast, so ``stacked`` (f broadcasts) holds for f
+    expressed in W as well.
     """
     cfg = cfg or FdConfig()
     if pt.u is not None:
         pt = SiegelUpperPoint(V=pt.V)
-    G_V = _sym_derivative_matrix(f, pt, cfg)
+    G_V = _sym_derivative_matrix(f, pt, cfg, stacked)
     ball = partial_cayley(pt)
 
     def f_in_w(b):
         return f(inverse_partial_cayley(b))
 
-    G_W = _sym_derivative_matrix(f_in_w, ball, cfg)
+    G_W = _sym_derivative_matrix(f_in_w, ball, cfg, stacked)
     A = np.eye(pt.n) - ball.W
     rhs = -0.5j * (A @ G_W @ A)
     return float(np.max(np.abs(G_V - rhs)))
 
 
 def laplacian_correspondence_check(
-    f: Callable, pt: SiegelUpperPoint, fd_step: float = 1e-4
+    f: Callable, pt: SiegelUpperPoint, fd_step: float = 1e-4, *, stacked: bool = False
 ) -> float:
     """|Delta_upper(f o Phi)(V) - Delta_ball(f)(Phi(V))| for a scalar field f
-    on the ball: the operator is transported by the Cayley biholomorphism."""
+    on the ball: the operator is transported by the Cayley biholomorphism.
+    Phi broadcasts, so ``stacked`` (f broadcasts) holds for f o Phi too."""
     if pt.u is not None:
         pt = SiegelUpperPoint(V=pt.V)
     ball = partial_cayley(pt)
@@ -141,16 +143,14 @@ def laplacian_correspondence_check(
     def pulled_back(v):
         return f(partial_cayley(v))
 
-    upper_val = apply_laplacian("upper", None, pulled_back, pt, fd_step)
-    ball_val = apply_laplacian("ball", None, f, ball, fd_step)
+    upper_val = apply_laplacian("upper", None, pulled_back, pt, fd_step, stacked=stacked)
+    ball_val = apply_laplacian("ball", None, f, ball, fd_step, stacked=stacked)
     return float(abs(upper_val - ball_val))
 
 
 def _ln_g(domain: str, params: MetricParams | None):
     """ln det of the domain's assembled metric matrix (never the closed form
-    of the determinant, which the lnG checks verify).  The field broadcasts
-    over a leading stencil axis and carries ``stacked = True``, the one
-    declaration that apply_laplacian and direct Hessian callers read."""
+    of the determinant, which the lnG checks verify)."""
     if domain == "jacobi_ball":
         if params is None:
             raise ValueError("lnG on the jacobi ball needs metric parameters")
@@ -172,42 +172,53 @@ def _ln_g(domain: str, params: MetricParams | None):
 
     else:
         raise ValueError(f"unknown domain {domain!r}")
-    f.stacked = True
     return f
 
 
 def _re_poly(seed: int):
     """Seeded smooth real test field |c0 + c.zeta + zeta^t Q zeta|^2 over the
-    chart coordinates; its mixed Hessian is nonconstant and nonzero."""
+    chart coordinates; its mixed Hessian is nonconstant and nonzero.  The
+    coefficients are drawn once per chart dimension d."""
+    coefficients = {}
 
     def f(pt):
         zeta = flatten_point(pt)
-        d = zeta.shape[0]
-        rng = np.random.default_rng(seed + 7919 * d)
-        c0 = complex(rng.standard_normal(), rng.standard_normal())
-        c = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        Q = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / d
-        val = c0 + c @ zeta + zeta @ Q @ zeta
-        return float(abs(val) ** 2)
+        d = zeta.shape[-1]
+        if d not in coefficients:
+            rng = np.random.default_rng(seed + 7919 * d)
+            c0 = complex(rng.standard_normal(), rng.standard_normal())
+            c = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            Q = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / d
+            coefficients[d] = c0, c, Q
+        c0, c, Q = coefficients[d]
+        val = c0 + _dot(c, zeta) + _dot(_vecmat(zeta, Q), zeta)
+        # |val|^2 rounded as libm hypot and pow round it at one point: numpy's
+        # array abs and square take SIMD paths that differ in the last bit
+        return _item(np.float_power(np.hypot(val.real, val.imag), 2.0))
 
     return f
+
+
+def _matrix_part(pt) -> np.ndarray:
+    return pt.V if isinstance(pt, SiegelUpperPoint) else pt.W
 
 
 BUILTIN_FIELDS = ("const", "lnG", "trWWbar", "normz2", "re_poly(seed)")
 
 
 def builtin_field(name: str, domain: str, params: MetricParams | None = None):
-    """CLI-facing test fields, keyed by name.  A field that broadcasts over
-    a leading stencil axis (``lnG``) carries ``stacked = True``."""
+    """CLI-facing test fields, keyed by name.  Every one broadcasts over a
+    leading stencil axis (one value per stacked point), so callers may pass
+    ``stacked=True`` with any of them."""
     if name == "const":
-        return lambda pt: 1.0
+        return lambda pt: _item(np.ones(_matrix_part(pt).shape[:-2]))
     if name == "lnG":
         return _ln_g(domain, params)
     if name == "trWWbar":
 
         def f(pt):
-            m = pt.V if isinstance(pt, SiegelUpperPoint) else pt.W
-            return float(np.trace(m @ m.conj()).real)
+            m = _matrix_part(pt)
+            return _item(np.trace(m @ m.conj(), axis1=-2, axis2=-1).real)
 
         return f
     if name == "normz2":
@@ -216,7 +227,7 @@ def builtin_field(name: str, domain: str, params: MetricParams | None = None):
             vec = pt.u if isinstance(pt, SiegelUpperPoint) else pt.z
             if vec is None:
                 raise ValueError("normz2 needs a point with a vector part")
-            return float(np.vdot(vec, vec).real)
+            return _item(_dot(vec.conj(), vec).real)
 
         return f
     m = re.fullmatch(r"re_poly[(:]?(\d+)\)?", name)

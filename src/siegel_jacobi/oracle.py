@@ -2,6 +2,11 @@
 and Hessians, numerical Jacobians of holomorphic maps with a holomorphy gate,
 and the volume-density invariance check.
 
+Each oracle builds all of its stencil offsets first.  A caller whose field
+or map broadcasts over a leading stencil axis declares ``stacked=True``;
+the stencil then goes through it in chunked stacked calls instead of one
+call per point, with the same result to the last bit.
+
 Nothing here calls the closed forms it is used to verify; perturbations of
 symmetric-matrix coordinates always move the (p, q) and (q, p) entries
 jointly, matching the package-wide symmetric-pair convention.
@@ -95,10 +100,11 @@ def chart_for(pt) -> Chart:
 
 
 def flatten_point(pt) -> np.ndarray:
-    """Complex coordinate vector of a point in its chart."""
+    """Complex coordinate vector of a point in its chart; a stacked point
+    gives one row per leading index."""
     vec, mat, _ = _parts(pt)
     w = PairIndex(pt.n).pack(mat)
-    return w if vec is None else np.concatenate([vec, w])
+    return w if vec is None else np.concatenate([vec, w], axis=-1)
 
 
 def _steps(chart: Chart, cfg: FdConfig) -> np.ndarray:
@@ -114,12 +120,6 @@ def _steps(chart: Chart, cfg: FdConfig) -> np.ndarray:
             f"stencil excursion {worst:.3e} exceeds domain margin {chart.margin:.3e}"
         )
     return h
-
-
-def _unit(dim: int, a: int) -> np.ndarray:
-    e = np.zeros(dim, dtype=complex)
-    e[a] = 1.0
-    return e
 
 
 def _stencil(s: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -189,6 +189,35 @@ def _pair_entries(v, ha, hb):
 STACK_ENTRIES = 2**19
 
 
+def _evaluate(fn: Callable, chart: Chart, offsets: np.ndarray, stacked: bool, scalar: bool):
+    """fn at the chart point of every offset row, in row order.
+
+    Per point, fn gets one point per call.  Stacked, it gets consecutive
+    chunks of at most STACK_ENTRIES // d^2 points as one point with a
+    leading stencil axis, and must return one value per point.  A scalar
+    field's values come back as a list of Python scalars, as per-point
+    fields return them (for a complex field, numpy complex scalars would
+    divide by the real step with a different rounding than Python complex
+    numbers do); any other fn's values come back as one array with a row
+    per point."""
+    if not stacked:
+        values = [fn(chart.at_offset(delta)) for delta in offsets]
+        return values if scalar else np.array(values)
+    size = max(1, STACK_ENTRIES // chart.dim**2)
+    parts = []
+    for start in range(0, offsets.shape[0], size):
+        chunk = offsets[start : start + size]
+        vals = np.asarray(fn(chart.at_offset(chunk)))
+        if vals.shape[:1] != chunk.shape[:1] or (scalar and vals.ndim != 1):
+            raise ValueError(
+                f"stacked field returned shape {vals.shape}, "
+                f"expected one value per stencil point ({chunk.shape[0]},)"
+            )
+        parts.append(vals)
+    values = np.concatenate(parts)
+    return values.tolist() if scalar else values
+
+
 def fd_wirtinger_hessian(
     f: Callable, pt, cfg: FdConfig | None = None, *, stacked: bool = False
 ) -> np.ndarray:
@@ -207,9 +236,10 @@ def fd_wirtinger_hessian(
     ``stacked=True`` f is called on points whose arrays carry a leading
     stencil axis of at most STACK_ENTRIES // d^2 points, and must return one
     value per stencil point: once per Hessian when the stencil fits (every
-    stencil up to n = 3), else once per consecutive chunk of it.  The caller declares this, since f cannot be
-    told apart from a per-point field.  Both conventions give the same
-    Hessian when the stacked values equal the per-point ones.
+    stencil up to n = 3), else once per consecutive chunk of it.  The
+    caller declares this, since f cannot be told apart from a per-point
+    field.  Both conventions give the same Hessian when the stacked values
+    equal the per-point ones.
     """
     cfg = cfg or FdConfig()
     chart = chart_for(pt)
@@ -221,23 +251,7 @@ def fd_wirtinger_hessian(
     offsets = np.concatenate(
         [np.zeros((1, d), dtype=complex)] + [_stencil(s, A, B) for s in levels]
     )
-    if stacked:
-        values = []
-        size = max(1, STACK_ENTRIES // d**2)
-        for start in range(0, offsets.shape[0], size):
-            chunk = offsets[start : start + size]
-            vals = np.asarray(f(chart.at_offset(chunk)))
-            if vals.shape != chunk.shape[:1]:
-                raise ValueError(
-                    f"stacked field returned shape {vals.shape}, "
-                    f"expected one value per stencil point ({chunk.shape[0]},)"
-                )
-            # Python scalars, as per-point fields return them: for a complex
-            # field, numpy complex scalars would divide by the real step with
-            # a different rounding than Python complex numbers do
-            values += vals.tolist()
-    else:
-        values = [f(chart.at_offset(delta)) for delta in offsets]
+    values = _evaluate(f, chart, offsets, stacked, scalar=True)
     f0 = values[0]
     per_level = 4 * d + 16 * len(A)
     coarse = values[1 : 1 + per_level]
@@ -258,31 +272,49 @@ def fd_wirtinger_hessian(
     return out
 
 
-def _gradient_entry(f, chart, a, ha):
-    e = _unit(chart.dim, a)
-    dx = (f(chart.at_offset(ha * e)) - f(chart.at_offset(-ha * e))) / (2 * ha)
-    hy = 1j * ha
-    dy = (f(chart.at_offset(hy * e)) - f(chart.at_offset(-hy * e))) / (2 * ha)
-    return 0.5 * (dx - 1j * dy), 0.5 * (dx + 1j * dy)
-
-
-def fd_wirtinger_gradient(
-    f: Callable, pt, cfg: FdConfig | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """(df/dz_a, df/dzbar_a) over the chart coordinates."""
+def _first_derivatives(fn: Callable, pt, cfg: FdConfig | None, stacked: bool, scalar: bool):
+    """(d/dz_a, d/dzbar_a) of fn's values for every chart coordinate a, as
+    two lists over a: central differences along +-h_a e_a and +-i h_a e_a,
+    Richardson-refined with the h_a / 2 stencil.  All 4d offsets per step
+    size are built first and evaluated as in ``_evaluate``."""
     cfg = cfg or FdConfig()
     chart = chart_for(pt)
     h = _steps(chart, cfg)
-    hol = np.empty(chart.dim, dtype=complex)
-    ahol = np.empty(chart.dim, dtype=complex)
-    for a in range(chart.dim):
-        g1, gb1 = _gradient_entry(f, chart, a, h[a])
-        if cfg.scheme == "richardson":
-            g2, gb2 = _gradient_entry(f, chart, a, h[a] / 2)
-            g1, gb1 = (4 * g2 - g1) / 3.0, (4 * gb2 - gb1) / 3.0
-        hol[a] = g1
-        ahol[a] = gb1
+    d = chart.dim
+    levels = [h, h / 2] if cfg.scheme == "richardson" else [h]
+    E = np.eye(d, dtype=complex)
+    # row 4a + k of a level: step k (h_a, -h_a, i h_a, -i h_a) along e_a
+    offsets = np.concatenate(
+        [(np.stack([s, -s, 1j * s, -1j * s], axis=1)[..., None] * E[:, None]).reshape(-1, d)
+         for s in levels]
+    )
+    values = _evaluate(fn, chart, offsets, stacked, scalar)
+
+    def central(v, ha):
+        dx = (v[0] - v[1]) / (2 * ha)
+        dy = (v[2] - v[3]) / (2 * ha)
+        return 0.5 * (dx - 1j * dy), 0.5 * (dx + 1j * dy)
+
+    hol, ahol = [], []
+    for a in range(d):
+        g, gb = central(values[4 * a : 4 * a + 4], h[a])
+        if len(levels) == 2:
+            i = 4 * d + 4 * a
+            g2, gb2 = central(values[i : i + 4], levels[1][a])
+            g, gb = (4 * g2 - g) / 3.0, (4 * gb2 - gb) / 3.0
+        hol.append(g)
+        ahol.append(gb)
     return hol, ahol
+
+
+def fd_wirtinger_gradient(
+    f: Callable, pt, cfg: FdConfig | None = None, *, stacked: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """(df/dz_a, df/dzbar_a) over the chart coordinates.  f is called once
+    per stencil point (4d points, 8d with Richardson refinement), or with
+    ``stacked=True`` on stacked points as in ``fd_wirtinger_hessian``."""
+    hol, ahol = _first_derivatives(f, pt, cfg, stacked, scalar=True)
+    return np.array(hol, dtype=complex), np.array(ahol, dtype=complex)
 
 
 def fd_jacobian(
@@ -290,37 +322,20 @@ def fd_jacobian(
     pt,
     cfg: FdConfig | None = None,
     hol_tol: float = 1e-7,
+    *,
+    stacked: bool = False,
 ) -> np.ndarray:
     """Holomorphic Jacobian J[out, in] of a point-to-point map over ordered
     coordinates.  The dbar block is measured as well; if its largest entry
-    exceeds hol_tol the map is flagged NonHolomorphic.
+    exceeds hol_tol the map is flagged NonHolomorphic.  With ``stacked=True``
+    map_fn is called on stacked points, as in ``fd_wirtinger_hessian``, and
+    must return one stacked image point (the group maps do).
     """
-    cfg = cfg or FdConfig()
-    chart = chart_for(pt)
-    h = _steps(chart, cfg)
-
-    def coords_of(delta):
-        return flatten_point(map_fn(chart.at_offset(delta)))
-
-    base = coords_of(np.zeros(chart.dim, dtype=complex))
-    out_dim = base.shape[0]
-    J = np.empty((out_dim, chart.dim), dtype=complex)
-    Jbar = np.empty((out_dim, chart.dim), dtype=complex)
-
-    def column(a, ha):
-        e = _unit(chart.dim, a)
-        dx = (coords_of(ha * e) - coords_of(-ha * e)) / (2 * ha)
-        dy = (coords_of(1j * ha * e) - coords_of(-1j * ha * e)) / (2 * ha)
-        return 0.5 * (dx - 1j * dy), 0.5 * (dx + 1j * dy)
-
-    for a in range(chart.dim):
-        c1, cb1 = column(a, h[a])
-        if cfg.scheme == "richardson":
-            c2, cb2 = column(a, h[a] / 2)
-            c1, cb1 = (4 * c2 - c1) / 3.0, (4 * cb2 - cb1) / 3.0
-        J[:, a] = c1
-        Jbar[:, a] = cb1
-
+    cols, bar_cols = _first_derivatives(
+        lambda q: flatten_point(map_fn(q)), pt, cfg, stacked, scalar=False
+    )
+    J = np.stack(cols, axis=1)
+    Jbar = np.stack(bar_cols, axis=1)
     worst = float(np.max(np.abs(Jbar))) if Jbar.size else 0.0
     if worst > hol_tol:
         raise NonHolomorphic(f"dbar block has max entry {worst:.3e} > {hol_tol:.3e}")
@@ -348,11 +363,11 @@ def volume_invariance_check(
         action = lambda x: SiegelBallPoint.trusted(act_siegel_ball(h.g, x.W))
         exponent = pt.n + 1
     elif domain == "jacobi_ball":
-        action = lambda x: act_ball(h, JacobiBallPoint(z=x.z, W=x.W))
+        action = lambda x: act_ball(h, x)
         exponent = pt.n + 2
     else:
         raise ValueError(f"unknown domain {domain!r}")
-    J = fd_jacobian(action, pt, cfg)
+    J = fd_jacobian(action, pt, cfg, stacked=True)  # both actions broadcast
     moved = action(pt)
     ratio = (
         abs(np.linalg.det(J)) ** 2

@@ -47,6 +47,7 @@ from .laplacian import (
 )
 from .metric import (
     MetricParams,
+    _item,
     ball_metric_pair,
     ds2_eval,
     kahler_potential,
@@ -249,7 +250,7 @@ def _ball_pair_inverse(ctx, rng):
 
 def _ricci_fd(ctx, pt):
     f = builtin_field("lnG", "jacobi_ball", ctx.params)
-    return -fd_wirtinger_hessian(f, pt, _RICCI_CFG, stacked=f.stacked)
+    return -fd_wirtinger_hessian(f, pt, _RICCI_CFG, stacked=True)
 
 
 @_register("ricci_fd_match", "curvature", 1e-5)
@@ -291,7 +292,9 @@ def _scalar_contraction(ctx, rng):
 def _lng_identity(ctx, rng):
     pt = _pt(ctx, rng)
     f = builtin_field("lnG", "jacobi_ball", ctx.params)
-    val = apply_laplacian("jacobi_ball", ctx.params, f, pt, fd_step=_RICCI_CFG.step)
+    val = apply_laplacian(
+        "jacobi_ball", ctx.params, f, pt, fd_step=_RICCI_CFG.step, stacked=True
+    )
     n = ctx.params.n
     expected = (2.0 / ctx.params.k) * n * (n + 1) * (n + 2) / 2.0
     return abs(val.real / expected - 1.0) + abs(val.imag), _pt_json(pt)
@@ -332,7 +335,7 @@ def _ds2_invariance(ctx, rng):
     pt = _pt(ctx, rng)
     h = random_jacobi_c(ctx.params.n, rng)
     v = _tangent(ctx.params.n, rng)
-    J = fd_jacobian(lambda q: act_ball(h, q), pt)
+    J = fd_jacobian(lambda q: act_ball(h, q), pt, stacked=True)
     flat = J @ v.flatten(ctx.params.pair_index)
     idx = ctx.params.pair_index
     moved_v = TangentVector(dz=flat[: ctx.params.n], dW=idx.unpack(flat[ctx.params.n :]))
@@ -353,15 +356,16 @@ def _laplacian_equivariance(ctx, rng):
     elif domain == "ball":
         pt = _pt(ctx, rng).ball
         g = random_jacobi_c(ctx.params.n, rng).g
-        action = lambda q: SiegelBallPoint(act_siegel_ball(g, q.W))
+        action = lambda q: SiegelBallPoint.trusted(act_siegel_ball(g, q.W))
         params = None
     else:
         pt = sample_point("upper", ctx.params.n, rng)
         h = random_jacobi_r(ctx.params.n, rng)
         action = lambda q: act_upper(h, q)
         params = None
-    lhs = apply_laplacian(domain, params, lambda q: f(action(q)), pt)
-    rhs = apply_laplacian(domain, params, f, action(pt))
+    # the actions and re_poly broadcast, so their composition does too
+    lhs = apply_laplacian(domain, params, lambda q: f(action(q)), pt, stacked=True)
+    rhs = apply_laplacian(domain, params, f, action(pt), stacked=True)
     return _rel(abs(lhs - rhs), abs(rhs)), _pt_json(pt)
 
 
@@ -471,12 +475,12 @@ def _chain_rule(ctx, rng):
     if pick == 0:
         B = rng.standard_normal((ctx.params.n, ctx.params.n))
         B = B + B.T
-        f = lambda p: complex(np.trace(B @ p.V))
+        f = lambda p: _item(np.trace(B @ p.V, axis1=-2, axis2=-1))
     elif pick == 1:
-        f = lambda p: complex(np.trace(p.V @ p.V))
+        f = lambda p: _item(np.trace(p.V @ p.V, axis1=-2, axis2=-1))
     else:
         f = builtin_field(f"re_poly({int(rng.integers(10**6))})", "upper")
-    return cayley_chain_rule_check(f, pt), _pt_json(pt)
+    return cayley_chain_rule_check(f, pt, stacked=True), _pt_json(pt)
 
 
 @_register("laplacian_correspondence", "cayley", 1e-5)
@@ -488,7 +492,7 @@ def _correspondence(ctx, rng):
     else:
         f = builtin_field(f"re_poly({int(rng.integers(10**6))})", "ball")
     # composed rational pullback: roundoff dominates at the default step
-    return laplacian_correspondence_check(f, pt, fd_step=3e-4), _pt_json(pt)
+    return laplacian_correspondence_check(f, pt, fd_step=3e-4, stacked=True), _pt_json(pt)
 
 
 @_register("holomorphy_gates", "cayley", 1e-7, once=True)
@@ -497,8 +501,8 @@ def _holomorphy(ctx, rng):
     h = random_jacobi_c(ctx.params.n, rng)
     worst = 0.0
     try:
-        fd_jacobian(lambda q: act_ball(h, q), pt, hol_tol=1e-7)
-        fd_jacobian(lambda q: partial_cayley(q), inverse_partial_cayley(pt), hol_tol=1e-7)
+        fd_jacobian(lambda q: act_ball(h, q), pt, hol_tol=1e-7, stacked=True)
+        fd_jacobian(partial_cayley, inverse_partial_cayley(pt), hol_tol=1e-7, stacked=True)
     except NonHolomorphic:
         worst = float("inf")
     return worst, _pt_json(pt)
@@ -510,7 +514,7 @@ def _differential_match(ctx, rng):
     h = random_jacobi_c(ctx.params.n, rng)
     v = _tangent(ctx.params.n, rng)
     push = act_ball_differential(h, pt, v)
-    J = fd_jacobian(lambda q: act_ball(h, q), pt)
+    J = fd_jacobian(lambda q: act_ball(h, q), pt, stacked=True)
     flat = J @ v.flatten(ctx.params.pair_index)
     idx = ctx.params.pair_index
     err = max(

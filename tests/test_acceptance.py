@@ -209,7 +209,7 @@ def test_criterion_05_laplacian_identity():
             expected = (2.0 / params.k) * n * (n + 1) * (n + 2) / 2.0
             for pt in _points(n, 50, seed_offset=500):
                 val = apply_laplacian(
-                    "jacobi_ball", params, f, pt, fd_step=_RICCI_CFG.step
+                    "jacobi_ball", params, f, pt, fd_step=_RICCI_CFG.step, stacked=True
                 )
                 worst = max(worst, abs(val.real / expected - 1) + abs(val.imag))
         elapsed = time.time() - t0

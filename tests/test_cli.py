@@ -82,6 +82,25 @@ class TestEval:
         val = serialize.decode_complex(json.loads(out)["value"])
         assert val.real == pytest.approx(3.0, rel=1e-5)
 
+    @pytest.mark.parametrize("field", ["const", "lnG", "trWWbar", "normz2", "re_poly(3)"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_laplacian_stacked_field_matches_per_point(self, capsys, tmp_path, n, field):
+        # the CLI evaluates every built-in field stacked; the printed value
+        # is the per-point Laplacian to the last bit
+        from siegel_jacobi.laplacian import apply_laplacian, builtin_field
+        from siegel_jacobi.metric import MetricParams
+
+        pt = sample_point("jacobi_ball", n, np.random.default_rng(n))
+        code, out = run_cli(
+            capsys, "eval", "laplacian", "--n", str(n), "--k", "4", "--mu", "1",
+            "--point", write_point(tmp_path, pt), "--field", field,
+        )
+        assert code == 0
+        params = MetricParams(n=n, k=4.0, mu=1.0)
+        f = builtin_field(field, "jacobi_ball", params)
+        val = apply_laplacian("jacobi_ball", params, f, pt)
+        assert json.loads(out) == {"field": field, "value": serialize.encode_complex(val)}
+
     def test_metric_blocks_emitted(self, capsys):
         code, out = run_cli(
             capsys, "eval", "metric", "--n", "1", "--k", "2", "--mu", "1",

@@ -63,6 +63,15 @@ class TestPairIndex:
         S = A + A.T
         assert np.allclose(idx.unpack(idx.pack(S)), S)
 
+    def test_pack_over_a_stack_is_c_ordered(self, rng):
+        # each row must be laid out as a single point's pair vector
+        idx = PairIndex(3)
+        A = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
+        S = A + A.swapaxes(-1, -2)
+        packed = idx.pack(S)
+        assert packed.flags.c_contiguous
+        assert np.array_equal(packed, [idx.pack(s) for s in S])
+
 
 class TestDeltaSymbol:
     @pytest.mark.parametrize(
@@ -162,3 +171,19 @@ class TestTypes:
     def test_jacobi_point_shape_check(self):
         with pytest.raises(ValueError):
             JacobiBallPoint(z=np.zeros(3), W=np.zeros((2, 2)))
+
+    def test_ball_part_is_not_revalidated(self, monkeypatch, rng):
+        # the constructor validated and symmetrised W at tol 1e-10 already
+        from siegel_jacobi import domains
+
+        pt = sample_point("jacobi_ball", 3, rng)
+        calls = []
+        original = domains.validate_ball_point
+        monkeypatch.setattr(
+            domains, "validate_ball_point", lambda *a, **k: calls.append(1) or original(*a, **k)
+        )
+        ball = pt.ball
+        assert calls == []
+        assert isinstance(ball, SiegelBallPoint) and ball.W is pt.W
+        JacobiBallPoint(z=pt.z, W=pt.W)
+        assert calls == [1]

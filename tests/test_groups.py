@@ -8,13 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import siegel_jacobi
+from siegel_jacobi import groups
 from siegel_jacobi.domains import JacobiBallPoint, SiegelUpperPoint, TangentVector, sample_point
-from siegel_jacobi.errors import DimensionMismatch, InvalidInput
+from siegel_jacobi.errors import DimensionMismatch, InvalidInput, SingularDenominator
 from siegel_jacobi.groups import (
     JacobiElementC,
     JacobiElementR,
     SymplecticC,
     SymplecticR,
+    _solve,
     act_ball,
     act_ball_differential,
     act_upper,
@@ -338,3 +340,153 @@ class TestLazyExpm:
         assert np.array_equal(h.lambda_mu, [0.10541424899789856, -0.9304680447082047,
                                             -0.02925182246327349, 0.6953031944582878])
         assert h.k_center == -1.344214547285082
+
+
+# --------------------------------------------------------------------------
+# stacked maps: a point whose arrays carry a leading axis is mapped in one
+# call, and every image equals the single-point image to the last bit
+
+
+def _parts(pt):
+    """The arrays of a point (or the matrix act_siegel_ball returns)."""
+    if isinstance(pt, np.ndarray):
+        return (pt,)
+    if isinstance(pt, SiegelUpperPoint):
+        return (pt.V,) if pt.u is None else (pt.V, pt.u)
+    if isinstance(pt, JacobiBallPoint):
+        return (pt.W, pt.z)
+    return (pt.W,)
+
+
+def _map_cases(n):
+    """(name, map, base point) for every map that broadcasts."""
+    rng = np.random.default_rng(900 + n)
+    h = random_jacobi_c(n, rng)
+    hr = random_jacobi_r(n, rng)
+    jb = sample_point("jacobi_ball", n, rng)
+    ju = sample_point("jacobi_upper", n, rng)
+    return [
+        ("act_ball", lambda q: act_ball(h, q), jb),
+        ("act_siegel_ball", lambda q: groups.act_siegel_ball(h.g, q.W), jb.ball),
+        ("act_upper_u", lambda q: act_upper(hr, q), ju),
+        ("act_upper", lambda q: act_upper(hr, q), SiegelUpperPoint(V=ju.V)),
+        ("partial_cayley_u", partial_cayley, ju),
+        ("partial_cayley", partial_cayley, SiegelUpperPoint(V=ju.V)),
+        ("inverse_partial_cayley_z", inverse_partial_cayley, jb),
+        ("inverse_partial_cayley", inverse_partial_cayley, jb.ball),
+    ]
+
+
+def _stacked_matches_per_point(map_fn, pt, count=7):
+    from siegel_jacobi.oracle import chart_for
+
+    chart = chart_for(pt)
+    offsets = 1e-2 * np.random.default_rng(count).standard_normal((count, chart.dim, 2)) @ [1, 1j]
+    stacked = _parts(map_fn(chart.at_offset(offsets)))
+    per_point = [_parts(map_fn(chart.at_offset(o))) for o in offsets]
+    return all(
+        a.shape[0] == count and np.array_equal(a, [p[i] for p in per_point])
+        for i, a in enumerate(stacked)
+    ) and len(stacked) == len(per_point[0])
+
+
+@pytest.mark.parametrize("case", range(8))
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stacked_map_matches_per_point(n, case):
+    name, map_fn, pt = _map_cases(n)[case]
+    assert _stacked_matches_per_point(map_fn, pt), name
+
+
+def test_stacked_images_are_trusted_stacks(monkeypatch):
+    from siegel_jacobi import domains
+    from siegel_jacobi.oracle import chart_for
+
+    cases = _map_cases(2)
+    calls = []
+    original = domains.validate_ball_point
+    monkeypatch.setattr(
+        domains, "validate_ball_point", lambda *a, **k: calls.append(1) or original(*a, **k)
+    )
+    for name, map_fn, pt in cases:
+        chart = chart_for(pt)
+        image = map_fn(chart.at_offset(np.zeros((4, chart.dim), dtype=complex)))
+        assert all(a.shape[0] == 4 for a in _parts(image)), name
+    assert calls == []
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_stacked_solve_matches_per_point(n):
+    rng = np.random.default_rng(n)
+    A = rng.standard_normal((5, n, n)) + 1j * rng.standard_normal((5, n, n))
+    B = rng.standard_normal((5, n, n)) + 1j * rng.standard_normal((5, n, n))
+    b = rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n))
+    per_point = [_solve(a, x) for a, x in zip(A, B)]
+    assert np.array_equal(np.linalg.solve(A, B), per_point)
+    assert np.array_equal(_solve(A, B), per_point)
+    assert np.array_equal(_solve(A, b), [_solve(a, x) for a, x in zip(A, b)])
+
+
+@pytest.mark.parametrize("bad", ["singular", "nan"])
+def test_one_bad_matrix_fails_the_stack(bad):
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
+    if bad == "singular":
+        A[2] = np.outer([1.0, 2.0, 3.0], [1.0, 1j, -1.0])  # rank one
+    else:
+        A[2, 0, 1] = np.nan
+    B = rng.standard_normal((5, 3, 3)) + 0j
+    b = rng.standard_normal((5, 3)) + 0j
+    for args in ((A[2], B[2]), (A[2], b[2]), (A, B), (A, b)):
+        with pytest.raises(SingularDenominator):
+            _solve(*args)
+
+
+def test_singular_slice_in_stacked_map():
+    # V = -i makes V + i singular: the single point and a stack holding it
+    # fail with the same error
+    V = np.stack([1j * np.eye(2), -1j * np.eye(2), 2j * np.eye(2)])
+    with pytest.raises(SingularDenominator):
+        partial_cayley(SiegelUpperPoint.trusted(V[1]))
+    with pytest.raises(SingularDenominator):
+        partial_cayley(SiegelUpperPoint.trusted(V))
+
+
+def test_stacked_identity_catches_transposed_denominator(monkeypatch):
+    # negative control: a den transposed only over a stack leaves every
+    # single-point image intact but must fail the check
+    original = groups.act_siegel_ball
+
+    def transposed(g, W):
+        if W.ndim == 2:
+            return original(g, W)
+        num = g.p @ W + g.q
+        den = (g.q.conj() @ W + g.p.conj()).swapaxes(-1, -2)
+        W1 = groups._solve(den.swapaxes(-1, -2), num.swapaxes(-1, -2))
+        return 0.5 * (W1.swapaxes(-1, -2) + W1)
+
+    cases = [c for c in _map_cases(2) if c[0] in ("act_ball", "act_siegel_ball")]
+    for name, map_fn, pt in cases:
+        assert _stacked_matches_per_point(map_fn, pt), name
+    monkeypatch.setattr(groups, "act_siegel_ball", transposed)
+    cases = [c for c in _map_cases(2) if c[0] in ("act_ball", "act_siegel_ball")]
+    for name, map_fn, pt in cases:
+        assert not _stacked_matches_per_point(map_fn, pt), name
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_differential_z_part_matches_four_single_calls(n):
+    # the reference is the pushforward taken with one validated point and
+    # one act_ball call per offset
+    rng = np.random.default_rng(310 + n)
+    pt = sample_point("jacobi_ball", n, rng)
+    h = random_jacobi_c(n, rng)
+    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    tv = TangentVector(dz=rng.standard_normal(n) + 1j * rng.standard_normal(n), dW=A + A.T)
+    step = 1e-5
+
+    def z_of(s):
+        return act_ball(h, JacobiBallPoint(z=pt.z + s * tv.dz, W=pt.W + s * tv.dW)).z
+
+    d1 = (z_of(step) - z_of(-step)) / (2 * step)
+    d2 = (z_of(step / 2) - z_of(-step / 2)) / step
+    assert np.array_equal(act_ball_differential(h, pt, tv, fd_step=step).dz, (4 * d2 - d1) / 3.0)

@@ -16,8 +16,8 @@ from siegel_jacobi.laplacian import (
     laplacian_coefficients,
     laplacian_correspondence_check,
 )
-from siegel_jacobi.metric import MetricParams, ball_metric_pair, metric_inverse
-from siegel_jacobi.oracle import fd_wirtinger_hessian
+from siegel_jacobi.metric import MetricParams, _item, ball_metric_pair, metric_inverse
+from siegel_jacobi.oracle import FdConfig, chart_for, flatten_point, fd_wirtinger_hessian
 
 
 class TestCoefficients:
@@ -126,9 +126,15 @@ class TestApply:
             return inner(*args)
 
         monkeypatch.setattr(laplacian, name, counted)
-        assert apply_laplacian(domain, params, f, pt, fd_step=2e-3) == per_point
+        assert apply_laplacian(domain, params, f, pt, fd_step=2e-3, stacked=True) == per_point
         # ball and upper also build their coefficient matrix from the pair
         assert ndims == ([3] if domain == "jacobi_ball" else [2, 3])
+        # the keyword is the one declaration: the field carries no attribute
+        # and without it every stencil point is its own call
+        assert not hasattr(f, "stacked")
+        ndims.clear()
+        assert apply_laplacian(domain, params, f, pt, fd_step=2e-3) == per_point
+        assert set(ndims) == {2}
 
     def test_invariance_under_action(self, rng):
         params = MetricParams(n=2, k=2.0, mu=1.0)
@@ -242,3 +248,86 @@ class TestBuiltinFields:
     def test_unknown_field(self):
         with pytest.raises(ValueError, match="unknown field"):
             builtin_field("nope", "ball")
+
+
+_FIELDS = ("const", "lnG", "trWWbar", "normz2", "re_poly(3)")
+
+
+def _field_cases(n):
+    """(name, domain, base point, params) for every built-in field."""
+    rng = np.random.default_rng(70 + n)
+    params = MetricParams(n=n, k=4.0, mu=1.0)
+    for name in _FIELDS:
+        for domain in ("jacobi_ball", "ball", "upper"):
+            kind = {"ball": "ball", "upper": "upper"}.get(domain, "jacobi_ball")
+            if name == "normz2":
+                kind = "jacobi_upper" if domain == "upper" else "jacobi_ball"
+                if domain == "ball":
+                    continue
+            yield name, domain, sample_point(kind, n, rng), params
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_builtin_fields_broadcast(n):
+    # every built-in field takes a stacked point and returns the per-point
+    # values to the last bit, so `stacked=True` holds for all of them
+    for name, domain, pt, params in _field_cases(n):
+        f = builtin_field(name, domain, params)
+        chart = chart_for(pt)
+        offsets = 1e-3 * np.random.default_rng(n).standard_normal((9, chart.dim, 2)) @ [1, 1j]
+        stacked = np.asarray(f(chart.at_offset(offsets)))
+        assert stacked.shape == (9,), name
+        assert np.array_equal(stacked, [f(chart.at_offset(o)) for o in offsets]), (name, domain)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stacked_laplacian_of_builtin_fields_matches_per_point(n):
+    for name, domain, pt, params in _field_cases(n):
+        if domain != "jacobi_ball":
+            continue
+        f = builtin_field(name, domain, params)
+        per_point = apply_laplacian(domain, params, f, pt)
+        assert apply_laplacian(domain, params, f, pt, stacked=True) == per_point, name
+
+
+def test_re_poly_draws_once_per_dimension(monkeypatch, rng):
+    # the coefficients come from the same stream as a fresh draw per call,
+    # so the values are unchanged; the generator is built once per d
+    seed, calls = 3, []
+    fresh = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda s: calls.append(s) or fresh(s))
+    f = builtin_field(f"re_poly({seed})", "jacobi_ball")
+    for n in (2, 2, 1, 2, 1):
+        pt = sample_point("jacobi_ball", n, fresh(n))
+        zeta = flatten_point(pt)
+        d = zeta.shape[0]
+        g = fresh(seed + 7919 * d)
+        c0 = complex(g.standard_normal(), g.standard_normal())
+        c = g.standard_normal(d) + 1j * g.standard_normal(d)
+        Q = (g.standard_normal((d, d)) + 1j * g.standard_normal((d, d))) / d
+        assert f(pt) == float(abs(c0 + c @ zeta + zeta @ Q @ zeta) ** 2)
+    assert calls == [seed + 7919 * 5, seed + 7919 * 2]
+
+
+@pytest.mark.parametrize("scheme", ["central", "richardson"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stacked_cayley_checks_match_per_point(n, scheme):
+    rng = np.random.default_rng(80 + n)
+    pt = sample_point("upper", n, rng)
+    B = rng.standard_normal((n, n))
+    B = B + B.T
+    upper_fields = [
+        lambda p: _item(np.trace(B @ p.V, axis1=-2, axis2=-1)),
+        lambda p: _item(np.trace(p.V @ p.V, axis1=-2, axis2=-1)),
+        builtin_field("re_poly(8)", "upper"),
+    ]
+    cfg = FdConfig(scheme=scheme)
+    for f in upper_fields:
+        assert cayley_chain_rule_check(f, pt, cfg, stacked=True) == cayley_chain_rule_check(
+            f, pt, cfg
+        )
+    for name in ("trWWbar", "re_poly(9)"):
+        f = builtin_field(name, "ball")
+        assert laplacian_correspondence_check(
+            f, pt, 3e-4, stacked=True
+        ) == laplacian_correspondence_check(f, pt, 3e-4)

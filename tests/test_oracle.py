@@ -2,15 +2,18 @@ import numpy as np
 import pytest
 
 from siegel_jacobi import serialize
-from siegel_jacobi.domains import JacobiBallPoint, sample_point
+from siegel_jacobi.domains import JacobiBallPoint, SiegelBallPoint, SiegelUpperPoint, sample_point
 from siegel_jacobi.errors import NonHolomorphic, StepTooLarge
 from siegel_jacobi.groups import (
     JacobiElementC,
     act_ball,
+    act_siegel_ball,
+    act_upper,
     fc_transform,
     inverse_partial_cayley,
     partial_cayley,
     random_jacobi_c,
+    random_jacobi_r,
 )
 from siegel_jacobi.laplacian import builtin_field
 from siegel_jacobi.metric import MetricParams, kahler_potential, metric_blocks
@@ -19,6 +22,7 @@ from siegel_jacobi.oracle import (
     _steps,
     chart_for,
     fd_jacobian,
+    fd_wirtinger_gradient,
     fd_wirtinger_hessian,
     flatten_point,
     volume_invariance_check,
@@ -290,6 +294,107 @@ def test_stacked_field_must_return_one_value_per_point():
     pt = sample_point("jacobi_ball", 1, np.random.default_rng(1))
     with pytest.raises(ValueError, match="one value per stencil point"):
         fd_wirtinger_hessian(lambda p: 0.0, pt, stacked=True)
+
+
+def _broadcasting_maps(n):
+    """(map, base point, field on the image domain) for the maps that
+    broadcast; the field composed with the map broadcasts too."""
+    rng = np.random.default_rng(500 + n)
+    h = random_jacobi_c(n, rng)
+    hr = random_jacobi_r(n, rng)
+    jb = sample_point("jacobi_ball", n, rng)
+    ju = sample_point("jacobi_upper", n, rng)
+    return [
+        (lambda q: act_ball(h, q), jb, builtin_field("re_poly(21)", "jacobi_ball")),
+        (
+            lambda q: SiegelBallPoint.trusted(act_siegel_ball(h.g, q.W)),
+            jb.ball,
+            builtin_field("re_poly(22)", "ball"),
+        ),
+        (lambda q: act_upper(hr, q), ju, builtin_field("normz2", "jacobi_upper")),
+        (lambda q: act_upper(hr, q), SiegelUpperPoint(V=ju.V), builtin_field("re_poly(23)", "upper")),
+        (partial_cayley, SiegelUpperPoint(V=ju.V), builtin_field("trWWbar", "ball")),
+        (partial_cayley, ju, builtin_field("re_poly(24)", "jacobi_ball")),
+        (inverse_partial_cayley, jb.ball, builtin_field("re_poly(25)", "upper")),
+    ]
+
+
+@pytest.mark.parametrize("scheme", ["central", "richardson"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stacked_jacobian_matches_per_point(n, scheme):
+    cfg = FdConfig(scheme=scheme)
+    for map_fn, pt, _ in _broadcasting_maps(n):
+        J = fd_jacobian(map_fn, pt, cfg)
+        assert np.array_equal(fd_jacobian(map_fn, pt, cfg, stacked=True), J)
+
+
+@pytest.mark.parametrize("scheme", ["central", "richardson"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stacked_gradient_matches_per_point(n, scheme):
+    cfg = FdConfig(scheme=scheme)
+    params = MetricParams(n=n, k=4.0, mu=1.0)
+    for map_fn, pt, field in _broadcasting_maps(n):
+        for f, p in ((field, map_fn(pt)), (lambda q: field(map_fn(q)), pt)):
+            per_point = fd_wirtinger_gradient(f, p, cfg)
+            stacked = fd_wirtinger_gradient(f, p, cfg, stacked=True)
+            assert all(np.array_equal(a, b) for a, b in zip(stacked, per_point))
+    jb = sample_point("jacobi_ball", n, np.random.default_rng(n))
+    for f in (lambda q: kahler_potential(params, q), _complex_field):
+        per_point = fd_wirtinger_gradient(f, jb, cfg)
+        stacked = fd_wirtinger_gradient(f, jb, cfg, stacked=True)
+        assert all(np.array_equal(a, b) for a, b in zip(stacked, per_point))
+
+
+@pytest.mark.parametrize("scheme", ["central", "richardson"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stacked_composed_hessian_matches_per_point(n, scheme):
+    cfg = FdConfig(scheme=scheme)
+    for map_fn, pt, field in _broadcasting_maps(n):
+        assert _stacked_matches_per_point(lambda q: field(map_fn(q)), pt, cfg)
+
+
+def test_chunked_stacked_first_derivatives_match_per_point(monkeypatch):
+    # STACK_ENTRIES = 100 gives 4 points per call at d = 5: the 40-point
+    # Richardson Jacobian stencil goes in 10 chunks
+    from siegel_jacobi import oracle
+
+    monkeypatch.setattr(oracle, "STACK_ENTRIES", 100)
+    map_fn, pt, field = _broadcasting_maps(2)[0]
+    stacks = []
+
+    def recorded(q):
+        stacks.append(q.z.shape[0])
+        return map_fn(q)
+
+    J = fd_jacobian(recorded, pt, stacked=True)
+    assert stacks == [4] * 10
+    assert np.array_equal(J, fd_jacobian(map_fn, pt))
+    composed = lambda q: field(map_fn(q))
+    per_point = fd_wirtinger_gradient(composed, pt)
+    stacked = fd_wirtinger_gradient(composed, pt, stacked=True)
+    assert all(np.array_equal(a, b) for a, b in zip(stacked, per_point))
+    assert _stacked_matches_per_point(composed, pt, FdConfig())
+
+
+@pytest.mark.parametrize("scheme", ["central", "richardson"])
+def test_stacked_map_called_once_per_jacobian(scheme):
+    map_fn, pt, _ = _broadcasting_maps(2)[0]
+    stacks = []
+
+    def recorded(q):
+        stacks.append(q.z.shape[0] if q.z.ndim == 2 else None)
+        return map_fn(q)
+
+    fd_jacobian(recorded, pt, FdConfig(scheme=scheme), stacked=True)
+    assert stacks == [4 * 5 * (2 if scheme == "richardson" else 1)]
+
+
+def test_stacked_map_must_return_one_point_per_offset():
+    pt = sample_point("jacobi_ball", 1, np.random.default_rng(1))
+    with pytest.raises(ValueError, match="one value per stencil point"):
+        fd_jacobian(lambda q: pt, pt, stacked=True)
+    with pytest.raises(ValueError, match="one value per stencil point"):
+        fd_wirtinger_gradient(lambda q: 0.0, pt, stacked=True)
 
 
 class TestJacobian:

@@ -224,7 +224,7 @@ def _eval(cfg: CliConfig, args) -> dict:
             raise DimensionMismatch(f"--point2 has n={other.n}, --n is {cfg.n}")
         F, kv = two_point_kernel(params, pt, other)
         kappa, berezin, diastasis = normalized_kernels(params, pt, other)
-        vol = volume_densities(cfg.n, pt)
+        vol = volume_densities(pt)
         out = {
             "F": serialize.encode_complex(F),
             "K": serialize.encode_complex(kv),
@@ -242,9 +242,7 @@ def _eval(cfg: CliConfig, args) -> dict:
         return out
     if q == "laplacian":
         f = builtin_field(args.field, "jacobi_ball", params)
-        val = apply_laplacian(
-            "jacobi_ball", params, f, pt, fd_step=args.fd_step, stacked=True
-        )
+        val = apply_laplacian("jacobi_ball", params, f, pt, fd_step=args.fd_step)
         return {"field": args.field, "value": serialize.encode_complex(val)}
     raise AssertionError(q)
 

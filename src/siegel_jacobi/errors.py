@@ -47,7 +47,8 @@ class BranchAmbiguity(GeometryError):
 
 
 class GammaPoleError(GeometryError):
-    """A Gamma-function argument in the normalization constant is <= 0."""
+    """The normalization constant Lambda_n is undefined or non-positive: k <= 3,
+    a Gamma-function argument <= 0, or a factor (k-3)/2 - n + i <= 0."""
 
 
 class NotConverged(GeometryError):

@@ -7,11 +7,12 @@ pbar]]``; the real one is ``[[a, b], [c, d]]``.  Jacobi elements extend these
 by a translation (``alpha`` in C^n, resp. a real 2n-vector) and a central
 coordinate that composes but never enters the actions.
 
-``act_siegel_ball``, ``act_ball``, ``act_upper``, ``partial_cayley`` and
-``inverse_partial_cayley`` broadcast over leading axes of a trusted point
-(z of shape (..., n), W of shape (..., n, n)), so a finite-difference
-stencil is mapped in one call and the image is a trusted stacked point.  A
-single point is the case with no leading axis and keeps the validating
+``act_siegel_ball``, ``act_ball``, ``act_upper``, ``partial_cayley``,
+``inverse_partial_cayley`` and ``fc_transform`` broadcast over leading axes
+of a trusted point (z of shape (..., n), W of shape (..., n, n)), so a
+finite-difference stencil is mapped in one call and the image is a trusted
+stacked point (for ``fc_transform``, stacked ``eta`` and ``W``).  A single
+point is the case with no leading axis and keeps the validating
 constructors.  Each stacked image equals the single-point image to the last
 bit: every matrix product and solve runs per point exactly as it does alone.
 """
@@ -24,6 +25,7 @@ import numpy as np
 
 from .domains import JacobiBallPoint, SiegelBallPoint, SiegelUpperPoint, TangentVector
 from .errors import DimensionMismatch, InvalidInput, SingularDenominator
+from .metric import _matvec
 
 __all__ = [
     "SymplecticC",
@@ -384,7 +386,7 @@ def inverse_partial_cayley(pt: JacobiBallPoint | SiegelBallPoint) -> SiegelUpper
 def fc_transform(pt: JacobiBallPoint) -> tuple[np.ndarray, np.ndarray]:
     """Kaehler-product coordinates: eta = (1 - W Wbar)^{-1}(z + W zbar)."""
     N = pt.cross_gram()
-    eta = _solve(N, pt.z + pt.W @ pt.z.conj())
+    eta = _solve(N, pt.z + _matvec(pt.W, pt.z.conj()))
     return eta, np.array(pt.W)
 
 

@@ -165,7 +165,9 @@ class VolumeData:
     Lambda_n: float | None = None
 
 
-def volume_densities(n: int, pt) -> VolumeData:
+def volume_densities(pt) -> VolumeData:
+    """The invariant densities at a ball or Jacobi-ball point, n = pt.n."""
+    n = pt.n
     sign, logdet = np.linalg.slogdet(pt.cross_gram())
     return VolumeData(
         Q_ball=float(np.exp(-(n + 1) * logdet)),
@@ -178,7 +180,9 @@ def normalization_constant(params: MetricParams) -> float:
                   prod_{i=1}^{n-1} ((k-3)/2 - n + i) Gamma(k+i-2)
                                    / Gamma(k + 2(i-n-1)).
 
-    Requires k > 3 (norm integrability) and every Gamma argument positive.
+    Requires k > 3 (norm integrability), every Gamma argument positive and
+    every factor (k-3)/2 - n + i positive: for n >= 2 the smallest factor
+    (i = 1) rules out 2n < k <= 2n + 1, where the constant would be <= 0.
     """
     # imported where used: scipy.special adds ~4 MB resident to every process
     from scipy.special import gammaln
@@ -187,18 +191,14 @@ def normalization_constant(params: MetricParams) -> float:
     if k <= 3:
         raise GammaPoleError(f"k = {k} <= 3: squared norms are not integrable")
     log_prod = 0.0
-    sign = 1.0
     for i in range(1, n):
         for arg in (k + i - 2, k + 2 * (i - n - 1)):
             if arg <= 0:
                 raise GammaPoleError(f"Gamma argument {arg} <= 0 (i = {i})")
         factor = (k - 3) / 2.0 - n + i
-        if factor == 0:
-            return 0.0
-        sign *= np.sign(factor)
-        log_prod += (
-            np.log(abs(factor)) + gammaln(k + i - 2) - gammaln(k + 2 * (i - n - 1))
-        )
+        if factor <= 0:
+            raise GammaPoleError(f"factor (k-3)/2 - n + i = {factor} <= 0 (i = {i})")
+        log_prod += np.log(factor) + gammaln(k + i - 2) - gammaln(k + 2 * (i - n - 1))
     log_lambda = (
         n * np.log(mu)
         + np.log(k - 3)
@@ -206,7 +206,7 @@ def normalization_constant(params: MetricParams) -> float:
         - (n * (n + 3) / 2.0) * np.log(np.pi)
         + log_prod
     )
-    return float(sign * np.exp(log_lambda))
+    return float(np.exp(log_lambda))
 
 
 @dataclass(frozen=True)

@@ -80,31 +80,28 @@ def apply_laplacian(
     f: Callable,
     pt,
     fd_step: float = 1e-4,
-    *,
-    stacked: bool = False,
 ) -> complex:
     """Contract the coefficient matrix with the finite-difference Wirtinger
-    Hessian of f.  The callback receives perturbed points of the same type
-    as pt; symmetric-matrix coordinates are perturbed jointly.  With
-    ``stacked=True`` (every built-in field) f receives the stencil as
-    stacked points, as in ``fd_wirtinger_hessian``."""
+    Hessian of f.  The callback receives the perturbed points as stacked
+    points of the same type as pt, as in ``fd_wirtinger_hessian``;
+    symmetric-matrix coordinates are perturbed jointly."""
     coeff = laplacian_coefficients(domain, params, pt)
-    hess = fd_wirtinger_hessian(f, pt, FdConfig(step=fd_step), stacked=stacked)
+    hess = fd_wirtinger_hessian(f, pt, FdConfig(step=fd_step))
     if hess.shape != coeff.matrix.shape:
         raise DimensionMismatch("field chart and coefficient matrix disagree")
     return complex(np.trace(coeff.matrix @ hess))
 
 
-def _sym_derivative_matrix(f: Callable, pt, cfg: FdConfig, stacked: bool) -> np.ndarray:
+def _sym_derivative_matrix(f: Callable, pt, cfg: FdConfig) -> np.ndarray:
     """G[a, b] = e_ab df/dz_ab over a symmetric-matrix chart, as an n x n
     symmetric matrix; e_ab = (1 + delta_ab) / 2."""
     idx = PairIndex(pt.n)
-    hol, _ = fd_wirtinger_gradient(f, pt, cfg, stacked=stacked)
+    hol, _ = fd_wirtinger_gradient(f, pt, cfg)
     return idx.unpack(0.5 * hol / idx.f)  # e_ab = 1 / (2 f_ab)
 
 
 def cayley_chain_rule_check(
-    f: Callable, pt: SiegelUpperPoint, cfg: FdConfig | None = None, *, stacked: bool = False
+    f: Callable, pt: SiegelUpperPoint, cfg: FdConfig | None = None
 ) -> float:
     """Defect of the symmetric-derivative chain rule across the Cayley map:
 
@@ -112,30 +109,30 @@ def cayley_chain_rule_check(
 
     where W is the Cayley image of V, G_W the weighted w-derivative matrix of
     f expressed in W, and f a scalar field on the upper half-plane.  The
-    Cayley maps broadcast, so ``stacked`` (f broadcasts) holds for f
-    expressed in W as well.
+    Cayley maps broadcast, so f expressed in W takes stacked points as f
+    does.
     """
     cfg = cfg or FdConfig()
     if pt.u is not None:
         pt = SiegelUpperPoint(V=pt.V)
-    G_V = _sym_derivative_matrix(f, pt, cfg, stacked)
+    G_V = _sym_derivative_matrix(f, pt, cfg)
     ball = partial_cayley(pt)
 
     def f_in_w(b):
         return f(inverse_partial_cayley(b))
 
-    G_W = _sym_derivative_matrix(f_in_w, ball, cfg, stacked)
+    G_W = _sym_derivative_matrix(f_in_w, ball, cfg)
     A = np.eye(pt.n) - ball.W
     rhs = -0.5j * (A @ G_W @ A)
     return float(np.max(np.abs(G_V - rhs)))
 
 
 def laplacian_correspondence_check(
-    f: Callable, pt: SiegelUpperPoint, fd_step: float = 1e-4, *, stacked: bool = False
+    f: Callable, pt: SiegelUpperPoint, fd_step: float = 1e-4
 ) -> float:
     """|Delta_upper(f o Phi)(V) - Delta_ball(f)(Phi(V))| for a scalar field f
     on the ball: the operator is transported by the Cayley biholomorphism.
-    Phi broadcasts, so ``stacked`` (f broadcasts) holds for f o Phi too."""
+    Phi broadcasts, so f o Phi takes stacked points as f does."""
     if pt.u is not None:
         pt = SiegelUpperPoint(V=pt.V)
     ball = partial_cayley(pt)
@@ -143,8 +140,8 @@ def laplacian_correspondence_check(
     def pulled_back(v):
         return f(partial_cayley(v))
 
-    upper_val = apply_laplacian("upper", None, pulled_back, pt, fd_step, stacked=stacked)
-    ball_val = apply_laplacian("ball", None, f, ball, fd_step, stacked=stacked)
+    upper_val = apply_laplacian("upper", None, pulled_back, pt, fd_step)
+    ball_val = apply_laplacian("ball", None, f, ball, fd_step)
     return float(abs(upper_val - ball_val))
 
 
@@ -208,8 +205,8 @@ BUILTIN_FIELDS = ("const", "lnG", "trWWbar", "normz2", "re_poly(seed)")
 
 def builtin_field(name: str, domain: str, params: MetricParams | None = None):
     """CLI-facing test fields, keyed by name.  Every one broadcasts over a
-    leading stencil axis (one value per stacked point), so callers may pass
-    ``stacked=True`` with any of them."""
+    leading stencil axis (one value per stacked point) and gives a Python
+    float at a single point."""
     if name == "const":
         return lambda pt: _item(np.ones(_matrix_part(pt).shape[:-2]))
     if name == "lnG":

@@ -2,14 +2,15 @@
 and Hessians, numerical Jacobians of holomorphic maps with a holomorphy gate,
 and the volume-density invariance check.
 
-Each oracle builds all of its stencil offsets first.  A caller whose field
-or map broadcasts over a leading stencil axis declares ``stacked=True``;
-the stencil then goes through it in chunked stacked calls instead of one
-call per point, with the same result to the last bit.
+Each oracle builds all of its stencil offsets first and hands them to the
+field or map as stacked points: one trusted point whose arrays carry a
+leading stencil axis, in chunks of at most ``STACK_ENTRIES // d^2`` points.
+The field returns one value per point (a map, one stacked image point).
 
-Nothing here calls the closed forms it is used to verify; perturbations of
-symmetric-matrix coordinates always move the (p, q) and (q, p) entries
-jointly, matching the package-wide symmetric-pair convention.
+The finite-difference oracles never call the closed forms they are used
+to verify; perturbations of symmetric-matrix coordinates always move the
+(p, q) and (q, p) entries jointly, matching the package-wide symmetric-pair
+convention.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .domains import (
 )
 from .errors import NonHolomorphic, StepTooLarge
 from .groups import JacobiElementC, act_ball, act_siegel_ball
+from .kernels import volume_densities
 
 __all__ = [
     "FdConfig",
@@ -181,7 +183,7 @@ def _pair_entries(v, ha, hb):
     )
 
 
-# A stacked field gets at most STACK_ENTRIES // d^2 stencil points per call.
+# A field gets at most STACK_ENTRIES // d^2 stencil points per call.
 # A point's metric has d^2 entries, so the field's arrays stay near
 # STACK_ENTRIES complex entries (8 MiB) whatever n is: at n = 8 (d = 44) the
 # 30625-point Richardson stencil goes in chunks of 270, while every stencil
@@ -189,20 +191,15 @@ def _pair_entries(v, ha, hb):
 STACK_ENTRIES = 2**19
 
 
-def _evaluate(fn: Callable, chart: Chart, offsets: np.ndarray, stacked: bool, scalar: bool):
+def _evaluate(fn: Callable, chart: Chart, offsets: np.ndarray, scalar: bool):
     """fn at the chart point of every offset row, in row order.
 
-    Per point, fn gets one point per call.  Stacked, it gets consecutive
-    chunks of at most STACK_ENTRIES // d^2 points as one point with a
-    leading stencil axis, and must return one value per point.  A scalar
-    field's values come back as a list of Python scalars, as per-point
-    fields return them (for a complex field, numpy complex scalars would
-    divide by the real step with a different rounding than Python complex
-    numbers do); any other fn's values come back as one array with a row
-    per point."""
-    if not stacked:
-        values = [fn(chart.at_offset(delta)) for delta in offsets]
-        return values if scalar else np.array(values)
+    fn gets consecutive chunks of at most STACK_ENTRIES // d^2 points as one
+    point with a leading stencil axis, and must return one value per point.
+    A scalar field's values come back as a list of Python scalars (for a
+    complex field, numpy complex scalars would divide by the real step with
+    a different rounding than Python complex numbers do); any other fn's
+    values come back as one array with a row per point."""
     size = max(1, STACK_ENTRIES // chart.dim**2)
     parts = []
     for start in range(0, offsets.shape[0], size):
@@ -210,7 +207,7 @@ def _evaluate(fn: Callable, chart: Chart, offsets: np.ndarray, stacked: bool, sc
         vals = np.asarray(fn(chart.at_offset(chunk)))
         if vals.shape[:1] != chunk.shape[:1] or (scalar and vals.ndim != 1):
             raise ValueError(
-                f"stacked field returned shape {vals.shape}, "
+                f"field returned shape {vals.shape}, "
                 f"expected one value per stencil point ({chunk.shape[0]},)"
             )
         parts.append(vals)
@@ -218,9 +215,7 @@ def _evaluate(fn: Callable, chart: Chart, offsets: np.ndarray, stacked: bool, sc
     return values.tolist() if scalar else values
 
 
-def fd_wirtinger_hessian(
-    f: Callable, pt, cfg: FdConfig | None = None, *, stacked: bool = False
-) -> np.ndarray:
+def fd_wirtinger_hessian(f: Callable, pt, cfg: FdConfig | None = None) -> np.ndarray:
     """Mixed Wirtinger Hessian H[a, b] = d^2 f / dz_a dzbar_b over the
     point's chart, via central differences (optionally Richardson-refined).
 
@@ -230,16 +225,12 @@ def fd_wirtinger_hessian(
     is not taken as conj(H[a, b]): that holds only for real f, and each entry
     keeps the arithmetic it would have on its own.
 
-    With ``stacked=False`` f is called once per stencil point:
-    1 + 4d + 8d(d-1) times with the central scheme and 1 + 8d + 16d(d-1)
-    times with Richardson refinement, d = chart dimension.  With
-    ``stacked=True`` f is called on points whose arrays carry a leading
-    stencil axis of at most STACK_ENTRIES // d^2 points, and must return one
-    value per stencil point: once per Hessian when the stencil fits (every
-    stencil up to n = 3), else once per consecutive chunk of it.  The
-    caller declares this, since f cannot be told apart from a per-point
-    field.  Both conventions give the same Hessian when the stacked values
-    equal the per-point ones.
+    The stencil has 1 + 4d + 8d(d-1) points with the central scheme and
+    1 + 8d + 16d(d-1) with Richardson refinement, d = chart dimension.  f is
+    called on points whose arrays carry a leading stencil axis of at most
+    STACK_ENTRIES // d^2 points, and must return one value per stencil
+    point: once per Hessian when the stencil fits (every stencil up to
+    n = 3), else once per consecutive chunk of it.
     """
     cfg = cfg or FdConfig()
     chart = chart_for(pt)
@@ -251,7 +242,7 @@ def fd_wirtinger_hessian(
     offsets = np.concatenate(
         [np.zeros((1, d), dtype=complex)] + [_stencil(s, A, B) for s in levels]
     )
-    values = _evaluate(f, chart, offsets, stacked, scalar=True)
+    values = _evaluate(f, chart, offsets, scalar=True)
     f0 = values[0]
     per_level = 4 * d + 16 * len(A)
     coarse = values[1 : 1 + per_level]
@@ -272,7 +263,7 @@ def fd_wirtinger_hessian(
     return out
 
 
-def _first_derivatives(fn: Callable, pt, cfg: FdConfig | None, stacked: bool, scalar: bool):
+def _first_derivatives(fn: Callable, pt, cfg: FdConfig | None, scalar: bool):
     """(d/dz_a, d/dzbar_a) of fn's values for every chart coordinate a, as
     two lists over a: central differences along +-h_a e_a and +-i h_a e_a,
     Richardson-refined with the h_a / 2 stencil.  All 4d offsets per step
@@ -288,7 +279,7 @@ def _first_derivatives(fn: Callable, pt, cfg: FdConfig | None, stacked: bool, sc
         [(np.stack([s, -s, 1j * s, -1j * s], axis=1)[..., None] * E[:, None]).reshape(-1, d)
          for s in levels]
     )
-    values = _evaluate(fn, chart, offsets, stacked, scalar)
+    values = _evaluate(fn, chart, offsets, scalar)
 
     def central(v, ha):
         dx = (v[0] - v[1]) / (2 * ha)
@@ -308,31 +299,26 @@ def _first_derivatives(fn: Callable, pt, cfg: FdConfig | None, stacked: bool, sc
 
 
 def fd_wirtinger_gradient(
-    f: Callable, pt, cfg: FdConfig | None = None, *, stacked: bool = False
+    f: Callable, pt, cfg: FdConfig | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(df/dz_a, df/dzbar_a) over the chart coordinates.  f is called once
-    per stencil point (4d points, 8d with Richardson refinement), or with
-    ``stacked=True`` on stacked points as in ``fd_wirtinger_hessian``."""
-    hol, ahol = _first_derivatives(f, pt, cfg, stacked, scalar=True)
+    """(df/dz_a, df/dzbar_a) over the chart coordinates.  f is called on the
+    4d stencil points (8d with Richardson refinement) as stacked points, as
+    in ``fd_wirtinger_hessian``."""
+    hol, ahol = _first_derivatives(f, pt, cfg, scalar=True)
     return np.array(hol, dtype=complex), np.array(ahol, dtype=complex)
 
 
 def fd_jacobian(
-    map_fn: Callable,
-    pt,
-    cfg: FdConfig | None = None,
-    hol_tol: float = 1e-7,
-    *,
-    stacked: bool = False,
+    map_fn: Callable, pt, cfg: FdConfig | None = None, hol_tol: float = 1e-7
 ) -> np.ndarray:
     """Holomorphic Jacobian J[out, in] of a point-to-point map over ordered
     coordinates.  The dbar block is measured as well; if its largest entry
-    exceeds hol_tol the map is flagged NonHolomorphic.  With ``stacked=True``
-    map_fn is called on stacked points, as in ``fd_wirtinger_hessian``, and
-    must return one stacked image point (the group maps do).
+    exceeds hol_tol the map is flagged NonHolomorphic.  map_fn is called on
+    stacked points, as in ``fd_wirtinger_hessian``, and must return one
+    stacked image point (the group maps do).
     """
     cols, bar_cols = _first_derivatives(
-        lambda q: flatten_point(map_fn(q)), pt, cfg, stacked, scalar=False
+        lambda q: flatten_point(map_fn(q)), pt, cfg, scalar=False
     )
     J = np.stack(cols, axis=1)
     Jbar = np.stack(bar_cols, axis=1)
@@ -342,36 +328,28 @@ def fd_jacobian(
     return J
 
 
-def _ball_density(pt, exponent: int) -> float:
-    sign, logdet = np.linalg.slogdet(pt.cross_gram())
-    return float(np.exp(-exponent * logdet))
-
-
 def volume_invariance_check(
     domain: str,
     h: JacobiElementC,
     pt,
     cfg: FdConfig | None = None,
 ) -> float:
-    """|det J|^2 Q(h.pt) / Q(pt) - 1 for the invariant densities
-    Q = det(1 - W Wbar)^{-(n+1)} on the ball and ^{-(n+2)} on the Jacobi
-    ball.  Zero exactly when the density transforms by the squared Jacobian.
+    """|det J|^2 Q(h.pt) / Q(pt) - 1 for the invariant densities of
+    ``kernels.volume_densities``, Q = det(1 - W Wbar)^{-(n+1)} on the ball
+    and ^{-(n+2)} on the Jacobi ball, with J the finite-difference Jacobian
+    of the action.  Zero exactly when the density transforms by the squared
+    Jacobian.
     """
     if domain == "ball":
         if not isinstance(pt, SiegelBallPoint):
             pt = SiegelBallPoint(pt.W)
         action = lambda x: SiegelBallPoint.trusted(act_siegel_ball(h.g, x.W))
-        exponent = pt.n + 1
+        density = lambda x: volume_densities(x).Q_ball
     elif domain == "jacobi_ball":
         action = lambda x: act_ball(h, x)
-        exponent = pt.n + 2
+        density = lambda x: volume_densities(x).Q_jacobi
     else:
         raise ValueError(f"unknown domain {domain!r}")
-    J = fd_jacobian(action, pt, cfg, stacked=True)  # both actions broadcast
-    moved = action(pt)
-    ratio = (
-        abs(np.linalg.det(J)) ** 2
-        * _ball_density(moved, exponent)
-        / _ball_density(pt, exponent)
-    )
+    J = fd_jacobian(action, pt, cfg)
+    ratio = abs(np.linalg.det(J)) ** 2 * density(action(pt)) / density(pt)
     return abs(ratio - 1.0)

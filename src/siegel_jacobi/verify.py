@@ -47,7 +47,6 @@ from .laplacian import (
 )
 from .metric import (
     MetricParams,
-    _item,
     ball_metric_pair,
     ds2_eval,
     kahler_potential,
@@ -164,7 +163,7 @@ def _tangent(n: int, rng) -> TangentVector:
 def _metric_fd_match(ctx, rng):
     pt = _pt(ctx, rng)
     ev = metric_blocks(ctx.params, pt)
-    H = fd_wirtinger_hessian(lambda q: kahler_potential(ctx.params, q), pt, stacked=True)
+    H = fd_wirtinger_hessian(lambda q: kahler_potential(ctx.params, q), pt)
     err = float(np.max(np.abs(H - ev.h)) / np.max(np.abs(ev.h)))
     return err, _pt_json(pt)
 
@@ -250,7 +249,7 @@ def _ball_pair_inverse(ctx, rng):
 
 def _ricci_fd(ctx, pt):
     f = builtin_field("lnG", "jacobi_ball", ctx.params)
-    return -fd_wirtinger_hessian(f, pt, _RICCI_CFG, stacked=True)
+    return -fd_wirtinger_hessian(f, pt, _RICCI_CFG)
 
 
 @_register("ricci_fd_match", "curvature", 1e-5)
@@ -292,9 +291,7 @@ def _scalar_contraction(ctx, rng):
 def _lng_identity(ctx, rng):
     pt = _pt(ctx, rng)
     f = builtin_field("lnG", "jacobi_ball", ctx.params)
-    val = apply_laplacian(
-        "jacobi_ball", ctx.params, f, pt, fd_step=_RICCI_CFG.step, stacked=True
-    )
+    val = apply_laplacian("jacobi_ball", ctx.params, f, pt, fd_step=_RICCI_CFG.step)
     n = ctx.params.n
     expected = (2.0 / ctx.params.k) * n * (n + 1) * (n + 2) / 2.0
     return abs(val.real / expected - 1.0) + abs(val.imag), _pt_json(pt)
@@ -335,7 +332,7 @@ def _ds2_invariance(ctx, rng):
     pt = _pt(ctx, rng)
     h = random_jacobi_c(ctx.params.n, rng)
     v = _tangent(ctx.params.n, rng)
-    J = fd_jacobian(lambda q: act_ball(h, q), pt, stacked=True)
+    J = fd_jacobian(lambda q: act_ball(h, q), pt)
     flat = J @ v.flatten(ctx.params.pair_index)
     idx = ctx.params.pair_index
     moved_v = TangentVector(dz=flat[: ctx.params.n], dW=idx.unpack(flat[ctx.params.n :]))
@@ -363,9 +360,8 @@ def _laplacian_equivariance(ctx, rng):
         h = random_jacobi_r(ctx.params.n, rng)
         action = lambda q: act_upper(h, q)
         params = None
-    # the actions and re_poly broadcast, so their composition does too
-    lhs = apply_laplacian(domain, params, lambda q: f(action(q)), pt, stacked=True)
-    rhs = apply_laplacian(domain, params, f, action(pt), stacked=True)
+    lhs = apply_laplacian(domain, params, lambda q: f(action(q)), pt)
+    rhs = apply_laplacian(domain, params, f, action(pt))
     return _rel(abs(lhs - rhs), abs(rhs)), _pt_json(pt)
 
 
@@ -475,12 +471,12 @@ def _chain_rule(ctx, rng):
     if pick == 0:
         B = rng.standard_normal((ctx.params.n, ctx.params.n))
         B = B + B.T
-        f = lambda p: _item(np.trace(B @ p.V, axis1=-2, axis2=-1))
+        f = lambda p: np.trace(B @ p.V, axis1=-2, axis2=-1)
     elif pick == 1:
-        f = lambda p: _item(np.trace(p.V @ p.V, axis1=-2, axis2=-1))
+        f = lambda p: np.trace(p.V @ p.V, axis1=-2, axis2=-1)
     else:
         f = builtin_field(f"re_poly({int(rng.integers(10**6))})", "upper")
-    return cayley_chain_rule_check(f, pt, stacked=True), _pt_json(pt)
+    return cayley_chain_rule_check(f, pt), _pt_json(pt)
 
 
 @_register("laplacian_correspondence", "cayley", 1e-5)
@@ -492,7 +488,7 @@ def _correspondence(ctx, rng):
     else:
         f = builtin_field(f"re_poly({int(rng.integers(10**6))})", "ball")
     # composed rational pullback: roundoff dominates at the default step
-    return laplacian_correspondence_check(f, pt, fd_step=3e-4, stacked=True), _pt_json(pt)
+    return laplacian_correspondence_check(f, pt, fd_step=3e-4), _pt_json(pt)
 
 
 @_register("holomorphy_gates", "cayley", 1e-7, once=True)
@@ -501,8 +497,8 @@ def _holomorphy(ctx, rng):
     h = random_jacobi_c(ctx.params.n, rng)
     worst = 0.0
     try:
-        fd_jacobian(lambda q: act_ball(h, q), pt, hol_tol=1e-7, stacked=True)
-        fd_jacobian(partial_cayley, inverse_partial_cayley(pt), hol_tol=1e-7, stacked=True)
+        fd_jacobian(lambda q: act_ball(h, q), pt, hol_tol=1e-7)
+        fd_jacobian(partial_cayley, inverse_partial_cayley(pt), hol_tol=1e-7)
     except NonHolomorphic:
         worst = float("inf")
     return worst, _pt_json(pt)
@@ -514,7 +510,7 @@ def _differential_match(ctx, rng):
     h = random_jacobi_c(ctx.params.n, rng)
     v = _tangent(ctx.params.n, rng)
     push = act_ball_differential(h, pt, v)
-    J = fd_jacobian(lambda q: act_ball(h, q), pt, stacked=True)
+    J = fd_jacobian(lambda q: act_ball(h, q), pt)
     flat = J @ v.flatten(ctx.params.pair_index)
     idx = ctx.params.pair_index
     err = max(
@@ -646,12 +642,10 @@ def _run_property(prop: _Prop, ctx: _Ctx, master_seed: int, trials: int, tol: fl
         return seed, float(err), point
 
     outcomes = [one(t) for t in range(count)]
-    worst_seed, max_err, worst_point = max(outcomes, key=lambda o: o[1])
-    worst = None
-    if max_err > 0.0 and worst_point is not None:
-        worst = {"seed": worst_seed, "point": worst_point}
-    elif max_err > 0.0:
-        worst = {"seed": worst_seed, "point": None}
+    worst_seed, max_err, worst_point = max(
+        outcomes, key=lambda o: o[1], default=(None, 0.0, None)
+    )
+    worst = {"seed": worst_seed, "point": worst_point} if max_err > 0.0 else None
     return PropertyResult(
         property=prop.name,
         trials=count,
@@ -696,14 +690,7 @@ def fuzz_all(
     results = []
     for name in names:
         prop = PROPERTIES[name]
-        if trials == 0 and not prop.once:
-            results.append(
-                PropertyResult(name, 0, 0.0, tolerances.get(name, prop.tol), True, None)
-            )
-            continue
         results.append(
-            _run_property(
-                prop, ctx, master_seed, trials, tolerances.get(name, prop.tol)
-            )
+            _run_property(prop, ctx, master_seed, trials, tolerances.get(name, prop.tol))
         )
     return FuzzReport(master_seed=master_seed, n=n, k=k, mu=mu, results=tuple(results))

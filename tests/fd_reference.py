@@ -1,0 +1,100 @@
+"""Per-point loop references for the finite-difference oracles.
+
+The oracles hand a field its whole stencil as stacked points.  These loops
+call it at one single point per stencil offset instead, entry by entry, so
+an oracle result that equals them to the last bit shows that the stacked
+values, the chunking and the differencing all agree with the plain
+definition.  A scalar field's values are taken as Python scalars, as the
+oracles take them: numpy complex scalars divide by a real step with a
+different rounding.
+"""
+
+import numpy as np
+
+from siegel_jacobi.oracle import FdConfig, _steps, chart_for, flatten_point
+
+
+def _scalar(f):
+    return lambda q: np.asarray(f(q)).item()
+
+
+def loop_hessian(f, pt, cfg=None):
+    """The per-entry double loop the pair-shared stencil replaced: every
+    ordered entry (a, b) evaluates its own stencil points."""
+    f = _scalar(f)
+    cfg = cfg or FdConfig()
+    chart = chart_for(pt)
+    h = _steps(chart, cfg)
+    f0 = f(chart.at_offset(np.zeros(chart.dim, dtype=complex)))
+
+    def second_dir(ea, eb, ha, hb):
+        if ea is eb and ha == hb:
+            up = f(chart.at_offset(ha * ea))
+            dn = f(chart.at_offset(-ha * ea))
+            return (up - 2.0 * f0 + dn) / (ha.real**2 + ha.imag**2)
+        pp = f(chart.at_offset(ha * ea + hb * eb))
+        pm = f(chart.at_offset(ha * ea - hb * eb))
+        mp = f(chart.at_offset(-ha * ea + hb * eb))
+        mm = f(chart.at_offset(-ha * ea - hb * eb))
+        return (pp - pm - mp + mm) / (4.0 * abs(ha) * abs(hb))
+
+    def entry(a, b, ha, hb):
+        ea = np.zeros(chart.dim, dtype=complex)
+        eb = np.zeros(chart.dim, dtype=complex)
+        ea[a] = 1.0
+        eb[b] = 1.0
+        if a == b:
+            return 0.25 * (second_dir(ea, ea, ha, ha) + second_dir(ea, ea, 1j * ha, 1j * ha))
+        dxx = second_dir(ea, eb, ha, hb)
+        dyy = second_dir(ea, eb, 1j * ha, 1j * hb)
+        dxy = second_dir(ea, eb, ha, 1j * hb)
+        dyx = second_dir(ea, eb, 1j * ha, hb)
+        return 0.25 * (dxx + dyy + 1j * (dxy - dyx))
+
+    out = np.empty((chart.dim, chart.dim), dtype=complex)
+    for a in range(chart.dim):
+        for b in range(chart.dim):
+            coarse = entry(a, b, h[a], h[b])
+            if cfg.scheme == "central":
+                out[a, b] = coarse
+            else:
+                out[a, b] = (4.0 * entry(a, b, h[a] / 2, h[b] / 2) - coarse) / 3.0
+    return out
+
+
+def _loop_first_derivatives(fn, pt, cfg):
+    """(d/dz_a, d/dzbar_a) of fn's values, one coordinate at a time: central
+    differences along +-h_a e_a and +-i h_a e_a, Richardson-refined with
+    h_a / 2."""
+    cfg = cfg or FdConfig()
+    chart = chart_for(pt)
+    h = _steps(chart, cfg)
+
+    def central(a, ha):
+        e = np.zeros(chart.dim, dtype=complex)
+        e[a] = 1.0
+        up, dn, iup, idn = (fn(chart.at_offset(s * e)) for s in (ha, -ha, 1j * ha, -1j * ha))
+        dx = (up - dn) / (2 * ha)
+        dy = (iup - idn) / (2 * ha)
+        return 0.5 * (dx - 1j * dy), 0.5 * (dx + 1j * dy)
+
+    hol, ahol = [], []
+    for a in range(chart.dim):
+        g, gb = central(a, h[a])
+        if cfg.scheme == "richardson":
+            g2, gb2 = central(a, h[a] / 2)
+            g, gb = (4 * g2 - g) / 3.0, (4 * gb2 - gb) / 3.0
+        hol.append(g)
+        ahol.append(gb)
+    return hol, ahol
+
+
+def loop_gradient(f, pt, cfg=None):
+    hol, ahol = _loop_first_derivatives(_scalar(f), pt, cfg)
+    return np.array(hol, dtype=complex), np.array(ahol, dtype=complex)
+
+
+def loop_jacobian(map_fn, pt, cfg=None):
+    """(J, Jbar): holomorphic and antiholomorphic Jacobian columns."""
+    cols, bar_cols = _loop_first_derivatives(lambda q: flatten_point(map_fn(q)), pt, cfg)
+    return np.stack(cols, axis=1), np.stack(bar_cols, axis=1)

@@ -73,6 +73,17 @@ class TestEval:
         data = json.loads(out)
         assert data["berezin"] == 1.0 and data["diastasis"] == 0.0
 
+    def test_kernel_non_positive_lambda_is_null(self, capsys):
+        # at n = 2, k = 4.5 the i = 1 factor of Lambda_n is negative
+        code, out = run_cli(
+            capsys, "eval", "kernel", "--n", "2", "--k", "4.5", "--mu", "1",
+            "--point", "origin",
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert data["Lambda_n"] is None
+        assert data["K"] == [1.0, 0.0]
+
     def test_laplacian_lng(self, capsys):
         code, out = run_cli(
             capsys, "eval", "laplacian", "--n", "1", "--k", "2", "--mu", "1",
@@ -86,8 +97,9 @@ class TestEval:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_laplacian_stacked_field_matches_per_point(self, capsys, tmp_path, n, field):
         # the CLI evaluates every built-in field stacked; the printed value
-        # is the per-point Laplacian to the last bit
-        from siegel_jacobi.laplacian import apply_laplacian, builtin_field
+        # is the Laplacian of the per-point loop Hessian to the last bit
+        from fd_reference import loop_hessian
+        from siegel_jacobi.laplacian import builtin_field, laplacian_coefficients
         from siegel_jacobi.metric import MetricParams
 
         pt = sample_point("jacobi_ball", n, np.random.default_rng(n))
@@ -98,7 +110,8 @@ class TestEval:
         assert code == 0
         params = MetricParams(n=n, k=4.0, mu=1.0)
         f = builtin_field(field, "jacobi_ball", params)
-        val = apply_laplacian("jacobi_ball", params, f, pt)
+        C = laplacian_coefficients("jacobi_ball", params, pt).matrix
+        val = complex(np.trace(C @ loop_hessian(f, pt)))
         assert json.loads(out) == {"field": field, "value": serialize.encode_complex(val)}
 
     def test_metric_blocks_emitted(self, capsys):

@@ -150,18 +150,18 @@ class TestEpsilon:
 
 class TestVolume:
     def test_w_zero(self):
-        data = volume_densities(2, origin(2))
+        data = volume_densities(origin(2))
         assert data.Q_ball == 1.0 and data.Q_jacobi == 1.0
 
     def test_scalar(self):
-        data = volume_densities(1, JacobiBallPoint(z=[0.0], W=[[0.5]]))
+        data = volume_densities(JacobiBallPoint(z=[0.0], W=[[0.5]]))
         assert data.Q_jacobi == pytest.approx(0.75**-3)
         assert data.Q_ball == pytest.approx(0.75**-2)
 
     def test_densities_at_least_one(self, rng):
         for _ in range(20):
             pt = sample_point("ball", 2, rng)
-            data = volume_densities(2, pt)
+            data = volume_densities(pt)
             assert data.Q_ball >= 1.0 and data.Q_jacobi >= 1.0
 
 
@@ -180,6 +180,23 @@ class TestNormalizationConstant:
             normalization_constant(MetricParams(n=1, k=3, mu=1))
         with pytest.raises(GammaPoleError):
             normalization_constant(MetricParams(n=2, k=3.5, mu=1))
+
+    @pytest.mark.parametrize("n, k", [(2, 4.5), (2, 5), (3, 6.5), (3, 7), (4, 9)])
+    def test_non_positive_factor_reported(self, n, k):
+        # 2n < k <= 2n + 1: every Gamma argument is positive, but the i = 1
+        # factor (k-3)/2 - n + 1 is <= 0 and the constant would be <= 0
+        with pytest.raises(GammaPoleError, match="factor"):
+            normalization_constant(MetricParams(n=n, k=k, mu=1))
+
+    def test_positive_wherever_defined(self):
+        for n in (1, 2, 3, 4):
+            for k in np.arange(3.25, 12.0, 0.25):
+                try:
+                    val = normalization_constant(MetricParams(n=n, k=float(k), mu=1))
+                except GammaPoleError:
+                    assert k <= 2 * n + 1
+                    continue
+                assert val > 0, (n, k)
 
 
 class TestParseval:

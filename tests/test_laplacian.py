@@ -16,7 +16,8 @@ from siegel_jacobi.laplacian import (
     laplacian_coefficients,
     laplacian_correspondence_check,
 )
-from siegel_jacobi.metric import MetricParams, _item, ball_metric_pair, metric_inverse
+from fd_reference import loop_gradient, loop_hessian
+from siegel_jacobi.metric import MetricParams, ball_metric_pair, metric_inverse
 from siegel_jacobi.oracle import FdConfig, chart_for, flatten_point, fd_wirtinger_hessian
 
 
@@ -88,7 +89,7 @@ class TestApply:
 
     def test_scalar_ball_modulus_squared(self):
         pt = SiegelBallPoint(np.zeros((1, 1)))
-        f = lambda p: float(np.abs(p.W[0, 0]) ** 2)
+        f = lambda p: np.abs(p.W[..., 0, 0]) ** 2
         assert apply_laplacian("ball", None, f, pt) == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -104,16 +105,15 @@ class TestApply:
 
     @pytest.mark.parametrize("domain", ["jacobi_ball", "ball", "upper"])
     def test_builtin_lng_evaluated_as_one_stack(self, monkeypatch, domain):
-        # apply_laplacian passes a broadcasting built-in field the whole
-        # stencil at once, with the value of the per-point Hessian
+        # apply_laplacian passes the built-in field the whole stencil at
+        # once, with the value of the per-point loop Hessian
         from siegel_jacobi import laplacian
-        from siegel_jacobi.oracle import FdConfig
 
         params = MetricParams(n=2, k=2.0, mu=1.0)
         pt = sample_point(domain, 2, np.random.default_rng(5))
         f = builtin_field("lnG", domain, params)
         C = laplacian_coefficients(domain, params, pt).matrix
-        per_point = complex(np.trace(C @ fd_wirtinger_hessian(f, pt, FdConfig(step=2e-3))))
+        per_point = complex(np.trace(C @ loop_hessian(f, pt, FdConfig(step=2e-3))))
         ndims = []  # of the matrix part of each point the closed form receives
         name = {"jacobi_ball": "metric_det", "ball": "ball_metric_pair"}.get(
             domain, "upper_metric_pair"
@@ -126,15 +126,9 @@ class TestApply:
             return inner(*args)
 
         monkeypatch.setattr(laplacian, name, counted)
-        assert apply_laplacian(domain, params, f, pt, fd_step=2e-3, stacked=True) == per_point
+        assert apply_laplacian(domain, params, f, pt, fd_step=2e-3) == per_point
         # ball and upper also build their coefficient matrix from the pair
         assert ndims == ([3] if domain == "jacobi_ball" else [2, 3])
-        # the keyword is the one declaration: the field carries no attribute
-        # and without it every stencil point is its own call
-        assert not hasattr(f, "stacked")
-        ndims.clear()
-        assert apply_laplacian(domain, params, f, pt, fd_step=2e-3) == per_point
-        assert set(ndims) == {2}
 
     def test_invariance_under_action(self, rng):
         params = MetricParams(n=2, k=2.0, mu=1.0)
@@ -153,7 +147,7 @@ class TestApply:
         for _ in range(3):
             pt = sample_point("ball", 2, rng)
             g = random_jacobi_c(2, rng).g
-            move = lambda q: SiegelBallPoint(act_siegel_ball(g, q.W))
+            move = lambda q: SiegelBallPoint.trusted(act_siegel_ball(g, q.W))
             lhs = apply_laplacian("ball", None, lambda q: f(move(q)), pt)
             rhs = apply_laplacian("ball", None, f, move(pt))
             assert abs(lhs - rhs) / max(1.0, abs(rhs)) < 1e-5
@@ -195,25 +189,27 @@ class TestNegativeControls:
 class TestChainRule:
     def test_constant(self, rng):
         pt = sample_point("upper", 2, rng)
-        assert cayley_chain_rule_check(lambda p: 1.0, pt) == pytest.approx(0.0, abs=1e-12)
+        const = builtin_field("const", "upper")
+        assert cayley_chain_rule_check(const, pt) == pytest.approx(0.0, abs=1e-12)
 
     def test_linear_field(self, rng):
         pt = sample_point("upper", 2, rng)
         B = rng.standard_normal((2, 2))
         B = B + B.T
-        f = lambda p: complex(np.trace(B @ p.V))
+        f = lambda p: np.trace(B @ p.V, axis1=-2, axis2=-1)
         assert cayley_chain_rule_check(f, pt) < 1e-9
 
     def test_quadratic_field(self, rng):
         pt = sample_point("upper", 2, rng)
-        f = lambda p: complex(np.trace(p.V @ p.V))
+        f = lambda p: np.trace(p.V @ p.V, axis1=-2, axis2=-1)
         assert cayley_chain_rule_check(f, pt) < 1e-6
 
 
 class TestCorrespondence:
     def test_constant(self, rng):
         pt = sample_point("upper", 2, rng)
-        assert laplacian_correspondence_check(lambda p: 1.0, pt) < 1e-10
+        const = builtin_field("const", "ball")
+        assert laplacian_correspondence_check(const, pt) < 1e-10
 
     def test_scalar_tr_wwbar(self):
         pt = SiegelUpperPoint(V=np.array([[2j]]))
@@ -270,7 +266,7 @@ def _field_cases(n):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_builtin_fields_broadcast(n):
     # every built-in field takes a stacked point and returns the per-point
-    # values to the last bit, so `stacked=True` holds for all of them
+    # values to the last bit
     for name, domain, pt, params in _field_cases(n):
         f = builtin_field(name, domain, params)
         chart = chart_for(pt)
@@ -286,8 +282,9 @@ def test_stacked_laplacian_of_builtin_fields_matches_per_point(n):
         if domain != "jacobi_ball":
             continue
         f = builtin_field(name, domain, params)
-        per_point = apply_laplacian(domain, params, f, pt)
-        assert apply_laplacian(domain, params, f, pt, stacked=True) == per_point, name
+        C = laplacian_coefficients(domain, params, pt).matrix
+        per_point = complex(np.trace(C @ loop_hessian(f, pt)))
+        assert apply_laplacian(domain, params, f, pt) == per_point, name
 
 
 def test_re_poly_draws_once_per_dimension(monkeypatch, rng):
@@ -311,23 +308,29 @@ def test_re_poly_draws_once_per_dimension(monkeypatch, rng):
 
 @pytest.mark.parametrize("scheme", ["central", "richardson"])
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_stacked_cayley_checks_match_per_point(n, scheme):
+def test_stacked_cayley_checks_match_per_point(n, scheme, monkeypatch):
+    # both checks, with their oracles swapped for the per-point loops, give
+    # the same value to the last bit
+    from siegel_jacobi import laplacian
+
     rng = np.random.default_rng(80 + n)
     pt = sample_point("upper", n, rng)
     B = rng.standard_normal((n, n))
     B = B + B.T
     upper_fields = [
-        lambda p: _item(np.trace(B @ p.V, axis1=-2, axis2=-1)),
-        lambda p: _item(np.trace(p.V @ p.V, axis1=-2, axis2=-1)),
+        lambda p: np.trace(B @ p.V, axis1=-2, axis2=-1),
+        lambda p: np.trace(p.V @ p.V, axis1=-2, axis2=-1),
         builtin_field("re_poly(8)", "upper"),
     ]
+    ball_fields = [builtin_field(name, "ball") for name in ("trWWbar", "re_poly(9)")]
     cfg = FdConfig(scheme=scheme)
-    for f in upper_fields:
-        assert cayley_chain_rule_check(f, pt, cfg, stacked=True) == cayley_chain_rule_check(
-            f, pt, cfg
-        )
-    for name in ("trWWbar", "re_poly(9)"):
-        f = builtin_field(name, "ball")
-        assert laplacian_correspondence_check(
-            f, pt, 3e-4, stacked=True
-        ) == laplacian_correspondence_check(f, pt, 3e-4)
+
+    def values():
+        return [cayley_chain_rule_check(f, pt, cfg) for f in upper_fields] + [
+            laplacian_correspondence_check(f, pt, 3e-4) for f in ball_fields
+        ]
+
+    stacked = values()
+    monkeypatch.setattr(laplacian, "fd_wirtinger_gradient", loop_gradient)
+    monkeypatch.setattr(laplacian, "fd_wirtinger_hessian", loop_hessian)
+    assert stacked == values()

@@ -15,11 +15,11 @@ from siegel_jacobi.groups import (
     random_jacobi_c,
     random_jacobi_r,
 )
+from fd_reference import loop_gradient, loop_hessian, loop_jacobian
 from siegel_jacobi.laplacian import builtin_field
-from siegel_jacobi.metric import MetricParams, kahler_potential, metric_blocks
+from siegel_jacobi.metric import MetricParams, _dot, kahler_potential, metric_blocks
 from siegel_jacobi.oracle import (
     FdConfig,
-    _steps,
     chart_for,
     fd_jacobian,
     fd_wirtinger_gradient,
@@ -33,7 +33,7 @@ from siegel_jacobi.verify import PROPERTY_GROUPS, PropertyResult, fuzz_all
 class TestHessian:
     def test_norm_squared(self, rng):
         pt = sample_point("jacobi_ball", 2, rng)
-        f = lambda p: float(np.vdot(p.z, p.z).real)
+        f = lambda p: _dot(p.z.conj(), p.z).real
         H = fd_wirtinger_hessian(f, pt)
         expected = np.zeros((5, 5))
         expected[:2, :2] = np.eye(2)
@@ -42,7 +42,7 @@ class TestHessian:
     def test_pluriharmonic_vanishes(self, rng):
         # Re(z_1^2) has identically zero mixed Hessian
         pt = sample_point("jacobi_ball", 2, rng)
-        f = lambda p: float((p.z[0] ** 2).real)
+        f = lambda p: (p.z[..., 0] ** 2).real
         H = fd_wirtinger_hessian(f, pt)
         assert np.max(np.abs(H)) < 1e-7
 
@@ -67,7 +67,7 @@ class TestHessian:
     def test_second_order_convergence(self, rng):
         # central scheme: halving the step cuts the defect by >= 3x
         pt = sample_point("jacobi_ball", 1, rng)
-        f = lambda p: float(np.vdot(p.z, p.z).real ** 2)
+        f = lambda p: _dot(p.z.conj(), p.z).real ** 2
         exact = 4.0 * np.vdot(pt.z, pt.z).real
         errs = []
         for step in (2e-2, 1e-2):
@@ -78,52 +78,11 @@ class TestHessian:
     def test_step_too_large(self, rng):
         W = np.diag([np.sqrt(1 - 1e-3), 0.1]).astype(complex)
         pt = JacobiBallPoint(z=np.zeros(2), W=W)
+        const = builtin_field("const", "jacobi_ball")
         with pytest.raises(StepTooLarge):
-            fd_wirtinger_hessian(lambda p: 0.0, pt, FdConfig(step=1e-3))
+            fd_wirtinger_hessian(const, pt, FdConfig(step=1e-3))
         # the default step still fits inside the 1e-3 margin
-        fd_wirtinger_hessian(lambda p: 0.0, pt, FdConfig(step=1e-4, scale_step=False))
-
-
-def _loop_hessian_reference(f, pt, cfg):
-    """The per-entry double loop the pair-shared stencil replaced: every
-    ordered entry (a, b) evaluates its own stencil points."""
-    chart = chart_for(pt)
-    h = _steps(chart, cfg)
-    f0 = f(chart.at_offset(np.zeros(chart.dim, dtype=complex)))
-
-    def second_dir(ea, eb, ha, hb):
-        if ea is eb and ha == hb:
-            up = f(chart.at_offset(ha * ea))
-            dn = f(chart.at_offset(-ha * ea))
-            return (up - 2.0 * f0 + dn) / (ha.real**2 + ha.imag**2)
-        pp = f(chart.at_offset(ha * ea + hb * eb))
-        pm = f(chart.at_offset(ha * ea - hb * eb))
-        mp = f(chart.at_offset(-ha * ea + hb * eb))
-        mm = f(chart.at_offset(-ha * ea - hb * eb))
-        return (pp - pm - mp + mm) / (4.0 * abs(ha) * abs(hb))
-
-    def entry(a, b, ha, hb):
-        ea = np.zeros(chart.dim, dtype=complex)
-        eb = np.zeros(chart.dim, dtype=complex)
-        ea[a] = 1.0
-        eb[b] = 1.0
-        if a == b:
-            return 0.25 * (second_dir(ea, ea, ha, ha) + second_dir(ea, ea, 1j * ha, 1j * ha))
-        dxx = second_dir(ea, eb, ha, hb)
-        dyy = second_dir(ea, eb, 1j * ha, 1j * hb)
-        dxy = second_dir(ea, eb, ha, 1j * hb)
-        dyx = second_dir(ea, eb, 1j * ha, hb)
-        return 0.25 * (dxx + dyy + 1j * (dxy - dyx))
-
-    out = np.empty((chart.dim, chart.dim), dtype=complex)
-    for a in range(chart.dim):
-        for b in range(chart.dim):
-            coarse = entry(a, b, h[a], h[b])
-            if cfg.scheme == "central":
-                out[a, b] = coarse
-            else:
-                out[a, b] = (4.0 * entry(a, b, h[a] / 2, h[b] / 2) - coarse) / 3.0
-    return out
+        fd_wirtinger_hessian(const, pt, FdConfig(step=1e-4, scale_step=False))
 
 
 @pytest.mark.parametrize("scheme", ["central", "richardson"])
@@ -140,25 +99,37 @@ def test_hessian_matches_entry_loop_reference(n, domain, scheme):
     fields = [
         builtin_field("lnG", domain, params),
         builtin_field("re_poly(5)", domain),
-        lambda q: complex(flatten_point(q)[0] * np.sum(flatten_point(q).conj())),
+        _zeta0_times_sum_conj,
     ]
     if domain == "jacobi_ball":
         fields.append(lambda q: kahler_potential(params, q))
     for f in fields:
-        assert np.array_equal(fd_wirtinger_hessian(f, pt, cfg), _loop_hessian_reference(f, pt, cfg))
+        assert np.array_equal(fd_wirtinger_hessian(f, pt, cfg), loop_hessian(f, pt, cfg))
 
 
 @pytest.mark.parametrize("scheme", ["central", "richardson"])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_hessian_evaluates_each_stencil_point_once(n, scheme):
     pt = sample_point("jacobi_ball", n, np.random.default_rng(n))
-    calls = []
-    fd_wirtinger_hessian(lambda p: calls.append(1) or 0.0, pt, FdConfig(scheme=scheme))
+    offsets = []
+
+    def f(p):
+        offsets.extend(flatten_point(p).tolist())
+        return np.zeros(p.z.shape[0])
+
+    fd_wirtinger_hessian(f, pt, FdConfig(scheme=scheme))
     d = n * (n + 3) // 2
     expected = 1 + 4 * d + 8 * d * (d - 1)
     if scheme == "richardson":
         expected = 1 + 8 * d + 16 * d * (d - 1)  # 361 at d = 5
-    assert len(calls) == expected
+    assert len(offsets) == expected
+    assert len({tuple(o) for o in offsets}) == expected
+
+
+def _zeta0_times_sum_conj(q):
+    """zeta_0 * sum(zeta_bar) over the chart coordinates."""
+    zeta = flatten_point(q)
+    return zeta[..., 0] * np.sum(zeta.conj(), axis=-1)
 
 
 def _complex_field(q):
@@ -168,25 +139,24 @@ def _complex_field(q):
 
 
 def _broadcasting_fields(domain, params):
-    """The closed-form fields that accept a stacked point."""
+    """The closed-form fields the Hessian checks difference."""
     fields = [builtin_field("lnG", domain, params)]
     if domain == "jacobi_ball":
         fields += [lambda q: kahler_potential(params, q), _complex_field]
     return fields
 
 
-def _stacked_matches_per_point(f, pt, cfg):
-    return np.array_equal(
-        fd_wirtinger_hessian(f, pt, cfg, stacked=True), fd_wirtinger_hessian(f, pt, cfg)
-    )
+def _matches_loop_hessian(f, pt, cfg):
+    return np.array_equal(fd_wirtinger_hessian(f, pt, cfg), loop_hessian(f, pt, cfg))
 
 
 @pytest.mark.parametrize("scheme", ["central", "richardson"])
 @pytest.mark.parametrize("domain", ["jacobi_ball", "ball", "upper"])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_stacked_hessian_matches_per_point(n, domain, scheme):
-    # the per-point Hessian is pinned to the entry loop above; the stacked
-    # one must equal it to the last bit, or the seeded reports would move
+    # the oracle hands f the whole stencil as one stacked point; its Hessian
+    # must equal the loop that calls f at one point per offset, to the last
+    # bit, or the seeded reports would move
     params = MetricParams(n=n, k=4.0, mu=1.0)
     pt = sample_point(domain, n, np.random.default_rng(300 + n))
     chart = chart_for(pt)
@@ -194,7 +164,7 @@ def test_stacked_hessian_matches_per_point(n, domain, scheme):
     for f in _broadcasting_fields(domain, params):
         stacked = f(chart.at_offset(offsets))
         assert np.array_equal(stacked, [f(chart.at_offset(o)) for o in offsets])
-        assert _stacked_matches_per_point(f, pt, FdConfig(scheme=scheme))
+        assert _matches_loop_hessian(f, pt, FdConfig(scheme=scheme))
 
 
 def test_stacked_identity_catches_broadcast_index_swap(monkeypatch):
@@ -220,12 +190,12 @@ def test_stacked_identity_catches_broadcast_index_swap(monkeypatch):
         (builtin_field("lnG", "jacobi_ball", params), pt),
         (builtin_field("lnG", "ball"), pt.ball),
     ]
-    per_point = [fd_wirtinger_hessian(f, p) for f, p in cases]
+    reference = [loop_hessian(f, p) for f, p in cases]
     monkeypatch.setattr(metric, "_fold_pair_metric", swapped)
-    for (f, p), H in zip(cases, per_point):
-        assert np.array_equal(fd_wirtinger_hessian(f, p), H)
-        assert np.all(np.isfinite(fd_wirtinger_hessian(f, p, stacked=True)))  # wrong, not NaN
-        assert not _stacked_matches_per_point(f, p, FdConfig())
+    for (f, p), H in zip(cases, reference):
+        assert np.array_equal(loop_hessian(f, p), H)  # single points are intact
+        assert np.all(np.isfinite(fd_wirtinger_hessian(f, p)))  # wrong, not NaN
+        assert not _matches_loop_hessian(f, p, FdConfig())
 
 
 @pytest.mark.parametrize("scheme", ["central", "richardson"])
@@ -238,7 +208,7 @@ def test_stacked_field_called_once_per_hessian(scheme):
         stacks.append(q.z.shape[0])
         return kahler_potential(params, q)
 
-    fd_wirtinger_hessian(f, pt, FdConfig(scheme=scheme), stacked=True)
+    fd_wirtinger_hessian(f, pt, FdConfig(scheme=scheme))
     d = 5
     points = 1 + 4 * d + 8 * d * (d - 1)
     if scheme == "richardson":
@@ -248,20 +218,22 @@ def test_stacked_field_called_once_per_hessian(scheme):
 
 @pytest.mark.parametrize("domain", ["jacobi_ball", "ball", "upper"])
 def test_chunked_stacked_hessian_matches_per_point(monkeypatch, domain):
-    # a stencil split over several stacked calls still gives the per-point
-    # Hessian to the last bit
+    # a stencil split over several calls gives the one-call Hessian to the
+    # last bit
     from siegel_jacobi import oracle
 
-    monkeypatch.setattr(oracle, "STACK_ENTRIES", 500)  # 20 points at d = 5
     params = MetricParams(n=2, k=4.0, mu=1.0)
     pt = sample_point(domain, 2, np.random.default_rng(7))
-    for f in _broadcasting_fields(domain, params):
-        assert _stacked_matches_per_point(f, pt, FdConfig())
+    fields = _broadcasting_fields(domain, params)
+    whole = [fd_wirtinger_hessian(f, pt) for f in fields]
+    monkeypatch.setattr(oracle, "STACK_ENTRIES", 500)  # 20 points at d = 5
+    for f, H in zip(fields, whole):
+        assert np.array_equal(fd_wirtinger_hessian(f, pt), H)
 
 
 def test_stacked_lng_stack_size_bounded_at_n8():
-    # the stacked field's working set must not grow with the stencil: at
-    # n = 8 (d = 44) the 15313 central points go in chunks of at most
+    # the field's working set must not grow with the stencil: at n = 8
+    # (d = 44) the 15313 central points go in chunks of at most
     # STACK_ENTRIES // d^2
     from siegel_jacobi.oracle import STACK_ENTRIES
 
@@ -275,7 +247,7 @@ def test_stacked_lng_stack_size_bounded_at_n8():
         stacks.append(q.z.shape[0])
         return f(q)
 
-    H = fd_wirtinger_hessian(recorded, pt, FdConfig(scheme="central"), stacked=True)
+    H = fd_wirtinger_hessian(recorded, pt, FdConfig(scheme="central"))
     assert max(stacks) <= STACK_ENTRIES // d**2
     assert sum(stacks) == 1 + 4 * d + 8 * d * (d - 1)
     assert np.all(np.isfinite(H))
@@ -286,14 +258,14 @@ def test_stacked_step_too_large():
     pt = JacobiBallPoint(z=np.zeros(2), W=W)
     calls = []
     with pytest.raises(StepTooLarge):
-        fd_wirtinger_hessian(lambda p: calls.append(p), pt, FdConfig(step=1e-3), stacked=True)
+        fd_wirtinger_hessian(lambda p: calls.append(p), pt, FdConfig(step=1e-3))
     assert calls == []
 
 
 def test_stacked_field_must_return_one_value_per_point():
     pt = sample_point("jacobi_ball", 1, np.random.default_rng(1))
     with pytest.raises(ValueError, match="one value per stencil point"):
-        fd_wirtinger_hessian(lambda p: 0.0, pt, stacked=True)
+        fd_wirtinger_hessian(lambda p: 0.0, pt)
 
 
 def _broadcasting_maps(n):
@@ -319,13 +291,18 @@ def _broadcasting_maps(n):
     ]
 
 
+def _same(pair, other):
+    return all(np.array_equal(a, b) for a, b in zip(pair, other))
+
+
 @pytest.mark.parametrize("scheme", ["central", "richardson"])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_stacked_jacobian_matches_per_point(n, scheme):
     cfg = FdConfig(scheme=scheme)
     for map_fn, pt, _ in _broadcasting_maps(n):
-        J = fd_jacobian(map_fn, pt, cfg)
-        assert np.array_equal(fd_jacobian(map_fn, pt, cfg, stacked=True), J)
+        J, Jbar = loop_jacobian(map_fn, pt, cfg)
+        assert np.array_equal(fd_jacobian(map_fn, pt, cfg), J)
+        assert np.max(np.abs(Jbar)) <= 1e-7  # the gate passed on the same values
 
 
 @pytest.mark.parametrize("scheme", ["central", "richardson"])
@@ -335,14 +312,10 @@ def test_stacked_gradient_matches_per_point(n, scheme):
     params = MetricParams(n=n, k=4.0, mu=1.0)
     for map_fn, pt, field in _broadcasting_maps(n):
         for f, p in ((field, map_fn(pt)), (lambda q: field(map_fn(q)), pt)):
-            per_point = fd_wirtinger_gradient(f, p, cfg)
-            stacked = fd_wirtinger_gradient(f, p, cfg, stacked=True)
-            assert all(np.array_equal(a, b) for a, b in zip(stacked, per_point))
+            assert _same(fd_wirtinger_gradient(f, p, cfg), loop_gradient(f, p, cfg))
     jb = sample_point("jacobi_ball", n, np.random.default_rng(n))
     for f in (lambda q: kahler_potential(params, q), _complex_field):
-        per_point = fd_wirtinger_gradient(f, jb, cfg)
-        stacked = fd_wirtinger_gradient(f, jb, cfg, stacked=True)
-        assert all(np.array_equal(a, b) for a, b in zip(stacked, per_point))
+        assert _same(fd_wirtinger_gradient(f, jb, cfg), loop_gradient(f, jb, cfg))
 
 
 @pytest.mark.parametrize("scheme", ["central", "richardson"])
@@ -350,30 +323,33 @@ def test_stacked_gradient_matches_per_point(n, scheme):
 def test_stacked_composed_hessian_matches_per_point(n, scheme):
     cfg = FdConfig(scheme=scheme)
     for map_fn, pt, field in _broadcasting_maps(n):
-        assert _stacked_matches_per_point(lambda q: field(map_fn(q)), pt, cfg)
+        assert _matches_loop_hessian(lambda q: field(map_fn(q)), pt, cfg)
 
 
 def test_chunked_stacked_first_derivatives_match_per_point(monkeypatch):
     # STACK_ENTRIES = 100 gives 4 points per call at d = 5: the 40-point
-    # Richardson Jacobian stencil goes in 10 chunks
+    # Richardson Jacobian stencil goes in 10 chunks, with the one-call result
     from siegel_jacobi import oracle
 
-    monkeypatch.setattr(oracle, "STACK_ENTRIES", 100)
     map_fn, pt, field = _broadcasting_maps(2)[0]
+    composed = lambda q: field(map_fn(q))
+    whole = (
+        fd_jacobian(map_fn, pt),
+        fd_wirtinger_gradient(composed, pt),
+        fd_wirtinger_hessian(composed, pt),
+    )
+    monkeypatch.setattr(oracle, "STACK_ENTRIES", 100)
     stacks = []
 
     def recorded(q):
         stacks.append(q.z.shape[0])
         return map_fn(q)
 
-    J = fd_jacobian(recorded, pt, stacked=True)
+    J = fd_jacobian(recorded, pt)
     assert stacks == [4] * 10
-    assert np.array_equal(J, fd_jacobian(map_fn, pt))
-    composed = lambda q: field(map_fn(q))
-    per_point = fd_wirtinger_gradient(composed, pt)
-    stacked = fd_wirtinger_gradient(composed, pt, stacked=True)
-    assert all(np.array_equal(a, b) for a, b in zip(stacked, per_point))
-    assert _stacked_matches_per_point(composed, pt, FdConfig())
+    assert np.array_equal(J, whole[0])
+    assert _same(fd_wirtinger_gradient(composed, pt), whole[1])
+    assert np.array_equal(fd_wirtinger_hessian(composed, pt), whole[2])
 
 
 @pytest.mark.parametrize("scheme", ["central", "richardson"])
@@ -385,16 +361,16 @@ def test_stacked_map_called_once_per_jacobian(scheme):
         stacks.append(q.z.shape[0] if q.z.ndim == 2 else None)
         return map_fn(q)
 
-    fd_jacobian(recorded, pt, FdConfig(scheme=scheme), stacked=True)
+    fd_jacobian(recorded, pt, FdConfig(scheme=scheme))
     assert stacks == [4 * 5 * (2 if scheme == "richardson" else 1)]
 
 
 def test_stacked_map_must_return_one_point_per_offset():
     pt = sample_point("jacobi_ball", 1, np.random.default_rng(1))
     with pytest.raises(ValueError, match="one value per stencil point"):
-        fd_jacobian(lambda q: pt, pt, stacked=True)
+        fd_jacobian(lambda q: pt, pt)
     with pytest.raises(ValueError, match="one value per stencil point"):
-        fd_wirtinger_gradient(lambda q: 0.0, pt, stacked=True)
+        fd_wirtinger_gradient(lambda q: 0.0, pt)
 
 
 class TestJacobian:
@@ -444,6 +420,24 @@ class TestVolumeInvariance:
         pt = sample_point("ball", 1, rng)
         h = random_jacobi_c(1, rng)
         assert volume_invariance_check("ball", h, pt) < 1e-6
+
+    def test_reads_the_exported_densities(self, monkeypatch, rng):
+        # the check takes Q from kernels.volume_densities: a wrong exponent
+        # there must show as a defect
+        from siegel_jacobi import oracle
+        from siegel_jacobi.kernels import VolumeData
+
+        pt = sample_point("jacobi_ball", 2, rng)
+        h = random_jacobi_c(2, rng)
+        assert volume_invariance_check("jacobi_ball", h, pt) < 1e-5
+
+        def wrong(x):
+            _, logdet = np.linalg.slogdet(x.cross_gram())
+            q = float(np.exp(-(x.n + 1) * logdet))
+            return VolumeData(Q_ball=q, Q_jacobi=q)
+
+        monkeypatch.setattr(oracle, "volume_densities", wrong)
+        assert volume_invariance_check("jacobi_ball", h, pt) > 1e-3
 
     @pytest.mark.parametrize("domain", ["ball", "jacobi_ball"])
     def test_random_elements(self, rng, domain):

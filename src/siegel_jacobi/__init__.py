@@ -77,7 +77,6 @@ from .metric import (
 )
 from .oracle import (
     Chart,
-    FdConfig,
     chart_for,
     fd_jacobian,
     fd_wirtinger_gradient,

@@ -398,34 +398,26 @@ def inverse_fc_transform(eta: np.ndarray, W: np.ndarray) -> JacobiBallPoint:
 
 
 def act_ball_differential(
-    h: JacobiElementC, pt: JacobiBallPoint, tangent: TangentVector, fd_step: float = 1e-5
+    h: JacobiElementC, pt: JacobiBallPoint, tangent: TangentVector
 ) -> TangentVector:
-    """Pushforward of a tangent under act_ball.
+    """Pushforward of a tangent under act_ball, in closed form.
 
-    The W-part uses the closed form dW1 = (W q* + p*)^{-1} dW (qbar W +
-    pbar)^{-1}; the z-part is a Richardson-refined directional derivative of
-    the full action (the map is holomorphic, so the real directional
-    derivative along the complex tangent is the pushforward), whose four
-    points go through one stacked act_ball call.
+    With L = W q* + p*, differentiating W1 = (p W + q)(qbar W + pbar)^{-1}
+    and z1 = L^{-1} (z + alpha - W conj(alpha)) gives
+
+        dW1 = L^{-1} dW (qbar W + pbar)^{-1},
+        dz1 = L^{-1} (dz - dW (conj(alpha) + q* z1)).
     """
     if tangent.dz is None:
         raise ValueError("jacobi-ball tangent needs a dz component")
     g = h.g
-    left = pt.W @ g.q.conj().T + g.p.conj().T
+    q_star = g.q.conj().T
+    left = pt.W @ q_star + g.p.conj().T
     right = g.q.conj() @ pt.W + g.p.conj()
     dW1 = _solve(left, tangent.dW) @ np.linalg.inv(right)
     dW1 = 0.5 * (dW1 + dW1.T)
-
-    s = np.array([fd_step, -fd_step, fd_step / 2, -fd_step / 2])
-    z = act_ball(
-        h,
-        JacobiBallPoint.trusted(
-            pt.z + s[:, None] * tangent.dz, pt.W + s[:, None, None] * tangent.dW
-        ),
-    ).z
-    d1 = (z[0] - z[1]) / (2 * fd_step)
-    d2 = (z[2] - z[3]) / fd_step
-    dz1 = (4 * d2 - d1) / 3.0
+    z1 = act_ball(h, pt).z
+    dz1 = _solve(left, tangent.dz - tangent.dW @ (h.alpha.conj() + q_star @ z1))
     return TangentVector(dz=dz1, dW=dW1)
 
 

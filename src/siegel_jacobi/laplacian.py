@@ -33,7 +33,7 @@ from .metric import (
     metric_inverse,
     upper_metric_pair,
 )
-from .oracle import FdConfig, fd_wirtinger_gradient, fd_wirtinger_hessian, flatten_point
+from .oracle import fd_wirtinger_gradient, fd_wirtinger_hessian, flatten_point
 
 __all__ = [
     "LaplacianCoefficients",
@@ -86,23 +86,21 @@ def apply_laplacian(
     points of the same type as pt, as in ``fd_wirtinger_hessian``;
     symmetric-matrix coordinates are perturbed jointly."""
     coeff = laplacian_coefficients(domain, params, pt)
-    hess = fd_wirtinger_hessian(f, pt, FdConfig(step=fd_step))
+    hess = fd_wirtinger_hessian(f, pt, fd_step)
     if hess.shape != coeff.matrix.shape:
         raise DimensionMismatch("field chart and coefficient matrix disagree")
     return complex(np.trace(coeff.matrix @ hess))
 
 
-def _sym_derivative_matrix(f: Callable, pt, cfg: FdConfig) -> np.ndarray:
+def _sym_derivative_matrix(f: Callable, pt) -> np.ndarray:
     """G[a, b] = e_ab df/dz_ab over a symmetric-matrix chart, as an n x n
     symmetric matrix; e_ab = (1 + delta_ab) / 2."""
     idx = PairIndex(pt.n)
-    hol, _ = fd_wirtinger_gradient(f, pt, cfg)
+    hol, _ = fd_wirtinger_gradient(f, pt)
     return idx.unpack(0.5 * hol / idx.f)  # e_ab = 1 / (2 f_ab)
 
 
-def cayley_chain_rule_check(
-    f: Callable, pt: SiegelUpperPoint, cfg: FdConfig | None = None
-) -> float:
+def cayley_chain_rule_check(f: Callable, pt: SiegelUpperPoint) -> float:
     """Defect of the symmetric-derivative chain rule across the Cayley map:
 
         e_ab df/dv_ab  =  -(i/2) [(1 - W) G_W (1 - W)]_ab,
@@ -112,16 +110,15 @@ def cayley_chain_rule_check(
     Cayley maps broadcast, so f expressed in W takes stacked points as f
     does.
     """
-    cfg = cfg or FdConfig()
     if pt.u is not None:
         pt = SiegelUpperPoint(V=pt.V)
-    G_V = _sym_derivative_matrix(f, pt, cfg)
+    G_V = _sym_derivative_matrix(f, pt)
     ball = partial_cayley(pt)
 
     def f_in_w(b):
         return f(inverse_partial_cayley(b))
 
-    G_W = _sym_derivative_matrix(f_in_w, ball, cfg)
+    G_W = _sym_derivative_matrix(f_in_w, ball)
     A = np.eye(pt.n) - ball.W
     rhs = -0.5j * (A @ G_W @ A)
     return float(np.max(np.abs(G_V - rhs)))

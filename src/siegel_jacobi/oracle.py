@@ -15,6 +15,7 @@ convention.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -31,7 +32,6 @@ from .groups import JacobiElementC, act_ball, act_siegel_ball
 from .kernels import volume_densities
 
 __all__ = [
-    "FdConfig",
     "Chart",
     "chart_for",
     "flatten_point",
@@ -40,25 +40,6 @@ __all__ = [
     "fd_jacobian",
     "volume_invariance_check",
 ]
-
-
-@dataclass(frozen=True)
-class FdConfig:
-    """Step control for the finite-difference oracles.
-
-    step is scaled per coordinate by (1 + |coordinate|) when scale_step is
-    set; richardson combines h and h/2 stencils for O(h^4) truncation.
-    """
-
-    step: float = 1e-4
-    scheme: str = "richardson"  # "central" | "richardson"
-    scale_step: bool = True
-
-    def __post_init__(self):
-        if self.step <= 0:
-            raise ValueError("step must be positive")
-        if self.scheme not in ("central", "richardson"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
 
 
 @dataclass(frozen=True)
@@ -109,11 +90,12 @@ def flatten_point(pt) -> np.ndarray:
     return w if vec is None else np.concatenate([vec, w], axis=-1)
 
 
-def _steps(chart: Chart, cfg: FdConfig) -> np.ndarray:
-    if cfg.scale_step:
-        h = cfg.step * (1.0 + np.abs(chart.coords))
-    else:
-        h = np.full(chart.dim, cfg.step)
+def _steps(chart: Chart, fd_step: float) -> np.ndarray:
+    """Per-coordinate steps fd_step * (1 + |coordinate|); every oracle
+    takes its steps here, before it builds a stencil."""
+    if not (math.isfinite(fd_step) and fd_step > 0):
+        raise ValueError(f"fd_step must be a positive finite number, got {fd_step!r}")
+    h = fd_step * (1.0 + np.abs(chart.coords))
     # one stencil point moves at most two coordinates by h each; a coordinate
     # move of size h shifts the relevant Gram spectrum by at most ~4h
     worst = 4.0 * float(np.max(h)) * (1.0 + float(np.max(h)))
@@ -215,9 +197,10 @@ def _evaluate(fn: Callable, chart: Chart, offsets: np.ndarray, scalar: bool):
     return values.tolist() if scalar else values
 
 
-def fd_wirtinger_hessian(f: Callable, pt, cfg: FdConfig | None = None) -> np.ndarray:
+def fd_wirtinger_hessian(f: Callable, pt, fd_step: float = 1e-4) -> np.ndarray:
     """Mixed Wirtinger Hessian H[a, b] = d^2 f / dz_a dzbar_b over the
-    point's chart, via central differences (optionally Richardson-refined).
+    point's chart, via central differences at the steps h of ``_steps`` and
+    h / 2, Richardson-combined for O(h^4) truncation.
 
     All stencil offsets are built first.  H[a, b] and H[b, a] share their 16
     stencil points per step size, so each unordered pair a < b is evaluated
@@ -225,22 +208,18 @@ def fd_wirtinger_hessian(f: Callable, pt, cfg: FdConfig | None = None) -> np.nda
     is not taken as conj(H[a, b]): that holds only for real f, and each entry
     keeps the arithmetic it would have on its own.
 
-    The stencil has 1 + 4d + 8d(d-1) points with the central scheme and
-    1 + 8d + 16d(d-1) with Richardson refinement, d = chart dimension.  f is
+    The stencil has 1 + 8d + 16d(d-1) points, d = chart dimension.  f is
     called on points whose arrays carry a leading stencil axis of at most
     STACK_ENTRIES // d^2 points, and must return one value per stencil
     point: once per Hessian when the stencil fits (every stencil up to
     n = 3), else once per consecutive chunk of it.
     """
-    cfg = cfg or FdConfig()
     chart = chart_for(pt)
-    h = _steps(chart, cfg)
+    h = _steps(chart, fd_step)
     d = chart.dim
-    richardson = cfg.scheme == "richardson"
     A, B = np.triu_indices(d, 1)
-    levels = [h, h / 2] if richardson else [h]
     offsets = np.concatenate(
-        [np.zeros((1, d), dtype=complex)] + [_stencil(s, A, B) for s in levels]
+        [np.zeros((1, d), dtype=complex), _stencil(h, A, B), _stencil(h / 2, A, B)]
     )
     values = _evaluate(f, chart, offsets, scalar=True)
     f0 = values[0]
@@ -250,34 +229,28 @@ def fd_wirtinger_hessian(f: Callable, pt, cfg: FdConfig | None = None) -> np.nda
     out = np.empty((d, d), dtype=complex)
     for a in range(d):
         aa = _diagonal_entry(coarse[4 * a : 4 * a + 4], h[a], f0)
-        if richardson:
-            aa = (4.0 * _diagonal_entry(fine[4 * a : 4 * a + 4], h[a] / 2, f0) - aa) / 3.0
-        out[a, a] = aa
+        out[a, a] = (4.0 * _diagonal_entry(fine[4 * a : 4 * a + 4], h[a] / 2, f0) - aa) / 3.0
     for p, (a, b) in enumerate(zip(A.tolist(), B.tolist())):
         i = 4 * d + 16 * p
         ab, ba = _pair_entries(coarse[i : i + 16], h[a], h[b])
-        if richardson:
-            ab2, ba2 = _pair_entries(fine[i : i + 16], h[a] / 2, h[b] / 2)
-            ab, ba = (4.0 * ab2 - ab) / 3.0, (4.0 * ba2 - ba) / 3.0
-        out[a, b], out[b, a] = ab, ba
+        ab2, ba2 = _pair_entries(fine[i : i + 16], h[a] / 2, h[b] / 2)
+        out[a, b], out[b, a] = (4.0 * ab2 - ab) / 3.0, (4.0 * ba2 - ba) / 3.0
     return out
 
 
-def _first_derivatives(fn: Callable, pt, cfg: FdConfig | None, scalar: bool):
+def _first_derivatives(fn: Callable, pt, fd_step: float, scalar: bool):
     """(d/dz_a, d/dzbar_a) of fn's values for every chart coordinate a, as
     two lists over a: central differences along +-h_a e_a and +-i h_a e_a,
-    Richardson-refined with the h_a / 2 stencil.  All 4d offsets per step
-    size are built first and evaluated as in ``_evaluate``."""
-    cfg = cfg or FdConfig()
+    Richardson-refined with the h_a / 2 stencil.  All 8d offsets are built
+    first and evaluated as in ``_evaluate``."""
     chart = chart_for(pt)
-    h = _steps(chart, cfg)
+    h = _steps(chart, fd_step)
     d = chart.dim
-    levels = [h, h / 2] if cfg.scheme == "richardson" else [h]
     E = np.eye(d, dtype=complex)
     # row 4a + k of a level: step k (h_a, -h_a, i h_a, -i h_a) along e_a
     offsets = np.concatenate(
         [(np.stack([s, -s, 1j * s, -1j * s], axis=1)[..., None] * E[:, None]).reshape(-1, d)
-         for s in levels]
+         for s in (h, h / 2)]
     )
     values = _evaluate(fn, chart, offsets, scalar)
 
@@ -289,42 +262,41 @@ def _first_derivatives(fn: Callable, pt, cfg: FdConfig | None, scalar: bool):
     hol, ahol = [], []
     for a in range(d):
         g, gb = central(values[4 * a : 4 * a + 4], h[a])
-        if len(levels) == 2:
-            i = 4 * d + 4 * a
-            g2, gb2 = central(values[i : i + 4], levels[1][a])
-            g, gb = (4 * g2 - g) / 3.0, (4 * gb2 - gb) / 3.0
-        hol.append(g)
-        ahol.append(gb)
+        i = 4 * d + 4 * a
+        g2, gb2 = central(values[i : i + 4], h[a] / 2)
+        hol.append((4 * g2 - g) / 3.0)
+        ahol.append((4 * gb2 - gb) / 3.0)
     return hol, ahol
 
 
 def fd_wirtinger_gradient(
-    f: Callable, pt, cfg: FdConfig | None = None
+    f: Callable, pt, fd_step: float = 1e-4
 ) -> tuple[np.ndarray, np.ndarray]:
     """(df/dz_a, df/dzbar_a) over the chart coordinates.  f is called on the
-    4d stencil points (8d with Richardson refinement) as stacked points, as
-    in ``fd_wirtinger_hessian``."""
-    hol, ahol = _first_derivatives(f, pt, cfg, scalar=True)
+    8d stencil points as stacked points, as in ``fd_wirtinger_hessian``."""
+    hol, ahol = _first_derivatives(f, pt, fd_step, scalar=True)
     return np.array(hol, dtype=complex), np.array(ahol, dtype=complex)
 
 
-def fd_jacobian(
-    map_fn: Callable, pt, cfg: FdConfig | None = None, hol_tol: float = 1e-7
-) -> np.ndarray:
+# largest dbar-block entry that fd_jacobian accepts as a holomorphic map
+HOL_TOL = 1e-7
+
+
+def fd_jacobian(map_fn: Callable, pt, fd_step: float = 1e-4) -> np.ndarray:
     """Holomorphic Jacobian J[out, in] of a point-to-point map over ordered
     coordinates.  The dbar block is measured as well; if its largest entry
-    exceeds hol_tol the map is flagged NonHolomorphic.  map_fn is called on
+    exceeds HOL_TOL the map is flagged NonHolomorphic.  map_fn is called on
     stacked points, as in ``fd_wirtinger_hessian``, and must return one
     stacked image point (the group maps do).
     """
     cols, bar_cols = _first_derivatives(
-        lambda q: flatten_point(map_fn(q)), pt, cfg, scalar=False
+        lambda q: flatten_point(map_fn(q)), pt, fd_step, scalar=False
     )
     J = np.stack(cols, axis=1)
     Jbar = np.stack(bar_cols, axis=1)
     worst = float(np.max(np.abs(Jbar))) if Jbar.size else 0.0
-    if worst > hol_tol:
-        raise NonHolomorphic(f"dbar block has max entry {worst:.3e} > {hol_tol:.3e}")
+    if worst > HOL_TOL:
+        raise NonHolomorphic(f"dbar block has max entry {worst:.3e} > {HOL_TOL:.3e}")
     return J
 
 
@@ -332,7 +304,6 @@ def volume_invariance_check(
     domain: str,
     h: JacobiElementC,
     pt,
-    cfg: FdConfig | None = None,
 ) -> float:
     """|det J|^2 Q(h.pt) / Q(pt) - 1 for the invariant densities of
     ``kernels.volume_densities``, Q = det(1 - W Wbar)^{-(n+1)} on the ball
@@ -350,6 +321,6 @@ def volume_invariance_check(
         density = lambda x: volume_densities(x).Q_jacobi
     else:
         raise ValueError(f"unknown domain {domain!r}")
-    J = fd_jacobian(action, pt, cfg)
+    J = fd_jacobian(action, pt)
     ratio = abs(np.linalg.det(J)) ** 2 * density(action(pt)) / density(pt)
     return abs(ratio - 1.0)

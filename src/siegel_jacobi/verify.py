@@ -55,7 +55,6 @@ from .metric import (
     metric_inverse,
 )
 from .oracle import (
-    FdConfig,
     fd_jacobian,
     fd_wirtinger_hessian,
     volume_invariance_check,
@@ -63,8 +62,8 @@ from .oracle import (
 
 __all__ = ["PropertyResult", "FuzzReport", "fuzz_all", "PROPERTY_GROUPS", "PROPERTIES"]
 
-_RICCI_CFG = FdConfig(step=2e-3)  # larger step: the lnG z-block is exactly 0,
-#                                   so roundoff, not truncation, sets the noise
+_RICCI_STEP = 2e-3  # larger step: the lnG z-block is exactly 0,
+#                     so roundoff, not truncation, sets the noise
 
 
 @dataclass(frozen=True)
@@ -249,7 +248,7 @@ def _ball_pair_inverse(ctx, rng):
 
 def _ricci_fd(ctx, pt):
     f = builtin_field("lnG", "jacobi_ball", ctx.params)
-    return -fd_wirtinger_hessian(f, pt, _RICCI_CFG)
+    return -fd_wirtinger_hessian(f, pt, _RICCI_STEP)
 
 
 @_register("ricci_fd_match", "curvature", 1e-5)
@@ -291,7 +290,7 @@ def _scalar_contraction(ctx, rng):
 def _lng_identity(ctx, rng):
     pt = _pt(ctx, rng)
     f = builtin_field("lnG", "jacobi_ball", ctx.params)
-    val = apply_laplacian("jacobi_ball", ctx.params, f, pt, fd_step=_RICCI_CFG.step)
+    val = apply_laplacian("jacobi_ball", ctx.params, f, pt, fd_step=_RICCI_STEP)
     n = ctx.params.n
     expected = (2.0 / ctx.params.k) * n * (n + 1) * (n + 2) / 2.0
     return abs(val.real / expected - 1.0) + abs(val.imag), _pt_json(pt)
@@ -497,8 +496,8 @@ def _holomorphy(ctx, rng):
     h = random_jacobi_c(ctx.params.n, rng)
     worst = 0.0
     try:
-        fd_jacobian(lambda q: act_ball(h, q), pt, hol_tol=1e-7)
-        fd_jacobian(partial_cayley, inverse_partial_cayley(pt), hol_tol=1e-7)
+        fd_jacobian(lambda q: act_ball(h, q), pt)
+        fd_jacobian(partial_cayley, inverse_partial_cayley(pt))
     except NonHolomorphic:
         worst = float("inf")
     return worst, _pt_json(pt)
@@ -667,8 +666,10 @@ def fuzz_all(
     corruption: str | None = None,
 ) -> FuzzReport:
     """Run the named property group (or explicit list) and aggregate a
-    deterministic report.  `corruption` enables negative-control hooks
-    ("h4_scale" perturbs the metric before the inverse-identity check)."""
+    deterministic report.  `tolerances` maps registered property names to
+    finite overrides of their tolerances.  `corruption` enables
+    negative-control hooks ("h4_scale" perturbs the metric before the
+    inverse-identity check)."""
     if corruption not in (None, "h4_scale"):
         raise ValueError(f"unknown corruption hook {corruption!r}")
     if trials < 0:
@@ -686,6 +687,11 @@ def fuzz_all(
             if name not in PROPERTIES:
                 raise ValueError(f"unknown property {name!r}")
     tolerances = tolerances or {}
+    for name, tol in tolerances.items():
+        if name not in PROPERTIES:
+            raise ValueError(f"tolerance given for unknown property {name!r}")
+        if not math.isfinite(tol):
+            raise ValueError(f"tolerance for {name!r} must be finite, got {tol!r}")
     ctx = _Ctx(params=MetricParams(n=n, k=k, mu=mu), corruption=corruption)
     results = []
     for name in names:

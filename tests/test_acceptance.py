@@ -41,7 +41,6 @@ from siegel_jacobi.metric import (
     metric_inverse,
 )
 from siegel_jacobi.oracle import (
-    FdConfig,
     fd_jacobian,
     fd_wirtinger_hessian,
     volume_invariance_check,
@@ -51,7 +50,7 @@ SEED = 20160627
 K_WEIGHT = 2.0
 MU_WEIGHT = 1.0
 
-_RICCI_CFG = FdConfig(step=2e-3)
+_RICCI_STEP = 2e-3
 
 
 def _record(index, name, passed, detail, budget, elapsed):
@@ -166,7 +165,7 @@ def test_criterion_04_curvature():
             s_closed = -(2.0 / params.k) * n * (n + 1) * (n + 2) / 2.0
             for pt in _points(n, count, seed_offset=400):
                 f = builtin_field("lnG", "jacobi_ball", params)
-                ric = -fd_wirtinger_hessian(f, pt, _RICCI_CFG)
+                ric = -fd_wirtinger_hessian(f, pt, _RICCI_STEP)
                 hk, _ = ball_metric_pair(pt.ball)
                 closed = -(n + 2) * hk
                 worst_w = max(
@@ -208,7 +207,7 @@ def test_criterion_05_laplacian_identity():
             f = builtin_field("lnG", "jacobi_ball", params)
             expected = (2.0 / params.k) * n * (n + 1) * (n + 2) / 2.0
             for pt in _points(n, 50, seed_offset=500):
-                val = apply_laplacian("jacobi_ball", params, f, pt, fd_step=_RICCI_CFG.step)
+                val = apply_laplacian("jacobi_ball", params, f, pt, fd_step=_RICCI_STEP)
                 worst = max(worst, abs(val.real / expected - 1) + abs(val.imag))
         elapsed = time.time() - t0
         passed = worst <= 1e-5 and elapsed <= budget

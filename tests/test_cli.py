@@ -227,6 +227,20 @@ class TestVerify:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("tol", ["bogus=1e-3", "ball_pair_inverse=nan"])
+    def test_bad_tol_rejected_before_any_property(self, capsys, monkeypatch, tol):
+        from siegel_jacobi import verify
+
+        def never(*args):
+            raise AssertionError("a property ran")
+
+        monkeypatch.setattr(verify, "_run_property", never)
+        code, out = run_cli(capsys, "verify", "inverse", "--n", "1", "--trials", "1", "--tol", tol)
+        assert code == 2
+        error = json.loads(out, parse_constant=_reject_constant)["error"]
+        assert error["kind"] == "ValueError"
+        assert tol.partition("=")[0] in error["detail"]
+
     def test_negative_trials_rejected(self, capsys):
         code, out = run_cli(capsys, "verify", "metric", "--trials", "-3")
         assert code == 2
@@ -328,6 +342,16 @@ class TestErrors:
         )
         assert code == 3
         assert json.loads(out)["error"]["kind"] == "NotInBall"
+
+    @pytest.mark.parametrize("step", ["nan", "inf", "0", "-1"])
+    def test_invalid_fd_step_exit_two(self, capsys, step):
+        code, out = run_cli(
+            capsys, "eval", "laplacian", "--n", "1", "--point", "origin", f"--fd-step={step}"
+        )
+        assert code == 2
+        error = json.loads(out, parse_constant=_reject_constant)["error"]
+        assert error["kind"] == "ValueError"
+        assert "fd_step" in error["detail"]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_det_overflow_exit_three(self, capsys):

@@ -15,11 +15,10 @@ from siegel_jacobi.groups import (
     random_jacobi_c,
     random_jacobi_r,
 )
-from fd_reference import loop_gradient, loop_hessian, loop_jacobian
+from fd_reference import loop_gradient, loop_hessian, loop_jacobian, richardson_ids
 from siegel_jacobi.laplacian import builtin_field
 from siegel_jacobi.metric import MetricParams, _dot, kahler_potential, metric_blocks
 from siegel_jacobi.oracle import (
-    FdConfig,
     chart_for,
     fd_jacobian,
     fd_wirtinger_gradient,
@@ -60,42 +59,60 @@ class TestHessian:
         params = MetricParams(n=1, k=2.0, mu=1.0)
         pt = sample_point("jacobi_ball", 1, rng)
         f = lambda q: kahler_potential(params, q)
-        h1 = fd_wirtinger_hessian(f, pt, FdConfig(step=1e-4))
-        h2 = fd_wirtinger_hessian(f, pt, FdConfig(step=5e-5))
+        h1 = fd_wirtinger_hessian(f, pt, fd_step=1e-4)
+        h2 = fd_wirtinger_hessian(f, pt, fd_step=5e-5)
         assert np.max(np.abs(h1 - h2)) < 1e-7
 
-    def test_second_order_convergence(self, rng):
-        # central scheme: halving the step cuts the defect by >= 3x
-        pt = sample_point("jacobi_ball", 1, rng)
-        f = lambda p: _dot(p.z.conj(), p.z).real ** 2
-        exact = 4.0 * np.vdot(pt.z, pt.z).real
-        errs = []
-        for step in (2e-2, 1e-2):
-            H = fd_wirtinger_hessian(f, pt, FdConfig(step=step, scheme="central", scale_step=False))
-            errs.append(abs(H[0, 0].real - exact))
-        assert errs[0] / errs[1] >= 3.0
+    @pytest.mark.parametrize("seed", range(5))
+    def test_fourth_order_convergence(self, seed):
+        # Richardson: halving the step cuts the defect by ~16x.  The field is
+        # not a polynomial: Richardson differences any polynomial of degree
+        # <= 5 exactly, which would leave only roundoff to compare.
+        pt = sample_point("jacobi_ball", 1, np.random.default_rng(seed))
+        f = lambda p: np.exp(_dot(p.z.conj(), p.z).real)
+        r2 = np.vdot(pt.z, pt.z).real
+        exact = (1.0 + r2) * np.exp(r2)  # d^2/dz dzbar of exp(z zbar)
+        errs = [abs(fd_wirtinger_hessian(f, pt, fd_step=s)[0, 0] - exact) for s in (4e-2, 2e-2)]
+        assert errs[0] / errs[1] >= 12.0
 
     def test_step_too_large(self, rng):
         W = np.diag([np.sqrt(1 - 1e-3), 0.1]).astype(complex)
         pt = JacobiBallPoint(z=np.zeros(2), W=W)
         const = builtin_field("const", "jacobi_ball")
         with pytest.raises(StepTooLarge):
-            fd_wirtinger_hessian(const, pt, FdConfig(step=1e-3))
-        # the default step still fits inside the 1e-3 margin
-        fd_wirtinger_hessian(const, pt, FdConfig(step=1e-4, scale_step=False))
+            fd_wirtinger_hessian(const, pt, fd_step=1e-3)
+        # the default step, scaled to at most 2e-4, still fits inside the
+        # 1e-3 margin: the excursion is 8.0e-4
+        fd_wirtinger_hessian(const, pt)
+
+    @pytest.mark.parametrize("step", [float("nan"), float("inf"), 0.0, -1e-4])
+    def test_invalid_step_rejected_before_any_call(self, step):
+        pt = sample_point("jacobi_ball", 1, np.random.default_rng(1))
+        calls = []
+
+        def f(p):
+            calls.append(p)
+            return np.zeros(p.z.shape[0])
+
+        for oracle in (fd_wirtinger_hessian, fd_wirtinger_gradient, fd_jacobian):
+            with pytest.raises(ValueError, match="fd_step"):
+                oracle(f, pt, fd_step=step)
+        assert calls == []
 
 
-@pytest.mark.parametrize("scheme", ["central", "richardson"])
-@pytest.mark.parametrize("domain", ["jacobi_ball", "ball", "upper"])
+def _matches_loop_hessian(f, pt):
+    return np.array_equal(fd_wirtinger_hessian(f, pt), loop_hessian(f, pt))
+
+
+@pytest.mark.parametrize("domain", ["jacobi_ball", "ball", "upper"], ids=richardson_ids)
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_hessian_matches_entry_loop_reference(n, domain, scheme):
+def test_hessian_matches_entry_loop_reference(n, domain):
     # ln det h is the field whose FD Hessian the curvature and Laplacian
     # checks difference; any last-bit change there shows in the reports.
     # The complex field zeta_0 * sum(zeta_bar) has H[0, b] = 1, H[b, 0] = 0:
     # H[b, a] must come from its own differences, not from conj(H[a, b]).
     params = MetricParams(n=n, k=4.0, mu=1.0)
     pt = sample_point(domain, n, np.random.default_rng(300 + n))
-    cfg = FdConfig(scheme=scheme)
     fields = [
         builtin_field("lnG", domain, params),
         builtin_field("re_poly(5)", domain),
@@ -104,12 +121,11 @@ def test_hessian_matches_entry_loop_reference(n, domain, scheme):
     if domain == "jacobi_ball":
         fields.append(lambda q: kahler_potential(params, q))
     for f in fields:
-        assert np.array_equal(fd_wirtinger_hessian(f, pt, cfg), loop_hessian(f, pt, cfg))
+        assert _matches_loop_hessian(f, pt)
 
 
-@pytest.mark.parametrize("scheme", ["central", "richardson"])
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_hessian_evaluates_each_stencil_point_once(n, scheme):
+@pytest.mark.parametrize("n", [1, 2, 3], ids=richardson_ids)
+def test_hessian_evaluates_each_stencil_point_once(n):
     pt = sample_point("jacobi_ball", n, np.random.default_rng(n))
     offsets = []
 
@@ -117,11 +133,9 @@ def test_hessian_evaluates_each_stencil_point_once(n, scheme):
         offsets.extend(flatten_point(p).tolist())
         return np.zeros(p.z.shape[0])
 
-    fd_wirtinger_hessian(f, pt, FdConfig(scheme=scheme))
+    fd_wirtinger_hessian(f, pt)
     d = n * (n + 3) // 2
-    expected = 1 + 4 * d + 8 * d * (d - 1)
-    if scheme == "richardson":
-        expected = 1 + 8 * d + 16 * d * (d - 1)  # 361 at d = 5
+    expected = 1 + 8 * d + 16 * d * (d - 1)  # 361 at d = 5
     assert len(offsets) == expected
     assert len({tuple(o) for o in offsets}) == expected
 
@@ -146,14 +160,9 @@ def _broadcasting_fields(domain, params):
     return fields
 
 
-def _matches_loop_hessian(f, pt, cfg):
-    return np.array_equal(fd_wirtinger_hessian(f, pt, cfg), loop_hessian(f, pt, cfg))
-
-
-@pytest.mark.parametrize("scheme", ["central", "richardson"])
-@pytest.mark.parametrize("domain", ["jacobi_ball", "ball", "upper"])
+@pytest.mark.parametrize("domain", ["jacobi_ball", "ball", "upper"], ids=richardson_ids)
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_stacked_hessian_matches_per_point(n, domain, scheme):
+def test_stacked_hessian_matches_per_point(n, domain):
     # the oracle hands f the whole stencil as one stacked point; its Hessian
     # must equal the loop that calls f at one point per offset, to the last
     # bit, or the seeded reports would move
@@ -164,7 +173,7 @@ def test_stacked_hessian_matches_per_point(n, domain, scheme):
     for f in _broadcasting_fields(domain, params):
         stacked = f(chart.at_offset(offsets))
         assert np.array_equal(stacked, [f(chart.at_offset(o)) for o in offsets])
-        assert _matches_loop_hessian(f, pt, FdConfig(scheme=scheme))
+        assert _matches_loop_hessian(f, pt)
 
 
 def test_stacked_identity_catches_broadcast_index_swap(monkeypatch):
@@ -195,11 +204,10 @@ def test_stacked_identity_catches_broadcast_index_swap(monkeypatch):
     for (f, p), H in zip(cases, reference):
         assert np.array_equal(loop_hessian(f, p), H)  # single points are intact
         assert np.all(np.isfinite(fd_wirtinger_hessian(f, p)))  # wrong, not NaN
-        assert not _matches_loop_hessian(f, p, FdConfig())
+        assert not _matches_loop_hessian(f, p)
 
 
-@pytest.mark.parametrize("scheme", ["central", "richardson"])
-def test_stacked_field_called_once_per_hessian(scheme):
+def test_stacked_field_called_once_per_hessian():
     params = MetricParams(n=2, k=4.0, mu=1.0)
     pt = sample_point("jacobi_ball", 2, np.random.default_rng(2))
     stacks = []
@@ -208,12 +216,9 @@ def test_stacked_field_called_once_per_hessian(scheme):
         stacks.append(q.z.shape[0])
         return kahler_potential(params, q)
 
-    fd_wirtinger_hessian(f, pt, FdConfig(scheme=scheme))
+    fd_wirtinger_hessian(f, pt)
     d = 5
-    points = 1 + 4 * d + 8 * d * (d - 1)
-    if scheme == "richardson":
-        points = 1 + 8 * d + 16 * d * (d - 1)
-    assert stacks == [points]
+    assert stacks == [1 + 8 * d + 16 * d * (d - 1)]
 
 
 @pytest.mark.parametrize("domain", ["jacobi_ball", "ball", "upper"])
@@ -233,8 +238,8 @@ def test_chunked_stacked_hessian_matches_per_point(monkeypatch, domain):
 
 def test_stacked_lng_stack_size_bounded_at_n8():
     # the field's working set must not grow with the stencil: at n = 8
-    # (d = 44) the 15313 central points go in chunks of at most
-    # STACK_ENTRIES // d^2
+    # (d = 44) the 30625 stencil points go in chunks of at most
+    # STACK_ENTRIES // d^2 = 270
     from siegel_jacobi.oracle import STACK_ENTRIES
 
     n, d = 8, 44
@@ -247,9 +252,9 @@ def test_stacked_lng_stack_size_bounded_at_n8():
         stacks.append(q.z.shape[0])
         return f(q)
 
-    H = fd_wirtinger_hessian(recorded, pt, FdConfig(scheme="central"))
+    H = fd_wirtinger_hessian(recorded, pt)
     assert max(stacks) <= STACK_ENTRIES // d**2
-    assert sum(stacks) == 1 + 4 * d + 8 * d * (d - 1)
+    assert sum(stacks) == 1 + 8 * d + 16 * d * (d - 1)
     assert np.all(np.isfinite(H))
 
 
@@ -258,7 +263,7 @@ def test_stacked_step_too_large():
     pt = JacobiBallPoint(z=np.zeros(2), W=W)
     calls = []
     with pytest.raises(StepTooLarge):
-        fd_wirtinger_hessian(lambda p: calls.append(p), pt, FdConfig(step=1e-3))
+        fd_wirtinger_hessian(lambda p: calls.append(p), pt, fd_step=1e-3)
     assert calls == []
 
 
@@ -295,35 +300,29 @@ def _same(pair, other):
     return all(np.array_equal(a, b) for a, b in zip(pair, other))
 
 
-@pytest.mark.parametrize("scheme", ["central", "richardson"])
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_stacked_jacobian_matches_per_point(n, scheme):
-    cfg = FdConfig(scheme=scheme)
+@pytest.mark.parametrize("n", [1, 2, 3], ids=richardson_ids)
+def test_stacked_jacobian_matches_per_point(n):
     for map_fn, pt, _ in _broadcasting_maps(n):
-        J, Jbar = loop_jacobian(map_fn, pt, cfg)
-        assert np.array_equal(fd_jacobian(map_fn, pt, cfg), J)
+        J, Jbar = loop_jacobian(map_fn, pt)
+        assert np.array_equal(fd_jacobian(map_fn, pt), J)
         assert np.max(np.abs(Jbar)) <= 1e-7  # the gate passed on the same values
 
 
-@pytest.mark.parametrize("scheme", ["central", "richardson"])
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_stacked_gradient_matches_per_point(n, scheme):
-    cfg = FdConfig(scheme=scheme)
+@pytest.mark.parametrize("n", [1, 2, 3], ids=richardson_ids)
+def test_stacked_gradient_matches_per_point(n):
     params = MetricParams(n=n, k=4.0, mu=1.0)
     for map_fn, pt, field in _broadcasting_maps(n):
         for f, p in ((field, map_fn(pt)), (lambda q: field(map_fn(q)), pt)):
-            assert _same(fd_wirtinger_gradient(f, p, cfg), loop_gradient(f, p, cfg))
+            assert _same(fd_wirtinger_gradient(f, p), loop_gradient(f, p))
     jb = sample_point("jacobi_ball", n, np.random.default_rng(n))
     for f in (lambda q: kahler_potential(params, q), _complex_field):
-        assert _same(fd_wirtinger_gradient(f, jb, cfg), loop_gradient(f, jb, cfg))
+        assert _same(fd_wirtinger_gradient(f, jb), loop_gradient(f, jb))
 
 
-@pytest.mark.parametrize("scheme", ["central", "richardson"])
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_stacked_composed_hessian_matches_per_point(n, scheme):
-    cfg = FdConfig(scheme=scheme)
+@pytest.mark.parametrize("n", [1, 2, 3], ids=richardson_ids)
+def test_stacked_composed_hessian_matches_per_point(n):
     for map_fn, pt, field in _broadcasting_maps(n):
-        assert _matches_loop_hessian(lambda q: field(map_fn(q)), pt, cfg)
+        assert _matches_loop_hessian(lambda q: field(map_fn(q)), pt)
 
 
 def test_chunked_stacked_first_derivatives_match_per_point(monkeypatch):
@@ -352,8 +351,7 @@ def test_chunked_stacked_first_derivatives_match_per_point(monkeypatch):
     assert np.array_equal(fd_wirtinger_hessian(composed, pt), whole[2])
 
 
-@pytest.mark.parametrize("scheme", ["central", "richardson"])
-def test_stacked_map_called_once_per_jacobian(scheme):
+def test_stacked_map_called_once_per_jacobian():
     map_fn, pt, _ = _broadcasting_maps(2)[0]
     stacks = []
 
@@ -361,8 +359,8 @@ def test_stacked_map_called_once_per_jacobian(scheme):
         stacks.append(q.z.shape[0] if q.z.ndim == 2 else None)
         return map_fn(q)
 
-    fd_jacobian(recorded, pt, FdConfig(scheme=scheme))
-    assert stacks == [4 * 5 * (2 if scheme == "richardson" else 1)]
+    fd_jacobian(recorded, pt)
+    assert stacks == [8 * 5]
 
 
 def test_stacked_map_must_return_one_point_per_offset():
@@ -396,7 +394,7 @@ class TestJacobian:
     def test_action_is_holomorphic(self, rng):
         pt = sample_point("jacobi_ball", 2, rng)
         h = random_jacobi_c(2, rng)
-        fd_jacobian(lambda p: act_ball(h, p), pt, hol_tol=1e-7)
+        fd_jacobian(lambda p: act_ball(h, p), pt)
 
     def test_fc_transform_is_not_holomorphic(self, rng):
         # eta = M(z + W zbar) depends on the conjugates; the gate must fire
@@ -407,7 +405,7 @@ class TestJacobian:
             return JacobiBallPoint.trusted(eta, W)
 
         with pytest.raises(NonHolomorphic):
-            fd_jacobian(fc_map, pt, hol_tol=1e-7)
+            fd_jacobian(fc_map, pt)
 
 
 class TestVolumeInvariance:
@@ -484,6 +482,21 @@ class TestFuzzAll:
             properties=["ball_pair_inverse"], tolerances={"ball_pair_inverse": 1e-30},
         )
         assert not rep.passed
+
+    @pytest.mark.parametrize(
+        "tolerances",
+        [{"bogus": 1e-3}, {"ball_pair_inverse": float("nan")}, {"ball_pair_inverse": float("inf")}],
+        ids=["unknown-name", "nan", "inf"],
+    )
+    def test_bad_tolerance_rejected_before_any_property(self, monkeypatch, tolerances):
+        from siegel_jacobi import verify
+
+        def never(*args):
+            raise AssertionError("a property ran")
+
+        monkeypatch.setattr(verify, "_run_property", never)
+        with pytest.raises(ValueError, match="tolerance"):
+            fuzz_all(n=1, k=4.0, mu=1.0, trials=1, properties="inverse", tolerances=tolerances)
 
     def test_report_schema(self):
         rep = fuzz_all(n=1, k=4.0, mu=1.0, trials=1, master_seed=0, properties="volume")

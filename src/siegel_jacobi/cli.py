@@ -4,15 +4,16 @@ fuzzer with JSON reports.
 
 Exit codes: 0 success / all properties pass, 1 verification failure,
 2 usage error, 3 domain error.  All output is deterministic JSON (sorted
-keys, shortest round-trip floats); errors are {"error": {"kind", "detail"}}.
+keys, shortest round-trip floats); errors are {"error": {"kind", "detail"}},
+written where the result would go (stdout if the --output file cannot be).
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import json
 import sys
-from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -27,13 +28,7 @@ from .groups import (
     random_jacobi_c,
     random_jacobi_r,
 )
-from .kernels import (
-    epsilon_function,
-    normalization_constant,
-    normalized_kernels,
-    two_point_kernel,
-    volume_densities,
-)
+from .kernels import kernel_eval
 from .laplacian import apply_laplacian, builtin_field
 from .metric import (
     MetricParams,
@@ -45,48 +40,10 @@ from .metric import (
 )
 from .verify import PROPERTY_GROUPS, fuzz_all
 
-__all__ = ["CliConfig", "main", "run"]
+__all__ = ["main", "run"]
 
 _EVAL_KINDS = ("potential", "metric", "inverse", "det", "curvature", "kernel", "laplacian")
 _TRANSFORMS = ("cayley", "inv-cayley", "fc", "inv-fc")
-
-
-@dataclass
-class CliConfig:
-    """Run configuration distilled from argv."""
-
-    n: int = 1
-    k: float = 2.0
-    mu: float = 1.0
-    seed: int = 0
-    tol_overrides: dict = field(default_factory=dict)
-    point_path: str | None = None
-    point2_path: str | None = None
-    output_path: str | None = None
-    format: str = "json"
-
-    def params(self) -> MetricParams:
-        return MetricParams(n=self.n, k=self.k, mu=self.mu)
-
-    @classmethod
-    def from_args(cls, args) -> "CliConfig":
-        overrides = {}
-        for item in getattr(args, "tol", []) or []:
-            name, _, value = item.partition("=")
-            if not value:
-                raise ValueError(f"--tol expects NAME=VALUE, got {item!r}")
-            overrides[name] = float(value)
-        return cls(
-            n=getattr(args, "n", 1),
-            k=getattr(args, "k", 2.0),
-            mu=getattr(args, "mu", 1.0),
-            seed=getattr(args, "seed", 0),
-            tol_overrides=overrides,
-            point_path=getattr(args, "point", None),
-            point2_path=getattr(args, "point2", None),
-            output_path=getattr(args, "output", None),
-            format=getattr(args, "format", "json"),
-        )
 
 
 class _Parser(argparse.ArgumentParser):
@@ -159,16 +116,18 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _read_json(path: str):
+    with open(path) as fh:
+        return json.load(fh)
+
+
 def _load_point(spec: str, n: int):
     if spec == "origin":
         return JacobiBallPoint(z=np.zeros(n), W=np.zeros((n, n)))
-    import json
-
-    with open(spec) as fh:
-        return serialize.point_from_json(json.load(fh))
+    return serialize.point_from_json(_read_json(spec))
 
 
-def _as_jacobi(pt, n: int) -> JacobiBallPoint:
+def _as_jacobi(pt) -> JacobiBallPoint:
     if isinstance(pt, JacobiBallPoint):
         return pt
     if isinstance(pt, SiegelUpperPoint):
@@ -176,86 +135,39 @@ def _as_jacobi(pt, n: int) -> JacobiBallPoint:
     return JacobiBallPoint(z=np.zeros(pt.n), W=pt.W)
 
 
-def _eval(cfg: CliConfig, args) -> dict:
-    params = cfg.params()
-    pt = _as_jacobi(_load_point(cfg.point_path, cfg.n), cfg.n)
-    if pt.n != cfg.n:
-        raise GeometryError(f"point has n={pt.n}, --n is {cfg.n}")
+def _eval(args) -> dict:
+    params = MetricParams(n=args.n, k=args.k, mu=args.mu)
+    pt = _as_jacobi(_load_point(args.point, args.n))
+    if pt.n != args.n:
+        raise GeometryError(f"point has n={pt.n}, --n is {args.n}")
     q = args.quantity
     if q == "potential":
         return {"value": kahler_potential(params, pt)}
-    if q == "metric":
-        ev = metric_blocks(params, pt)
-        return {
-            "h1": serialize.encode_matrix(ev.h1),
-            "h2": serialize.encode_matrix(ev.h2),
-            "h3": serialize.encode_matrix(ev.h3),
-            "h4": serialize.encode_matrix(ev.h4),
-            "h": serialize.encode_matrix(ev.h),
-        }
-    if q == "inverse":
-        inv = metric_inverse(params, pt)
-        return {
-            "h1": serialize.encode_matrix(inv.h1),
-            "h2": serialize.encode_matrix(inv.h2),
-            "h3": serialize.encode_matrix(inv.h3),
-            "h4": serialize.encode_matrix(inv.h4),
-            "h_inv": serialize.encode_matrix(inv.h_inv),
-        }
-    if q == "det":
-        res = metric_det(params, pt)
-        return {
-            "value": res.value,
-            "closed_form": res.closed_form,
-            "constant_C": res.constant_C,
-        }
-    if q == "curvature":
-        data = curvature(params, pt)
-        return {
-            "scalar_curvature": data.scalar_curvature,
-            "ric": serialize.encode_matrix(data.ric),
-            "qk_lu": serialize.encode_matrix(data.qk_lu),
-        }
-    if q == "kernel":
-        other = pt if cfg.point2_path is None else _as_jacobi(
-            _load_point(cfg.point2_path, cfg.n), cfg.n
-        )
-        if other.n != cfg.n:
-            raise DimensionMismatch(f"--point2 has n={other.n}, --n is {cfg.n}")
-        F, kv = two_point_kernel(params, pt, other)
-        kappa, berezin, diastasis = normalized_kernels(params, pt, other)
-        vol = volume_densities(pt)
-        out = {
-            "F": serialize.encode_complex(F),
-            "K": serialize.encode_complex(kv),
-            "kappa": serialize.encode_complex(kappa),
-            "berezin": berezin,
-            "diastasis": diastasis,
-            "epsilon": epsilon_function(params, pt),
-            "Q_ball": vol.Q_ball,
-            "Q_jacobi": vol.Q_jacobi,
-        }
-        try:
-            out["Lambda_n"] = normalization_constant(params)
-        except GeometryError:
-            out["Lambda_n"] = None
-        return out
     if q == "laplacian":
         f = builtin_field(args.field, "jacobi_ball", params)
         val = apply_laplacian("jacobi_ball", params, f, pt, fd_step=args.fd_step)
-        return {"field": args.field, "value": serialize.encode_complex(val)}
-    raise AssertionError(q)
+        return {"field": args.field, "value": serialize.encode(val)}
+    if q == "kernel":
+        other = pt if args.point2 is None else _as_jacobi(_load_point(args.point2, args.n))
+        if other.n != args.n:
+            raise DimensionMismatch(f"--point2 has n={other.n}, --n is {args.n}")
+        return serialize.fields_to_json(kernel_eval(params, pt, other))
+    # looked up per call, so a rebound module name (a tracer, a test) is used
+    result = {
+        "metric": metric_blocks,
+        "inverse": metric_inverse,
+        "det": metric_det,
+        "curvature": curvature,
+    }[q]
+    return serialize.fields_to_json(result(params, pt))
 
 
-def _transform(cfg: CliConfig, args) -> dict:
+def _transform(args) -> dict:
     kind = args.kind
     if kind == "inv-fc":
-        import json
-
-        with open(cfg.point_path) as fh:
-            eta, W = serialize.fc_from_json(json.load(fh))
+        eta, W = serialize.fc_from_json(_read_json(args.point))
         return serialize.point_to_json(inverse_fc_transform(eta, W))
-    pt = _load_point(cfg.point_path, cfg.n)
+    pt = _load_point(args.point, args.n)
     if kind == "cayley":
         if not isinstance(pt, SiegelUpperPoint):
             raise GeometryError("cayley expects an upper-half-plane point (V, u)")
@@ -268,16 +180,12 @@ def _transform(cfg: CliConfig, args) -> dict:
         if not isinstance(pt, JacobiBallPoint):
             raise GeometryError("fc expects a Jacobi-ball point (z, W)")
         eta, W = fc_transform(pt)
-        return {
-            "n": pt.n,
-            "eta": serialize.encode_vector(eta),
-            "W": serialize.encode_matrix(W),
-        }
+        return {"n": pt.n, "eta": serialize.encode(eta), "W": serialize.encode(W)}
     raise AssertionError(kind)
 
 
-def _sample(cfg: CliConfig, args) -> dict:
-    rng = np.random.default_rng(cfg.seed)
+def _sample(args) -> dict:
+    rng = np.random.default_rng(args.seed)
     if args.what == "point":
         return serialize.point_to_json(
             sample_point(args.domain, args.n, rng, args.radius)
@@ -287,60 +195,64 @@ def _sample(cfg: CliConfig, args) -> dict:
     return serialize.element_to_json(random_jacobi_r(args.n, rng))
 
 
-def _verify(cfg: CliConfig, args) -> tuple[dict, bool]:
+def _verify(args) -> tuple[dict, bool]:
+    tolerances = {}
+    for item in args.tol:
+        name, _, value = item.partition("=")
+        if not value:
+            raise ValueError(f"--tol expects NAME=VALUE, got {item!r}")
+        tolerances[name] = float(value)
     report = fuzz_all(
-        n=cfg.n,
-        k=cfg.k,
-        mu=cfg.mu,
+        n=args.n,
+        k=args.k,
+        mu=args.mu,
         trials=args.trials,
-        master_seed=cfg.seed,
-        tolerances=cfg.tol_overrides,
+        master_seed=args.seed,
+        tolerances=tolerances,
         properties=args.group,
     )
     return report.to_json(), report.passed
 
 
-def _emit(obj: dict, cfg: CliConfig) -> None:
-    text = serialize.dumps(obj, pretty=(cfg.format == "pretty"))
-    if cfg.output_path:
-        with open(cfg.output_path, "w") as fh:
+def _emit(obj: dict, args, stdout: bool = False) -> None:
+    text = serialize.dumps(obj, pretty=(args.format == "pretty"))
+    if args.output and not stdout:
+        with open(args.output, "w") as fh:
             fh.write(text + "\n")
     else:
         sys.stdout.write(text + "\n")
 
 
-def _fail(exc: Exception, cfg: CliConfig, code: int) -> int:
+def _fail(exc: Exception, args, code: int) -> int:
     obj = {"error": {"kind": type(exc).__name__, "detail": str(exc)}}
     try:
-        _emit(obj, cfg)
+        _emit(obj, args)
     except OSError:  # the --output file itself cannot be written
-        _emit(obj, replace(cfg, output_path=None))
+        _emit(obj, args, stdout=True)
     return code
 
 
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = CliConfig()
     try:
-        cfg = CliConfig.from_args(args)
         if args.command == "eval":
-            _emit(_eval(cfg, args), cfg)
+            _emit(_eval(args), args)
             return 0
         if args.command == "transform":
-            _emit(_transform(cfg, args), cfg)
+            _emit(_transform(args), args)
             return 0
         if args.command == "sample":
-            _emit(_sample(cfg, args), cfg)
+            _emit(_sample(args), args)
             return 0
         if args.command == "verify":
-            report, passed = _verify(cfg, args)
-            _emit(report, cfg)
+            report, passed = _verify(args)
+            _emit(report, args)
             return 0 if passed else 1
     except GeometryError as exc:
-        return _fail(exc, cfg, 3)
+        return _fail(exc, args, 3)
     except (ValueError, OSError) as exc:
-        return _fail(exc, cfg, 2)
+        return _fail(exc, args, 2)
     raise AssertionError(args.command)
 
 

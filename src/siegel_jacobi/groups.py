@@ -421,10 +421,8 @@ def act_ball_differential(
     return TangentVector(dz=dz1, dW=dW1)
 
 
-def random_symplectic_r(
-    n: int, rng: np.random.Generator, scale: float = 1.0
-) -> SymplecticR:
-    """exp of a random sp(n, R) element with Frobenius norm capped at `scale`."""
+def random_symplectic_r(n: int, rng: np.random.Generator) -> SymplecticR:
+    """exp of a random sp(n, R) element with Frobenius norm capped at 1."""
     a = rng.standard_normal((n, n))
     b = rng.standard_normal((n, n))
     c = rng.standard_normal((n, n))
@@ -432,22 +430,18 @@ def random_symplectic_r(
     c = 0.5 * (c + c.T)
     X = np.block([[a, b], [c, -a.T]])
     norm = np.linalg.norm(X)
-    if norm > scale:
-        X *= scale / norm
+    if norm > 1.0:
+        X *= 1.0 / norm
     # imported where used: scipy.linalg is over half of a cold package import
     from scipy.linalg import expm
 
     return SymplecticR.from_matrix(expm(X))
 
 
-def random_jacobi_r(
-    n: int, rng: np.random.Generator, scale: float = 1.0
-) -> JacobiElementR:
-    g = random_symplectic_r(n, rng, scale)
+def random_jacobi_r(n: int, rng: np.random.Generator) -> JacobiElementR:
+    g = random_symplectic_r(n, rng)
     return JacobiElementR(g, rng.standard_normal(2 * n), float(rng.standard_normal()))
 
 
-def random_jacobi_c(
-    n: int, rng: np.random.Generator, scale: float = 1.0
-) -> JacobiElementC:
-    return theta(random_jacobi_r(n, rng, scale))
+def random_jacobi_c(n: int, rng: np.random.Generator) -> JacobiElementC:
+    return theta(random_jacobi_r(n, rng))

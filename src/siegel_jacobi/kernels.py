@@ -82,13 +82,19 @@ def _two_point_exponent(x, V, y, W) -> complex:
 
 @dataclass(frozen=True)
 class KernelEval:
+    """The kernel quantities at a point pair, as ``sjk eval kernel`` prints
+    them; the densities are those of the first point, and Lambda_n is None
+    where ``normalization_constant`` raises GammaPoleError."""
+
     F: complex
     K: complex
-    U: np.ndarray
     kappa: complex
     berezin: float
     diastasis: float
     epsilon: float
+    Q_ball: float
+    Q_jacobi: float
+    Lambda_n: float | None
 
 
 def two_point_kernel(
@@ -151,10 +157,15 @@ def kernel_eval(
     other = zeta if zeta2 is None else zeta2
     F, K = two_point_kernel(params, zeta, other)
     kappa, berezin, diastasis = normalized_kernels(params, zeta, other)
-    U = np.linalg.inv(np.eye(zeta.n) - other.W @ zeta.W.conj())
     eps = epsilon_function(params, zeta)
+    vol = volume_densities(zeta)
+    try:
+        lam = normalization_constant(params)
+    except GammaPoleError:
+        lam = None
     return KernelEval(
-        F=F, K=K, U=U, kappa=kappa, berezin=berezin, diastasis=diastasis, epsilon=eps
+        F=F, K=K, kappa=kappa, berezin=berezin, diastasis=diastasis, epsilon=eps,
+        Q_ball=vol.Q_ball, Q_jacobi=vol.Q_jacobi, Lambda_n=lam,
     )
 
 
@@ -162,7 +173,6 @@ def kernel_eval(
 class VolumeData:
     Q_ball: float      # det(1 - W Wbar)^{-(n+1)}
     Q_jacobi: float    # det(1 - W Wbar)^{-(n+2)}
-    Lambda_n: float | None = None
 
 
 def volume_densities(pt) -> VolumeData:

@@ -223,10 +223,6 @@ class MetricEval:
     h4: np.ndarray
     h: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.h.shape[0]
-
 
 def metric_blocks(params: MetricParams, pt: JacobiBallPoint) -> MetricEval:
     """Closed-form blocks of the balanced metric.

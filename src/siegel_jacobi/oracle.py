@@ -90,11 +90,21 @@ def flatten_point(pt) -> np.ndarray:
     return w if vec is None else np.concatenate([vec, w], axis=-1)
 
 
+# smallest fd_step accepted: a second difference at step h rounds by about
+# eps |f| / h^2.  The Laplacian of lnG at the n = 1 origin (exactly 3) comes
+# out as 3.00027 at 1e-6, 3.20 at 1e-7, -1.85 at 1e-8 and 0 at 1e-9.
+MIN_FD_STEP = 1e-6
+
+
 def _steps(chart: Chart, fd_step: float) -> np.ndarray:
     """Per-coordinate steps fd_step * (1 + |coordinate|); every oracle
     takes its steps here, before it builds a stencil."""
     if not (math.isfinite(fd_step) and fd_step > 0):
         raise ValueError(f"fd_step must be a positive finite number, got {fd_step!r}")
+    if fd_step < MIN_FD_STEP:
+        raise ValueError(
+            f"fd_step {fd_step!r} is below {MIN_FD_STEP:g}, where rounding swamps the differences"
+        )
     h = fd_step * (1.0 + np.abs(chart.coords))
     # one stencil point moves at most two coordinates by h each; a coordinate
     # move of size h shifts the relevant Gram spectrum by at most ~4h

@@ -84,6 +84,19 @@ class TestEval:
         assert data["Lambda_n"] is None
         assert data["K"] == [1.0, 0.0]
 
+    @pytest.mark.parametrize("point2", [False, True])
+    def test_kernel_prints_exactly_its_nine_keys(self, capsys, tmp_path, rng, point2):
+        extra = ("--point2", write_point(tmp_path, sample_point("jacobi_ball", 2, rng)))
+        code, out = run_cli(
+            capsys, "eval", "kernel", "--n", "2", "--k", "6", "--point", "origin",
+            *(extra if point2 else ()),
+        )
+        assert code == 0
+        assert set(json.loads(out)) == {
+            "F", "K", "kappa", "berezin", "diastasis", "epsilon",
+            "Q_ball", "Q_jacobi", "Lambda_n",
+        }
+
     def test_laplacian_lng(self, capsys):
         code, out = run_cli(
             capsys, "eval", "laplacian", "--n", "1", "--k", "2", "--mu", "1",
@@ -112,7 +125,7 @@ class TestEval:
         f = builtin_field(field, "jacobi_ball", params)
         C = laplacian_coefficients("jacobi_ball", params, pt).matrix
         val = complex(np.trace(C @ loop_hessian(f, pt)))
-        assert json.loads(out) == {"field": field, "value": serialize.encode_complex(val)}
+        assert json.loads(out) == {"field": field, "value": serialize.encode(val)}
 
     def test_metric_blocks_emitted(self, capsys):
         code, out = run_cli(
@@ -241,6 +254,18 @@ class TestVerify:
         assert error["kind"] == "ValueError"
         assert tol.partition("=")[0] in error["detail"]
 
+    @pytest.mark.parametrize("tol", ["bogus", "bogus=1"])
+    def test_bad_tol_error_follows_output(self, capsys, tmp_path, tol):
+        # a malformed --tol and an unknown name both write their error where
+        # the report would go
+        out_path = tmp_path / "report.json"
+        code = main(["verify", "inverse", "--n", "1", "--trials", "1", "--tol", tol,
+                     "--output", str(out_path)])
+        assert code == 2
+        assert capsys.readouterr().out == ""
+        error = json.loads(out_path.read_text())["error"]
+        assert error["kind"] == "ValueError" and "bogus" in error["detail"]
+
     def test_negative_trials_rejected(self, capsys):
         code, out = run_cli(capsys, "verify", "metric", "--trials", "-3")
         assert code == 2
@@ -343,7 +368,7 @@ class TestErrors:
         assert code == 3
         assert json.loads(out)["error"]["kind"] == "NotInBall"
 
-    @pytest.mark.parametrize("step", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("step", ["nan", "inf", "0", "-1", "1e-300", "1e-9"])
     def test_invalid_fd_step_exit_two(self, capsys, step):
         code, out = run_cli(
             capsys, "eval", "laplacian", "--n", "1", "--point", "origin", f"--fd-step={step}"

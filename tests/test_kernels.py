@@ -299,8 +299,6 @@ class TestKernelEval:
         assert ev.K == K and ev.F == F
         assert ev.berezin == pytest.approx(abs(ev.kappa) ** 2)
         assert ev.diastasis == pytest.approx(-np.log(ev.berezin))
-        U = np.linalg.inv(np.eye(2) - p2.W @ p1.W.conj())
-        assert np.allclose(ev.U, U)
 
     def test_diagonal_default(self, rng):
         params = MetricParams(n=1, k=2, mu=1)

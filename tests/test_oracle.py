@@ -85,7 +85,7 @@ class TestHessian:
         # 1e-3 margin: the excursion is 8.0e-4
         fd_wirtinger_hessian(const, pt)
 
-    @pytest.mark.parametrize("step", [float("nan"), float("inf"), 0.0, -1e-4])
+    @pytest.mark.parametrize("step", [float("nan"), float("inf"), 0.0, -1e-4, 1e-300, 1e-9])
     def test_invalid_step_rejected_before_any_call(self, step):
         pt = sample_point("jacobi_ball", 1, np.random.default_rng(1))
         calls = []

@@ -15,10 +15,41 @@ finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 @settings(max_examples=100, deadline=None)
 @given(re=finite, im=finite)
 def test_complex_roundtrip_bit_exact(re, im):
-    enc = serialize.encode_complex(complex(re, im))
+    enc = serialize.encode(complex(re, im))
     through = json.loads(json.dumps(enc))
     dec = serialize.decode_complex(through)
     assert dec.real == re and dec.imag == im
+
+
+_ENCODE_CASES = {
+    "signed-zeros": np.array([0.0, -0.0]) + 1j * np.array([-0.0, 0.0]),
+    "subnormals": np.array([5e-324 - 2.5e-320j, -1e-310 + 0j]),
+    "huge": np.array([[1e308 - 1e308j, -1.7976931348623157e308j]]),
+    "0-d": np.array(-0.0 + 1e-300j),
+    "1-d": np.array([1.5 - 2j, 3j, -4.0]),
+    "2-d": np.arange(6.0).reshape(2, 3) * (0.1 - 0.3j),
+    "zero-imag": np.array([[1.0, -0.0], [2.5, 1e308]], dtype=complex),
+    "transposed": (np.arange(6.0).reshape(2, 3) * (1 - 2j)).T,
+}
+
+
+def _per_element(a):
+    """The per-entry wire form: [re, im] of complex(c) for every entry c."""
+    if a.ndim == 0:
+        c = complex(a)
+        return [c.real, c.imag]
+    return [_per_element(row) for row in a]
+
+
+@pytest.mark.parametrize("value", _ENCODE_CASES.values(), ids=_ENCODE_CASES)
+def test_encode_matches_per_element_form(value):
+    assert json.dumps(serialize.encode(value)) == json.dumps(_per_element(value))
+
+
+def test_encode_real_and_none():
+    real = np.array([[1.0, -0.0], [5e-324, 1e308]])
+    assert json.dumps(serialize.encode(real)) == json.dumps([[float(c) for c in row] for row in real])
+    assert serialize.encode(2.5) == 2.5 and serialize.encode(None) is None
 
 
 def test_real_scalar_accepted():

@@ -102,6 +102,8 @@ def build_parser() -> _Parser:
     p_ver = sub.add_parser("verify", help="run the property fuzzer")
     p_ver.add_argument("group", choices=tuple(sorted(PROPERTY_GROUPS)))
     _add_params(p_ver)
+    # the parseval properties need k > 3 (the squared norms diverge below)
+    p_ver.set_defaults(k=4.0)
     p_ver.add_argument("--trials", type=int, default=20)
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument(

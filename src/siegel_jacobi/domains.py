@@ -11,12 +11,20 @@ Conventions fixed here and relied on package-wide:
   is ``(z_1 .. z_n, pairs)``, total dimension ``d = n(n+3)/2``.
 * ``PairIndex.P``, ``PairIndex.Q`` and ``PairIndex.f`` (rows, columns and
   half weights of the pairs) are the one source of that layout.
+* A point is its vector part (``z``, ``u`` or none) and its matrix part
+  (``W`` or ``V``), named once per type and read as ``pt.vector`` and
+  ``pt.matrix``; ``pt.margin()`` is its distance proxy to the boundary.
+  The constructors validate a single point (one symmetry check for W, V
+  and dW; ``validate_ball_point`` for W).  ``assemble`` builds a trusted
+  point, whose arrays may carry leading stencil axes, and ``image`` is the
+  one rule for a map's image: validated when single, trusted when stacked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
 
@@ -51,18 +59,31 @@ def _finite(a: np.ndarray, name: str) -> np.ndarray:
     return a
 
 
-def _as_complex_matrix(a, name: str) -> np.ndarray:
-    m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
-    return _finite(m, name)
-
-
 def _as_complex_vector(a, name: str, n: int) -> np.ndarray:
     v = np.asarray(a, dtype=complex).reshape(-1)
     if v.shape[0] != n:
         raise ValueError(f"{name} must have length n")
     return _frozen(_finite(v, name))
+
+
+def _symmetric(a, name: str, tol: float) -> tuple[np.ndarray, float]:
+    """(a as a finite complex square matrix, max |a - a^t|): the one symmetry
+    check of W, V and dW.  Raises NonSymmetric when the defect exceeds tol."""
+    m = np.asarray(a, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
+    _finite(m, name)
+    defect = float(np.max(np.abs(m - m.T))) if m.size else 0.0
+    if defect > tol:
+        raise NonSymmetric(f"max |{name} - {name}^t| = {defect:.3e} exceeds tol {tol:.3e}")
+    return m, defect
+
+
+def _frozen_symmetric(m: np.ndarray) -> np.ndarray:
+    """(m + m^t) / 2, read-only: the stored form of every symmetric part."""
+    s = 0.5 * (m + m.T)
+    s.setflags(write=False)
+    return s
 
 
 def cross_gram(W: np.ndarray) -> np.ndarray:
@@ -170,109 +191,164 @@ def validate_ball_point(W, tol: float = 1e-12) -> BallDiagnostics:
 
     Raises NonSymmetric / NotInBall with the offending value on failure.
     """
-    W = _as_complex_matrix(W, "W")
-    sym_defect = float(np.max(np.abs(W - W.T))) if W.size else 0.0
-    if sym_defect > tol:
-        raise NonSymmetric(f"max |W - W^t| = {sym_defect:.3e} exceeds tol {tol:.3e}")
+    W, sym_defect = _symmetric(W, "W", tol)
     lam_min = float(np.linalg.eigvalsh(cross_gram(W))[0])
     if lam_min <= tol:
         raise NotInBall(f"smallest eigenvalue of 1 - W Wbar is {lam_min:.3e}")
     return BallDiagnostics(symmetry_defect=sym_defect, min_eigenvalue=lam_min)
 
 
-@dataclass(frozen=True)
-class SiegelBallPoint:
-    """Symmetric complex W with 1 - W Wbar positive definite."""
+def _ball_matrix(W) -> np.ndarray:
+    """W after validate_ball_point at tol 1e-10, stored exactly symmetric."""
+    validate_ball_point(W, tol=1e-10)
+    return _frozen_symmetric(np.asarray(W, dtype=complex))
 
-    W: np.ndarray
 
-    def __post_init__(self):
-        W = _as_complex_matrix(self.W, "W")
-        validate_ball_point(W, tol=1e-10)
-        W = 0.5 * (W + W.T)  # store exactly symmetric
-        object.__setattr__(self, "W", _frozen(W))
+class _Point:
+    """A symmetric matrix part named by ``_MATRIX`` (W or V) and a vector
+    part named by ``_VECTOR`` (z, u, or None for a type without one).  A
+    stacked point is a trusted one whose arrays carry leading axes (W of
+    shape (S, n, n) for S stencil points); the closed forms and group maps
+    that broadcast give one value, or one stacked image, per leading index.
+    """
+
+    _MATRIX: ClassVar[str]
+    _VECTOR: ClassVar[str | None] = None
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return getattr(self, self._MATRIX)
+
+    @property
+    def vector(self) -> np.ndarray | None:
+        return None if self._VECTOR is None else getattr(self, self._VECTOR)
 
     @property
     def n(self) -> int:
-        return self.W.shape[-1]
+        return self.matrix.shape[-1]
+
+    @classmethod
+    def assemble(cls, vector: np.ndarray | None, matrix: np.ndarray):
+        """A trusted point: no validation, the caller guarantees the
+        invariants (finite-difference stencils, whose margin was checked up
+        front, and the stacked images of the group maps).  vector is ignored
+        by a type without a vector part."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, cls._MATRIX, matrix)
+        if cls._VECTOR is not None:
+            object.__setattr__(obj, cls._VECTOR, vector)
+        return obj
+
+    @classmethod
+    def image(cls, vector: np.ndarray | None, matrix: np.ndarray):
+        """The image point of a map: a single point goes through the
+        validating constructor, a stacked one is trusted."""
+        if matrix.ndim > 2:
+            return cls.assemble(vector, matrix)
+        parts = {cls._MATRIX: matrix}
+        if cls._VECTOR is not None:
+            parts[cls._VECTOR] = vector
+        return cls(**parts)
+
+
+class _BallPart(_Point):
+    """The W part shared by the Siegel-ball and Jacobi-ball points."""
+
+    _MATRIX = "W"
 
     def cross_gram(self) -> np.ndarray:
         """N = 1 - W Wbar, hermitized."""
         return cross_gram(self.W)
 
-    @classmethod
-    def trusted(cls, W: np.ndarray) -> "SiegelBallPoint":
-        """Skip validation; caller guarantees the invariants (used by
-        finite-difference stencils whose margin was checked up front).
-        The arrays may carry leading axes, e.g. W of shape (S, n, n) for S
-        stencil points; the closed forms that broadcast (metric_det,
-        kahler_potential, ball_metric_pair, upper_metric_pair) then return
-        one value per leading index, and the group maps (act_ball,
-        act_upper, partial_cayley, ...) one trusted stacked point."""
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "W", W)
-        return obj
+    def margin(self) -> float:
+        """Smallest eigenvalue of 1 - W Wbar: the distance proxy to the
+        boundary."""
+        return float(np.linalg.eigvalsh(self.cross_gram())[0])
+
+
+def _item(x):
+    """A Python float at one point; the array over a stack of points."""
+    return x.item() if np.ndim(x) == 0 else x
+
+
+# Matrix-vector products over the leading axes of stacked points.  Each is
+# one matmul with the same core shapes as the 1-d form (gemv, or dot for
+# vector @ vector), so a stacked point rounds exactly as it does alone.
+def _matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return (A @ v[..., None])[..., 0]
+
+
+def _vecmat(v: np.ndarray, A: np.ndarray) -> np.ndarray:
+    return (v[..., None, :] @ A)[..., 0, :]
+
+
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return (u[..., None, :] @ v[..., None])[..., 0, 0]
 
 
 @dataclass(frozen=True)
-class SiegelUpperPoint:
+class SiegelBallPoint(_BallPart):
+    """Symmetric complex W with 1 - W Wbar positive definite."""
+
+    W: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "W", _ball_matrix(self.W))
+
+    @property
+    def ball(self) -> "SiegelBallPoint":
+        return self
+
+    @classmethod
+    def trusted(cls, W: np.ndarray) -> "SiegelBallPoint":
+        """Skip validation; see ``assemble``."""
+        return cls.assemble(None, W)
+
+
+@dataclass(frozen=True)
+class SiegelUpperPoint(_Point):
     """Symmetric complex V with Im V positive definite; optional u in C^n."""
 
     V: np.ndarray
     u: np.ndarray | None = None
+    _MATRIX = "V"
+    _VECTOR = "u"
 
     def __post_init__(self):
-        V = _as_complex_matrix(self.V, "V")
-        defect = float(np.max(np.abs(V - V.T))) if V.size else 0.0
-        if defect > 1e-10:
-            raise NonSymmetric(f"max |V - V^t| = {defect:.3e}")
-        V = 0.5 * (V + V.T)
-        R = V.imag
-        lam_min = float(np.linalg.eigvalsh(0.5 * (R + R.T))[0])
+        V, _ = _symmetric(self.V, "V", 1e-10)
+        object.__setattr__(self, "V", _frozen_symmetric(V))
+        lam_min = self.margin()
         if lam_min <= 0:
             raise NotInUpperHalfPlane(f"smallest eigenvalue of Im V is {lam_min:.3e}")
-        object.__setattr__(self, "V", _frozen(V))
         if self.u is not None:
             object.__setattr__(self, "u", _as_complex_vector(self.u, "u", V.shape[0]))
-
-    @property
-    def n(self) -> int:
-        return self.V.shape[-1]
-
-    @property
-    def S(self) -> np.ndarray:
-        return self.V.real
 
     @property
     def R(self) -> np.ndarray:
         return self.V.imag
 
+    def margin(self) -> float:
+        """Smallest eigenvalue of Im V: the distance proxy to the boundary."""
+        return float(np.linalg.eigvalsh(0.5 * (self.R + self.R.T))[0])
+
     @classmethod
     def trusted(cls, V: np.ndarray, u: np.ndarray | None = None) -> "SiegelUpperPoint":
-        """Skip validation; see SiegelBallPoint.trusted."""
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "V", V)
-        object.__setattr__(obj, "u", u)
-        return obj
+        """Skip validation; see ``assemble``."""
+        return cls.assemble(u, V)
 
 
 @dataclass(frozen=True)
-class JacobiBallPoint:
+class JacobiBallPoint(_BallPart):
     """A pair (z, W) in C^n x D_n."""
 
     z: np.ndarray
     W: np.ndarray
+    _VECTOR = "z"
 
     def __post_init__(self):
-        W = _as_complex_matrix(self.W, "W")
-        validate_ball_point(W, tol=1e-10)
-        W = 0.5 * (W + W.T)
+        W = _ball_matrix(self.W)
         object.__setattr__(self, "z", _as_complex_vector(self.z, "z", W.shape[0]))
-        object.__setattr__(self, "W", _frozen(W))
-
-    @property
-    def n(self) -> int:
-        return self.W.shape[-1]
+        object.__setattr__(self, "W", W)
 
     @property
     def ball(self) -> SiegelBallPoint:
@@ -280,16 +356,10 @@ class JacobiBallPoint:
         (a trusted stacked point gives a trusted stacked ball point)."""
         return SiegelBallPoint.trusted(self.W)
 
-    def cross_gram(self) -> np.ndarray:
-        return cross_gram(self.W)
-
     @classmethod
     def trusted(cls, z: np.ndarray, W: np.ndarray) -> "JacobiBallPoint":
-        """Skip validation; see SiegelBallPoint.trusted."""
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "z", z)
-        object.__setattr__(obj, "W", W)
-        return obj
+        """Skip validation; see ``assemble``."""
+        return cls.assemble(z, W)
 
 
 @dataclass(frozen=True)
@@ -300,11 +370,8 @@ class TangentVector:
     dW: np.ndarray
 
     def __post_init__(self):
-        dW = _as_complex_matrix(self.dW, "dW")
-        defect = float(np.max(np.abs(dW - dW.T))) if dW.size else 0.0
-        if defect > 1e-12:
-            raise NonSymmetric(f"max |dW - dW^t| = {defect:.3e}")
-        object.__setattr__(self, "dW", _frozen(0.5 * (dW + dW.T)))
+        dW, _ = _symmetric(self.dW, "dW", 1e-12)
+        object.__setattr__(self, "dW", _frozen_symmetric(dW))
         if self.dz is not None:
             object.__setattr__(self, "dz", _as_complex_vector(self.dz, "dz", dW.shape[0]))
 

@@ -10,11 +10,12 @@ coordinate that composes but never enters the actions.
 ``act_siegel_ball``, ``act_ball``, ``act_upper``, ``partial_cayley``,
 ``inverse_partial_cayley`` and ``fc_transform`` broadcast over leading axes
 of a trusted point (z of shape (..., n), W of shape (..., n, n)), so a
-finite-difference stencil is mapped in one call and the image is a trusted
-stacked point (for ``fc_transform``, stacked ``eta`` and ``W``).  A single
-point is the case with no leading axis and keeps the validating
-constructors.  Each stacked image equals the single-point image to the last
-bit: every matrix product and solve runs per point exactly as it does alone.
+finite-difference stencil is mapped in one call (for ``fc_transform``, to
+stacked ``eta`` and ``W``).  The point maps build their images with the
+point type's ``image`` (see ``domains``): a single image is validated, a
+stacked one trusted.  Each stacked image equals the single-point image to
+the last bit: every matrix product and solve runs per point exactly as it
+does alone.
 """
 
 from __future__ import annotations
@@ -23,9 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import JacobiBallPoint, SiegelBallPoint, SiegelUpperPoint, TangentVector
+from .domains import JacobiBallPoint, SiegelBallPoint, SiegelUpperPoint, TangentVector, _matvec
 from .errors import DimensionMismatch, InvalidInput, SingularDenominator
-from .metric import _matvec
 
 __all__ = [
     "SymplecticC",
@@ -335,9 +335,7 @@ def act_ball(h: JacobiElementC, pt: JacobiBallPoint) -> JacobiBallPoint:
     W1 = act_siegel_ball(g, pt.W)
     lhs = pt.W @ g.q.conj().T + g.p.conj().T
     z1 = _solve(lhs, pt.z + h.alpha - pt.W @ h.alpha.conj())
-    if W1.ndim > 2:
-        return JacobiBallPoint.trusted(z1, W1)
-    return JacobiBallPoint(z=z1, W=W1)
+    return JacobiBallPoint.image(z1, W1)
 
 
 def act_upper(h: JacobiElementR, pt: SiegelUpperPoint) -> SiegelUpperPoint:
@@ -352,9 +350,7 @@ def act_upper(h: JacobiElementR, pt: SiegelUpperPoint) -> SiegelUpperPoint:
     u1 = None
     if pt.u is not None:
         u1 = _solve(pt.V @ g.c.T + g.d.T, pt.u + pt.V @ h.alpha_im + h.alpha_re)
-    if V1.ndim > 2:
-        return SiegelUpperPoint.trusted(V1, u1)
-    return SiegelUpperPoint(V=V1, u=u1)
+    return SiegelUpperPoint.image(u1, V1)
 
 
 def partial_cayley(pt: SiegelUpperPoint) -> JacobiBallPoint | SiegelBallPoint:
@@ -364,11 +360,9 @@ def partial_cayley(pt: SiegelUpperPoint) -> JacobiBallPoint | SiegelBallPoint:
     den = pt.V + 1j * eye
     W = _solve(den.swapaxes(-1, -2), (pt.V - 1j * eye).swapaxes(-1, -2))  # transposed
     W = 0.5 * (W.swapaxes(-1, -2) + W)
-    stacked = W.ndim > 2
     if pt.u is None:
-        return SiegelBallPoint.trusted(W) if stacked else SiegelBallPoint(W)
-    z = 2j * _solve(den, pt.u)
-    return JacobiBallPoint.trusted(z, W) if stacked else JacobiBallPoint(z=z, W=W)
+        return SiegelBallPoint.image(None, W)
+    return JacobiBallPoint.image(2j * _solve(den, pt.u), W)
 
 
 def inverse_partial_cayley(pt: JacobiBallPoint | SiegelBallPoint) -> SiegelUpperPoint:
@@ -377,10 +371,8 @@ def inverse_partial_cayley(pt: JacobiBallPoint | SiegelBallPoint) -> SiegelUpper
     A = eye - pt.W
     V = 1j * _solve(A, eye + pt.W)
     V = 0.5 * (V + V.swapaxes(-1, -2))
-    u = _solve(A, pt.z) if isinstance(pt, JacobiBallPoint) else None
-    if V.ndim > 2:
-        return SiegelUpperPoint.trusted(V, u)
-    return SiegelUpperPoint(V=V, u=u)
+    u = None if pt.vector is None else _solve(A, pt.vector)
+    return SiegelUpperPoint.image(u, V)
 
 
 def fc_transform(pt: JacobiBallPoint) -> tuple[np.ndarray, np.ndarray]:
@@ -423,6 +415,8 @@ def act_ball_differential(
 
 def random_symplectic_r(n: int, rng: np.random.Generator) -> SymplecticR:
     """exp of a random sp(n, R) element with Frobenius norm capped at 1."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     a = rng.standard_normal((n, n))
     b = rng.standard_normal((n, n))
     c = rng.standard_normal((n, n))

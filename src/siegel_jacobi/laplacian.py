@@ -20,14 +20,11 @@ from typing import Callable
 
 import numpy as np
 
-from .domains import PairIndex, SiegelBallPoint, SiegelUpperPoint
+from .domains import PairIndex, SiegelUpperPoint, _dot, _item, _vecmat
 from .errors import DimensionMismatch
 from .groups import inverse_partial_cayley, partial_cayley
 from .metric import (
     MetricParams,
-    _dot,
-    _item,
-    _vecmat,
     ball_metric_pair,
     metric_det,
     metric_inverse,
@@ -62,7 +59,7 @@ def laplacian_coefficients(
     jacobi_ball: the assembled closed-form metric inverse (d x d)
     """
     if domain == "ball":
-        _, k_inv = ball_metric_pair(pt if isinstance(pt, SiegelBallPoint) else pt.ball)
+        _, k_inv = ball_metric_pair(pt.ball)
         return LaplacianCoefficients(domain, k_inv)
     if domain == "upper":
         _, k_inv = upper_metric_pair(pt)
@@ -193,10 +190,6 @@ def _re_poly(seed: int):
     return f
 
 
-def _matrix_part(pt) -> np.ndarray:
-    return pt.V if isinstance(pt, SiegelUpperPoint) else pt.W
-
-
 BUILTIN_FIELDS = ("const", "lnG", "trWWbar", "normz2", "re_poly(seed)")
 
 
@@ -205,20 +198,20 @@ def builtin_field(name: str, domain: str, params: MetricParams | None = None):
     leading stencil axis (one value per stacked point) and gives a Python
     float at a single point."""
     if name == "const":
-        return lambda pt: _item(np.ones(_matrix_part(pt).shape[:-2]))
+        return lambda pt: _item(np.ones(pt.matrix.shape[:-2]))
     if name == "lnG":
         return _ln_g(domain, params)
     if name == "trWWbar":
 
         def f(pt):
-            m = _matrix_part(pt)
+            m = pt.matrix
             return _item(np.trace(m @ m.conj(), axis1=-2, axis2=-1).real)
 
         return f
     if name == "normz2":
 
         def f(pt):
-            vec = pt.u if isinstance(pt, SiegelUpperPoint) else pt.z
+            vec = pt.vector
             if vec is None:
                 raise ValueError("normz2 needs a point with a vector part")
             return _item(_dot(vec.conj(), vec).real)

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domains import JacobiBallPoint, PairIndex, SiegelBallPoint, SiegelUpperPoint, TangentVector
+from .domains import _dot, _item, _matvec, _vecmat
 from .errors import DimensionMismatch, NumericalOverflow
 
 __all__ = [
@@ -102,26 +103,6 @@ class AuxMatrices:
     S: np.ndarray          # S_n = sum_q eta_q Nbar_qn
     alpha: float           # eta^t Nbar conj(eta) >= 0 (an array over a stack)
     theta: float           # 1/mu + 2 alpha / k
-
-
-def _item(x):
-    """A Python float at one point; the array over a stack of points."""
-    return x.item() if np.ndim(x) == 0 else x
-
-
-# Matrix-vector products over leading axes.  Each is one matmul with the
-# same core shapes as the 1-d form (gemv, or dot for vector @ vector), so a
-# stacked point rounds exactly as it does alone.
-def _matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return (A @ v[..., None])[..., 0]
-
-
-def _vecmat(v: np.ndarray, A: np.ndarray) -> np.ndarray:
-    return (v[..., None, :] @ A)[..., 0, :]
-
-
-def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return (u[..., None, :] @ v[..., None])[..., 0, 0]
 
 
 def _inverse_gram(N: np.ndarray) -> np.ndarray:

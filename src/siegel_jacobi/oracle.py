@@ -6,6 +6,9 @@ Each oracle builds all of its stencil offsets first and hands them to the
 field or map as stacked points: one trusted point whose arrays carry a
 leading stencil axis, in chunks of at most ``STACK_ENTRIES // d^2`` points.
 The field returns one value per point (a map, one stacked image point).
+The chart reads a point through its parts and margin and rebuilds stencil
+points with ``assemble`` (see ``domains``), so it works the same for
+every point type.
 
 The finite-difference oracles never call the closed forms they are used
 to verify; perturbations of symmetric-matrix coordinates always move the
@@ -21,12 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .domains import (
-    JacobiBallPoint,
-    PairIndex,
-    SiegelBallPoint,
-    SiegelUpperPoint,
-)
+from .domains import PairIndex, SiegelBallPoint
 from .errors import NonHolomorphic, StepTooLarge
 from .groups import JacobiElementC, act_ball, act_siegel_ball
 from .kernels import volume_densities
@@ -52,20 +50,9 @@ class Chart:
     margin: float                            # distance proxy to the boundary
 
 
-def _parts(pt):
-    """(vector part or None, symmetric matrix part, rebuild(vec, mat))."""
-    if isinstance(pt, JacobiBallPoint):
-        return pt.z, pt.W, JacobiBallPoint.trusted
-    if isinstance(pt, SiegelBallPoint):
-        return None, pt.W, lambda _, W: SiegelBallPoint.trusted(W)
-    if isinstance(pt, SiegelUpperPoint):
-        return pt.u, pt.V, lambda u, V: SiegelUpperPoint.trusted(V, u)
-    raise TypeError(f"no chart for {type(pt).__name__}")
-
-
 def chart_for(pt) -> Chart:
     """Coordinate chart for a domain point (see the module docstring)."""
-    vec0, mat0, rebuild = _parts(pt)
+    vec0, mat0 = pt.vector, pt.matrix
     idx = PairIndex(pt.n)
     k = 0 if vec0 is None else pt.n
 
@@ -73,21 +60,17 @@ def chart_for(pt) -> Chart:
         # delta of shape (S, dim) gives one trusted point whose arrays carry
         # the leading stencil axis S
         vec = None if vec0 is None else vec0 + delta[..., :k]
-        return rebuild(vec, mat0 + idx.unpack(delta[..., k:]))
+        return type(pt).assemble(vec, mat0 + idx.unpack(delta[..., k:]))
 
-    if isinstance(pt, SiegelUpperPoint):
-        margin = float(np.linalg.eigvalsh(0.5 * (pt.R + pt.R.T))[0])
-    else:
-        margin = float(np.linalg.eigvalsh(pt.cross_gram())[0])
-    return Chart(k + idx.size, flatten_point(pt), at_offset, margin)
+    return Chart(k + idx.size, flatten_point(pt), at_offset, pt.margin())
 
 
 def flatten_point(pt) -> np.ndarray:
-    """Complex coordinate vector of a point in its chart; a stacked point
-    gives one row per leading index."""
-    vec, mat, _ = _parts(pt)
-    w = PairIndex(pt.n).pack(mat)
-    return w if vec is None else np.concatenate([vec, w], axis=-1)
+    """Complex coordinate vector of a point in its chart (vector part, then
+    the pairs of the matrix part); a stacked point gives one row per leading
+    index."""
+    w = PairIndex(pt.n).pack(pt.matrix)
+    return w if pt.vector is None else np.concatenate([pt.vector, w], axis=-1)
 
 
 # smallest fd_step accepted: a second difference at step h rounds by about
@@ -322,8 +305,7 @@ def volume_invariance_check(
     Jacobian.
     """
     if domain == "ball":
-        if not isinstance(pt, SiegelBallPoint):
-            pt = SiegelBallPoint(pt.W)
+        pt = pt.ball
         action = lambda x: SiegelBallPoint.trusted(act_siegel_ball(h.g, x.W))
         density = lambda x: volume_densities(x).Q_ball
     elif domain == "jacobi_ball":

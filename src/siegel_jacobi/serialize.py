@@ -64,16 +64,10 @@ def decode_matrix(v) -> np.ndarray:
 
 
 def point_to_json(pt) -> dict:
-    if isinstance(pt, JacobiBallPoint):
-        return {"n": pt.n, "z": encode(pt.z), "W": encode(pt.W)}
-    if isinstance(pt, SiegelBallPoint):
-        return {"n": pt.n, "W": encode(pt.W)}
-    if isinstance(pt, SiegelUpperPoint):
-        out = {"n": pt.n, "V": encode(pt.V)}
-        if pt.u is not None:
-            out["u"] = encode(pt.u)
-        return out
-    raise TypeError(f"cannot serialize {type(pt).__name__}")
+    """n and every part of a point through ``encode``; an upper point
+    without u has no "u" key."""
+    parts = fields_to_json(pt)
+    return {"n": pt.n, **{key: v for key, v in parts.items() if v is not None}}
 
 
 def _object(d, what: str) -> None:

@@ -110,12 +110,6 @@ class FuzzReport:
         }
 
 
-@dataclass
-class _Ctx:
-    params: MetricParams
-    corruption: str | None = None
-
-
 @dataclass(frozen=True)
 class _Prop:
     name: str
@@ -136,12 +130,8 @@ def _register(name: str, group: str, tol: float, once: bool = False):
     return deco
 
 
-def _pt(ctx: _Ctx, rng) -> JacobiBallPoint:
-    return sample_point("jacobi_ball", ctx.params.n, rng)
-
-
-def _pt_json(pt) -> dict:
-    return serialize.point_to_json(pt)
+def _pt(params: MetricParams, rng) -> JacobiBallPoint:
+    return sample_point("jacobi_ball", params.n, rng)
 
 
 def _rel(err: float, scale: float) -> float:
@@ -159,62 +149,62 @@ def _tangent(n: int, rng) -> TangentVector:
 
 
 @_register("metric_fd_match", "metric", 1e-6)
-def _metric_fd_match(ctx, rng):
-    pt = _pt(ctx, rng)
-    ev = metric_blocks(ctx.params, pt)
-    H = fd_wirtinger_hessian(lambda q: kahler_potential(ctx.params, q), pt)
+def _metric_fd_match(params, rng):
+    pt = _pt(params, rng)
+    ev = metric_blocks(params, pt)
+    H = fd_wirtinger_hessian(lambda q: kahler_potential(params, q), pt)
     err = float(np.max(np.abs(H - ev.h)) / np.max(np.abs(ev.h)))
-    return err, _pt_json(pt)
+    return err, pt
 
 
 @_register("metric_positive_definite", "metric", 1e-12)
-def _metric_posdef(ctx, rng):
-    pt = _pt(ctx, rng)
-    lam = float(np.linalg.eigvalsh(metric_blocks(ctx.params, pt).h)[0])
-    return max(0.0, -lam), _pt_json(pt)
+def _metric_posdef(params, rng):
+    pt = _pt(params, rng)
+    lam = float(np.linalg.eigvalsh(metric_blocks(params, pt).h)[0])
+    return max(0.0, -lam), pt
 
 
 @_register("det_closed_form", "metric", 1e-10)
-def _det_closed(ctx, rng):
-    pt = _pt(ctx, rng)
-    res = metric_det(ctx.params, pt)
-    return abs(res.value / res.closed_form - 1.0), _pt_json(pt)
+def _det_closed(params, rng):
+    pt = _pt(params, rng)
+    res = metric_det(params, pt)
+    return abs(res.value / res.closed_form - 1.0), pt
 
 
 @_register("det_ratio_law", "metric", 1e-10)
-def _det_ratio(ctx, rng):
-    pt = _pt(ctx, rng)
-    n = ctx.params.n
+def _det_ratio(params, rng):
+    pt = _pt(params, rng)
+    n = params.n
     origin = JacobiBallPoint(z=np.zeros(n), W=np.zeros((n, n)))
-    ratio = metric_det(ctx.params, pt).value / metric_det(ctx.params, origin).value
+    ratio = metric_det(params, pt).value / metric_det(params, origin).value
     sign, logdet = np.linalg.slogdet(pt.cross_gram())
     expected = float(np.exp(-(n + 2) * logdet))
-    return abs(ratio / expected - 1.0), _pt_json(pt)
+    return abs(ratio / expected - 1.0), pt
 
 
 @_register("ds2_ball_consistency", "metric", 1e-10)
-def _ds2_ball(ctx, rng):
-    pt = _pt(ctx, rng).ball
-    v = _tangent(ctx.params.n, rng)
-    direct = ds2_eval("ball", ctx.params, pt, v)
+def _ds2_ball(params, rng):
+    pt = _pt(params, rng).ball
+    v = _tangent(params.n, rng)
+    direct = ds2_eval("ball", params, pt, v)
     hk, _ = ball_metric_pair(pt)
-    flat = v.flatten(ctx.params.pair_index)[ctx.params.n :]
+    flat = v.flatten(params.pair_index)[params.n :]
     quad = 4.0 * float((flat @ hk @ flat.conj()).real)
-    return _rel(abs(direct - quad), abs(quad)), _pt_json(pt)
+    return _rel(abs(direct - quad), abs(quad)), pt
 
 
 @_register("cayley_pullback_ds2", "metric", 1e-8)
-def _cayley_pullback(ctx, rng):
-    pt = _pt(ctx, rng).ball
-    v = _tangent(ctx.params.n, rng)
+def _cayley_pullback(params, rng):
+    pt = _pt(params, rng).ball
+    v = _tangent(params.n, rng)
     upper = inverse_partial_cayley(pt)
-    U = np.linalg.inv(np.eye(ctx.params.n) - pt.W)
+    U = np.linalg.inv(np.eye(params.n) - pt.W)
     dV = 2j * U @ v.dW @ U
-    ball_val = ds2_eval("ball", ctx.params, pt, v)
+    ball_val = ds2_eval("ball", params, pt, v)
     upper_val = ds2_eval(
-        "upper", ctx.params, upper, TangentVector(dz=None, dW=0.5 * (dV + dV.T))
+        "upper", params, upper, TangentVector(dz=None, dW=0.5 * (dV + dV.T))
     )
-    return _rel(abs(upper_val - ball_val), abs(ball_val)), _pt_json(pt)
+    return _rel(abs(upper_val - ball_val), abs(ball_val)), pt
 
 
 # --------------------------------------------------------------------------
@@ -222,64 +212,60 @@ def _cayley_pullback(ctx, rng):
 
 
 @_register("inverse_identity", "inverse", 1e-10)
-def _inverse_identity(ctx, rng):
-    pt = _pt(ctx, rng)
-    ev = metric_blocks(ctx.params, pt)
-    h = ev.h
-    if ctx.corruption == "h4_scale":
-        h = h.copy()
-        h[ctx.params.n :, ctx.params.n :] *= 1.0 + 1e-3
-    inv = metric_inverse(ctx.params, pt)
-    err = float(np.max(np.abs(h @ inv.h_inv - np.eye(ctx.params.dim))))
-    return err, _pt_json(pt)
+def _inverse_identity(params, rng):
+    pt = _pt(params, rng)
+    ev = metric_blocks(params, pt)
+    inv = metric_inverse(params, pt)
+    err = float(np.max(np.abs(ev.h @ inv.h_inv - np.eye(params.dim))))
+    return err, pt
 
 
 @_register("ball_pair_inverse", "inverse", 1e-10)
-def _ball_pair_inverse(ctx, rng):
-    pt = _pt(ctx, rng).ball
+def _ball_pair_inverse(params, rng):
+    pt = _pt(params, rng).ball
     hk, kinv = ball_metric_pair(pt)
     err = float(np.max(np.abs(hk @ kinv - np.eye(hk.shape[0]))))
-    return err, _pt_json(pt)
+    return err, pt
 
 
 # --------------------------------------------------------------------------
 # curvature
 
 
-def _ricci_fd(ctx, pt):
-    f = builtin_field("lnG", "jacobi_ball", ctx.params)
+def _ricci_fd(params, pt):
+    f = builtin_field("lnG", "jacobi_ball", params)
     return -fd_wirtinger_hessian(f, pt, _RICCI_STEP)
 
 
 @_register("ricci_fd_match", "curvature", 1e-5)
-def _ricci_match(ctx, rng):
-    pt = _pt(ctx, rng)
-    n = ctx.params.n
-    ric = _ricci_fd(ctx, pt)[n:, n:]
+def _ricci_match(params, rng):
+    pt = _pt(params, rng)
+    n = params.n
+    ric = _ricci_fd(params, pt)[n:, n:]
     hk, _ = ball_metric_pair(pt.ball)
     closed = -(n + 2) * hk
     err = float(np.max(np.abs(ric - closed)) / np.max(np.abs(closed)))
-    return err, _pt_json(pt)
+    return err, pt
 
 
 @_register("ricci_z_block", "curvature", 1e-8)
-def _ricci_zblock(ctx, rng):
-    pt = _pt(ctx, rng)
-    n = ctx.params.n
-    ric = _ricci_fd(ctx, pt)
+def _ricci_zblock(params, rng):
+    pt = _pt(params, rng)
+    n = params.n
+    ric = _ricci_fd(params, pt)
     err = max(float(np.max(np.abs(ric[:n, :]))), float(np.max(np.abs(ric[:, :n]))))
-    return err, _pt_json(pt)
+    return err, pt
 
 
 @_register("scalar_curvature_contraction", "curvature", 1e-5)
-def _scalar_contraction(ctx, rng):
-    pt = _pt(ctx, rng)
-    ric = _ricci_fd(ctx, pt)
-    hinv = metric_inverse(ctx.params, pt).h_inv
+def _scalar_contraction(params, rng):
+    pt = _pt(params, rng)
+    ric = _ricci_fd(params, pt)
+    hinv = metric_inverse(params, pt).h_inv
     s_num = float(np.trace(hinv @ ric).real)
-    n = ctx.params.n
-    s_closed = -(2.0 / ctx.params.k) * n * (n + 1) * (n + 2) / 2.0
-    return abs(s_num / s_closed - 1.0), _pt_json(pt)
+    n = params.n
+    s_closed = -(2.0 / params.k) * n * (n + 1) * (n + 2) / 2.0
+    return abs(s_num / s_closed - 1.0), pt
 
 
 # --------------------------------------------------------------------------
@@ -287,39 +273,39 @@ def _scalar_contraction(ctx, rng):
 
 
 @_register("laplacian_lng_identity", "laplacian", 1e-5)
-def _lng_identity(ctx, rng):
-    pt = _pt(ctx, rng)
-    f = builtin_field("lnG", "jacobi_ball", ctx.params)
-    val = apply_laplacian("jacobi_ball", ctx.params, f, pt, fd_step=_RICCI_STEP)
-    n = ctx.params.n
-    expected = (2.0 / ctx.params.k) * n * (n + 1) * (n + 2) / 2.0
-    return abs(val.real / expected - 1.0) + abs(val.imag), _pt_json(pt)
+def _lng_identity(params, rng):
+    pt = _pt(params, rng)
+    f = builtin_field("lnG", "jacobi_ball", params)
+    val = apply_laplacian("jacobi_ball", params, f, pt, fd_step=_RICCI_STEP)
+    n = params.n
+    expected = (2.0 / params.k) * n * (n + 1) * (n + 2) / 2.0
+    return abs(val.real / expected - 1.0) + abs(val.imag), pt
 
 
 @_register("laplacian_coeff_consistency", "laplacian", 1e-12)
-def _coeff_consistency(ctx, rng):
-    pt = _pt(ctx, rng)
-    cj = laplacian_coefficients("jacobi_ball", ctx.params, pt).matrix
-    err = float(np.max(np.abs(cj - metric_inverse(ctx.params, pt).h_inv)))
+def _coeff_consistency(params, rng):
+    pt = _pt(params, rng)
+    cj = laplacian_coefficients("jacobi_ball", params, pt).matrix
+    err = float(np.max(np.abs(cj - metric_inverse(params, pt).h_inv)))
     cb = laplacian_coefficients("ball", None, pt.ball).matrix
     _, kinv = ball_metric_pair(pt.ball)
     err = max(err, float(np.max(np.abs(cb - kinv))))
-    return err, _pt_json(pt)
+    return err, pt
 
 
 @_register("ellipticity", "laplacian", 1e-12)
-def _ellipticity(ctx, rng):
-    pt = _pt(ctx, rng)
+def _ellipticity(params, rng):
+    pt = _pt(params, rng)
     worst = 0.0
     for domain, p in (
         ("jacobi_ball", pt),
         ("ball", pt.ball),
         ("upper", inverse_partial_cayley(pt.ball)),
     ):
-        params = ctx.params if domain == "jacobi_ball" else None
+        params = params if domain == "jacobi_ball" else None
         lam = float(np.linalg.eigvalsh(laplacian_coefficients(domain, params, p).matrix)[0])
         worst = max(worst, -lam)
-    return max(0.0, worst), _pt_json(pt)
+    return max(0.0, worst), pt
 
 
 # --------------------------------------------------------------------------
@@ -327,72 +313,71 @@ def _ellipticity(ctx, rng):
 
 
 @_register("ds2_invariance", "invariance", 1e-7)
-def _ds2_invariance(ctx, rng):
-    pt = _pt(ctx, rng)
-    h = random_jacobi_c(ctx.params.n, rng)
-    v = _tangent(ctx.params.n, rng)
+def _ds2_invariance(params, rng):
+    pt = _pt(params, rng)
+    h = random_jacobi_c(params.n, rng)
+    v = _tangent(params.n, rng)
     J = fd_jacobian(lambda q: act_ball(h, q), pt)
-    flat = J @ v.flatten(ctx.params.pair_index)
-    idx = ctx.params.pair_index
-    moved_v = TangentVector(dz=flat[: ctx.params.n], dW=idx.unpack(flat[ctx.params.n :]))
-    before = ds2_eval("jacobi_ball", ctx.params, pt, v)
-    after = ds2_eval("jacobi_ball", ctx.params, act_ball(h, pt), moved_v)
-    return _rel(abs(before - after), abs(before)), _pt_json(pt)
+    flat = J @ v.flatten(params.pair_index)
+    idx = params.pair_index
+    moved_v = TangentVector(dz=flat[: params.n], dW=idx.unpack(flat[params.n :]))
+    before = ds2_eval("jacobi_ball", params, pt, v)
+    after = ds2_eval("jacobi_ball", params, act_ball(h, pt), moved_v)
+    return _rel(abs(before - after), abs(before)), pt
 
 
 @_register("laplacian_equivariance", "invariance", 1e-5)
-def _laplacian_equivariance(ctx, rng):
+def _laplacian_equivariance(params, rng):
     domain = ("jacobi_ball", "ball", "upper")[int(rng.integers(3))]
     f = builtin_field(f"re_poly({int(rng.integers(10**6))})", domain)
     if domain == "jacobi_ball":
-        pt = _pt(ctx, rng)
-        h = random_jacobi_c(ctx.params.n, rng)
+        pt = _pt(params, rng)
+        h = random_jacobi_c(params.n, rng)
         action = lambda q: act_ball(h, q)
-        params = ctx.params
+        params = params
     elif domain == "ball":
-        pt = _pt(ctx, rng).ball
-        g = random_jacobi_c(ctx.params.n, rng).g
+        pt = _pt(params, rng).ball
+        g = random_jacobi_c(params.n, rng).g
         action = lambda q: SiegelBallPoint.trusted(act_siegel_ball(g, q.W))
         params = None
     else:
-        pt = sample_point("upper", ctx.params.n, rng)
-        h = random_jacobi_r(ctx.params.n, rng)
+        pt = sample_point("upper", params.n, rng)
+        h = random_jacobi_r(params.n, rng)
         action = lambda q: act_upper(h, q)
         params = None
     lhs = apply_laplacian(domain, params, lambda q: f(action(q)), pt)
     rhs = apply_laplacian(domain, params, f, action(pt))
-    return _rel(abs(lhs - rhs), abs(rhs)), _pt_json(pt)
+    return _rel(abs(lhs - rhs), abs(rhs)), pt
 
 
 @_register("left_action_ball", "invariance", 1e-9)
-def _left_action_ball(ctx, rng):
-    pt = _pt(ctx, rng)
-    h1 = random_jacobi_c(ctx.params.n, rng)
-    h2 = random_jacobi_c(ctx.params.n, rng)
+def _left_action_ball(params, rng):
+    pt = _pt(params, rng)
+    h1 = random_jacobi_c(params.n, rng)
+    h2 = random_jacobi_c(params.n, rng)
     a = act_ball(h1, act_ball(h2, pt))
     b = act_ball(compose_jacobi_c(h1, h2), pt)
     err = max(float(np.max(np.abs(a.z - b.z))), float(np.max(np.abs(a.W - b.W))))
-    return err, _pt_json(pt)
+    return err, pt
 
 
 @_register("left_action_upper", "invariance", 1e-9)
-def _left_action_upper(ctx, rng):
-    pt = sample_point("jacobi_upper", ctx.params.n, rng)
-    h1 = random_jacobi_r(ctx.params.n, rng)
-    h2 = random_jacobi_r(ctx.params.n, rng)
+def _left_action_upper(params, rng):
+    pt = sample_point("jacobi_upper", params.n, rng)
+    h1 = random_jacobi_r(params.n, rng)
+    h2 = random_jacobi_r(params.n, rng)
     a = act_upper(h1, act_upper(h2, pt))
     b = act_upper(compose_jacobi_r(h1, h2), pt)
     err = max(float(np.max(np.abs(a.u - b.u))), float(np.max(np.abs(a.V - b.V))))
-    return err, _pt_json(pt)
+    return err, pt
 
 
 @_register("action_domain_preservation", "invariance", 1e-14)
-def _domain_preservation(ctx, rng):
-    pt = _pt(ctx, rng)
-    h = random_jacobi_c(ctx.params.n, rng)
+def _domain_preservation(params, rng):
+    pt = _pt(params, rng)
+    h = random_jacobi_c(params.n, rng)
     moved = act_ball(h, pt)  # constructor re-validates
-    lam = float(np.linalg.eigvalsh(moved.cross_gram())[0])
-    return max(0.0, -lam), _pt_json(pt)
+    return max(0.0, -moved.margin()), pt
 
 
 # --------------------------------------------------------------------------
@@ -400,9 +385,9 @@ def _domain_preservation(ctx, rng):
 
 
 @_register("theta_homomorphism", "cayley", 1e-10)
-def _theta_hom(ctx, rng):
-    h1 = random_jacobi_r(ctx.params.n, rng)
-    h2 = random_jacobi_r(ctx.params.n, rng)
+def _theta_hom(params, rng):
+    h1 = random_jacobi_r(params.n, rng)
+    h2 = random_jacobi_r(params.n, rng)
     lhs = theta(compose_jacobi_r(h1, h2))
     rhs = compose_jacobi_c(theta(h1), theta(h2))
     err = max(
@@ -415,19 +400,19 @@ def _theta_hom(ctx, rng):
 
 
 @_register("theta_equivariance", "cayley", 1e-10)
-def _theta_equivariance(ctx, rng):
-    h = random_jacobi_r(ctx.params.n, rng)
-    pt = sample_point("jacobi_upper", ctx.params.n, rng)
+def _theta_equivariance(params, rng):
+    h = random_jacobi_r(params.n, rng)
+    pt = sample_point("jacobi_upper", params.n, rng)
     lhs = partial_cayley(act_upper(h, pt))
     rhs = act_ball(theta(h), partial_cayley(pt))
     err = max(float(np.max(np.abs(lhs.z - rhs.z))), float(np.max(np.abs(lhs.W - rhs.W))))
-    return err, _pt_json(pt)
+    return err, pt
 
 
 @_register("cayley_multiplicative", "cayley", 1e-10)
-def _cayley_mult(ctx, rng):
-    g1 = random_symplectic_r(ctx.params.n, rng)
-    g2 = random_symplectic_r(ctx.params.n, rng)
+def _cayley_mult(params, rng):
+    g1 = random_symplectic_r(params.n, rng)
+    g2 = random_symplectic_r(params.n, rng)
     lhs = cayley_conjugate(g1 @ g2)
     rhs = cayley_conjugate(g1) @ cayley_conjugate(g2)
     err = max(float(np.max(np.abs(lhs.p - rhs.p))), float(np.max(np.abs(lhs.q - rhs.q))))
@@ -435,8 +420,8 @@ def _cayley_mult(ctx, rng):
 
 
 @_register("cayley_roundtrip", "cayley", 1e-12)
-def _cayley_roundtrip(ctx, rng):
-    g = random_symplectic_r(ctx.params.n, rng)
+def _cayley_roundtrip(params, rng):
+    g = random_symplectic_r(params.n, rng)
     back = inverse_cayley_conjugate(cayley_conjugate(g))
     err = max(
         float(np.max(np.abs(g.a - back.a))),
@@ -448,75 +433,75 @@ def _cayley_roundtrip(ctx, rng):
 
 
 @_register("partial_cayley_roundtrip", "cayley", 1e-12)
-def _partial_cayley_roundtrip(ctx, rng):
-    pt = _pt(ctx, rng)
+def _partial_cayley_roundtrip(params, rng):
+    pt = _pt(params, rng)
     back = partial_cayley(inverse_partial_cayley(pt))
     err = max(float(np.max(np.abs(pt.z - back.z))), float(np.max(np.abs(pt.W - back.W))))
-    return err, _pt_json(pt)
+    return err, pt
 
 
 @_register("fc_roundtrip", "cayley", 1e-12)
-def _fc_roundtrip(ctx, rng):
-    pt = _pt(ctx, rng)
+def _fc_roundtrip(params, rng):
+    pt = _pt(params, rng)
     eta, W = fc_transform(pt)
     back = inverse_fc_transform(eta, W)
-    return float(np.max(np.abs(pt.z - back.z))), _pt_json(pt)
+    return float(np.max(np.abs(pt.z - back.z))), pt
 
 
 @_register("chain_rule_defect", "cayley", 1e-6)
-def _chain_rule(ctx, rng):
-    pt = sample_point("upper", ctx.params.n, rng)
+def _chain_rule(params, rng):
+    pt = sample_point("upper", params.n, rng)
     pick = int(rng.integers(3))
     if pick == 0:
-        B = rng.standard_normal((ctx.params.n, ctx.params.n))
+        B = rng.standard_normal((params.n, params.n))
         B = B + B.T
         f = lambda p: np.trace(B @ p.V, axis1=-2, axis2=-1)
     elif pick == 1:
         f = lambda p: np.trace(p.V @ p.V, axis1=-2, axis2=-1)
     else:
         f = builtin_field(f"re_poly({int(rng.integers(10**6))})", "upper")
-    return cayley_chain_rule_check(f, pt), _pt_json(pt)
+    return cayley_chain_rule_check(f, pt), pt
 
 
 @_register("laplacian_correspondence", "cayley", 1e-5)
-def _correspondence(ctx, rng):
-    pt = sample_point("upper", ctx.params.n, rng)
+def _correspondence(params, rng):
+    pt = sample_point("upper", params.n, rng)
     pick = int(rng.integers(2))
     if pick == 0:
         f = builtin_field("trWWbar", "ball")
     else:
         f = builtin_field(f"re_poly({int(rng.integers(10**6))})", "ball")
     # composed rational pullback: roundoff dominates at the default step
-    return laplacian_correspondence_check(f, pt, fd_step=3e-4), _pt_json(pt)
+    return laplacian_correspondence_check(f, pt, fd_step=3e-4), pt
 
 
 @_register("holomorphy_gates", "cayley", 1e-7, once=True)
-def _holomorphy(ctx, rng):
-    pt = _pt(ctx, rng)
-    h = random_jacobi_c(ctx.params.n, rng)
+def _holomorphy(params, rng):
+    pt = _pt(params, rng)
+    h = random_jacobi_c(params.n, rng)
     worst = 0.0
     try:
         fd_jacobian(lambda q: act_ball(h, q), pt)
         fd_jacobian(partial_cayley, inverse_partial_cayley(pt))
     except NonHolomorphic:
         worst = float("inf")
-    return worst, _pt_json(pt)
+    return worst, pt
 
 
 @_register("action_differential_match", "cayley", 1e-6)
-def _differential_match(ctx, rng):
-    pt = _pt(ctx, rng)
-    h = random_jacobi_c(ctx.params.n, rng)
-    v = _tangent(ctx.params.n, rng)
+def _differential_match(params, rng):
+    pt = _pt(params, rng)
+    h = random_jacobi_c(params.n, rng)
+    v = _tangent(params.n, rng)
     push = act_ball_differential(h, pt, v)
     J = fd_jacobian(lambda q: act_ball(h, q), pt)
-    flat = J @ v.flatten(ctx.params.pair_index)
-    idx = ctx.params.pair_index
+    flat = J @ v.flatten(params.pair_index)
+    idx = params.pair_index
     err = max(
-        float(np.max(np.abs(flat[: ctx.params.n] - push.dz))),
-        float(np.max(np.abs(flat[ctx.params.n :] - idx.pack(push.dW)))),
+        float(np.max(np.abs(flat[: params.n] - push.dz))),
+        float(np.max(np.abs(flat[params.n :] - idx.pack(push.dW)))),
     )
-    return err, _pt_json(pt)
+    return err, pt
 
 
 # --------------------------------------------------------------------------
@@ -524,17 +509,17 @@ def _differential_match(ctx, rng):
 
 
 @_register("volume_invariance_ball", "volume", 1e-5)
-def _vol_ball(ctx, rng):
-    pt = _pt(ctx, rng).ball
-    h = random_jacobi_c(ctx.params.n, rng)
-    return volume_invariance_check("ball", h, pt), _pt_json(pt)
+def _vol_ball(params, rng):
+    pt = _pt(params, rng).ball
+    h = random_jacobi_c(params.n, rng)
+    return volume_invariance_check("ball", h, pt), pt
 
 
 @_register("volume_invariance_jacobi", "volume", 1e-5)
-def _vol_jacobi(ctx, rng):
-    pt = _pt(ctx, rng)
-    h = random_jacobi_c(ctx.params.n, rng)
-    return volume_invariance_check("jacobi_ball", h, pt), _pt_json(pt)
+def _vol_jacobi(params, rng):
+    pt = _pt(params, rng)
+    h = random_jacobi_c(params.n, rng)
+    return volume_invariance_check("jacobi_ball", h, pt), pt
 
 
 # --------------------------------------------------------------------------
@@ -542,61 +527,61 @@ def _vol_jacobi(ctx, rng):
 
 
 @_register("kernel_potential_tie", "kernels", 1e-12)
-def _kernel_tie(ctx, rng):
-    pt = _pt(ctx, rng)
-    _, kv = K.two_point_kernel(ctx.params, pt, pt)
-    f = kahler_potential(ctx.params, pt)
-    return _rel(abs(float(np.log(kv.real)) - f), abs(f)), _pt_json(pt)
+def _kernel_tie(params, rng):
+    pt = _pt(params, rng)
+    _, kv = K.two_point_kernel(params, pt, pt)
+    f = kahler_potential(params, pt)
+    return _rel(abs(float(np.log(kv.real)) - f), abs(f)), pt
 
 
 @_register("kernel_hermitian", "kernels", 1e-12)
-def _kernel_hermitian(ctx, rng):
-    p1 = _pt(ctx, rng)
-    p2 = _pt(ctx, rng)
-    _, k12 = K.two_point_kernel(ctx.params, p1, p2)
-    _, k21 = K.two_point_kernel(ctx.params, p2, p1)
-    return _rel(abs(k12 - np.conj(k21)), abs(k12)), _pt_json(p1)
+def _kernel_hermitian(params, rng):
+    p1 = _pt(params, rng)
+    p2 = _pt(params, rng)
+    _, k12 = K.two_point_kernel(params, p1, p2)
+    _, k21 = K.two_point_kernel(params, p2, p1)
+    return _rel(abs(k12 - np.conj(k21)), abs(k12)), p1
 
 
 @_register("kernel_diagonal", "kernels", 1e-12)
-def _kernel_diagonal(ctx, rng):
-    pt = _pt(ctx, rng)
-    kappa, b, D = K.normalized_kernels(ctx.params, pt, pt)
-    return max(abs(kappa - 1.0), abs(b - 1.0), abs(D)), _pt_json(pt)
+def _kernel_diagonal(params, rng):
+    pt = _pt(params, rng)
+    kappa, b, D = K.normalized_kernels(params, pt, pt)
+    return max(abs(kappa - 1.0), abs(b - 1.0), abs(D)), pt
 
 
 @_register("berezin_bounds", "kernels", 0.0)
-def _berezin_bounds(ctx, rng):
-    p1 = _pt(ctx, rng)
-    p2 = _pt(ctx, rng)
-    _, b, D = K.normalized_kernels(ctx.params, p1, p2)
+def _berezin_bounds(params, rng):
+    p1 = _pt(params, rng)
+    p2 = _pt(params, rng)
+    _, b, D = K.normalized_kernels(params, p1, p2)
     err = max(0.0, b - (1.0 - 1e-12)) + max(0.0, -b) + max(0.0, -D)
-    return err, _pt_json(p1)
+    return err, p1
 
 
 @_register("epsilon_balanced", "kernels", 1e-10)
-def _epsilon_balanced(ctx, rng):
-    pt = _pt(ctx, rng)
-    return abs(K.epsilon_function(ctx.params, pt) - 1.0), _pt_json(pt)
+def _epsilon_balanced(params, rng):
+    pt = _pt(params, rng)
+    return abs(K.epsilon_function(params, pt) - 1.0), pt
 
 
 @_register("diastasis_symmetry", "kernels", 1e-12)
-def _diastasis_symmetry(ctx, rng):
-    p1 = _pt(ctx, rng)
-    p2 = _pt(ctx, rng)
-    _, b12, d12 = K.normalized_kernels(ctx.params, p1, p2)
-    _, b21, d21 = K.normalized_kernels(ctx.params, p2, p1)
-    return max(abs(b12 - b21), _rel(abs(d12 - d21), abs(d12))), _pt_json(p1)
+def _diastasis_symmetry(params, rng):
+    p1 = _pt(params, rng)
+    p2 = _pt(params, rng)
+    _, b12, d12 = K.normalized_kernels(params, p1, p2)
+    _, b21, d21 = K.normalized_kernels(params, p2, p1)
+    return max(abs(b12 - b21), _rel(abs(d12 - d21), abs(d12))), p1
 
 
 @_register("diastasis_invariance", "kernels", 1e-7)
-def _diastasis_invariance(ctx, rng):
-    p1 = _pt(ctx, rng)
-    p2 = _pt(ctx, rng)
-    h = random_jacobi_c(ctx.params.n, rng)
-    _, _, before = K.normalized_kernels(ctx.params, p1, p2)
-    _, _, after = K.normalized_kernels(ctx.params, act_ball(h, p1), act_ball(h, p2))
-    return _rel(abs(before - after), abs(before)), _pt_json(p1)
+def _diastasis_invariance(params, rng):
+    p1 = _pt(params, rng)
+    p2 = _pt(params, rng)
+    h = random_jacobi_c(params.n, rng)
+    _, _, before = K.normalized_kernels(params, p1, p2)
+    _, _, after = K.normalized_kernels(params, act_ball(h, p1), act_ball(h, p2))
+    return _rel(abs(before - after), abs(before)), p1
 
 
 # --------------------------------------------------------------------------
@@ -604,15 +589,15 @@ def _diastasis_invariance(ctx, rng):
 
 
 @_register("parseval_n1", "parseval", 0.02, once=True)
-def _parseval(ctx, rng):
-    val = K.parseval_check_n1(ctx.params.k, ctx.params.mu)
+def _parseval(params, rng):
+    val = K.parseval_check_n1(params.k, params.mu)
     return abs(val - 1.0), None
 
 
 @_register("parseval_mu_stability", "parseval", 1e-3, once=True)
-def _parseval_mu(ctx, rng):
-    v1 = K.parseval_check_n1(ctx.params.k, ctx.params.mu)
-    v2 = K.parseval_check_n1(ctx.params.k, 2.0 * ctx.params.mu)
+def _parseval_mu(params, rng):
+    v1 = K.parseval_check_n1(params.k, params.mu)
+    v2 = K.parseval_check_n1(params.k, 2.0 * params.mu)
     return abs(v1 - v2) / abs(v1), None
 
 
@@ -628,23 +613,27 @@ def _trial_seed(master_seed: int, prop: str, trial: int) -> int:
     return int.from_bytes(digest[:8], "big") % (2**63)
 
 
-def _run_property(prop: _Prop, ctx: _Ctx, master_seed: int, trials: int, tol: float):
+def _run_property(prop: _Prop, params: MetricParams, master_seed: int, trials: int, tol: float):
     count = 1 if prop.once else trials
 
     def one(trial: int):
         seed = _trial_seed(master_seed, prop.name, trial)
         rng = np.random.default_rng(seed)
         try:
-            err, point = prop.fn(ctx, rng)
+            err, point = prop.fn(params, rng)
         except GeometryError as exc:
-            err, point = float("inf"), {"error": f"{type(exc).__name__}: {exc}"}
+            return seed, float("inf"), {"error": f"{type(exc).__name__}: {exc}"}
         return seed, float(err), point
 
     outcomes = [one(t) for t in range(count)]
     worst_seed, max_err, worst_point = max(
         outcomes, key=lambda o: o[1], default=(None, 0.0, None)
     )
-    worst = {"seed": worst_seed, "point": worst_point} if max_err > 0.0 else None
+    worst = None
+    if max_err > 0.0:
+        if worst_point is not None and not isinstance(worst_point, dict):  # not an error record
+            worst_point = serialize.point_to_json(worst_point)
+        worst = {"seed": worst_seed, "point": worst_point}
     return PropertyResult(
         property=prop.name,
         trials=count,
@@ -663,15 +652,10 @@ def fuzz_all(
     master_seed: int = 0,
     tolerances: dict[str, float] | None = None,
     properties: str | list[str] = "all",
-    corruption: str | None = None,
 ) -> FuzzReport:
     """Run the named property group (or explicit list) and aggregate a
     deterministic report.  `tolerances` maps registered property names to
-    finite overrides of their tolerances.  `corruption` enables
-    negative-control hooks ("h4_scale" perturbs the metric before the
-    inverse-identity check)."""
-    if corruption not in (None, "h4_scale"):
-        raise ValueError(f"unknown corruption hook {corruption!r}")
+    finite overrides of their tolerances."""
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
     if isinstance(properties, str):
@@ -692,11 +676,11 @@ def fuzz_all(
             raise ValueError(f"tolerance given for unknown property {name!r}")
         if not math.isfinite(tol):
             raise ValueError(f"tolerance for {name!r} must be finite, got {tol!r}")
-    ctx = _Ctx(params=MetricParams(n=n, k=k, mu=mu), corruption=corruption)
+    params = MetricParams(n=n, k=k, mu=mu)
     results = []
     for name in names:
         prop = PROPERTIES[name]
         results.append(
-            _run_property(prop, ctx, master_seed, trials, tolerances.get(name, prop.tol))
+            _run_property(prop, params, master_seed, trials, tolerances.get(name, prop.tol))
         )
     return FuzzReport(master_seed=master_seed, n=n, k=k, mu=mu, results=tuple(results))

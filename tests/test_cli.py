@@ -234,6 +234,13 @@ class TestVerify:
         _, out2 = run_cli(capsys, *args)
         assert out1 == out2
 
+    def test_default_weight_passes_parseval(self, capsys):
+        # the parseval properties are undefined for k <= 3
+        code, out = run_cli(capsys, "verify", "parseval", "--n", "1", "--trials", "1")
+        assert code == 0
+        report = json.loads(out)
+        assert report["k"] == 4.0 and report["pass"] is True
+
     def test_bad_tol_syntax(self, capsys):
         code, out = run_cli(
             capsys, "verify", "inverse", "--n", "1", "--tol", "oops",
@@ -367,6 +374,16 @@ class TestErrors:
         )
         assert code == 3
         assert json.loads(out)["error"]["kind"] == "NotInBall"
+
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    @pytest.mark.parametrize("domain", ["jacobi_ball", "upper"])
+    def test_sample_group_needs_positive_n(self, capsys, n, domain):
+        code = main(["sample", "group", "--domain", domain, "--n", n])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ""
+        error = json.loads(captured.out)["error"]
+        assert error == {"kind": "ValueError", "detail": "n must be >= 1"}
 
     @pytest.mark.parametrize("step", ["nan", "inf", "0", "-1", "1e-300", "1e-9"])
     def test_invalid_fd_step_exit_two(self, capsys, step):

@@ -351,11 +351,7 @@ def _parts(pt):
     """The arrays of a point (or the matrix act_siegel_ball returns)."""
     if isinstance(pt, np.ndarray):
         return (pt,)
-    if isinstance(pt, SiegelUpperPoint):
-        return (pt.V,) if pt.u is None else (pt.V, pt.u)
-    if isinstance(pt, JacobiBallPoint):
-        return (pt.W, pt.z)
-    return (pt.W,)
+    return (pt.matrix,) if pt.vector is None else (pt.matrix, pt.vector)
 
 
 def _map_cases(n):

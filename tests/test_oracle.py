@@ -17,7 +17,7 @@ from siegel_jacobi.groups import (
 )
 from fd_reference import loop_gradient, loop_hessian, loop_jacobian, richardson_ids
 from siegel_jacobi.laplacian import builtin_field
-from siegel_jacobi.metric import MetricParams, _dot, kahler_potential, metric_blocks
+from siegel_jacobi.metric import MetricEval, MetricParams, _dot, kahler_potential, metric_blocks
 from siegel_jacobi.oracle import (
     chart_for,
     fd_jacobian,
@@ -465,11 +465,21 @@ class TestFuzzAll:
         r2 = fuzz_all(n=1, k=4.0, mu=1.0, trials=2, master_seed=3, properties="inverse")
         assert r1.to_json() == r2.to_json()
 
-    def test_corrupted_metric_detected(self):
-        rep = fuzz_all(
-            n=2, k=4.0, mu=1.0, trials=3, master_seed=7,
-            properties="inverse", corruption="h4_scale",
-        )
+    def test_corrupted_metric_detected(self, monkeypatch):
+        # negative control: the h4 block the inverse-identity check reads is
+        # scaled by 1 + 1e-3
+        from siegel_jacobi import verify
+
+        original = verify.metric_blocks
+
+        def corrupted(params, pt):
+            ev = original(params, pt)
+            h = ev.h.copy()
+            h[params.n :, params.n :] *= 1.0 + 1e-3
+            return MetricEval(h1=ev.h1, h2=ev.h2, h3=ev.h3, h4=h[params.n :, params.n :], h=h)
+
+        monkeypatch.setattr(verify, "metric_blocks", corrupted)
+        rep = fuzz_all(n=2, k=4.0, mu=1.0, trials=3, master_seed=7, properties="inverse")
         by_name = {r.property: r for r in rep.results}
         assert not by_name["inverse_identity"].passed
         assert by_name["ball_pair_inverse"].passed

@@ -71,13 +71,24 @@ def test_point_roundtrip(domain, rng):
             assert np.array_equal(through.z, pt.z)
 
 
-def test_point_schema_keys(rng):
-    pt = sample_point("jacobi_ball", 2, rng)
-    data = serialize.point_to_json(pt)
-    assert set(data) == {"n", "z", "W"}
+_SCHEMA_KEYS = {
+    "ball": {"n", "W"},
+    "jacobi_ball": {"n", "z", "W"},
+    "upper": {"n", "V"},
+    "jacobi_upper": {"n", "V", "u"},
+}
+
+
+@pytest.mark.parametrize("domain", _SCHEMA_KEYS)
+def test_point_schema_keys(domain, rng):
+    keys = _SCHEMA_KEYS[domain]
+    data = serialize.point_to_json(sample_point(domain, 2, rng))
+    assert set(data) == keys
     assert data["n"] == 2
-    assert len(data["W"]) == 2 and len(data["W"][0]) == 2
-    assert all(len(entry) == 2 for entry in data["z"])
+    for key in keys & {"W", "V"}:
+        assert len(data[key]) == 2 and all(len(row) == 2 for row in data[key])
+    for key in keys & {"z", "u"}:
+        assert len(data[key]) == 2 and all(len(entry) == 2 for entry in data[key])
 
 
 def test_element_roundtrip(rng):

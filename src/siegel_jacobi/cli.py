@@ -134,7 +134,8 @@ def _as_jacobi(pt) -> JacobiBallPoint:
         return pt
     if isinstance(pt, SiegelUpperPoint):
         raise GeometryError("expected a ball-model point, got an upper-half-plane one")
-    return JacobiBallPoint(z=np.zeros(pt.n), W=pt.W)
+    # point_from_json validated W already
+    return JacobiBallPoint.trusted(np.zeros(pt.n, dtype=complex), pt.W)
 
 
 def _eval(args) -> dict:

@@ -34,6 +34,7 @@ from siegel_jacobi.laplacian import (
 from siegel_jacobi.metric import (
     MetricParams,
     ball_metric_pair,
+    curvature,
     ds2_eval,
     kahler_potential,
     metric_blocks,
@@ -153,32 +154,31 @@ def test_criterion_03_determinant():
 
 
 def test_criterion_04_curvature():
-    """Oracle Ricci matches -(n+2) h^k (rel 1e-5, z-block 1e-8); contracted
-    scalar equals -(2/k) n(n+1)(n+2)/2 to 1e-5.  50 points: 20/20/10 across
-    n = 1, 2, 3."""
+    """Oracle Ricci matches curvature().ric (W-block rel 1e-5, z-block abs
+    1e-8); the contracted scalar equals curvature().scalar_curvature to 1e-5.
+    50 points: 20/20/10 across n = 1, 2, 3."""
     budget, t0 = 60.0, time.time()
     worst_w = worst_z = worst_s = 0.0
     passed = False
     try:
         for n, count in ((1, 20), (2, 20), (3, 10)):
             params = _params(n)
-            s_closed = -(2.0 / params.k) * n * (n + 1) * (n + 2) / 2.0
             for pt in _points(n, count, seed_offset=400):
                 f = builtin_field("lnG", "jacobi_ball", params)
                 ric = -fd_wirtinger_hessian(f, pt, _RICCI_STEP)
-                hk, _ = ball_metric_pair(pt.ball)
-                closed = -(n + 2) * hk
+                cd = curvature(params, pt)
+                defect = np.abs(ric - cd.ric)
                 worst_w = max(
                     worst_w,
-                    np.max(np.abs(ric[n:, n:] - closed)) / np.max(np.abs(closed)),
+                    np.max(defect[n:, n:]) / np.max(np.abs(cd.ric[n:, n:])),
                 )
                 worst_z = max(
                     worst_z,
-                    np.max(np.abs(ric[:n, :])),
-                    np.max(np.abs(ric[:, :n])),
+                    np.max(defect[:n, :]),
+                    np.max(defect[:, :n]),
                 )
                 s_num = np.trace(metric_inverse(params, pt).h_inv @ ric).real
-                worst_s = max(worst_s, abs(s_num / s_closed - 1))
+                worst_s = max(worst_s, abs(s_num / cd.scalar_curvature - 1))
         elapsed = time.time() - t0
         passed = (
             worst_w <= 1e-5 and worst_z <= 1e-8 and worst_s <= 1e-5 and elapsed <= budget
@@ -197,7 +197,8 @@ def test_criterion_04_curvature():
 
 
 def test_criterion_05_laplacian_identity():
-    """Delta(ln G) = (2/k) n(n+1)(n+2)/2 at 50 points per n in {1,2,3}."""
+    """Delta(ln G) = -curvature().scalar_curvature at 50 points per n in
+    {1,2,3}."""
     budget, t0 = 60.0, time.time()
     worst = 0.0
     passed = False
@@ -205,8 +206,8 @@ def test_criterion_05_laplacian_identity():
         for n in (1, 2, 3):
             params = _params(n)
             f = builtin_field("lnG", "jacobi_ball", params)
-            expected = (2.0 / params.k) * n * (n + 1) * (n + 2) / 2.0
             for pt in _points(n, 50, seed_offset=500):
+                expected = -curvature(params, pt).scalar_curvature
                 val = apply_laplacian("jacobi_ball", params, f, pt, fd_step=_RICCI_STEP)
                 worst = max(worst, abs(val.real / expected - 1) + abs(val.imag))
         elapsed = time.time() - t0

@@ -127,6 +127,20 @@ class TestEval:
         val = complex(np.trace(C @ loop_hessian(f, pt)))
         assert json.loads(out) == {"field": field, "value": serialize.encode(val)}
 
+    def test_ball_point_file_validated_once(self, capsys, tmp_path, rng, monkeypatch):
+        # a {n, W} file is validated as it is read, not again as (0, W)
+        from siegel_jacobi import domains
+
+        path = write_point(tmp_path, sample_point("ball", 2, rng))
+        calls = []
+        original = domains.validate_ball_point
+        monkeypatch.setattr(
+            domains, "validate_ball_point", lambda *a, **k: calls.append(1) or original(*a, **k)
+        )
+        code, _ = run_cli(capsys, "eval", "det", "--n", "2", "--point", path)
+        assert code == 0
+        assert len(calls) == 1
+
     def test_metric_blocks_emitted(self, capsys):
         code, out = run_cli(
             capsys, "eval", "metric", "--n", "1", "--k", "2", "--mu", "1",
@@ -247,7 +261,7 @@ class TestVerify:
         )
         assert code == 2
 
-    @pytest.mark.parametrize("tol", ["bogus=1e-3", "ball_pair_inverse=nan"])
+    @pytest.mark.parametrize("tol", ["bogus=1e-3", "ball_pair_inverse=nan", "ricci_z_block=1e-8"])
     def test_bad_tol_rejected_before_any_property(self, capsys, monkeypatch, tol):
         from siegel_jacobi import verify
 

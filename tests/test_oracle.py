@@ -17,7 +17,14 @@ from siegel_jacobi.groups import (
 )
 from fd_reference import loop_gradient, loop_hessian, loop_jacobian, richardson_ids
 from siegel_jacobi.laplacian import builtin_field
-from siegel_jacobi.metric import MetricEval, MetricParams, _dot, kahler_potential, metric_blocks
+from siegel_jacobi.metric import (
+    CurvatureData,
+    MetricEval,
+    MetricParams,
+    _dot,
+    kahler_potential,
+    metric_blocks,
+)
 from siegel_jacobi.oracle import (
     chart_for,
     fd_jacobian,
@@ -485,6 +492,61 @@ class TestFuzzAll:
         assert by_name["ball_pair_inverse"].passed
         assert by_name["inverse_identity"].worst is not None
         assert "seed" in by_name["inverse_identity"].worst
+
+    @pytest.mark.parametrize("corrupt", [None, "ric_w", "ric_z", "scalar", "qk_lu"])
+    def test_corrupted_curvature_detected(self, monkeypatch, corrupt):
+        # negative controls: each field of curvature() that ricci_fd_match
+        # checks, corrupted in turn; the unpatched run passes
+        from siegel_jacobi import verify
+
+        original = verify.curvature
+
+        def corrupted(params, pt):
+            cd = original(params, pt)
+            n = params.n
+            ric, scalar, qk = cd.ric.copy(), cd.scalar_curvature, cd.qk_lu
+            if corrupt == "ric_w":
+                ric[n:, n:] *= (n + 1) / (n + 2)
+            elif corrupt == "ric_z":
+                ric[0, n] = 2e-8  # twice the absolute z-block bound
+            elif corrupt == "scalar":
+                scalar *= 1.0 + 1e-4
+            elif corrupt == "qk_lu":
+                qk = qk * (1.0 + 1e-4)
+            return CurvatureData(ric=ric, scalar_curvature=scalar, qk_lu=qk)
+
+        monkeypatch.setattr(verify, "curvature", corrupted)
+        rep = fuzz_all(
+            n=2, k=4.0, mu=1.0, trials=3, master_seed=7, properties=["ricci_fd_match"]
+        )
+        assert rep.passed == (corrupt is None)
+
+    def test_one_lng_hessian_per_ricci_trial(self, monkeypatch):
+        # a verdict differences ln det h once per ricci_fd_match trial and
+        # nowhere else
+        from siegel_jacobi import laplacian, verify
+
+        lng_fields, lng_hessians = set(), []
+        make_field = verify.builtin_field
+
+        def tagging_field(name, *args):
+            f = make_field(name, *args)
+            if name == "lnG":
+                lng_fields.add(f)
+            return f
+
+        monkeypatch.setattr(verify, "builtin_field", tagging_field)
+        for module in (verify, laplacian):
+            hessian = module.fd_wirtinger_hessian
+
+            def counting(f, *args, _hessian=hessian, **kwargs):
+                if f in lng_fields:
+                    lng_hessians.append(f)
+                return _hessian(f, *args, **kwargs)
+
+            monkeypatch.setattr(module, "fd_wirtinger_hessian", counting)
+        fuzz_all(n=2, k=4.0, mu=1.0, trials=3, master_seed=7)
+        assert len(lng_hessians) == 3
 
     def test_tolerance_override(self):
         rep = fuzz_all(

@@ -11,7 +11,9 @@ assigned a branch silently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -40,12 +42,12 @@ def _tracked_logdet(W: np.ndarray, Vbar: np.ndarray) -> complex:
     identity (t = 0) to t = 1; raises BranchAmbiguity if the running
     argument crosses +-pi, and NotConverged if a step still turns it by
     pi/2 or more at _MAX_PATH_STEPS steps."""
-    n = W.shape[0]
-    eye = np.eye(n)
+    eye = np.eye(W.shape[0])
+    wv = W @ Vbar
     steps = 8
     while True:
         ts = np.linspace(0.0, 1.0, steps + 1)
-        dets = np.array([np.linalg.det(eye - t * (W @ Vbar)) for t in ts])
+        dets = np.linalg.det(eye - ts[:, None, None] * wv)
         if np.any(dets == 0):
             raise BranchAmbiguity("det(1 - t W Vbar) vanishes on the path")
         increments = np.angle(dets[1:] / dets[:-1])
@@ -250,19 +252,29 @@ def _ring_average(u: np.ndarray, k: float, mu: float, angular_points: int) -> np
     P = 1.0 - u
     # scalar powers: NumPy's array power may differ from them in the last bit
     radial = np.array([p ** (0.5 * k - 3.0) for p in P.ravel()]).reshape(P.shape)
-    r = np.sqrt(u)
-    total = 0.0
-    for phi in np.linspace(0.0, 2.0 * np.pi, angular_points, endpoint=False):
-        w = r * np.exp(1j * phi)
-        a, b = w.real, w.imag
-        # completed square of 2F = (2|z|^2 + z^2 wbar + zbar^2 w)/P
-        q2 = np.empty(u.shape + (2, 2))
-        q2[..., 0, 0] = (1.0 + a) / P
-        q2[..., 0, 1] = q2[..., 1, 0] = b / P
-        q2[..., 1, 1] = (1.0 - a) / P
-        gaussian = np.pi / (mu * np.sqrt(np.linalg.det(q2)))
-        total = total + gaussian * radial
-    return total / angular_points
+    phis = np.linspace(0.0, 2.0 * np.pi, angular_points, endpoint=False)
+    # w[angle, panel, node]
+    w = np.sqrt(u) * np.exp(1j * phis)[:, None, None]
+    a, b = w.real, w.imag
+    # completed square of 2F = (2|z|^2 + z^2 wbar + zbar^2 w)/P: the 2 x 2
+    # form [[q00, q01], [q01, q11]], its determinant written out
+    q00 = (1.0 + a) / P
+    q01 = b / P
+    q11 = (1.0 - a) / P
+    gaussian = np.pi / (mu * np.sqrt(q00 * q11 - q01 * q01))
+    # axis 0 is outermost, so the angles are added in sequence
+    return np.sum(gaussian * radial, axis=0) / angular_points
+
+
+@lru_cache(maxsize=None)
+def _legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order."""
+    # imported where used: scipy.special adds ~4 MB resident to every process
+    from scipy.special import roots_legendre
+
+    nodes, weights = roots_legendre(order)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def parseval_check_n1(k: float, mu: float, spec: QuadratureSpec | None = None) -> float:
@@ -275,17 +287,17 @@ def parseval_check_n1(k: float, mu: float, spec: QuadratureSpec | None = None) -
     the disk integral uses panel-adaptive Gauss-Legendre in u = r^2 and a
     trapezoid average in angle.  Expected value 1.
 
-    All panels and nodes are evaluated as arrays, one stacked det per angle;
-    angles, nodes and panels are each summed in sequence, so the result
-    rounds like a scalar loop over them.
+    All angles, panels and nodes are evaluated as one array, with the 2 x 2
+    determinant written out; angles, nodes and panels are each summed in
+    sequence, so the result rounds like a scalar loop over them.  Raises
+    NotConverged unless the result is finite and positive and its error
+    estimate is at most rtol times the result.
     """
-    from scipy.special import roots_legendre
-
     spec = spec or QuadratureSpec()
     lam = normalization_constant(MetricParams(n=1, k=k, mu=mu))
 
-    nodes, weights = roots_legendre(spec.radial_order)
-    nodes_lo, weights_lo = roots_legendre(spec.radial_order // 2)
+    nodes, weights = _legendre(spec.radial_order)
+    nodes_lo, weights_lo = _legendre(spec.radial_order // 2)
 
     # geometric panels accumulating toward the boundary u = 1; the final
     # sliver [1 - delta, 1) is bounded analytically via P^{(k-5)/2}
@@ -308,9 +320,13 @@ def parseval_check_n1(k: float, mu: float, spec: QuadratureSpec | None = None) -
     value *= 0.5  # dA = r dr dphi = du dphi / 2
     err_est *= 0.5
 
-    result = lam * 2.0 * np.pi * value
-    if err_est * lam * 2.0 * np.pi > spec.rtol * max(1.0, abs(result)):
+    result = float(lam * 2.0 * np.pi * value)
+    err = err_est * lam * 2.0 * np.pi
+    # relative to the result, so a norm that underflows toward 0 cannot pass
+    if not (0.0 < result < math.inf and err <= spec.rtol * result):
+        rel = err / result if result > 0.0 else math.inf
         raise NotConverged(
-            f"quadrature error estimate {err_est:.3e} exceeds rtol {spec.rtol:.1e}"
+            f"quadrature relative error estimate {rel:.3e} (value {result:.3e}) "
+            f"exceeds rtol {spec.rtol:.1e}"
         )
-    return float(result)
+    return result

@@ -70,8 +70,10 @@ class MetricParams:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if not (self.k > 0 and self.mu > 0):
-            raise ValueError("weights k and mu must be positive")
+        if not (0 < self.k < math.inf and 0 < self.mu < math.inf):
+            raise ValueError(
+                f"weights k and mu must be positive and finite, got k={self.k!r}, mu={self.mu!r}"
+            )
         if self.nonintegral_weight:
             warnings.warn(
                 "2k is not a non-negative integer; the geometry is well "

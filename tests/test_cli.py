@@ -287,6 +287,17 @@ class TestVerify:
         error = json.loads(out_path.read_text())["error"]
         assert error["kind"] == "ValueError" and "bogus" in error["detail"]
 
+    def test_underflowing_parseval_exit_one(self, capsys):
+        # at k = 1e6 the n = 1 norm underflows to 0: each parseval property
+        # reports NotConverged instead of a traceback
+        code, out = run_cli(capsys, "verify", "parseval", "--n", "1", "--k", "1e6", "--trials", "1")
+        assert code == 1
+        report = json.loads(out, parse_constant=_reject_constant)
+        assert report["pass"] is False
+        for entry in report["properties"]:
+            assert entry["max_error"] is None
+            assert entry["worst"]["point"]["error"].startswith("NotConverged")
+
     def test_negative_trials_rejected(self, capsys):
         code, out = run_cli(capsys, "verify", "metric", "--trials", "-3")
         assert code == 2
@@ -408,6 +419,25 @@ class TestErrors:
         error = json.loads(out, parse_constant=_reject_constant)["error"]
         assert error["kind"] == "ValueError"
         assert "fd_step" in error["detail"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval", "det", "--n", "1", "--k", "inf", "--point", "origin"),
+            ("eval", "det", "--n", "1", "--mu", "inf", "--point", "origin"),
+            ("eval", "kernel", "--n", "1", "--k", "nan", "--point", "origin"),
+            ("verify", "parseval", "--n", "1", "--k", "4", "--mu", "inf", "--trials", "1"),
+        ],
+        ids=["eval-k-inf", "eval-mu-inf", "eval-k-nan", "verify-mu-inf"],
+    )
+    def test_non_finite_weight_exit_two(self, capsys, argv):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ""
+        error = json.loads(captured.out, parse_constant=_reject_constant)["error"]
+        assert error["kind"] == "ValueError"
+        assert "finite" in error["detail"]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_det_overflow_exit_three(self, capsys):

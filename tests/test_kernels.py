@@ -95,6 +95,41 @@ class TestTwoPointKernel:
             two_point_kernel(params, pa, pb)
 
 
+def _loop_tracked_logdet_reference(W, Vbar):
+    """The per-t loop that the stacked det in _tracked_logdet replaced."""
+    eye = np.eye(W.shape[0])
+    steps = 8
+    while True:
+        ts = np.linspace(0.0, 1.0, steps + 1)
+        dets = np.array([np.linalg.det(eye - t * (W @ Vbar)) for t in ts])
+        increments = np.angle(dets[1:] / dets[:-1])
+        if np.max(np.abs(increments)) < 0.5 * np.pi:
+            break
+        steps *= 2
+    arg = 0.0
+    for inc in increments:
+        arg += float(inc)
+    return complex(np.log(abs(dets[-1])), arg), steps
+
+
+def test_tracked_logdet_matches_loop_reference():
+    # one stacked det per refinement level; the same rounding as the loop
+    rng = np.random.default_rng(2024)
+    pairs = [
+        (sample_point("jacobi_ball", n, rng).W, sample_point("jacobi_ball", n, rng).W)
+        for n in (1, 2, 3, 6)
+        for _ in range(10)
+    ]
+    for W, V in pairs:
+        expected, _ = _loop_tracked_logdet_reference(W, V.conj())
+        assert kernels._tracked_logdet(W, V.conj()) == expected
+    # the pair of test_step_limit_raises, where 8 steps do not suffice
+    W, Vbar = 0.9999 * np.exp(0.01j) * np.eye(2), 0.9999 * np.eye(2)
+    expected, steps = _loop_tracked_logdet_reference(W, Vbar)
+    assert steps > 8
+    assert kernels._tracked_logdet(W, Vbar) == expected
+
+
 class TestNormalizedKernels:
     def test_diagonal(self, rng):
         params = MetricParams(n=2, k=2, mu=1)
@@ -217,6 +252,27 @@ class TestParseval:
         with pytest.raises(NotConverged):
             parseval_check_n1(3.5, 1.0, QuadratureSpec(rtol=1e-10))
 
+    @pytest.mark.parametrize("k", [3e4, 1e5, 1e6])
+    def test_underflowing_norm_not_converged(self, k):
+        # the norm underflows toward 0 (8.3e-56 at k = 1e5, 0.0 at 1e6); the
+        # error estimate is measured against it, so it cannot pass as converged
+        with pytest.raises(NotConverged, match="relative error estimate"):
+            parseval_check_n1(k, 1.0)
+
+    @pytest.mark.parametrize("k", [4.0, 5.5, 10.0])
+    @pytest.mark.parametrize("mu", [0.5, 2.0])
+    def test_unit_norm_within_rtol(self, k, mu):
+        # independent of the rounding that the loop reference pins
+        assert abs(parseval_check_n1(k, mu) - 1.0) <= QuadratureSpec().rtol
+
+    def test_no_lapack_det(self, monkeypatch):
+        # the 2 x 2 determinant is written out over all angles at once
+        calls = []
+        det = np.linalg.det
+        monkeypatch.setattr(np.linalg, "det", lambda a: calls.append(a.shape) or det(a))
+        parseval_check_n1(4.0, 1.0)
+        assert calls == []
+
     @pytest.mark.parametrize(
         "bad",
         [
@@ -256,7 +312,7 @@ def _loop_parseval_reference(k, mu, spec):
             a, b = w.real, w.imag
             P = 1.0 - u
             q2 = np.array([[1.0 + a, b], [b, 1.0 - a]]) / P
-            det_q2 = float(np.linalg.det(q2))
+            det_q2 = float(q2[0, 0] * q2[1, 1] - q2[0, 1] * q2[1, 0])
             gaussian = np.pi / (mu * np.sqrt(det_q2))
             total += gaussian * P ** (0.5 * k - 3.0)
         return total / len(phis)

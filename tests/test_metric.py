@@ -57,6 +57,13 @@ class TestParams:
         with pytest.raises(ValueError):
             MetricParams(n=1, k=1, mu=0)
 
+    @pytest.mark.parametrize(
+        "k,mu", [(np.inf, 1.0), (4.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0), (4.0, np.nan)]
+    )
+    def test_non_finite_weights_rejected(self, k, mu):
+        with pytest.raises(ValueError, match="finite"):
+            MetricParams(n=1, k=k, mu=mu)
+
     def test_weight_flag(self):
         assert not MetricParams(n=1, k=1.5, mu=1).nonintegral_weight
         with pytest.warns(UserWarning):

@@ -12,6 +12,7 @@ from .domains import (
     SiegelUpperPoint,
     TangentVector,
     delta_symbol,
+    flatten_point,
     sample_point,
     validate_ball_point,
 )
@@ -76,12 +77,9 @@ from .metric import (
     upper_metric_pair,
 )
 from .oracle import (
-    Chart,
-    chart_for,
     fd_jacobian,
     fd_wirtinger_gradient,
     fd_wirtinger_hessian,
-    flatten_point,
     volume_invariance_check,
 )
 from .verify import FuzzReport, PropertyResult, fuzz_all

@@ -135,7 +135,7 @@ def _as_jacobi(pt) -> JacobiBallPoint:
     if isinstance(pt, SiegelUpperPoint):
         raise GeometryError("expected a ball-model point, got an upper-half-plane one")
     # point_from_json validated W already
-    return JacobiBallPoint.trusted(np.zeros(pt.n, dtype=complex), pt.W)
+    return JacobiBallPoint.assemble(np.zeros(pt.n, dtype=complex), pt.W)
 
 
 def _eval(args) -> dict:

@@ -14,10 +14,17 @@ Conventions fixed here and relied on package-wide:
 * A point is its vector part (``z``, ``u`` or none) and its matrix part
   (``W`` or ``V``), named once per type and read as ``pt.vector`` and
   ``pt.matrix``; ``pt.margin()`` is its distance proxy to the boundary.
+  A tangent is a point of the same kind (``dz`` and ``dW``).
   The constructors validate a single point (one symmetry check for W, V
-  and dW; ``validate_ball_point`` for W).  ``assemble`` builds a trusted
-  point, whose arrays may carry leading stencil axes, and ``image`` is the
-  one rule for a map's image: validated when single, trusted when stacked.
+  and dW; ``validate_ball_point`` for W).  ``assemble`` is the one trusted
+  constructor, whose arrays may carry leading stencil axes, and ``image``
+  is the one rule for a map's image: validated when single, trusted when
+  stacked.
+* The chart is ``flatten_point`` (vector part, then the pairs of the matrix
+  part) and its inverse ``from_chart``; ``pt.at_offset(delta)`` is the
+  point at chart coordinates ``flatten_point(pt) + delta``.  Every
+  finite-difference oracle moves a point this way.
+* ``sample_point`` validates each sampled point once.
 """
 
 from __future__ import annotations
@@ -34,7 +41,6 @@ from .errors import (
     NonSymmetric,
     NotInBall,
     NotInUpperHalfPlane,
-    RejectionLimit,
 )
 
 __all__ = [
@@ -44,13 +50,11 @@ __all__ = [
     "JacobiBallPoint",
     "TangentVector",
     "BallDiagnostics",
+    "flatten_point",
     "validate_ball_point",
     "sample_point",
     "delta_symbol",
 ]
-
-_REJECTION_LIMIT = 1000
-_MIN_EIG_MARGIN = 1e-3
 
 
 def _finite(a: np.ndarray, name: str) -> np.ndarray:
@@ -229,10 +233,11 @@ class _Point:
 
     @classmethod
     def assemble(cls, vector: np.ndarray | None, matrix: np.ndarray):
-        """A trusted point: no validation, the caller guarantees the
-        invariants (finite-difference stencils, whose margin was checked up
-        front, and the stacked images of the group maps).  vector is ignored
-        by a type without a vector part."""
+        """A trusted point, the only one built without validation: the
+        caller guarantees the invariants (finite-difference stencils, whose
+        margin was checked up front, the stacked images of the group maps,
+        and parts of a point that was validated already).  vector is
+        ignored by a type without a vector part."""
         obj = object.__new__(cls)
         object.__setattr__(obj, cls._MATRIX, matrix)
         if cls._VECTOR is not None:
@@ -249,6 +254,36 @@ class _Point:
         if cls._VECTOR is not None:
             parts[cls._VECTOR] = vector
         return cls(**parts)
+
+    @classmethod
+    def from_chart(cls, coords: np.ndarray, n: int):
+        """Inverse of ``flatten_point``: the point at chart coordinates
+        coords (last axis), built by ``image``.  The coordinates hold a
+        vector part when they are longer than the n(n+1)/2 pairs."""
+        idx = PairIndex(n)
+        k = coords.shape[-1] - idx.size
+        # C-ordered like the pairs of PairIndex.pack, so that each row of a
+        # stack takes the BLAS path of a single point's vector
+        vector = np.ascontiguousarray(coords[..., :k]) if k else None
+        return cls.image(vector, idx.unpack(coords[..., k:]))
+
+    def at_offset(self, delta: np.ndarray):
+        """The point at chart coordinates flatten_point(self) + delta: a
+        validated point for a 1-d delta, one trusted point stacked over S
+        for delta of shape (S, d).  The chart reads each pair (p, q),
+        p <= q, from the upper triangle, so this moves both entries of a
+        pair by delta only when the matrix part is exactly symmetric, as
+        validated points (which store (M + M^t)/2) and the symmetrised
+        images of the group maps are."""
+        return type(self).from_chart(flatten_point(self) + delta, self.n)
+
+
+def flatten_point(pt) -> np.ndarray:
+    """Chart coordinates of a point or tangent: its vector part, then the
+    pairs of its matrix part; a stacked point gives one row per leading
+    index."""
+    w = PairIndex(pt.n).pack(pt.matrix)
+    return w if pt.vector is None else np.concatenate([pt.vector, w], axis=-1)
 
 
 class _BallPart(_Point):
@@ -299,11 +334,6 @@ class SiegelBallPoint(_BallPart):
     def ball(self) -> "SiegelBallPoint":
         return self
 
-    @classmethod
-    def trusted(cls, W: np.ndarray) -> "SiegelBallPoint":
-        """Skip validation; see ``assemble``."""
-        return cls.assemble(None, W)
-
 
 @dataclass(frozen=True)
 class SiegelUpperPoint(_Point):
@@ -331,11 +361,6 @@ class SiegelUpperPoint(_Point):
         """Smallest eigenvalue of Im V: the distance proxy to the boundary."""
         return float(np.linalg.eigvalsh(0.5 * (self.R + self.R.T))[0])
 
-    @classmethod
-    def trusted(cls, V: np.ndarray, u: np.ndarray | None = None) -> "SiegelUpperPoint":
-        """Skip validation; see ``assemble``."""
-        return cls.assemble(u, V)
-
 
 @dataclass(frozen=True)
 class JacobiBallPoint(_BallPart):
@@ -354,20 +379,18 @@ class JacobiBallPoint(_BallPart):
     def ball(self) -> SiegelBallPoint:
         """The W part; the constructor already validated and symmetrised it
         (a trusted stacked point gives a trusted stacked ball point)."""
-        return SiegelBallPoint.trusted(self.W)
-
-    @classmethod
-    def trusted(cls, z: np.ndarray, W: np.ndarray) -> "JacobiBallPoint":
-        """Skip validation; see ``assemble``."""
-        return cls.assemble(z, W)
+        return SiegelBallPoint.assemble(None, self.W)
 
 
 @dataclass(frozen=True)
-class TangentVector:
-    """Tangent data: dz in C^n and symmetric dW (dV/du for upper points)."""
+class TangentVector(_Point):
+    """Tangent data: dz in C^n and symmetric dW (dV/du for upper points),
+    in the chart of its base point."""
 
     dz: np.ndarray | None
     dW: np.ndarray
+    _MATRIX = "dW"
+    _VECTOR = "dz"
 
     def __post_init__(self):
         dW, _ = _symmetric(self.dW, "dW", 1e-12)
@@ -375,46 +398,30 @@ class TangentVector:
         if self.dz is not None:
             object.__setattr__(self, "dz", _as_complex_vector(self.dz, "dz", dW.shape[0]))
 
-    @property
-    def n(self) -> int:
-        return self.dW.shape[0]
-
-    def flatten(self, idx: PairIndex | None = None) -> np.ndarray:
-        """(dz, dW) -> C^d in the (z, pairs) coordinate order."""
-        idx = idx or PairIndex(self.n)
-        w = idx.pack(self.dW)
-        if self.dz is None:
-            return w
-        return np.concatenate([self.dz, w])
-
 
 def _complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
 def _sample_ball_matrix(n: int, rng: np.random.Generator, radius: float) -> np.ndarray:
+    """A normalized symmetric Gaussian matrix of spectral norm radius/2 < 1/2,
+    so 1 - W Wbar >= 3/4 needs no check here."""
     if not 0 <= radius < 1:
         raise ValueError(f"radius must lie in [0, 1), got {radius}")
-    for _ in range(_REJECTION_LIMIT):
-        A = _complex_gaussian(rng, (n, n))
-        S = A + A.T
-        norm = np.linalg.norm(S, 2)
-        if norm == 0.0:
-            continue
-        W = radius * S / (2.0 * norm) if radius > 0 else np.zeros((n, n), dtype=complex)
-        if np.linalg.eigvalsh(cross_gram(W))[0] > _MIN_EIG_MARGIN:
-            return W
-    raise RejectionLimit(f"no interior point after {_REJECTION_LIMIT} tries")
+    A = _complex_gaussian(rng, (n, n))  # drawn at radius 0 too: same later draws
+    if radius == 0:
+        return np.zeros((n, n), dtype=complex)
+    S = A + A.T
+    return radius * S / (2.0 * np.linalg.norm(S, 2))
 
 
 def sample_point(domain: str, n: int, rng: np.random.Generator, radius: float = 0.4):
-    """Draw a random interior point of the requested domain.
+    """Draw a random interior point of the requested domain, validated once.
 
-    The ball part is a normalized symmetric Gaussian matrix of spectral norm
-    radius/2, rejected until 1 - W Wbar has eigenvalues > 1e-3 (a guard that
-    is unreachable for radius < 1); z and u entries are standard complex
-    Gaussians.  Upper-half-plane points come from the inverse partial Cayley
-    transform of a ball sample, so they inherit the same interior margin.
+    The ball part comes from ``_sample_ball_matrix``; z and u entries are
+    standard complex Gaussians.  Upper-half-plane points are the image of
+    the inverse partial Cayley transform of a trusted Jacobi-ball sample
+    (z is drawn for "upper" too, so every seed gives the same points).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -429,8 +436,8 @@ def sample_point(domain: str, n: int, rng: np.random.Generator, radius: float = 
 
         W = _sample_ball_matrix(n, rng, radius)
         z = _complex_gaussian(rng, n)
-        pt = inverse_partial_cayley(JacobiBallPoint(z=z, W=W))
+        pt = inverse_partial_cayley(JacobiBallPoint.assemble(z, W))
         if domain == "upper":
-            return SiegelUpperPoint(V=pt.V)
+            return SiegelUpperPoint.assemble(None, pt.V)
         return pt
     raise ValueError(f"unknown domain {domain!r}")

@@ -37,10 +37,6 @@ class SingularDenominator(GeometryError):
     """A matrix that is invertible on the domain came out numerically singular."""
 
 
-class RejectionLimit(GeometryError):
-    """Rejection sampling exceeded its retry budget."""
-
-
 class BranchAmbiguity(GeometryError):
     """det^(k/2) branch tracking crossed the negative real axis; the value
     would depend on an arbitrary branch choice, so it is reported instead."""

@@ -59,15 +59,16 @@ def _tracked_logdet(W: np.ndarray, Vbar: np.ndarray) -> complex:
                 f"after {steps} path steps; its branch cannot be tracked"
             )
         steps *= 2
-    arg = 0.0
-    for inc in increments:
-        arg += float(inc)
-        if abs(arg) > np.pi:
-            raise BranchAmbiguity(
-                f"continuous argument reached {arg:.4f}; det(1 - W Vbar) "
-                "crossed the negative real axis"
-            )
-    return complex(np.log(abs(dets[-1])), arg)
+    # the running argument, summed in order from +0.0 (0.0 + turns a
+    # leading -0.0 into +0.0 and leaves every other sum as it is)
+    args = 0.0 + np.cumsum(increments)
+    crossed = np.flatnonzero(np.abs(args) > np.pi)
+    if crossed.size:
+        raise BranchAmbiguity(
+            f"continuous argument reached {args[crossed[0]]:.4f}; det(1 - W Vbar) "
+            "crossed the negative real axis"
+        )
+    return complex(np.log(abs(dets[-1])), float(args[-1]))
 
 
 def _two_point_exponent(x, V, y, W) -> complex:

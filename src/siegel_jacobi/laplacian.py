@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .domains import PairIndex, SiegelUpperPoint, _dot, _item, _vecmat
+from .domains import PairIndex, SiegelUpperPoint, _dot, _item, _vecmat, flatten_point
 from .errors import DimensionMismatch
 from .groups import inverse_partial_cayley, partial_cayley
 from .metric import (
@@ -30,7 +30,7 @@ from .metric import (
     metric_inverse,
     upper_metric_pair,
 )
-from .oracle import fd_wirtinger_gradient, fd_wirtinger_hessian, flatten_point
+from .oracle import fd_wirtinger_gradient, fd_wirtinger_hessian
 
 __all__ = [
     "LaplacianCoefficients",

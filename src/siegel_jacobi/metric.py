@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domains import JacobiBallPoint, PairIndex, SiegelBallPoint, SiegelUpperPoint, TangentVector
-from .domains import _dot, _item, _matvec, _vecmat
+from .domains import _dot, _item, _matvec, _vecmat, flatten_point
 from .errors import DimensionMismatch, NumericalOverflow
 
 __all__ = [
@@ -104,7 +104,6 @@ class AuxMatrices:
     eta: np.ndarray        # M (z + W zbar)
     S: np.ndarray          # S_n = sum_q eta_q Nbar_qn
     alpha: float           # eta^t Nbar conj(eta) >= 0 (an array over a stack)
-    theta: float           # 1/mu + 2 alpha / k
 
 
 def _inverse_gram(N: np.ndarray) -> np.ndarray:
@@ -123,10 +122,7 @@ def compute_aux(params: MetricParams, pt: JacobiBallPoint) -> AuxMatrices:
     Nbar = N.conj()
     S = _vecmat(eta, Nbar)
     alpha = _item(_dot(S, eta.conj()).real)
-    return AuxMatrices(
-        N=N, M=M, X=X, eta=eta, S=S, alpha=alpha,
-        theta=1.0 / params.mu + 2.0 * alpha / params.k,
-    )
+    return AuxMatrices(N=N, M=M, X=X, eta=eta, S=S, alpha=alpha)
 
 
 def kahler_potential(params: MetricParams, pt: JacobiBallPoint) -> float:
@@ -264,7 +260,7 @@ def metric_inverse(params: MetricParams, pt: JacobiBallPoint) -> MetricInverse:
 
     The rank-one term in hinv1 comes from hinv2 @ h3 =
     -(mu/k)(alpha delta_ik + Sbar_i eta_k); for n = 1 it collapses into the
-    scalar and hinv1 reduces to (1/mu + 2 alpha/k) Nbar = theta Nbar.
+    scalar and hinv1 reduces to (1/mu + 2 alpha/k) Nbar.
     hinv4 is the Siegel-ball pair inverse scaled by 2/k.
     """
     idx = params.pair_index
@@ -366,5 +362,5 @@ def ds2_eval(domain: str, params: MetricParams, pt, tangent: TangentVector) -> f
         return float(4.0 * np.trace(M @ dW @ M.conj() @ dW.conj()).real)
     if domain == "jacobi_ball":
         ev = metric_blocks(params, pt)
-        return _quad_form(ev.h, tangent.flatten(params.pair_index))
+        return _quad_form(ev.h, flatten_point(tangent))
     raise ValueError(f"unknown domain {domain!r}")

@@ -6,9 +6,8 @@ Each oracle builds all of its stencil offsets first and hands them to the
 field or map as stacked points: one trusted point whose arrays carry a
 leading stencil axis, in chunks of at most ``STACK_ENTRIES // d^2`` points.
 The field returns one value per point (a map, one stacked image point).
-The chart reads a point through its parts and margin and rebuilds stencil
-points with ``assemble`` (see ``domains``), so it works the same for
-every point type.
+Offsets are chart coordinates: ``pt.at_offset`` and ``flatten_point`` (see
+``domains``) move and read every point type the same way.
 
 The finite-difference oracles never call the closed forms they are used
 to verify; perturbations of symmetric-matrix coordinates always move the
@@ -19,58 +18,21 @@ convention.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .domains import PairIndex, SiegelBallPoint
+from .domains import SiegelBallPoint, flatten_point
 from .errors import NonHolomorphic, StepTooLarge
 from .groups import JacobiElementC, act_ball, act_siegel_ball
 from .kernels import volume_densities
 
 __all__ = [
-    "Chart",
-    "chart_for",
-    "flatten_point",
     "fd_wirtinger_gradient",
     "fd_wirtinger_hessian",
     "fd_jacobian",
     "volume_invariance_check",
 ]
-
-
-@dataclass(frozen=True)
-class Chart:
-    """Complex coordinates around a point: (z-block then ordered W-pairs)."""
-
-    dim: int
-    coords: np.ndarray                       # base coordinates, complex
-    at_offset: Callable[[np.ndarray], object]  # offset (..., dim) -> point
-    margin: float                            # distance proxy to the boundary
-
-
-def chart_for(pt) -> Chart:
-    """Coordinate chart for a domain point (see the module docstring)."""
-    vec0, mat0 = pt.vector, pt.matrix
-    idx = PairIndex(pt.n)
-    k = 0 if vec0 is None else pt.n
-
-    def at_offset(delta: np.ndarray):
-        # delta of shape (S, dim) gives one trusted point whose arrays carry
-        # the leading stencil axis S
-        vec = None if vec0 is None else vec0 + delta[..., :k]
-        return type(pt).assemble(vec, mat0 + idx.unpack(delta[..., k:]))
-
-    return Chart(k + idx.size, flatten_point(pt), at_offset, pt.margin())
-
-
-def flatten_point(pt) -> np.ndarray:
-    """Complex coordinate vector of a point in its chart (vector part, then
-    the pairs of the matrix part); a stacked point gives one row per leading
-    index."""
-    w = PairIndex(pt.n).pack(pt.matrix)
-    return w if pt.vector is None else np.concatenate([pt.vector, w], axis=-1)
 
 
 # smallest fd_step accepted: a second difference at step h rounds by about
@@ -79,23 +41,22 @@ def flatten_point(pt) -> np.ndarray:
 MIN_FD_STEP = 1e-6
 
 
-def _steps(chart: Chart, fd_step: float) -> np.ndarray:
-    """Per-coordinate steps fd_step * (1 + |coordinate|); every oracle
-    takes its steps here, before it builds a stencil."""
+def _steps(pt, fd_step: float) -> np.ndarray:
+    """Per-coordinate steps fd_step * (1 + |coordinate|) over the chart of
+    pt; every oracle takes its steps here, before it builds a stencil."""
     if not (math.isfinite(fd_step) and fd_step > 0):
         raise ValueError(f"fd_step must be a positive finite number, got {fd_step!r}")
     if fd_step < MIN_FD_STEP:
         raise ValueError(
             f"fd_step {fd_step!r} is below {MIN_FD_STEP:g}, where rounding swamps the differences"
         )
-    h = fd_step * (1.0 + np.abs(chart.coords))
+    h = fd_step * (1.0 + np.abs(flatten_point(pt)))
     # one stencil point moves at most two coordinates by h each; a coordinate
     # move of size h shifts the relevant Gram spectrum by at most ~4h
     worst = 4.0 * float(np.max(h)) * (1.0 + float(np.max(h)))
-    if worst >= chart.margin:
-        raise StepTooLarge(
-            f"stencil excursion {worst:.3e} exceeds domain margin {chart.margin:.3e}"
-        )
+    margin = pt.margin()
+    if worst >= margin:
+        raise StepTooLarge(f"stencil excursion {worst:.3e} exceeds domain margin {margin:.3e}")
     return h
 
 
@@ -166,8 +127,8 @@ def _pair_entries(v, ha, hb):
 STACK_ENTRIES = 2**19
 
 
-def _evaluate(fn: Callable, chart: Chart, offsets: np.ndarray, scalar: bool):
-    """fn at the chart point of every offset row, in row order.
+def _evaluate(fn: Callable, pt, offsets: np.ndarray, scalar: bool):
+    """fn at ``pt.at_offset`` of every offset row, in row order.
 
     fn gets consecutive chunks of at most STACK_ENTRIES // d^2 points as one
     point with a leading stencil axis, and must return one value per point.
@@ -175,11 +136,11 @@ def _evaluate(fn: Callable, chart: Chart, offsets: np.ndarray, scalar: bool):
     complex field, numpy complex scalars would divide by the real step with
     a different rounding than Python complex numbers do); any other fn's
     values come back as one array with a row per point."""
-    size = max(1, STACK_ENTRIES // chart.dim**2)
+    size = max(1, STACK_ENTRIES // offsets.shape[1] ** 2)
     parts = []
     for start in range(0, offsets.shape[0], size):
         chunk = offsets[start : start + size]
-        vals = np.asarray(fn(chart.at_offset(chunk)))
+        vals = np.asarray(fn(pt.at_offset(chunk)))
         if vals.shape[:1] != chunk.shape[:1] or (scalar and vals.ndim != 1):
             raise ValueError(
                 f"field returned shape {vals.shape}, "
@@ -207,14 +168,13 @@ def fd_wirtinger_hessian(f: Callable, pt, fd_step: float = 1e-4) -> np.ndarray:
     point: once per Hessian when the stencil fits (every stencil up to
     n = 3), else once per consecutive chunk of it.
     """
-    chart = chart_for(pt)
-    h = _steps(chart, fd_step)
-    d = chart.dim
+    h = _steps(pt, fd_step)
+    d = h.shape[0]
     A, B = np.triu_indices(d, 1)
     offsets = np.concatenate(
         [np.zeros((1, d), dtype=complex), _stencil(h, A, B), _stencil(h / 2, A, B)]
     )
-    values = _evaluate(f, chart, offsets, scalar=True)
+    values = _evaluate(f, pt, offsets, scalar=True)
     f0 = values[0]
     per_level = 4 * d + 16 * len(A)
     coarse = values[1 : 1 + per_level]
@@ -236,16 +196,15 @@ def _first_derivatives(fn: Callable, pt, fd_step: float, scalar: bool):
     two lists over a: central differences along +-h_a e_a and +-i h_a e_a,
     Richardson-refined with the h_a / 2 stencil.  All 8d offsets are built
     first and evaluated as in ``_evaluate``."""
-    chart = chart_for(pt)
-    h = _steps(chart, fd_step)
-    d = chart.dim
+    h = _steps(pt, fd_step)
+    d = h.shape[0]
     E = np.eye(d, dtype=complex)
     # row 4a + k of a level: step k (h_a, -h_a, i h_a, -i h_a) along e_a
     offsets = np.concatenate(
         [(np.stack([s, -s, 1j * s, -1j * s], axis=1)[..., None] * E[:, None]).reshape(-1, d)
          for s in (h, h / 2)]
     )
-    values = _evaluate(fn, chart, offsets, scalar)
+    values = _evaluate(fn, pt, offsets, scalar)
 
     def central(v, ha):
         dx = (v[0] - v[1]) / (2 * ha)
@@ -306,7 +265,7 @@ def volume_invariance_check(
     """
     if domain == "ball":
         pt = pt.ball
-        action = lambda x: SiegelBallPoint.trusted(act_siegel_ball(h.g, x.W))
+        action = lambda x: SiegelBallPoint.assemble(None, act_siegel_ball(h.g, x.W))
         density = lambda x: volume_densities(x).Q_ball
     elif domain == "jacobi_ball":
         action = lambda x: act_ball(h, x)

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from siegel_jacobi import cli, serialize
 from siegel_jacobi.cli import build_parser, main
@@ -489,3 +493,102 @@ class TestErrors:
             "--point", "origin", "--format", "pretty",
         )
         assert out.startswith("{\n")
+
+
+# --------------------------------------------------------------------------
+# hostile point files: every generated file is invalid at the --n it is read
+# with, so every command that reads it must print one error object and exit
+# 2 (malformed input) or 3 (a point outside its domain)
+
+_FAULTS = ("not_object", "missing_key", "nesting", "junk_entry", "non_finite", "boundary", "size")
+_JUNK = st.one_of(
+    st.text(alphabet="xyz", min_size=1, max_size=3),
+    st.none(),
+    st.just({}),
+    st.just([0.1]),
+    st.just([[0.1, 0.0]]),
+)
+
+
+def _bad_shape(draw, value, n):
+    """value (a wire vector or matrix of n entries per row) reshaped so that
+    no decoder or constructor accepts it."""
+    if np.ndim(value[0]) == 1:  # a vector of [re, im] entries
+        return draw(st.sampled_from([0.5, value + [value[0]], [value]]))
+    ragged = [row + [row[0]] if i == 0 else row for i, row in enumerate(value)]
+    wide = [row + [row[0]] for row in value]
+    deep = [[[entry] for entry in row] for row in value]
+    return draw(st.sampled_from([0.5, [0.1] * n, ragged, wide, deep]))
+
+
+@st.composite
+def _hostile_point(draw):
+    """(n, JSON text of the file, whether its one fault is its size)."""
+    n = draw(st.integers(1, 3))
+    fault = draw(st.sampled_from(_FAULTS))
+    if fault == "not_object":
+        value = draw(st.one_of(
+            st.lists(st.floats(-1, 1), max_size=3), st.floats(-1, 1),
+            st.text(alphabet="xyz", max_size=3), st.none(), st.booleans(),
+        ))
+        return n, json.dumps(value), False
+    if fault == "missing_key":
+        # no W and no V: either z without its W, or no point key at all
+        keys = draw(st.sets(st.sampled_from(["n", "z", "u", "eta"])))
+        return n, json.dumps({key: [[0.1, 0.0]] * n for key in keys}), False
+    kind = draw(st.sampled_from(["ball", "jacobi_ball", "upper", "jacobi_upper"]))
+    rng = np.random.default_rng(draw(st.integers(0, 99)))
+    if fault == "size":
+        other = draw(st.sampled_from([m for m in (1, 2, 3) if m != n]))
+        return n, serialize.dumps(serialize.point_to_json(sample_point(kind, other, rng))), True
+    d = serialize.point_to_json(sample_point(kind, n, rng))
+    key = draw(st.sampled_from(sorted(set(d) - {"n"})))
+    if fault == "boundary":
+        r = draw(st.floats(1.0, 3.0))
+        if "V" in d:  # Im V = -r + 1 <= 0 in at least one direction
+            V = serialize.decode_matrix(d["V"])
+            d["V"] = serialize.encode(V.real + 1j * (1.0 - r) * np.eye(n))
+        else:
+            phase = np.exp(1j * draw(st.floats(0.0, 6.3)))
+            d["W"] = serialize.encode(r * phase * np.eye(n))
+        return n, json.dumps(d), False
+    if fault == "nesting":
+        d[key] = _bad_shape(draw, d[key], n)
+        return n, json.dumps(d), False
+    i = draw(st.integers(0, n - 1))
+    target = d[key] if np.ndim(d[key][0]) == 1 else d[key][draw(st.integers(0, n - 1))]
+    if fault == "junk_entry":
+        target[i] = draw(_JUNK)
+    else:  # written as the NaN / Infinity literals that json.loads accepts
+        target[i][draw(st.integers(0, 1))] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    return n, json.dumps(d), False
+
+
+_READERS = [("eval", q) for q in cli._EVAL_KINDS] + [("point2",)] + [
+    ("transform", kind) for kind in cli._TRANSFORMS
+]
+
+
+@pytest.fixture(scope="module")
+def hostile_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("hostile")
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(case=_hostile_point(), reader=st.sampled_from(_READERS))
+def test_hostile_point_file_gives_one_error_object(hostile_dir, case, reader):
+    n, text, size_only = case
+    if size_only and reader[0] == "transform":
+        reader = ("point2",)  # transform reads a point file at its own n
+    path = hostile_dir / "point.json"
+    path.write_text(text)
+    if reader[0] == "point2":
+        argv = ["eval", "kernel", "--n", str(n), "--point", "origin", "--point2", str(path)]
+    else:
+        argv = [*reader, "--n", str(n), "--point", str(path)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert code in (2, 3), (argv, text)
+    assert out.getvalue().count("\n") == 1
+    assert list(json.loads(out.getvalue(), parse_constant=_reject_constant)) == ["error"]

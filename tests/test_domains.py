@@ -10,6 +10,7 @@ from siegel_jacobi.domains import (
     SiegelUpperPoint,
     TangentVector,
     delta_symbol,
+    flatten_point,
     sample_point,
     validate_ball_point,
 )
@@ -114,6 +115,16 @@ class TestSampling:
             pt = sample_point("ball", n, rng)
             assert validate_ball_point(pt.W).min_eigenvalue > 1e-3
 
+    @pytest.mark.parametrize("domain", ["ball", "jacobi_ball", "upper", "jacobi_upper"])
+    def test_one_eigendecomposition_per_sample(self, domain, monkeypatch):
+        # each sampled point is validated once: the ball constructor, or the
+        # image of inverse_partial_cayley for the upper domains
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a: calls.append(1) or eigvalsh(*a))
+        sample_point(domain, 2, np.random.default_rng(5))
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_inflated_samples_rejected(self, n):
         # scaling any sample past unit spectral norm must fail validation
@@ -162,7 +173,18 @@ class TestTypes:
 
     def test_tangent_flatten_order(self):
         tv = TangentVector(dz=np.array([1.0, 2.0]), dW=np.array([[3.0, 4.0], [4.0, 5.0]]))
-        assert np.allclose(tv.flatten(), [1, 2, 3, 4, 5])
+        assert np.allclose(flatten_point(tv), [1, 2, 3, 4, 5])
+
+    @pytest.mark.parametrize("kind", ["ball", "jacobi_ball", "upper", "jacobi_upper", "tangent"])
+    def test_chart_round_trip(self, kind, rng):
+        # from_chart reads a vector part exactly when the point has one
+        if kind == "tangent":
+            pt = TangentVector(dz=None, dW=np.array([[0.3, 0.1j], [0.1j, 0.0]]))
+        else:
+            pt = sample_point(kind, 2, rng)
+        back = type(pt).from_chart(flatten_point(pt), 2)
+        assert (back.vector is None) == (pt.vector is None)
+        assert np.array_equal(flatten_point(back), flatten_point(pt))
 
     def test_tangent_requires_symmetry(self):
         with pytest.raises(NonSymmetric):

@@ -78,7 +78,6 @@ class TestAux:
         assert np.max(np.abs(aux.M @ aux.N - np.eye(3))) < 1e-12
         assert np.max(np.abs(aux.X - aux.X.T)) < 1e-12
         assert aux.alpha >= 0
-        assert aux.theta == pytest.approx(1 / params.mu + 2 * aux.alpha / params.k)
 
 
 class TestPotential:

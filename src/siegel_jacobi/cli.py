@@ -84,7 +84,10 @@ def build_parser() -> _Parser:
     p_tr = sub.add_parser("transform", help="apply a coordinate transform")
     p_tr.add_argument("kind", choices=_TRANSFORMS)
     p_tr.add_argument("--point", required=True)
-    p_tr.add_argument("--n", type=int, default=1)
+    p_tr.add_argument(
+        "--n", type=int, default=None,
+        help="size the point must have (default: the file's own; 1 for 'origin')",
+    )
     _add_io(p_tr)
 
     p_sample = sub.add_parser("sample", help="draw a random point or group element")
@@ -129,6 +132,14 @@ def _load_point(spec: str, n: int):
     return serialize.point_from_json(_read_json(spec))
 
 
+def _of_size(pt, n: int | None):
+    """pt, or GeometryError (exit 3) when --n is given and pt has another
+    size."""
+    if n is not None and pt.n != n:
+        raise GeometryError(f"point has n={pt.n}, --n is {n}")
+    return pt
+
+
 def _as_jacobi(pt) -> JacobiBallPoint:
     if isinstance(pt, JacobiBallPoint):
         return pt
@@ -140,9 +151,7 @@ def _as_jacobi(pt) -> JacobiBallPoint:
 
 def _eval(args) -> dict:
     params = MetricParams(n=args.n, k=args.k, mu=args.mu)
-    pt = _as_jacobi(_load_point(args.point, args.n))
-    if pt.n != args.n:
-        raise GeometryError(f"point has n={pt.n}, --n is {args.n}")
+    pt = _of_size(_as_jacobi(_load_point(args.point, args.n)), args.n)
     q = args.quantity
     if q == "potential":
         return {"value": kahler_potential(params, pt)}
@@ -169,8 +178,8 @@ def _transform(args) -> dict:
     kind = args.kind
     if kind == "inv-fc":
         eta, W = serialize.fc_from_json(_read_json(args.point))
-        return serialize.point_to_json(inverse_fc_transform(eta, W))
-    pt = _load_point(args.point, args.n)
+        return serialize.point_to_json(_of_size(inverse_fc_transform(eta, W), args.n))
+    pt = _of_size(_load_point(args.point, 1 if args.n is None else args.n), args.n)
     if kind == "cayley":
         if not isinstance(pt, SiegelUpperPoint):
             raise GeometryError("cayley expects an upper-half-plane point (V, u)")

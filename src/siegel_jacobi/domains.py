@@ -236,8 +236,10 @@ class _Point:
         """A trusted point, the only one built without validation: the
         caller guarantees the invariants (finite-difference stencils, whose
         margin was checked up front, the stacked images of the group maps,
-        and parts of a point that was validated already).  vector is
-        ignored by a type without a vector part."""
+        and parts of a point that was validated already), and that the
+        arrays do not change afterwards: ``metric`` keeps data derived from
+        a point on the point.  vector is ignored by a type without a vector
+        part."""
         obj = object.__new__(cls)
         object.__setattr__(obj, cls._MATRIX, matrix)
         if cls._VECTOR is not None:

@@ -288,11 +288,21 @@ def inverse_jacobi_r(h: JacobiElementR) -> JacobiElementR:
     return JacobiElementR(ginv, x, -h.k_center)
 
 
+def _cayley_image(g: SymplecticR) -> SymplecticC:
+    """2p = a + d + i(b - c), 2q = a - d - i(b + c), trusted: the image of
+    a validated real element, which satisfies the complex relations up to
+    roundoff."""
+    gc = object.__new__(SymplecticC)
+    object.__setattr__(gc, "p", 0.5 * (g.a + g.d + 1j * (g.b - g.c)))
+    object.__setattr__(gc, "q", 0.5 * (g.a - g.d - 1j * (g.b + g.c)))
+    object.__setattr__(gc, "tol", 1e-8)
+    return gc
+
+
 def cayley_conjugate(g: SymplecticR) -> SymplecticC:
-    """2p = a + d + i(b - c), 2q = a - d - i(b + c)."""
-    p = 0.5 * (g.a + g.d + 1j * (g.b - g.c))
-    q = 0.5 * (g.a - g.d - 1j * (g.b + g.c))
-    return SymplecticC(p, q, tol=1e-8)
+    """2p = a + d + i(b - c), 2q = a - d - i(b + c), checked at tol 1e-8."""
+    gc = _cayley_image(g)
+    return SymplecticC(gc.p, gc.q, tol=gc.tol)
 
 
 def inverse_cayley_conjugate(gc: SymplecticC) -> SymplecticR:
@@ -438,4 +448,7 @@ def random_jacobi_r(n: int, rng: np.random.Generator) -> JacobiElementR:
 
 
 def random_jacobi_c(n: int, rng: np.random.Generator) -> JacobiElementC:
-    return theta(random_jacobi_r(n, rng))
+    """theta(random_jacobi_r(n, rng)), the same bits, with the symplectic
+    relations checked once: on the real element, not again on its image."""
+    h = random_jacobi_r(n, rng)
+    return JacobiElementC(_cayley_image(h.g), h.alpha_re + 1j * h.alpha_im, h.k_center)

@@ -15,7 +15,11 @@ counting.  Each pair block is a single expression over the index arrays
 
     hk_pq,mn = 2 f_pq f_mn (M_mp M_nq + M_mq M_np).
 
-Every top-level call computes N, M and eta once (``compute_aux``).
+N, M and eta (``compute_aux``) and the Siegel-ball pair form hk are
+computed once per point: the first closed form at a point keeps them on the
+point, read-only, and every later one at that point reads them (a point's
+parts never change; see ``domains``).  Nothing that depends on (k, mu) is
+kept, and every result is a new, writable array.
 ``h @ metric_inverse(...).h_inv`` is the literal identity in this
 ordered-pair indexing.
 
@@ -125,10 +129,51 @@ def compute_aux(params: MetricParams, pt: JacobiBallPoint) -> AuxMatrices:
     return AuxMatrices(N=N, M=M, X=X, eta=eta, S=S, alpha=alpha)
 
 
+def _read_only(a):
+    if isinstance(a, np.ndarray):
+        a.setflags(write=False)
+    return a
+
+
+def _aux(params: MetricParams, pt: JacobiBallPoint) -> AuxMatrices:
+    """compute_aux(params, pt), computed on the first call at pt and kept on
+    it read-only; the dimension check runs on every call."""
+    if params.n != pt.n:
+        raise DimensionMismatch("params and point of different dimension")
+    aux = pt.__dict__.get("_aux")
+    if aux is None:
+        aux = compute_aux(params, pt)
+        for value in vars(aux).values():
+            _read_only(value)
+        pt.__dict__["_aux"] = aux
+    return aux
+
+
+def _hk(params: MetricParams, pt: JacobiBallPoint) -> np.ndarray:
+    """The Siegel-ball pair form of M, kept on pt like ``_aux``."""
+    aux = _aux(params, pt)
+    hk = pt.__dict__.get("_hk")
+    if hk is None:
+        hk = pt.__dict__["_hk"] = _read_only(_fold_pair_metric(aux.M, params.pair_index))
+    return hk
+
+
+def _assemble(h1: np.ndarray, h2: np.ndarray, h3: np.ndarray, h4: np.ndarray) -> np.ndarray:
+    """[[h1, h2], [h3, h4]] written into one new array, which costs less than
+    a general block builder at these sizes; broadcasts over leading axes."""
+    n = h1.shape[-1]
+    h = np.empty(h4.shape[:-2] + (n + h4.shape[-1],) * 2, dtype=complex)
+    h[..., :n, :n] = h1
+    h[..., :n, n:] = h2
+    h[..., n:, :n] = h3
+    h[..., n:, n:] = h4
+    return h
+
+
 def kahler_potential(params: MetricParams, pt: JacobiBallPoint) -> float:
     """f = -(k/2) log det(1 - W Wbar)
           + mu [ zbar^t M z + Re(z^t Wbar M z) ]."""
-    aux = compute_aux(params, pt)
+    aux = _aux(params, pt)
     sign, logdet = np.linalg.slogdet(aux.N)
     z = pt.z
     quad = _dot(z.conj(), _matvec(aux.M, z)).real + _dot(_vecmat(z, aux.X), z).real
@@ -213,10 +258,11 @@ def metric_blocks(params: MetricParams, pt: JacobiBallPoint) -> MetricEval:
     hmu_pq,mn  = [etab_p (eta_n Mbar_qm + eta_m Mbar_qn)
                   + etab_q (eta_n Mbar_pm + eta_m Mbar_pn)] f_pq f_mn.
     """
-    return _blocks(params, compute_aux(params, pt))
+    return _blocks(params, pt)
 
 
-def _blocks(params: MetricParams, aux: AuxMatrices) -> MetricEval:
+def _blocks(params: MetricParams, pt: JacobiBallPoint) -> MetricEval:
+    aux = _aux(params, pt)
     idx = params.pair_index
     P, Q, f = idx.P, idx.Q, idx.f
     Mb = aux.M.conj()
@@ -235,10 +281,8 @@ def _blocks(params: MetricParams, aux: AuxMatrices) -> MetricEval:
         _cmul(etab.take(P, -1)[..., None], K.take(Q, -2))
         + _cmul(etab.take(Q, -1)[..., None], K.take(P, -2))
     )
-    h4 = 0.5 * k * _fold_pair_metric(aux.M, idx) + mu * hmu
-
-    h = np.block([[h1, h2], [h3, h4]])
-    return MetricEval(h1=h1, h2=h2, h3=h3, h4=h4, h=h)
+    h4 = 0.5 * k * _hk(params, pt) + mu * hmu
+    return MetricEval(h1=h1, h2=h2, h3=h3, h4=h4, h=_assemble(h1, h2, h3, h4))
 
 
 @dataclass(frozen=True)
@@ -265,7 +309,7 @@ def metric_inverse(params: MetricParams, pt: JacobiBallPoint) -> MetricInverse:
     """
     idx = params.pair_index
     P, Q = idx.P, idx.Q
-    aux = compute_aux(params, pt)
+    aux = _aux(params, pt)
     Nb = aux.N.conj()
     S = aux.S
     k = params.k
@@ -275,8 +319,7 @@ def metric_inverse(params: MetricParams, pt: JacobiBallPoint) -> MetricInverse:
     i3 = i2.conj().T
     i4 = _pair_metric_inverse(aux.N, idx) / (0.5 * k)
 
-    h_inv = np.block([[i1.astype(complex), i2], [i3, i4]])
-    return MetricInverse(h1=i1, h2=i2, h3=i3, h4=i4, h_inv=h_inv)
+    return MetricInverse(h1=i1, h2=i2, h3=i3, h4=i4, h_inv=_assemble(i1, i2, i3, i4))
 
 
 @dataclass(frozen=True)
@@ -292,10 +335,10 @@ def metric_det(params: MetricParams, pt: JacobiBallPoint) -> DetResult:
     Raises NumericalOverflow when either value leaves the float range, e.g.
     at the origin for n >= 32 with k = 4, mu = 1, where both equal 2^{n^2}.
     """
-    aux = compute_aux(params, pt)
+    aux = _aux(params, pt)
     n = params.n
     with np.errstate(over="ignore", invalid="ignore"):
-        value = np.linalg.det(_blocks(params, aux).h).real
+        value = np.linalg.det(_blocks(params, pt).h).real
         sign, logdet_n = np.linalg.slogdet(aux.N)
         try:
             const = 2.0 ** (n * (n - 1) // 2)
@@ -327,13 +370,11 @@ def curvature(params: MetricParams, pt: JacobiBallPoint) -> CurvatureData:
     the constant scalar curvature -(2/k) n(n+1)(n+2)/2 and the Q.-K. Lu
     matrix ((n+1)(n+2)/2) h - Ric."""
     n = params.n
-    idx = params.pair_index
-    aux = compute_aux(params, pt)
-    d = idx.total_dim
+    d = params.dim
     ric = np.zeros((d, d), dtype=complex)
-    ric[n:, n:] = -(n + 2) * _fold_pair_metric(aux.M, idx)
+    ric[n:, n:] = -(n + 2) * _hk(params, pt)
     scalar = -(2.0 / params.k) * n * (n + 1) * (n + 2) / 2.0
-    qk = ((n + 1) * (n + 2) / 2.0) * _blocks(params, aux).h - ric
+    qk = ((n + 1) * (n + 2) / 2.0) * _blocks(params, pt).h - ric
     return CurvatureData(ric=ric, scalar_curvature=scalar, qk_lu=qk)
 
 

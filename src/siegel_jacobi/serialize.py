@@ -3,9 +3,11 @@
 Wire format: a complex scalar is [re, im] and a real one a float; a vector
 is an array of scalars; a matrix is a row-major array of rows.  Floats are
 emitted through ``repr`` (shortest round-trip form, at most 17 significant
-digits), so decode(encode) is bit-exact.  Malformed input (not an object, a missing key, wrong nesting)
-raises ``ValueError``; non-finite numbers are refused by the point
-constructors on the way in and by ``dumps`` on the way out.
+digits), so decode(encode) is bit-exact.  Malformed input (not an object, a
+missing key, wrong nesting, an entry that is not a number or an [re, im]
+pair of numbers, an "n" that is not the point's size) raises ``ValueError``;
+non-finite numbers are refused by the point constructors on the way in and
+by ``dumps`` on the way out.
 """
 
 from __future__ import annotations
@@ -49,10 +51,17 @@ def fields_to_json(result) -> dict:
     return {f.name: encode(getattr(result, f.name)) for f in dataclasses.fields(result)}
 
 
+_NUMBER = (int, float)  # exact types, so that a JSON boolean is no number
+
+
 def decode_complex(v) -> complex:
-    if isinstance(v, (int, float)):
+    """A real number, or [re, im] of two real numbers; anything else raises
+    TypeError (reported by the field decoders as malformed)."""
+    if type(v) in _NUMBER:
         return complex(v)
-    return complex(v[0], v[1])
+    if type(v) is list and len(v) == 2 and type(v[0]) in _NUMBER and type(v[1]) in _NUMBER:
+        return complex(v[0], v[1])
+    raise TypeError(f"a complex entry is a number or [re, im], got {v!r}")
 
 
 def decode_vector(v) -> np.ndarray:
@@ -84,22 +93,32 @@ def _field(d: dict, key: str, decode):
         raise ValueError(f"missing or malformed {key!r} in JSON ({exc!r})") from exc
 
 
+def _matrix_of_size(d: dict, key: str) -> np.ndarray:
+    """The matrix part d[key] of a point or Fock-coordinate record, whose
+    row count must equal the record's own "n" where it has one."""
+    m = _field(d, key, decode_matrix)
+    n = d.get("n", len(m))
+    if type(n) is not int or n != len(m):
+        raise ValueError(f"JSON has \"n\": {n!r}, but {key!r} has {len(m)} rows")
+    return m
+
+
 def point_from_json(d: dict):
     _object(d, "point")
     if "V" in d:
         u = _field(d, "u", decode_vector) if "u" in d else None
-        return SiegelUpperPoint(V=_field(d, "V", decode_matrix), u=u)
+        return SiegelUpperPoint(V=_matrix_of_size(d, "V"), u=u)
     if "z" in d:
-        return JacobiBallPoint(z=_field(d, "z", decode_vector), W=_field(d, "W", decode_matrix))
+        return JacobiBallPoint(z=_field(d, "z", decode_vector), W=_matrix_of_size(d, "W"))
     if "W" in d:
-        return SiegelBallPoint(_field(d, "W", decode_matrix))
+        return SiegelBallPoint(_matrix_of_size(d, "W"))
     raise ValueError("point JSON needs W, (z, W) or V keys")
 
 
 def fc_from_json(d: dict) -> tuple[np.ndarray, np.ndarray]:
     """(eta, W) of a Fock-coordinate record as written by ``sjk transform fc``."""
     _object(d, "fc")
-    return _field(d, "eta", decode_vector), _field(d, "W", decode_matrix)
+    return _field(d, "eta", decode_vector), _matrix_of_size(d, "W")
 
 
 def element_to_json(h) -> dict:

@@ -367,8 +367,16 @@ class TestErrors:
             (_ELEMENT, 2, "ValueError"),
             ({"n": 1, "z": [[float("nan"), 0.0]], "W": [[[0.1, 0.0]]]}, 3, "InvalidInput"),
             ({"n": 1, "z": [[0.1, 0.0]], "W": [[[float("inf"), 0.0]]]}, 3, "InvalidInput"),
+            ({"n": 2, "z": [[0.1, 0.0, "junk"]], "W": [[[0.1, 0.0, None]]]}, 2, "ValueError"),
+            ({"n": 3, "z": [True], "W": [[False]]}, 2, "ValueError"),
+            ({"n": 1, "z": [[0.1, 0.0]], "W": [[[0.1, 0.0, 0.0]]]}, 2, "ValueError"),
+            ({"n": 2, "z": [[0.1, 0.0]], "W": [[[0.1, 0.0]]]}, 2, "ValueError"),
+            ({"n": True, "z": [[0.1, 0.0]], "W": [[[0.1, 0.0]]]}, 2, "ValueError"),
         ],
-        ids=["missing-W", "scalar-z", "list", "number", "element-missing-alpha", "nan-z", "inf-W"],
+        ids=[
+            "missing-W", "scalar-z", "list", "number", "element-missing-alpha", "nan-z", "inf-W",
+            "extra-items", "booleans", "extra-item-W", "own-n", "boolean-n",
+        ],
     )
     def test_malformed_point_file(self, capsys, tmp_path, payload, code, kind):
         path = tmp_path / "in.json"
@@ -452,6 +460,21 @@ class TestErrors:
         assert code == 3
         assert json.loads(out)["error"]["kind"] == "NumericalOverflow"
 
+    @pytest.mark.parametrize("kind", cli._TRANSFORMS)
+    def test_transform_size_mismatch_exit_three(self, capsys, tmp_path, rng, kind):
+        pt = sample_point("upper" if kind == "cayley" else "jacobi_ball", 2, rng)
+        path = write_point(tmp_path, pt)
+        if kind == "inv-fc":
+            code, out = run_cli(capsys, "transform", "fc", "--n", "2", "--point", path)
+            assert code == 0
+            (tmp_path / "fc.json").write_text(out)
+            path = str(tmp_path / "fc.json")
+        code, out = run_cli(capsys, "transform", kind, "--n", "1", "--point", path)
+        assert code == 3
+        assert json.loads(out)["error"] == {
+            "kind": "GeometryError", "detail": "point has n=2, --n is 1"
+        }
+
     def test_point2_dimension_mismatch(self, capsys, tmp_path, rng):
         p2 = sample_point("jacobi_ball", 2, rng)
         code, out = run_cli(
@@ -498,15 +521,21 @@ class TestErrors:
 # --------------------------------------------------------------------------
 # hostile point files: every generated file is invalid at the --n it is read
 # with, so every command that reads it must print one error object and exit
-# 2 (malformed input) or 3 (a point outside its domain)
+# 2 (malformed input) or 3 (a point outside its domain, or of another size)
 
-_FAULTS = ("not_object", "missing_key", "nesting", "junk_entry", "non_finite", "boundary", "size")
+_FAULTS = (
+    "not_object", "missing_key", "nesting", "junk_entry", "non_finite", "boundary", "size",
+    "own_n",
+)
 _JUNK = st.one_of(
     st.text(alphabet="xyz", min_size=1, max_size=3),
     st.none(),
+    st.booleans(),
     st.just({}),
     st.just([0.1]),
     st.just([[0.1, 0.0]]),
+    st.just([0.1, 0.0, 0.0]),
+    st.just([0.1, True]),
 )
 
 
@@ -523,7 +552,7 @@ def _bad_shape(draw, value, n):
 
 @st.composite
 def _hostile_point(draw):
-    """(n, JSON text of the file, whether its one fault is its size)."""
+    """(n, JSON text of the file, its one fault)."""
     n = draw(st.integers(1, 3))
     fault = draw(st.sampled_from(_FAULTS))
     if fault == "not_object":
@@ -531,17 +560,20 @@ def _hostile_point(draw):
             st.lists(st.floats(-1, 1), max_size=3), st.floats(-1, 1),
             st.text(alphabet="xyz", max_size=3), st.none(), st.booleans(),
         ))
-        return n, json.dumps(value), False
+        return n, json.dumps(value), fault
     if fault == "missing_key":
         # no W and no V: either z without its W, or no point key at all
         keys = draw(st.sets(st.sampled_from(["n", "z", "u", "eta"])))
-        return n, json.dumps({key: [[0.1, 0.0]] * n for key in keys}), False
+        return n, json.dumps({key: [[0.1, 0.0]] * n for key in keys}), fault
     kind = draw(st.sampled_from(["ball", "jacobi_ball", "upper", "jacobi_upper"]))
     rng = np.random.default_rng(draw(st.integers(0, 99)))
     if fault == "size":
         other = draw(st.sampled_from([m for m in (1, 2, 3) if m != n]))
-        return n, serialize.dumps(serialize.point_to_json(sample_point(kind, other, rng))), True
+        return n, serialize.dumps(serialize.point_to_json(sample_point(kind, other, rng))), fault
     d = serialize.point_to_json(sample_point(kind, n, rng))
+    if fault == "own_n":  # the file's own "n" disagrees with its parts
+        d["n"] = draw(st.sampled_from([m for m in (0, 1, 2, 3, 4) if m != n] + [True, float(n)]))
+        return n, json.dumps(d), fault
     key = draw(st.sampled_from(sorted(set(d) - {"n"})))
     if fault == "boundary":
         r = draw(st.floats(1.0, 3.0))
@@ -551,17 +583,17 @@ def _hostile_point(draw):
         else:
             phase = np.exp(1j * draw(st.floats(0.0, 6.3)))
             d["W"] = serialize.encode(r * phase * np.eye(n))
-        return n, json.dumps(d), False
+        return n, json.dumps(d), fault
     if fault == "nesting":
         d[key] = _bad_shape(draw, d[key], n)
-        return n, json.dumps(d), False
+        return n, json.dumps(d), fault
     i = draw(st.integers(0, n - 1))
     target = d[key] if np.ndim(d[key][0]) == 1 else d[key][draw(st.integers(0, n - 1))]
     if fault == "junk_entry":
         target[i] = draw(_JUNK)
     else:  # written as the NaN / Infinity literals that json.loads accepts
         target[i][draw(st.integers(0, 1))] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
-    return n, json.dumps(d), False
+    return n, json.dumps(d), fault
 
 
 _READERS = [("eval", q) for q in cli._EVAL_KINDS] + [("point2",)] + [
@@ -577,9 +609,7 @@ def hostile_dir(tmp_path_factory):
 @settings(max_examples=250, deadline=None, derandomize=True, database=None)
 @given(case=_hostile_point(), reader=st.sampled_from(_READERS))
 def test_hostile_point_file_gives_one_error_object(hostile_dir, case, reader):
-    n, text, size_only = case
-    if size_only and reader[0] == "transform":
-        reader = ("point2",)  # transform reads a point file at its own n
+    n, text, fault = case
     path = hostile_dir / "point.json"
     path.write_text(text)
     if reader[0] == "point2":
@@ -590,5 +620,9 @@ def test_hostile_point_file_gives_one_error_object(hostile_dir, case, reader):
     with contextlib.redirect_stdout(out):
         code = main(argv)
     assert code in (2, 3), (argv, text)
+    if fault == "size" and reader != ("transform", "inv-fc"):  # inv-fc needs an eta key
+        assert code == 3, (argv, text)
+    if fault == "own_n":
+        assert code == 2, (argv, text)
     assert out.getvalue().count("\n") == 1
     assert list(json.loads(out.getvalue(), parse_constant=_reject_constant)) == ["error"]

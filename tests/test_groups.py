@@ -172,6 +172,33 @@ class TestCayleyConjugation:
         back = inverse_cayley_conjugate(gc)
         assert np.max(np.abs(back.matrix() - g.matrix())) < 1e-12
 
+    def test_random_jacobi_c_satisfies_relations(self):
+        # random_jacobi_c does not check the Cayley image of its validated
+        # real element again; here every relation is measured instead
+        rng = np.random.default_rng(1417)
+        worst = 0.0
+        for i in range(200):
+            n = 1 + i % 4
+            g = random_jacobi_c(n, rng).g
+            p, q, eye = g.p, g.q, np.eye(n)
+            worst = max(
+                worst,
+                np.max(np.abs(p @ p.conj().T - q @ q.conj().T - eye)),
+                np.max(np.abs(p @ q.T - q @ p.T)),
+                np.max(np.abs(p.conj().T @ p - q.T @ q.conj() - eye)),
+                np.max(np.abs(p.T @ q.conj() - q.conj().T @ p)),
+            )
+        assert worst < 1e-8
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_random_jacobi_c_is_theta_of_random_jacobi_r(self, n):
+        for seed in range(10):
+            h = random_jacobi_c(n, np.random.default_rng(seed))
+            ref = theta(random_jacobi_r(n, np.random.default_rng(seed)))
+            assert np.array_equal(h.g.p, ref.g.p) and np.array_equal(h.g.q, ref.g.q)
+            assert np.array_equal(h.alpha, ref.alpha) and h.t == ref.t
+            assert h.g.tol == ref.g.tol
+
 
 class TestBallAction:
     def test_identity(self, rng):

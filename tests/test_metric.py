@@ -3,9 +3,10 @@ import warnings
 import numpy as np
 import pytest
 
+from siegel_jacobi import metric
 from siegel_jacobi.domains import JacobiBallPoint, SiegelUpperPoint, TangentVector, sample_point
-from siegel_jacobi.errors import NumericalOverflow
-from siegel_jacobi.laplacian import builtin_field
+from siegel_jacobi.errors import DimensionMismatch, NumericalOverflow
+from siegel_jacobi.laplacian import builtin_field, laplacian_coefficients
 from siegel_jacobi.metric import (
     MetricParams,
     ball_metric_pair,
@@ -391,3 +392,137 @@ class TestDiskRegression:
             assert np.max(np.abs(ev.h - h_ref)) / np.max(np.abs(h_ref)) < 1e-10
             assert np.max(np.abs(inv.h_inv - hinv_ref)) / np.max(np.abs(hinv_ref)) < 1e-10
             assert det.value == pytest.approx(det_ref, rel=1e-10)
+
+
+def _seven_closed_forms(params, at, tangent):
+    """Every closed form that reads a point's Gram data, as arrays; at()
+    gives the point object that each one is called at."""
+    ev = metric_blocks(params, at())
+    inv = metric_inverse(params, at())
+    det = metric_det(params, at())
+    cd = curvature(params, at())
+    return [
+        np.asarray(kahler_potential(params, at())),
+        ev.h1, ev.h2, ev.h3, ev.h4, ev.h,
+        inv.h1, inv.h2, inv.h3, inv.h4, inv.h_inv,
+        np.array([det.value, det.closed_form, det.constant_C]),
+        cd.ric, np.asarray(cd.scalar_curvature), cd.qk_lu,
+        np.asarray(ds2_eval("jacobi_ball", params, at(), tangent)),
+        laplacian_coefficients("jacobi_ball", params, at()).matrix,
+    ]
+
+
+def _fresh(pt):
+    """The same point as a new object, with nothing computed at it yet."""
+    return JacobiBallPoint.assemble(pt.z, pt.W)
+
+
+def _case(n, seed=40):
+    rng = np.random.default_rng(seed + n)
+    params = MetricParams(n=n, k=3.0 + n, mu=0.8)
+    pt = sample_point("jacobi_ball", n, rng, radius=0.7)
+    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    tangent = TangentVector(dz=rng.standard_normal(n) + 0j, dW=A + A.T)
+    return params, pt, tangent
+
+
+class TestGramCache:
+    """N, M, eta and hk are computed once per point and kept on it."""
+
+    def _count(self, monkeypatch, name):
+        calls = []
+        original = getattr(metric, name)
+
+        def counted(*args):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(metric, name, counted)
+        return calls
+
+    def test_one_aux_computation_per_point(self, monkeypatch):
+        calls = self._count(monkeypatch, "compute_aux")
+        params, pt, tangent = _case(3)
+        for _ in range(2):
+            _seven_closed_forms(params, lambda: pt, tangent)
+        assert len(calls) == 1
+        fresh = _fresh(pt)
+        _seven_closed_forms(params, lambda: fresh, tangent)
+        assert len(calls) == 2
+
+    def test_curvature_folds_hk_once(self, monkeypatch):
+        calls = self._count(monkeypatch, "_fold_pair_metric")
+        params, pt, _ = _case(3)
+        curvature(params, pt)
+        assert len(calls) == 1
+        metric_blocks(params, pt)
+        metric_det(params, pt)
+        assert len(calls) == 1
+
+    def test_cached_arrays_are_read_only(self):
+        params, pt, _ = _case(2)
+        metric_blocks(params, pt)
+        aux = metric._aux(params, pt)
+        for a in (aux.N, aux.M, aux.X, aux.eta, aux.S, metric._hk(params, pt)):
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_warm_equals_cold(self, n):
+        params, pt, tangent = _case(n)
+        cold = _seven_closed_forms(params, lambda: _fresh(pt), tangent)
+        for _ in range(2):
+            warm = _seven_closed_forms(params, lambda: pt, tangent)
+            assert all(np.array_equal(a, b) for a, b in zip(warm, cold))
+
+    def test_warm_equals_cold_stacked(self):
+        params, pt, _ = _case(3)
+        offsets = 1e-3 * np.random.default_rng(8).standard_normal((4, params.dim))
+        stack = pt.at_offset(offsets)
+        cold = [
+            kahler_potential(params, pt.at_offset(offsets)),
+            metric_det(params, pt.at_offset(offsets)).value,
+            metric_blocks(params, pt.at_offset(offsets)).h,
+        ]
+        for _ in range(2):
+            warm = [
+                kahler_potential(params, stack),
+                metric_det(params, stack).value,
+                metric_blocks(params, stack).h,
+            ]
+            assert all(np.array_equal(a, b) for a, b in zip(warm, cold))
+
+    def test_stacked_point_has_its_own_cache(self, monkeypatch):
+        params, pt, tangent = _case(2)
+        _seven_closed_forms(params, lambda: pt, tangent)
+        calls = self._count(monkeypatch, "compute_aux")
+        stack = pt.at_offset(np.zeros((3, params.dim)))
+        det = metric_det(params, stack).value
+        assert len(calls) == 1
+        assert metric._aux(params, stack).M.shape == (3, 2, 2)
+        assert metric._aux(params, pt).M.shape == (2, 2)
+        assert np.array_equal(det, np.full(3, metric_det(params, pt).value))
+
+    def test_mutating_results_leaves_the_cache_intact(self):
+        params, pt, tangent = _case(3)
+        reference = _seven_closed_forms(params, lambda: _fresh(pt), tangent)
+        for a in _seven_closed_forms(params, lambda: pt, tangent):
+            if a.ndim:
+                a[...] = 7.0
+        for a, b in zip(_seven_closed_forms(params, lambda: pt, tangent), reference):
+            assert np.array_equal(a, b)
+
+    def test_dimension_mismatch_on_warm_point(self):
+        params, pt, tangent = _case(2)
+        _seven_closed_forms(params, lambda: pt, tangent)
+        wrong = MetricParams(n=3, k=params.k, mu=params.mu)
+        for closed_form in (
+            kahler_potential, metric_blocks, metric_inverse, metric_det, curvature,
+            compute_aux,
+        ):
+            with pytest.raises(DimensionMismatch):
+                closed_form(wrong, pt)
+        with pytest.raises(DimensionMismatch):
+            ds2_eval("jacobi_ball", wrong, pt, tangent)
+        with pytest.raises(DimensionMismatch):
+            laplacian_coefficients("jacobi_ball", wrong, pt)

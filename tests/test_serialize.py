@@ -54,6 +54,28 @@ def test_encode_real_and_none():
 
 def test_real_scalar_accepted():
     assert serialize.decode_complex(1.5) == 1.5 + 0j
+    assert serialize.decode_complex(2) == 2 + 0j
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [True, False, [0.1, 0.0, "junk"], [0.1, 0.0, None], [0.1], [True, 0.0], [0.1, False],
+     "1", ["1", "0"], None, (0.1, 0.0), {"re": 0.1}],
+)
+def test_malformed_complex_entry_rejected(entry):
+    with pytest.raises(TypeError):
+        serialize.decode_complex(entry)
+
+
+@pytest.mark.parametrize("n", [2, 0, True, 1.0, "1", None])
+def test_point_own_n_must_match(n):
+    payload = {"n": n, "z": [[0.1, 0.0]], "W": [[[0.1, 0.0]]]}
+    with pytest.raises(ValueError, match='"n"'):
+        serialize.point_from_json(payload)
+    with pytest.raises(ValueError, match='"n"'):
+        serialize.fc_from_json({"n": n, "eta": [[0.1, 0.0]], "W": [[[0.1, 0.0]]]})
+    del payload["n"]  # a file without "n" is read at its own size
+    assert serialize.point_from_json(payload).n == 1
 
 
 @pytest.mark.parametrize("domain", ["ball", "jacobi_ball", "upper", "jacobi_upper"])

@@ -24,12 +24,17 @@ Conventions fixed here and relied on package-wide:
   part) and its inverse ``from_chart``; ``pt.at_offset(delta)`` is the
   point at chart coordinates ``flatten_point(pt) + delta``.  Every
   finite-difference oracle moves a point this way.
+* The Gram data of a ball-model point, ``N = 1 - W Wbar``, ``M = N^{-1}``,
+  ``logdet_N = ln det N`` and (Jacobi ball) ``eta = M (z + W zbar)``, are
+  formed only here, once per point object, and kept on it read-only by
+  ``kept``, the one store of data derived from a point (``metric`` keeps its
+  own there too).
 * ``sample_point`` validates each sampled point once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, is_dataclass
 from functools import lru_cache
 from typing import ClassVar
 
@@ -90,17 +95,34 @@ def _frozen_symmetric(m: np.ndarray) -> np.ndarray:
     return s
 
 
+def _hermitized(a: np.ndarray) -> np.ndarray:
+    """(a + a*) / 2 over the last two axes: exactly hermitian."""
+    return 0.5 * (a + a.conj().swapaxes(-1, -2))
+
+
 def cross_gram(W: np.ndarray) -> np.ndarray:
     """N = 1 - W Wbar, hermitized exactly against roundoff; broadcasts over
     leading axes of W."""
-    N = np.eye(W.shape[-1]) - W @ W.conj()
-    return 0.5 * (N + N.conj().swapaxes(-1, -2))
+    return _hermitized(np.eye(W.shape[-1]) - W @ W.conj())
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     a = np.array(a)
     a.setflags(write=False)
     return a
+
+
+def kept(pt, key: str, compute):
+    """compute(pt), computed at the first call for key on the point object pt
+    and kept on it, its arrays (or a dataclass's array fields) read-only: a
+    point's parts never change (see ``assemble``), so neither does this."""
+    data = pt.__dict__
+    if key not in data:
+        value = data[key] = compute(pt)
+        for a in vars(value).values() if is_dataclass(value) else (value,):
+            if isinstance(a, np.ndarray):
+                a.setflags(write=False)
+    return data[key]
 
 
 @lru_cache(maxsize=64)
@@ -237,9 +259,9 @@ class _Point:
         caller guarantees the invariants (finite-difference stencils, whose
         margin was checked up front, the stacked images of the group maps,
         and parts of a point that was validated already), and that the
-        arrays do not change afterwards: ``metric`` keeps data derived from
-        a point on the point.  vector is ignored by a type without a vector
-        part."""
+        arrays do not change afterwards: data derived from a point is kept
+        on the point (``kept``).  vector is ignored by a type without a
+        vector part."""
         obj = object.__new__(cls)
         object.__setattr__(obj, cls._MATRIX, matrix)
         if cls._VECTOR is not None:
@@ -289,18 +311,29 @@ def flatten_point(pt) -> np.ndarray:
 
 
 class _BallPart(_Point):
-    """The W part shared by the Siegel-ball and Jacobi-ball points."""
+    """The W part shared by the Siegel-ball and Jacobi-ball points, with its
+    Gram data, each kept at its first read (stacked on a stacked point)."""
 
     _MATRIX = "W"
 
-    def cross_gram(self) -> np.ndarray:
-        """N = 1 - W Wbar, hermitized."""
-        return cross_gram(self.W)
+    @property
+    def N(self) -> np.ndarray:
+        """1 - W Wbar, hermitized."""
+        return kept(self, "N", lambda pt: cross_gram(pt.W))
+
+    @property
+    def M(self) -> np.ndarray:
+        """N^{-1}, hermitized."""
+        return kept(self, "M", lambda pt: _hermitized(np.linalg.inv(pt.N)))
+
+    @property
+    def logdet_N(self):
+        """ln det N: a float at one point, an array over a stack."""
+        return kept(self, "logdet_N", lambda pt: np.linalg.slogdet(pt.N)[1])
 
     def margin(self) -> float:
-        """Smallest eigenvalue of 1 - W Wbar: the distance proxy to the
-        boundary."""
-        return float(np.linalg.eigvalsh(self.cross_gram())[0])
+        """Smallest eigenvalue of N: the distance proxy to the boundary."""
+        return float(np.linalg.eigvalsh(self.N)[0])
 
 
 def _item(x):
@@ -376,6 +409,11 @@ class JacobiBallPoint(_BallPart):
         W = _ball_matrix(self.W)
         object.__setattr__(self, "z", _as_complex_vector(self.z, "z", W.shape[0]))
         object.__setattr__(self, "W", W)
+
+    @property
+    def eta(self) -> np.ndarray:
+        """The FC coordinate M (z + W zbar), kept like N."""
+        return kept(self, "eta", lambda pt: _matvec(pt.M, pt.z + _matvec(pt.W, pt.z.conj())))
 
     @property
     def ball(self) -> SiegelBallPoint:

@@ -20,11 +20,12 @@ does alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import JacobiBallPoint, SiegelBallPoint, SiegelUpperPoint, TangentVector, _matvec
+from .domains import JacobiBallPoint, SiegelBallPoint, SiegelUpperPoint, TangentVector
 from .errors import DimensionMismatch, InvalidInput, SingularDenominator
 
 __all__ = [
@@ -71,6 +72,13 @@ def _solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return out
 
 
+def _right_divide(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num den^{-1} for a symmetric quotient, exactly symmetrised; solved as
+    its transpose (den^t)^{-1} num^t, whose symmetrisation is the same sum."""
+    X = _solve(den.swapaxes(-1, -2), num.swapaxes(-1, -2))
+    return 0.5 * (X.swapaxes(-1, -2) + X)
+
+
 def _max_abs(a: np.ndarray) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
@@ -91,13 +99,13 @@ class SymplecticC:
             raise DimensionMismatch("p and q must be square of equal size")
         n = p.shape[0]
         eye = np.eye(n)
-        defect = max(
+        defect = float(np.max([
             _max_abs(p @ p.conj().T - q @ q.conj().T - eye),
             _max_abs(p @ q.T - q @ p.T),
             _max_abs(p.conj().T @ p - q.T @ q.conj() - eye),
             _max_abs(p.T @ q.conj() - q.conj().T @ p),
-        )
-        if defect > self.tol:
+        ]))
+        if not defect <= self.tol:  # NaN entries give a NaN defect
             raise InvalidInput(f"symplectic relations violated by {defect:.3e}")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
@@ -153,12 +161,12 @@ class SymplecticR:
             blocks[name] = m
         a, b, c, d = blocks["a"], blocks["b"], blocks["c"], blocks["d"]
         eye = np.eye(shape[0])
-        defect = max(
+        defect = float(np.max([
             _max_abs(a.T @ c - c.T @ a),
             _max_abs(b.T @ d - d.T @ b),
             _max_abs(a.T @ d - c.T @ b - eye),
-        )
-        if defect > self.tol:
+        ]))
+        if not defect <= self.tol:  # NaN entries give a NaN defect
             raise InvalidInput(f"real symplectic relations violated by {defect:.3e}")
         for name, m in blocks.items():
             object.__setattr__(self, name, m)
@@ -201,6 +209,8 @@ class JacobiElementC:
         alpha = np.asarray(self.alpha, dtype=complex).reshape(-1)
         if alpha.shape[0] != self.g.n:
             raise DimensionMismatch("alpha must have length n")
+        if not (np.isfinite(alpha).all() and math.isfinite(self.t)):
+            raise InvalidInput("alpha and t must be finite")
         object.__setattr__(self, "alpha", alpha)
 
     @property
@@ -226,6 +236,8 @@ class JacobiElementR:
         x = np.asarray(self.lambda_mu, dtype=float).reshape(-1)
         if x.shape[0] != 2 * self.g.n:
             raise DimensionMismatch("lambda_mu must have length 2n")
+        if not (np.isfinite(x).all() and math.isfinite(self.k_center)):
+            raise InvalidInput("lambda_mu and k_center must be finite")
         object.__setattr__(self, "lambda_mu", x)
 
     @property
@@ -328,11 +340,7 @@ def theta(h: JacobiElementR) -> JacobiElementC:
 
 def act_siegel_ball(g: SymplecticC, W: np.ndarray) -> np.ndarray:
     """W1 = (p W + q)(qbar W + pbar)^{-1}, returned exactly symmetrized."""
-    num = g.p @ W + g.q
-    den = g.q.conj() @ W + g.p.conj()
-    # (num @ den^{-1})^t; the symmetrization is the same sum either way
-    W1 = _solve(den.swapaxes(-1, -2), num.swapaxes(-1, -2))
-    return 0.5 * (W1.swapaxes(-1, -2) + W1)
+    return _right_divide(g.p @ W + g.q, g.q.conj() @ W + g.p.conj())
 
 
 def act_ball(h: JacobiElementC, pt: JacobiBallPoint) -> JacobiBallPoint:
@@ -353,10 +361,7 @@ def act_upper(h: JacobiElementR, pt: SiegelUpperPoint) -> SiegelUpperPoint:
     if h.n != pt.n:
         raise DimensionMismatch("element and point of different size")
     g = h.g
-    num = g.a @ pt.V + g.b
-    den = g.c @ pt.V + g.d
-    V1 = _solve(den.swapaxes(-1, -2), num.swapaxes(-1, -2))  # transposed
-    V1 = 0.5 * (V1.swapaxes(-1, -2) + V1)
+    V1 = _right_divide(g.a @ pt.V + g.b, g.c @ pt.V + g.d)
     u1 = None
     if pt.u is not None:
         u1 = _solve(pt.V @ g.c.T + g.d.T, pt.u + pt.V @ h.alpha_im + h.alpha_re)
@@ -368,8 +373,7 @@ def partial_cayley(pt: SiegelUpperPoint) -> JacobiBallPoint | SiegelBallPoint:
     W = (V - i)(V + i)^{-1}, z = 2i (V + i)^{-1} u."""
     eye = np.eye(pt.n)
     den = pt.V + 1j * eye
-    W = _solve(den.swapaxes(-1, -2), (pt.V - 1j * eye).swapaxes(-1, -2))  # transposed
-    W = 0.5 * (W.swapaxes(-1, -2) + W)
+    W = _right_divide(pt.V - 1j * eye, den)
     if pt.u is None:
         return SiegelBallPoint.image(None, W)
     return JacobiBallPoint.image(2j * _solve(den, pt.u), W)
@@ -386,10 +390,9 @@ def inverse_partial_cayley(pt: JacobiBallPoint | SiegelBallPoint) -> SiegelUpper
 
 
 def fc_transform(pt: JacobiBallPoint) -> tuple[np.ndarray, np.ndarray]:
-    """Kaehler-product coordinates: eta = (1 - W Wbar)^{-1}(z + W zbar)."""
-    N = pt.cross_gram()
-    eta = _solve(N, pt.z + _matvec(pt.W, pt.z.conj()))
-    return eta, np.array(pt.W)
+    """Kaehler-product coordinates: eta = (1 - W Wbar)^{-1}(z + W zbar), the
+    point's own (see ``domains``), returned as new arrays."""
+    return np.array(pt.eta), np.array(pt.W)
 
 
 def inverse_fc_transform(eta: np.ndarray, W: np.ndarray) -> JacobiBallPoint:

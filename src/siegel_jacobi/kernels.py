@@ -112,16 +112,6 @@ def two_point_kernel(
     return F, complex(K)
 
 
-def _log_ball_kappa(params: MetricParams, V: np.ndarray, W: np.ndarray) -> complex:
-    """log of det^{k/2}[(1 - V Vbar)(1 - W Wbar) / (1 - W Vbar)^2]."""
-    n = V.shape[0]
-    eye = np.eye(n)
-    _, ld_v = np.linalg.slogdet(eye - V @ V.conj())
-    _, ld_w = np.linalg.slogdet(eye - W @ W.conj())
-    ld_mixed = _tracked_logdet(W, V.conj())
-    return 0.5 * params.k * (ld_v + ld_w - 2.0 * ld_mixed)
-
-
 def normalized_kernels(
     params: MetricParams, zeta: JacobiBallPoint, zeta2: JacobiBallPoint
 ) -> tuple[complex, float, float]:
@@ -129,14 +119,16 @@ def normalized_kernels(
 
     kappa = kappa_ball(V, W) exp mu [2 F(z,z') - F(z) - F(z')]
     b     = |kappa|^2 in (0, 1], 1 iff the points coincide
-    D     = -ln b >= 0, symmetric in its arguments.
+    D     = -ln b >= 0, symmetric in its arguments,
+
+    with kappa_ball = det^{k/2}[(1 - V Vbar)(1 - W Wbar) / (1 - W Vbar)^2].
     """
     F12 = _two_point_exponent(zeta.z, zeta.W, zeta2.z, zeta2.W)
     F1 = _two_point_exponent(zeta.z, zeta.W, zeta.z, zeta.W)
     F2 = _two_point_exponent(zeta2.z, zeta2.W, zeta2.z, zeta2.W)
-    log_kappa = _log_ball_kappa(params, zeta.W, zeta2.W) + params.mu * (
-        2.0 * F12 - F1 - F2
-    )
+    ld_mixed = _tracked_logdet(zeta2.W, zeta.W.conj())
+    log_ball_kappa = 0.5 * params.k * (zeta.logdet_N + zeta2.logdet_N - 2.0 * ld_mixed)
+    log_kappa = log_ball_kappa + params.mu * (2.0 * F12 - F1 - F2)
     kappa = complex(np.exp(log_kappa))
     berezin = float(np.exp(2.0 * log_kappa.real))
     diastasis = float(-2.0 * log_kappa.real)
@@ -147,8 +139,7 @@ def epsilon_function(params: MetricParams, pt: JacobiBallPoint) -> float:
     """exp(-f) K(z, z); identically 1 exactly because the metric is balanced
     (f = ln K on the diagonal).  Evaluated in log space for stability."""
     F = _two_point_exponent(pt.z, pt.W, pt.z, pt.W)
-    _, logdet_n = np.linalg.slogdet(pt.cross_gram())
-    log_k = -0.5 * params.k * logdet_n + params.mu * F.real
+    log_k = -0.5 * params.k * pt.logdet_N + params.mu * F.real
     f = kahler_potential(params, pt)
     return float(np.exp(log_k - f))
 
@@ -180,8 +171,7 @@ class VolumeData:
 
 def volume_densities(pt) -> VolumeData:
     """The invariant densities at a ball or Jacobi-ball point, n = pt.n."""
-    n = pt.n
-    sign, logdet = np.linalg.slogdet(pt.cross_gram())
+    n, logdet = pt.n, pt.logdet_N
     return VolumeData(
         Q_ball=float(np.exp(-(n + 1) * logdet)),
         Q_jacobi=float(np.exp(-(n + 2) * logdet)),

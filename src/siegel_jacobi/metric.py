@@ -15,11 +15,10 @@ counting.  Each pair block is a single expression over the index arrays
 
     hk_pq,mn = 2 f_pq f_mn (M_mp M_nq + M_mq M_np).
 
-N, M and eta (``compute_aux``) and the Siegel-ball pair form hk are
-computed once per point: the first closed form at a point keeps them on the
-point, read-only, and every later one at that point reads them (a point's
-parts never change; see ``domains``).  Nothing that depends on (k, mu) is
-kept, and every result is a new, writable array.
+N, M and eta are the point's own Gram data (see ``domains``); the metric's
+own point data, X, S, alpha (``compute_aux``), hk and k_inv, are kept on the
+point by ``domains.kept`` too.  Nothing that depends on (k, mu) is kept, and
+every result is a new, writable array.
 ``h @ metric_inverse(...).h_inv`` is the literal identity in this
 ordered-pair indexing.
 
@@ -41,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domains import JacobiBallPoint, PairIndex, SiegelBallPoint, SiegelUpperPoint, TangentVector
-from .domains import _dot, _item, _matvec, _vecmat, flatten_point
+from .domains import _dot, _item, _matvec, _vecmat, flatten_point, kept
 from .errors import DimensionMismatch, NumericalOverflow
 
 __all__ = [
@@ -100,62 +99,36 @@ class MetricParams:
 
 @dataclass(frozen=True)
 class AuxMatrices:
-    """Shared intermediates of the closed forms at a point (z, W)."""
+    """The metric's own intermediates at a point (z, W), beside the point's
+    Gram data N, M and eta."""
 
-    N: np.ndarray          # 1 - W Wbar (hermitized)
-    M: np.ndarray          # N^{-1}
     X: np.ndarray          # Wbar M = Mbar Wbar, complex symmetric
-    eta: np.ndarray        # M (z + W zbar)
     S: np.ndarray          # S_n = sum_q eta_q Nbar_qn
     alpha: float           # eta^t Nbar conj(eta) >= 0 (an array over a stack)
-
-
-def _inverse_gram(N: np.ndarray) -> np.ndarray:
-    """M = N^{-1}, hermitized."""
-    M = np.linalg.inv(N)
-    return 0.5 * (M + M.conj().swapaxes(-1, -2))
 
 
 def compute_aux(params: MetricParams, pt: JacobiBallPoint) -> AuxMatrices:
     if params.n != pt.n:
         raise DimensionMismatch("params and point of different dimension")
-    N = pt.cross_gram()
-    M = _inverse_gram(N)
-    X = pt.W.conj() @ M
-    eta = _matvec(M, pt.z + _matvec(pt.W, pt.z.conj()))
-    Nbar = N.conj()
-    S = _vecmat(eta, Nbar)
-    alpha = _item(_dot(S, eta.conj()).real)
-    return AuxMatrices(N=N, M=M, X=X, eta=eta, S=S, alpha=alpha)
+    S = _vecmat(pt.eta, pt.N.conj())
+    return AuxMatrices(X=pt.W.conj() @ pt.M, S=S, alpha=_item(_dot(S, pt.eta.conj()).real))
 
 
-def _read_only(a):
-    if isinstance(a, np.ndarray):
-        a.setflags(write=False)
-    return a
+def _kept(params: MetricParams, pt: JacobiBallPoint, key: str, compute):
+    """compute(pt), kept on pt (``domains.kept``); the dimension check runs
+    on every call."""
+    if params.n != pt.n:
+        raise DimensionMismatch("params and point of different dimension")
+    return kept(pt, key, compute)
 
 
 def _aux(params: MetricParams, pt: JacobiBallPoint) -> AuxMatrices:
-    """compute_aux(params, pt), computed on the first call at pt and kept on
-    it read-only; the dimension check runs on every call."""
-    if params.n != pt.n:
-        raise DimensionMismatch("params and point of different dimension")
-    aux = pt.__dict__.get("_aux")
-    if aux is None:
-        aux = compute_aux(params, pt)
-        for value in vars(aux).values():
-            _read_only(value)
-        pt.__dict__["_aux"] = aux
-    return aux
+    return _kept(params, pt, "aux", lambda p: compute_aux(params, p))
 
 
 def _hk(params: MetricParams, pt: JacobiBallPoint) -> np.ndarray:
-    """The Siegel-ball pair form of M, kept on pt like ``_aux``."""
-    aux = _aux(params, pt)
-    hk = pt.__dict__.get("_hk")
-    if hk is None:
-        hk = pt.__dict__["_hk"] = _read_only(_fold_pair_metric(aux.M, params.pair_index))
-    return hk
+    """The Siegel-ball pair form of M."""
+    return _kept(params, pt, "hk", lambda p: _fold_pair_metric(p.M, params.pair_index))
 
 
 def _assemble(h1: np.ndarray, h2: np.ndarray, h3: np.ndarray, h4: np.ndarray) -> np.ndarray:
@@ -174,10 +147,9 @@ def kahler_potential(params: MetricParams, pt: JacobiBallPoint) -> float:
     """f = -(k/2) log det(1 - W Wbar)
           + mu [ zbar^t M z + Re(z^t Wbar M z) ]."""
     aux = _aux(params, pt)
-    sign, logdet = np.linalg.slogdet(aux.N)
     z = pt.z
-    quad = _dot(z.conj(), _matvec(aux.M, z)).real + _dot(_vecmat(z, aux.X), z).real
-    return _item(-0.5 * params.k * logdet + params.mu * quad)
+    quad = _dot(z.conj(), _matvec(pt.M, z)).real + _dot(_vecmat(z, aux.X), z).real
+    return _item(-0.5 * params.k * pt.logdet_N + params.mu * quad)
 
 
 def _grid(A: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -223,8 +195,7 @@ def ball_metric_pair(W) -> tuple[np.ndarray, np.ndarray]:
     h^k @ k_inv is the identity."""
     pt = W if isinstance(W, SiegelBallPoint) else SiegelBallPoint(W)
     idx = PairIndex(pt.n)
-    N = pt.cross_gram()
-    return _fold_pair_metric(_inverse_gram(N), idx), _pair_metric_inverse(N, idx)
+    return _fold_pair_metric(pt.M, idx), _pair_metric_inverse(pt.N, idx)
 
 
 def upper_metric_pair(pt: SiegelUpperPoint) -> tuple[np.ndarray, np.ndarray]:
@@ -262,11 +233,11 @@ def metric_blocks(params: MetricParams, pt: JacobiBallPoint) -> MetricEval:
 
 
 def _blocks(params: MetricParams, pt: JacobiBallPoint) -> MetricEval:
-    aux = _aux(params, pt)
+    hk = _hk(params, pt)
     idx = params.pair_index
     P, Q, f = idx.P, idx.Q, idx.f
-    Mb = aux.M.conj()
-    eta = aux.eta
+    Mb = pt.M.conj()
+    eta = pt.eta
     etab = eta.conj()
     mu, k = params.mu, params.k
 
@@ -281,7 +252,7 @@ def _blocks(params: MetricParams, pt: JacobiBallPoint) -> MetricEval:
         _cmul(etab.take(P, -1)[..., None], K.take(Q, -2))
         + _cmul(etab.take(Q, -1)[..., None], K.take(P, -2))
     )
-    h4 = 0.5 * k * _hk(params, pt) + mu * hmu
+    h4 = 0.5 * k * hk + mu * hmu
     return MetricEval(h1=h1, h2=h2, h3=h3, h4=h4, h=_assemble(h1, h2, h3, h4))
 
 
@@ -310,14 +281,14 @@ def metric_inverse(params: MetricParams, pt: JacobiBallPoint) -> MetricInverse:
     idx = params.pair_index
     P, Q = idx.P, idx.Q
     aux = _aux(params, pt)
-    Nb = aux.N.conj()
+    Nb = pt.N.conj()
     S = aux.S
     k = params.k
 
     i1 = (1.0 / params.mu + aux.alpha / k) * Nb + np.outer(S.conj(), S) / k
     i2 = -(S[Q] * Nb[:, P] + S[P] * Nb[:, Q]) / k
     i3 = i2.conj().T
-    i4 = _pair_metric_inverse(aux.N, idx) / (0.5 * k)
+    i4 = _kept(params, pt, "k_inv", lambda p: _pair_metric_inverse(p.N, idx)) / (0.5 * k)
 
     return MetricInverse(h1=i1, h2=i2, h3=i3, h4=i4, h_inv=_assemble(i1, i2, i3, i4))
 
@@ -335,11 +306,10 @@ def metric_det(params: MetricParams, pt: JacobiBallPoint) -> DetResult:
     Raises NumericalOverflow when either value leaves the float range, e.g.
     at the origin for n >= 32 with k = 4, mu = 1, where both equal 2^{n^2}.
     """
-    aux = _aux(params, pt)
     n = params.n
     with np.errstate(over="ignore", invalid="ignore"):
         value = np.linalg.det(_blocks(params, pt).h).real
-        sign, logdet_n = np.linalg.slogdet(aux.N)
+        logdet_n = pt.logdet_N
         try:
             const = 2.0 ** (n * (n - 1) // 2)
             closed = (
@@ -378,11 +348,6 @@ def curvature(params: MetricParams, pt: JacobiBallPoint) -> CurvatureData:
     return CurvatureData(ric=ric, scalar_curvature=scalar, qk_lu=qk)
 
 
-def _quad_form(h: np.ndarray, t: np.ndarray) -> float:
-    val = t @ h @ t.conj()
-    return float(val.real)
-
-
 def ds2_eval(domain: str, params: MetricParams, pt, tangent: TangentVector) -> float:
     """Squared length of a tangent vector.
 
@@ -398,10 +363,10 @@ def ds2_eval(domain: str, params: MetricParams, pt, tangent: TangentVector) -> f
         dV = tangent.dW
         return float(np.trace(Rinv @ dV @ Rinv @ dV.conj()).real)
     if domain == "ball":
-        M = _inverse_gram(pt.cross_gram())
+        M = pt.M
         dW = tangent.dW
         return float(4.0 * np.trace(M @ dW @ M.conj() @ dW.conj()).real)
     if domain == "jacobi_ball":
-        ev = metric_blocks(params, pt)
-        return _quad_form(ev.h, flatten_point(tangent))
+        t = flatten_point(tangent)
+        return float((t @ metric_blocks(params, pt).h @ t.conj()).real)
     raise ValueError(f"unknown domain {domain!r}")

@@ -85,11 +85,11 @@ def _object(d, what: str) -> None:
 
 
 def _field(d: dict, key: str, decode):
-    """decode(d[key]), reporting a missing key or a malformed value as
-    ValueError."""
+    """decode(d[key]), reporting a missing key or a malformed value (an
+    integer beyond the float range included) as ValueError."""
     try:
         return decode(d[key])
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, OverflowError) as exc:
         raise ValueError(f"missing or malformed {key!r} in JSON ({exc!r})") from exc
 
 
@@ -141,19 +141,28 @@ def element_to_json(h) -> dict:
     raise TypeError(f"cannot serialize {type(h).__name__}")
 
 
+def _real(v) -> float:
+    """A real number by the rule of ``decode_complex``, else TypeError."""
+    if type(v) in _NUMBER:
+        return float(v)
+    raise TypeError(f"a real entry is a number, got {v!r}")
+
+
 def _real_array(v) -> np.ndarray:
-    return np.array(v, dtype=float)
+    """Nested lists (or an array) of real numbers, each read by ``_real``."""
+    a = np.asarray(v, dtype=object)
+    return np.array([_real(x) for x in a.flat], dtype=float).reshape(a.shape)
 
 
 def element_from_json(d: dict):
     _object(d, "element")
     if "p" in d:
         g = SymplecticC(_field(d, "p", decode_matrix), _field(d, "q", decode_matrix))
-        t = _field(d, "t", float) if "t" in d else 0.0
+        t = _field(d, "t", _real) if "t" in d else 0.0
         return JacobiElementC(g, _field(d, "alpha", decode_vector), t)
     if "a" in d:
         g = SymplecticR(*(_field(d, key, _real_array) for key in "abcd"))
-        k_center = _field(d, "k_center", float) if "k_center" in d else 0.0
+        k_center = _field(d, "k_center", _real) if "k_center" in d else 0.0
         return JacobiElementR(g, _field(d, "lambda_mu", _real_array), k_center)
     raise ValueError("element JSON needs (p, q, alpha) or (a, b, c, d, lambda_mu)")
 

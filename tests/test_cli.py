@@ -372,10 +372,11 @@ class TestErrors:
             ({"n": 1, "z": [[0.1, 0.0]], "W": [[[0.1, 0.0, 0.0]]]}, 2, "ValueError"),
             ({"n": 2, "z": [[0.1, 0.0]], "W": [[[0.1, 0.0]]]}, 2, "ValueError"),
             ({"n": True, "z": [[0.1, 0.0]], "W": [[[0.1, 0.0]]]}, 2, "ValueError"),
+            ({"n": 1, "z": [10**400], "W": [[0]]}, 2, "ValueError"),
         ],
         ids=[
             "missing-W", "scalar-z", "list", "number", "element-missing-alpha", "nan-z", "inf-W",
-            "extra-items", "booleans", "extra-item-W", "own-n", "boolean-n",
+            "extra-items", "booleans", "extra-item-W", "own-n", "boolean-n", "huge-int",
         ],
     )
     def test_malformed_point_file(self, capsys, tmp_path, payload, code, kind):

@@ -236,7 +236,7 @@ class TestBallAction:
             pt = sample_point("jacobi_ball", 2, rng)
             h = random_jacobi_c(2, rng)
             moved = act_ball(h, pt)  # constructor validates membership
-            assert np.linalg.eigvalsh(moved.cross_gram())[0] > 0
+            assert np.linalg.eigvalsh(moved.N)[0] > 0
 
 
 class TestUpperAction:

@@ -3,9 +3,13 @@ import warnings
 import numpy as np
 import pytest
 
-from siegel_jacobi import metric
+from dataclasses import fields
+
+from siegel_jacobi import domains, metric
 from siegel_jacobi.domains import JacobiBallPoint, SiegelUpperPoint, TangentVector, sample_point
 from siegel_jacobi.errors import DimensionMismatch, NumericalOverflow
+from siegel_jacobi.groups import fc_transform
+from siegel_jacobi.kernels import kernel_eval, volume_densities
 from siegel_jacobi.laplacian import builtin_field, laplacian_coefficients
 from siegel_jacobi.metric import (
     MetricParams,
@@ -76,7 +80,7 @@ class TestAux:
         params = MetricParams(n=3, k=2, mu=1)
         pt = sample_point("jacobi_ball", 3, rng)
         aux = compute_aux(params, pt)
-        assert np.max(np.abs(aux.M @ aux.N - np.eye(3))) < 1e-12
+        assert np.max(np.abs(pt.M @ pt.N - np.eye(3))) < 1e-12
         assert np.max(np.abs(aux.X - aux.X.T)) < 1e-12
         assert aux.alpha >= 0
 
@@ -143,7 +147,7 @@ def _loop_pair_blocks(params, pt):
     h^k, k_inv), written from the closed forms with one Python loop per
     entry and the four-way case split of h^k."""
     aux = compute_aux(params, pt)
-    M, N, eta, S, k, mu = aux.M, aux.N, aux.eta, aux.S, params.k, params.mu
+    M, N, eta, S, k, mu = pt.M, pt.N, pt.eta, aux.S, params.k, params.mu
     Mb, Nb, etab = M.conj(), N.conj(), eta.conj()
     pairs = params.pair_index.pairs
     n, m = params.n, len(pairs)
@@ -278,7 +282,7 @@ class TestDeterminant:
         res = metric_det(params, pt)
         assert res.value == pytest.approx(res.closed_form, rel=1e-10)
         ratio = res.value / metric_det(params, origin(n)).value
-        det_n = np.linalg.det(pt.cross_gram()).real
+        det_n = np.linalg.det(pt.N).real
         assert ratio == pytest.approx(det_n ** -(n + 2), rel=1e-10)
 
 
@@ -412,6 +416,16 @@ def _seven_closed_forms(params, at, tangent):
     ]
 
 
+def _gram_readers(params, at):
+    """The kernels and the FC transform, which read a point's ln det N and
+    eta, as arrays; at() gives the point object for each call."""
+    ev = kernel_eval(params, at())
+    vol = volume_densities(at())
+    return [np.asarray(getattr(ev, f.name)) for f in fields(ev)] + [
+        np.array([vol.Q_ball, vol.Q_jacobi]), fc_transform(at())[0],
+    ]
+
+
 def _fresh(pt):
     """The same point as a new object, with nothing computed at it yet."""
     return JacobiBallPoint.assemble(pt.z, pt.W)
@@ -427,18 +441,57 @@ def _case(n, seed=40):
 
 
 class TestGramCache:
-    """N, M, eta and hk are computed once per point and kept on it."""
+    """N, M, ln det N and eta (domains) and the metric's X, S, alpha, hk and
+    k_inv are computed once per point and kept on it."""
 
-    def _count(self, monkeypatch, name):
+    def _count(self, monkeypatch, name, module=metric):
         calls = []
-        original = getattr(metric, name)
+        original = getattr(module, name)
 
         def counted(*args):
             calls.append(name)
             return original(*args)
 
-        monkeypatch.setattr(metric, name, counted)
+        monkeypatch.setattr(module, name, counted)
         return calls
+
+    def test_one_gram_computation_per_point_object(self, monkeypatch):
+        params, pt, tangent = _case(3)
+        ball = pt.ball
+        calls = self._count(monkeypatch, "cross_gram", module=domains)
+
+        def every_reader(pt, ball):
+            _seven_closed_forms(params, lambda: pt, tangent)
+            _gram_readers(params, lambda: pt)
+            pt.margin()
+            ball_metric_pair(ball)
+            ds2_eval("ball", params, ball, tangent)
+            volume_densities(ball)
+            ball.margin()
+
+        for _ in range(2):
+            every_reader(pt, ball)
+        assert len(calls) == 2  # pt and ball
+        every_reader(_fresh(pt), ball)
+        assert len(calls) == 3
+
+    def test_metric_inverse_folds_k_inv_once(self, monkeypatch):
+        calls = self._count(monkeypatch, "_pair_metric_inverse")
+        params, pt, _ = _case(3)
+        for _ in range(2):
+            metric_inverse(params, pt)
+            laplacian_coefficients("jacobi_ball", params, pt)
+        assert len(calls) == 1
+
+    def test_point_data_is_read_only(self):
+        params, pt, _ = _case(2)
+        stack = pt.at_offset(np.zeros((3, params.dim)))
+        for a in (
+            pt.N, pt.M, pt.eta, pt.ball.N, pt.ball.M, stack.N, stack.M, stack.eta,
+            stack.logdet_N,
+        ):
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
 
     def test_one_aux_computation_per_point(self, monkeypatch):
         calls = self._count(monkeypatch, "compute_aux")
@@ -463,7 +516,7 @@ class TestGramCache:
         params, pt, _ = _case(2)
         metric_blocks(params, pt)
         aux = metric._aux(params, pt)
-        for a in (aux.N, aux.M, aux.X, aux.eta, aux.S, metric._hk(params, pt)):
+        for a in (aux.X, aux.S, metric._hk(params, pt)):
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0
 
@@ -471,9 +524,11 @@ class TestGramCache:
     def test_warm_equals_cold(self, n):
         params, pt, tangent = _case(n)
         cold = _seven_closed_forms(params, lambda: _fresh(pt), tangent)
+        cold += _gram_readers(params, lambda: _fresh(pt))
         for _ in range(2):
             warm = _seven_closed_forms(params, lambda: pt, tangent)
-            assert all(np.array_equal(a, b) for a, b in zip(warm, cold))
+            warm += _gram_readers(params, lambda: pt)
+            assert all(np.array_equal(a, b) for a, b in zip(warm, cold, strict=True))
 
     def test_warm_equals_cold_stacked(self):
         params, pt, _ = _case(3)
@@ -483,24 +538,26 @@ class TestGramCache:
             kahler_potential(params, pt.at_offset(offsets)),
             metric_det(params, pt.at_offset(offsets)).value,
             metric_blocks(params, pt.at_offset(offsets)).h,
+            fc_transform(pt.at_offset(offsets))[0],
         ]
         for _ in range(2):
             warm = [
                 kahler_potential(params, stack),
                 metric_det(params, stack).value,
                 metric_blocks(params, stack).h,
+                fc_transform(stack)[0],
             ]
             assert all(np.array_equal(a, b) for a, b in zip(warm, cold))
 
     def test_stacked_point_has_its_own_cache(self, monkeypatch):
         params, pt, tangent = _case(2)
         _seven_closed_forms(params, lambda: pt, tangent)
-        calls = self._count(monkeypatch, "compute_aux")
+        calls = self._count(monkeypatch, "_fold_pair_metric")
         stack = pt.at_offset(np.zeros((3, params.dim)))
         det = metric_det(params, stack).value
         assert len(calls) == 1
-        assert metric._aux(params, stack).M.shape == (3, 2, 2)
-        assert metric._aux(params, pt).M.shape == (2, 2)
+        assert metric._hk(params, stack).shape == (3, 3, 3)
+        assert metric._hk(params, pt).shape == (3, 3)
         assert np.array_equal(det, np.full(3, metric_det(params, pt).value))
 
     def test_mutating_results_leaves_the_cache_intact(self):

@@ -441,7 +441,7 @@ class TestVolumeInvariance:
         assert volume_invariance_check("jacobi_ball", h, pt) < 1e-5
 
         def wrong(x):
-            _, logdet = np.linalg.slogdet(x.cross_gram())
+            _, logdet = np.linalg.slogdet(x.N)
             q = float(np.exp(-(x.n + 1) * logdet))
             return VolumeData(Q_ball=q, Q_jacobi=q)
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from siegel_jacobi import serialize
 from siegel_jacobi.domains import JacobiBallPoint, SiegelUpperPoint, sample_point
+from siegel_jacobi.errors import InvalidInput
 from siegel_jacobi.groups import random_jacobi_c, random_jacobi_r
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
@@ -138,6 +139,51 @@ def test_element_roundtrip(rng):
 def test_malformed_element_is_value_error(payload):
     with pytest.raises(ValueError):
         serialize.element_from_json(payload)
+
+
+_C_RECORD = {"p": [[[1.0, 0.0]]], "q": [[[0.0, 0.0]]], "alpha": [[0.0, 0.0]], "t": 0.0}
+_R_RECORD = {"a": [[1.0]], "b": [[0.0]], "c": [[0.0]], "d": [[1.0]], "lambda_mu": [0.0, 0.0],
+             "k_center": 0.0}
+
+
+@pytest.mark.parametrize(
+    "record,error",
+    [
+        ({**_C_RECORD, "p": [[[float("nan"), 0.0]]]}, InvalidInput),
+        ({**_C_RECORD, "alpha": [[float("inf"), 0.0]]}, InvalidInput),
+        ({**_C_RECORD, "t": float("nan")}, InvalidInput),
+        ({**_C_RECORD, "t": "1"}, ValueError),
+        ({**_C_RECORD, "t": True}, ValueError),
+        ({**_R_RECORD, "d": [[float("nan")]]}, InvalidInput),
+        ({**_R_RECORD, "a": [[float("inf")]]}, InvalidInput),
+        ({**_R_RECORD, "a": [["1"]]}, ValueError),
+        ({**_R_RECORD, "b": [[True]]}, ValueError),
+        ({**_R_RECORD, "b": [[10**400]]}, ValueError),
+        ({**_R_RECORD, "lambda_mu": [0.0, float("nan")]}, InvalidInput),
+        ({**_R_RECORD, "lambda_mu": [True, 0.0]}, ValueError),
+        ({**_R_RECORD, "k_center": "inf"}, ValueError),
+        ({**_R_RECORD, "k_center": float("inf")}, InvalidInput),
+    ],
+    ids=[
+        "nan-p", "inf-alpha", "nan-t", "string-t", "boolean-t", "nan-d", "inf-a",
+        "string-a", "boolean-b", "huge-int-b", "nan-lambda_mu", "boolean-lambda_mu",
+        "string-k_center", "inf-k_center",
+    ],
+)
+def test_hostile_element_raises_a_typed_error(record, error):
+    """Each record passes through json as the NaN / Infinity literals that
+    json.loads accepts."""
+    with pytest.raises(error):
+        serialize.element_from_json(json.loads(json.dumps(record)))
+
+
+def test_element_from_numpy_record():
+    rng = np.random.default_rng(3)
+    hr = random_jacobi_r(2, rng)
+    record = {"a": hr.g.a, "b": hr.g.b, "c": hr.g.c, "d": hr.g.d, "lambda_mu": hr.lambda_mu}
+    back = serialize.element_from_json(record)
+    assert np.array_equal(back.g.matrix(), hr.g.matrix())
+    assert np.array_equal(back.lambda_mu, hr.lambda_mu)
 
 
 def test_dumps_refuses_nan():

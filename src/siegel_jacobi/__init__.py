@@ -11,7 +11,6 @@ from .domains import (
     SiegelBallPoint,
     SiegelUpperPoint,
     TangentVector,
-    delta_symbol,
     flatten_point,
     sample_point,
     validate_ball_point,

@@ -41,7 +41,6 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import (
-    IndexOutOfRange,
     InvalidInput,
     NonSymmetric,
     NotInBall,
@@ -58,7 +57,6 @@ __all__ = [
     "flatten_point",
     "validate_ball_point",
     "sample_point",
-    "delta_symbol",
 ]
 
 
@@ -114,12 +112,17 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 def kept(pt, key: str, compute):
     """compute(pt), computed at the first call for key on the point object pt
-    and kept on it, its arrays (or a dataclass's array fields) read-only: a
-    point's parts never change (see ``assemble``), so neither does this."""
+    and kept on it, its arrays (a bare array, a tuple's items or a
+    dataclass's fields) read-only: a point's parts never change (see
+    ``assemble``), so neither does this."""
     data = pt.__dict__
     if key not in data:
         value = data[key] = compute(pt)
-        for a in vars(value).values() if is_dataclass(value) else (value,):
+        if is_dataclass(value):
+            parts = vars(value).values()
+        else:
+            parts = value if isinstance(value, tuple) else (value,)
+        for a in parts:
             if isinstance(a, np.ndarray):
                 a.setflags(write=False)
     return data[key]
@@ -188,22 +191,6 @@ class PairIndex:
         m[..., self.P, self.Q] = vec
         m[..., self.Q, self.P] = vec
         return m
-
-
-def delta_symbol(i: int, j: int, p: int, q: int, n: int) -> int:
-    """Derivative of the symmetric-matrix entry w_ij by the coordinate w_pq.
-
-    Indices are 1-based.  Equals ``d_ip d_jq + d_iq d_jp - d_ij d_pq d_ip``,
-    i.e. 1 whenever {i,j} == {p,q} and 0 otherwise.
-    """
-    for name, v in (("i", i), ("j", j), ("p", p), ("q", q)):
-        if not 1 <= v <= n:
-            raise IndexOutOfRange(f"index {name}={v} outside 1..{n}")
-
-    def d(a, b):
-        return 1 if a == b else 0
-
-    return d(i, p) * d(j, q) + d(i, q) * d(j, p) - d(i, j) * d(p, q) * d(i, p)
 
 
 @dataclass(frozen=True)
@@ -312,24 +299,26 @@ def flatten_point(pt) -> np.ndarray:
 
 class _BallPart(_Point):
     """The W part shared by the Siegel-ball and Jacobi-ball points, with its
-    Gram data, each kept at its first read (stacked on a stacked point)."""
+    Gram data, each kept at its first read (stacked on a stacked point).
+    The Gram data live on ``self.ball``, so a Jacobi-ball point and its
+    ball part share one copy."""
 
     _MATRIX = "W"
 
     @property
     def N(self) -> np.ndarray:
         """1 - W Wbar, hermitized."""
-        return kept(self, "N", lambda pt: cross_gram(pt.W))
+        return kept(self.ball, "N", lambda pt: cross_gram(pt.W))
 
     @property
     def M(self) -> np.ndarray:
         """N^{-1}, hermitized."""
-        return kept(self, "M", lambda pt: _hermitized(np.linalg.inv(pt.N)))
+        return kept(self.ball, "M", lambda pt: _hermitized(np.linalg.inv(pt.N)))
 
     @property
     def logdet_N(self):
         """ln det N: a float at one point, an array over a stack."""
-        return kept(self, "logdet_N", lambda pt: np.linalg.slogdet(pt.N)[1])
+        return kept(self.ball, "logdet_N", lambda pt: np.linalg.slogdet(pt.N)[1])
 
     def margin(self) -> float:
         """Smallest eigenvalue of N: the distance proxy to the boundary."""
@@ -417,9 +406,10 @@ class JacobiBallPoint(_BallPart):
 
     @property
     def ball(self) -> SiegelBallPoint:
-        """The W part; the constructor already validated and symmetrised it
-        (a trusted stacked point gives a trusted stacked ball point)."""
-        return SiegelBallPoint.assemble(None, self.W)
+        """The W part, kept like N; the constructor already validated and
+        symmetrised it (a trusted stacked point gives a trusted stacked ball
+        point)."""
+        return kept(self, "ball", lambda pt: SiegelBallPoint.assemble(None, pt.W))
 
 
 @dataclass(frozen=True)

@@ -21,10 +21,6 @@ class NotInUpperHalfPlane(GeometryError):
     """Point fails the condition Im V > 0."""
 
 
-class IndexOutOfRange(GeometryError):
-    """A 1-based matrix index lies outside 1..n."""
-
-
 class DimensionMismatch(GeometryError):
     """Operands built for different dimensions n."""
 

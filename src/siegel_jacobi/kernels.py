@@ -17,8 +17,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .domains import JacobiBallPoint
-from .errors import BranchAmbiguity, GammaPoleError, NotConverged
+from .domains import JacobiBallPoint, kept
+from .errors import BranchAmbiguity, GammaPoleError, NotConverged, NumericalOverflow
 from .metric import MetricParams, kahler_potential
 
 __all__ = [
@@ -100,16 +100,52 @@ class KernelEval:
     Lambda_n: float | None
 
 
+def _diagonal_exponent(pt: JacobiBallPoint) -> complex:
+    """F(pt, pt), kept on the point.  It takes _two_point_exponent's own
+    path, not pt.M or pt.eta: the fuzz checks it against kahler_potential,
+    which reads those."""
+    return kept(pt, "F_diag", lambda p: _two_point_exponent(p.z, p.W, p.z, p.W))
+
+
+def _pair_terms(zeta: JacobiBallPoint, zeta2: JacobiBallPoint) -> tuple[complex, complex]:
+    """(F(zeta, zeta2), the tracked log det(1 - W2 Wbar1)): the data of a
+    point pair that the kernels share."""
+    if zeta2 is zeta:
+        F = _diagonal_exponent(zeta)
+    else:
+        F = _two_point_exponent(zeta.z, zeta.W, zeta2.z, zeta2.W)
+    return F, _tracked_logdet(zeta2.W, zeta.W.conj())
+
+
+def _kernel(params: MetricParams, F: complex, ld_mixed: complex) -> complex:
+    """K = det(1 - W Vbar)^{-k/2} exp(mu F) from the pair data."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        K = complex(np.exp(0.5 * params.k * -ld_mixed + params.mu * F))
+    if not np.isfinite(K):
+        raise NumericalOverflow(f"K at k={params.k}, mu={params.mu} exceeds the float range")
+    return K
+
+
 def two_point_kernel(
     params: MetricParams, zeta: JacobiBallPoint, zeta2: JacobiBallPoint
 ) -> tuple[complex, complex]:
-    """(F, K) with K = det(U)^{k/2} exp(mu F)."""
-    x, V = zeta.z, zeta.W
-    y, W = zeta2.z, zeta2.W
-    F = _two_point_exponent(x, V, y, W)
-    log_det_u = -_tracked_logdet(W, V.conj())
-    K = np.exp(0.5 * params.k * log_det_u + params.mu * F)
-    return F, complex(K)
+    """(F, K) with K = det(U)^{k/2} exp(mu F); raises NumericalOverflow
+    where K leaves the float range."""
+    F, ld_mixed = _pair_terms(zeta, zeta2)
+    return F, _kernel(params, F, ld_mixed)
+
+
+def _normalized(
+    params: MetricParams, zeta: JacobiBallPoint, zeta2: JacobiBallPoint,
+    F12: complex, ld_mixed: complex,
+) -> tuple[complex, float, float]:
+    F1, F2 = _diagonal_exponent(zeta), _diagonal_exponent(zeta2)
+    log_ball_kappa = 0.5 * params.k * (zeta.logdet_N + zeta2.logdet_N - 2.0 * ld_mixed)
+    log_kappa = log_ball_kappa + params.mu * (2.0 * F12 - F1 - F2)
+    kappa = complex(np.exp(log_kappa))
+    berezin = float(np.exp(2.0 * log_kappa.real))
+    diastasis = float(-2.0 * log_kappa.real)
+    return kappa, berezin, diastasis
 
 
 def normalized_kernels(
@@ -123,22 +159,13 @@ def normalized_kernels(
 
     with kappa_ball = det^{k/2}[(1 - V Vbar)(1 - W Wbar) / (1 - W Vbar)^2].
     """
-    F12 = _two_point_exponent(zeta.z, zeta.W, zeta2.z, zeta2.W)
-    F1 = _two_point_exponent(zeta.z, zeta.W, zeta.z, zeta.W)
-    F2 = _two_point_exponent(zeta2.z, zeta2.W, zeta2.z, zeta2.W)
-    ld_mixed = _tracked_logdet(zeta2.W, zeta.W.conj())
-    log_ball_kappa = 0.5 * params.k * (zeta.logdet_N + zeta2.logdet_N - 2.0 * ld_mixed)
-    log_kappa = log_ball_kappa + params.mu * (2.0 * F12 - F1 - F2)
-    kappa = complex(np.exp(log_kappa))
-    berezin = float(np.exp(2.0 * log_kappa.real))
-    diastasis = float(-2.0 * log_kappa.real)
-    return kappa, berezin, diastasis
+    return _normalized(params, zeta, zeta2, *_pair_terms(zeta, zeta2))
 
 
 def epsilon_function(params: MetricParams, pt: JacobiBallPoint) -> float:
     """exp(-f) K(z, z); identically 1 exactly because the metric is balanced
     (f = ln K on the diagonal).  Evaluated in log space for stability."""
-    F = _two_point_exponent(pt.z, pt.W, pt.z, pt.W)
+    F = _diagonal_exponent(pt)
     log_k = -0.5 * params.k * pt.logdet_N + params.mu * F.real
     f = kahler_potential(params, pt)
     return float(np.exp(log_k - f))
@@ -147,10 +174,12 @@ def epsilon_function(params: MetricParams, pt: JacobiBallPoint) -> float:
 def kernel_eval(
     params: MetricParams, zeta: JacobiBallPoint, zeta2: JacobiBallPoint | None = None
 ) -> KernelEval:
-    """Bundle of all two-point quantities (diagonal when zeta2 is omitted)."""
+    """Bundle of all two-point quantities (diagonal when zeta2 is omitted);
+    the pair data are computed once and shared."""
     other = zeta if zeta2 is None else zeta2
-    F, K = two_point_kernel(params, zeta, other)
-    kappa, berezin, diastasis = normalized_kernels(params, zeta, other)
+    F, ld_mixed = _pair_terms(zeta, other)
+    K = _kernel(params, F, ld_mixed)
+    kappa, berezin, diastasis = _normalized(params, zeta, other, F, ld_mixed)
     eps = epsilon_function(params, zeta)
     vol = volume_densities(zeta)
     try:
@@ -169,12 +198,22 @@ class VolumeData:
     Q_jacobi: float    # det(1 - W Wbar)^{-(n+2)}
 
 
+def _finite_exp(x: float, name: str) -> float:
+    """float(exp(x)), or NumericalOverflow where it leaves the float range."""
+    with np.errstate(over="ignore"):
+        value = float(np.exp(x))
+    if value == math.inf:
+        raise NumericalOverflow(f"{name} = exp({x:.6g}) exceeds the float range")
+    return value
+
+
 def volume_densities(pt) -> VolumeData:
-    """The invariant densities at a ball or Jacobi-ball point, n = pt.n."""
+    """The invariant densities at a ball or Jacobi-ball point, n = pt.n;
+    raises NumericalOverflow where either leaves the float range."""
     n, logdet = pt.n, pt.logdet_N
     return VolumeData(
-        Q_ball=float(np.exp(-(n + 1) * logdet)),
-        Q_jacobi=float(np.exp(-(n + 2) * logdet)),
+        Q_ball=_finite_exp(-(n + 1) * logdet, "Q_ball"),
+        Q_jacobi=_finite_exp(-(n + 2) * logdet, "Q_jacobi"),
     )
 
 
@@ -186,6 +225,7 @@ def normalization_constant(params: MetricParams) -> float:
     Requires k > 3 (norm integrability), every Gamma argument positive and
     every factor (k-3)/2 - n + i positive: for n >= 2 the smallest factor
     (i = 1) rules out 2n < k <= 2n + 1, where the constant would be <= 0.
+    Raises NumericalOverflow where the constant leaves the float range.
     """
     # imported where used: scipy.special adds ~4 MB resident to every process
     from scipy.special import gammaln
@@ -209,7 +249,7 @@ def normalization_constant(params: MetricParams) -> float:
         - (n * (n + 3) / 2.0) * np.log(np.pi)
         + log_prod
     )
-    return float(np.exp(log_lambda))
+    return _finite_exp(log_lambda, "Lambda_n")
 
 
 @dataclass(frozen=True)

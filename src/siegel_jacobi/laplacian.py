@@ -25,7 +25,8 @@ from .errors import DimensionMismatch
 from .groups import inverse_partial_cayley, partial_cayley
 from .metric import (
     MetricParams,
-    ball_metric_pair,
+    _fold_pair_metric,
+    _pair_metric_inverse,
     metric_det,
     metric_inverse,
     upper_metric_pair,
@@ -59,8 +60,7 @@ def laplacian_coefficients(
     jacobi_ball: the assembled closed-form metric inverse (d x d)
     """
     if domain == "ball":
-        _, k_inv = ball_metric_pair(pt.ball)
-        return LaplacianCoefficients(domain, k_inv)
+        return LaplacianCoefficients(domain, _pair_metric_inverse(pt.N, PairIndex(pt.n)))
     if domain == "upper":
         _, k_inv = upper_metric_pair(pt)
         return LaplacianCoefficients(domain, k_inv)
@@ -152,7 +152,7 @@ def _ln_g(domain: str, params: MetricParams | None):
     elif domain == "ball":
 
         def f(pt):
-            hk, _ = ball_metric_pair(pt)
+            hk = _fold_pair_metric(pt.M, PairIndex(pt.n))
             return _item(np.log(np.linalg.det(hk).real))
 
     elif domain == "upper":

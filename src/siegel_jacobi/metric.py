@@ -16,9 +16,12 @@ counting.  Each pair block is a single expression over the index arrays
     hk_pq,mn = 2 f_pq f_mn (M_mp M_nq + M_mq M_np).
 
 N, M and eta are the point's own Gram data (see ``domains``); the metric's
-own point data, X, S, alpha (``compute_aux``), hk and k_inv, are kept on the
-point by ``domains.kept`` too.  Nothing that depends on (k, mu) is kept, and
-every result is a new, writable array.
+own point data are kept on the point by ``domains.kept`` too: X, S, alpha
+(``compute_aux``), hk and k_inv, and the (k, mu)-free terms of the closed
+forms, ``h_terms`` (Mbar, the h2 core and hmu) and ``inv_terms`` (Nbar,
+Sbar S^t and the hinv2 core), so that each closed form only scales and
+assembles them.  Nothing that depends on (k, mu) is kept, and every result
+is a new, writable array.
 ``h @ metric_inverse(...).h_inv`` is the literal identity in this
 ordered-pair indexing.
 
@@ -232,26 +235,33 @@ def metric_blocks(params: MetricParams, pt: JacobiBallPoint) -> MetricEval:
     return _blocks(params, pt)
 
 
-def _blocks(params: MetricParams, pt: JacobiBallPoint) -> MetricEval:
-    hk = _hk(params, pt)
-    idx = params.pair_index
+def _h_terms(pt: JacobiBallPoint, idx: PairIndex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (k, mu)-free parts of h1, h2 and h4: Mbar,
+    X_i,pq = eta_q Mbar_ip + eta_p Mbar_iq and hmu."""
     P, Q, f = idx.P, idx.Q, idx.f
     Mb = pt.M.conj()
     eta = pt.eta
     etab = eta.conj()
-    mu, k = params.mu, params.k
-
-    h1 = mu * Mb
     eQ, eP = eta.take(Q, -1)[..., None, :], eta.take(P, -1)[..., None, :]
     MP, MQ = Mb.take(P, -1), Mb.take(Q, -1)
-    h2 = mu * f * (eQ * MP + eP * MQ)
-    h3 = h2.conj().swapaxes(-1, -2)
+    X = eQ * MP + eP * MQ
     # K_a,mn = eta_n Mbar_am + eta_m Mbar_an
     K = _cmul(eQ, MP) + _cmul(eP, MQ)
     hmu = f[:, None] * f * (
         _cmul(etab.take(P, -1)[..., None], K.take(Q, -2))
         + _cmul(etab.take(Q, -1)[..., None], K.take(P, -2))
     )
+    return Mb, X, hmu
+
+
+def _blocks(params: MetricParams, pt: JacobiBallPoint) -> MetricEval:
+    hk = _hk(params, pt)
+    Mb, X, hmu = _kept(params, pt, "h_terms", lambda p: _h_terms(p, params.pair_index))
+    mu, k = params.mu, params.k
+
+    h1 = mu * Mb
+    h2 = mu * params.pair_index.f * X
+    h3 = h2.conj().swapaxes(-1, -2)
     h4 = 0.5 * k * hk + mu * hmu
     return MetricEval(h1=h1, h2=h2, h3=h3, h4=h4, h=_assemble(h1, h2, h3, h4))
 
@@ -263,6 +273,16 @@ class MetricInverse:
     h3: np.ndarray
     h4: np.ndarray
     h_inv: np.ndarray
+
+
+def _inv_terms(
+    pt: JacobiBallPoint, S: np.ndarray, idx: PairIndex
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (k, mu)-free parts of hinv1 and hinv2: Nbar, Sbar_i S_j and
+    Y_i,mn = S_n Nbar_im + S_m Nbar_in."""
+    P, Q = idx.P, idx.Q
+    Nb = pt.N.conj()
+    return Nb, np.outer(S.conj(), S), S[Q] * Nb[:, P] + S[P] * Nb[:, Q]
 
 
 def metric_inverse(params: MetricParams, pt: JacobiBallPoint) -> MetricInverse:
@@ -279,14 +299,12 @@ def metric_inverse(params: MetricParams, pt: JacobiBallPoint) -> MetricInverse:
     hinv4 is the Siegel-ball pair inverse scaled by 2/k.
     """
     idx = params.pair_index
-    P, Q = idx.P, idx.Q
     aux = _aux(params, pt)
-    Nb = pt.N.conj()
-    S = aux.S
+    Nb, SS, Y = _kept(params, pt, "inv_terms", lambda p: _inv_terms(p, aux.S, idx))
     k = params.k
 
-    i1 = (1.0 / params.mu + aux.alpha / k) * Nb + np.outer(S.conj(), S) / k
-    i2 = -(S[Q] * Nb[:, P] + S[P] * Nb[:, Q]) / k
+    i1 = (1.0 / params.mu + aux.alpha / k) * Nb + SS / k
+    i2 = -Y / k
     i3 = i2.conj().T
     i4 = _kept(params, pt, "k_inv", lambda p: _pair_metric_inverse(p.N, idx)) / (0.5 * k)
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from siegel_jacobi import cli, serialize
 from siegel_jacobi.cli import build_parser, main
-from siegel_jacobi.domains import sample_point
+from siegel_jacobi.domains import JacobiBallPoint, sample_point
 
 
 def run_cli(capsys, *argv):
@@ -457,6 +457,17 @@ class TestErrors:
         # 2^{n^2} at the origin with k = 4: finite at n = 31, inf at n = 32
         code, out = run_cli(
             capsys, "eval", "det", "--n", "32", "--k", "4", "--point", "origin"
+        )
+        assert code == 3
+        assert json.loads(out)["error"]["kind"] == "NumericalOverflow"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n, k, w", [(12, "4", 0.9995), (10, "1000", 0.0), (1, "1000", 0.9)])
+    def test_kernel_overflow_exit_three(self, capsys, tmp_path, n, k, w):
+        # the volume densities, Lambda_n and K in turn leave the float range
+        pt = JacobiBallPoint(z=np.zeros(n), W=w * np.eye(n))
+        code, out = run_cli(
+            capsys, "eval", "kernel", "--n", str(n), "--k", k, "--point", write_point(tmp_path, pt)
         )
         assert code == 3
         assert json.loads(out)["error"]["kind"] == "NumericalOverflow"

@@ -9,12 +9,11 @@ from siegel_jacobi.domains import (
     SiegelBallPoint,
     SiegelUpperPoint,
     TangentVector,
-    delta_symbol,
     flatten_point,
     sample_point,
     validate_ball_point,
 )
-from siegel_jacobi.errors import IndexOutOfRange, NonSymmetric, NotInBall
+from siegel_jacobi.errors import NonSymmetric, NotInBall
 
 
 class TestValidate:
@@ -72,29 +71,6 @@ class TestPairIndex:
         packed = idx.pack(S)
         assert packed.flags.c_contiguous
         assert np.array_equal(packed, [idx.pack(s) for s in S])
-
-
-class TestDeltaSymbol:
-    @pytest.mark.parametrize(
-        "args,expected",
-        [((1, 2, 1, 2), 1), ((1, 1, 1, 1), 1), ((2, 1, 1, 2), 1), ((1, 1, 2, 2), 0)],
-    )
-    def test_values(self, args, expected):
-        assert delta_symbol(*args, n=2) == expected
-
-    @pytest.mark.parametrize("n", range(1, 5))
-    def test_identity_on_ordered_pairs(self, n):
-        idx = PairIndex(n)
-        for i, (a, b) in enumerate(idx.pairs):
-            for j, (c, d) in enumerate(idx.pairs):
-                val = delta_symbol(a + 1, b + 1, c + 1, d + 1, n=n)
-                assert val == (1 if i == j else 0)
-
-    def test_out_of_range(self):
-        with pytest.raises(IndexOutOfRange):
-            delta_symbol(0, 1, 1, 1, n=2)
-        with pytest.raises(IndexOutOfRange):
-            delta_symbol(1, 1, 3, 1, n=2)
 
 
 class TestSampling:

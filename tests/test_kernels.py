@@ -3,7 +3,7 @@ import pytest
 
 from siegel_jacobi import kernels
 from siegel_jacobi.domains import JacobiBallPoint, sample_point
-from siegel_jacobi.errors import BranchAmbiguity, GammaPoleError, NotConverged
+from siegel_jacobi.errors import BranchAmbiguity, GammaPoleError, NotConverged, NumericalOverflow
 from siegel_jacobi.kernels import (
     QuadratureSpec,
     epsilon_function,
@@ -362,3 +362,35 @@ class TestKernelEval:
         ev = kernel_eval(params, pt)
         assert ev.berezin == pytest.approx(1.0)
         assert ev.epsilon == pytest.approx(1.0)
+
+    def test_pair_data_computed_once(self, monkeypatch, rng):
+        calls = []
+        for name in ("_two_point_exponent", "_tracked_logdet"):
+            original = getattr(kernels, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(kernels, name, counted)
+        params = MetricParams(n=2, k=8, mu=1)
+        p1, p2 = (sample_point("jacobi_ball", 2, rng) for _ in range(2))
+        kernel_eval(params, p1)
+        assert sorted(calls) == ["_tracked_logdet", "_two_point_exponent"]
+        calls.clear()
+        # F(p1, p2) and F(p2, p2); F(p1, p1) is kept on p1
+        kernel_eval(params, p1, p2)
+        assert sorted(calls) == ["_tracked_logdet"] + ["_two_point_exponent"] * 2
+
+    def test_overflow_raises(self):
+        # Q_ball = det(1 - W Wbar)^{-(n+1)}, K = det(1 - W Wbar)^{-k/2} at
+        # z = 0, and Lambda_n, each beyond the float range
+        near = JacobiBallPoint(z=np.zeros(12), W=0.9995 * np.eye(12))
+        with pytest.raises(NumericalOverflow, match="Q_ball"):
+            volume_densities(near)
+        params = MetricParams(n=1, k=1000, mu=1)
+        disk = JacobiBallPoint(z=[0.0], W=[[0.9]])
+        with pytest.raises(NumericalOverflow, match="K at"):
+            two_point_kernel(params, disk, disk)
+        with pytest.raises(NumericalOverflow, match="Lambda_n"):
+            normalization_constant(MetricParams(n=10, k=1000, mu=1))

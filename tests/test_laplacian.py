@@ -115,21 +115,22 @@ class TestApply:
         f = builtin_field("lnG", domain, params)
         C = laplacian_coefficients(domain, params, pt).matrix
         per_point = complex(np.trace(C @ loop_hessian(f, pt, fd_step=2e-3)))
-        ndims = []  # of the matrix part of each point the closed form receives
-        name = {"jacobi_ball": "metric_det", "ball": "ball_metric_pair"}.get(
-            domain, "upper_metric_pair"
-        )
+        ndims = []  # of the matrix each call of the closed form receives
+        name, matrix = {
+            "jacobi_ball": ("metric_det", lambda args: args[-1].W),
+            "ball": ("_fold_pair_metric", lambda args: args[0]),  # pt.M
+            "upper": ("upper_metric_pair", lambda args: args[-1].V),
+        }[domain]
         inner = getattr(laplacian, name)
 
         def counted(*args):
-            q = args[-1]
-            ndims.append((q.V if domain == "upper" else q.W).ndim)
+            ndims.append(matrix(args).ndim)
             return inner(*args)
 
         monkeypatch.setattr(laplacian, name, counted)
         assert apply_laplacian(domain, params, f, pt, fd_step=2e-3) == per_point
-        # ball and upper also build their coefficient matrix from the pair
-        assert ndims == ([3] if domain == "jacobi_ball" else [2, 3])
+        # upper also builds its coefficient matrix from the pair
+        assert ndims == ([2, 3] if domain == "upper" else [3])
 
     def test_invariance_under_action(self, rng):
         params = MetricParams(n=2, k=2.0, mu=1.0)

@@ -471,9 +471,23 @@ class TestGramCache:
 
         for _ in range(2):
             every_reader(pt, ball)
-        assert len(calls) == 2  # pt and ball
+        assert len(calls) == 1  # pt and its ball share the Gram data
         every_reader(_fresh(pt), ball)
-        assert len(calls) == 3
+        assert len(calls) == 2
+
+    def test_pair_terms_folded_once_per_point(self, monkeypatch):
+        h_calls = self._count(monkeypatch, "_h_terms")
+        inv_calls = self._count(monkeypatch, "_inv_terms")
+        params, pt, _ = _case(3)
+        for _ in range(2):
+            for closed_form in (metric_blocks, metric_det, curvature, metric_inverse):
+                closed_form(params, pt)
+            laplacian_coefficients("jacobi_ball", params, pt)
+        assert (len(h_calls), len(inv_calls)) == (1, 1)
+        fresh = _fresh(pt)
+        metric_blocks(params, fresh)
+        metric_inverse(params, fresh)
+        assert (len(h_calls), len(inv_calls)) == (2, 2)
 
     def test_metric_inverse_folds_k_inv_once(self, monkeypatch):
         calls = self._count(monkeypatch, "_pair_metric_inverse")
@@ -515,8 +529,11 @@ class TestGramCache:
     def test_cached_arrays_are_read_only(self):
         params, pt, _ = _case(2)
         metric_blocks(params, pt)
+        metric_inverse(params, pt)
         aux = metric._aux(params, pt)
-        for a in (aux.X, aux.S, metric._hk(params, pt)):
+        kept_terms = vars(pt)["h_terms"] + vars(pt)["inv_terms"]
+        assert len(kept_terms) == 6
+        for a in (aux.X, aux.S, metric._hk(params, pt), *kept_terms):
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0
 

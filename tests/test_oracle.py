@@ -190,7 +190,7 @@ def test_stacked_hessian_matches_per_point(n, domain):
 def test_stacked_identity_catches_broadcast_index_swap(monkeypatch):
     # negative control: a pair block whose index is swapped only over a
     # stack leaves every single-point value intact but must fail the check
-    from siegel_jacobi import metric
+    from siegel_jacobi import laplacian, metric
 
     fold = metric._fold_pair_metric
 
@@ -212,6 +212,7 @@ def test_stacked_identity_catches_broadcast_index_swap(monkeypatch):
     ]
     reference = [loop_hessian(f, p) for f, p in cases]
     monkeypatch.setattr(metric, "_fold_pair_metric", swapped)
+    monkeypatch.setattr(laplacian, "_fold_pair_metric", swapped)  # the ball lnG's fold
     for (f, p), H in zip(cases, reference):
         assert np.array_equal(loop_hessian(f, p), H)  # single points are intact
         assert np.all(np.isfinite(fd_wirtinger_hessian(f, p)))  # wrong, not NaN

@@ -97,6 +97,8 @@ class SymplecticC:
         q = np.asarray(self.q, dtype=complex)
         if p.shape != q.shape or p.ndim != 2 or p.shape[0] != p.shape[1]:
             raise DimensionMismatch("p and q must be square of equal size")
+        if not (np.isfinite(p).all() and np.isfinite(q).all()):
+            raise InvalidInput("p and q must be finite")
         n = p.shape[0]
         eye = np.eye(n)
         defect = float(np.max([
@@ -105,7 +107,7 @@ class SymplecticC:
             _max_abs(p.conj().T @ p - q.T @ q.conj() - eye),
             _max_abs(p.T @ q.conj() - q.conj().T @ p),
         ]))
-        if not defect <= self.tol:  # NaN entries give a NaN defect
+        if not defect <= self.tol:  # a product that overflows gives a NaN defect
             raise InvalidInput(f"symplectic relations violated by {defect:.3e}")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
@@ -159,6 +161,8 @@ class SymplecticR:
             elif m.shape != shape:
                 raise DimensionMismatch("blocks of different size")
             blocks[name] = m
+        if not all(np.isfinite(m).all() for m in blocks.values()):
+            raise InvalidInput("a, b, c and d must be finite")
         a, b, c, d = blocks["a"], blocks["b"], blocks["c"], blocks["d"]
         eye = np.eye(shape[0])
         defect = float(np.max([
@@ -166,7 +170,7 @@ class SymplecticR:
             _max_abs(b.T @ d - d.T @ b),
             _max_abs(a.T @ d - c.T @ b - eye),
         ]))
-        if not defect <= self.tol:  # NaN entries give a NaN defect
+        if not defect <= self.tol:  # a product that overflows gives a NaN defect
             raise InvalidInput(f"real symplectic relations violated by {defect:.3e}")
         for name, m in blocks.items():
             object.__setattr__(self, name, m)

@@ -204,13 +204,22 @@ def ball_metric_pair(W) -> tuple[np.ndarray, np.ndarray]:
 def upper_metric_pair(pt: SiegelUpperPoint) -> tuple[np.ndarray, np.ndarray]:
     """Upper-half-plane analogue: the pair form of (1/4) Tr(R^{-1} dV R^{-1}
     dVbar) and its inverse 2(R_vn R_mu + R_vm R_nu)."""
-    idx = PairIndex(pt.n)
-    R = 0.5 * (pt.R + pt.R.swapaxes(-1, -2))
-    half_rinv = 0.5 * np.linalg.inv(R)
-    return (
-        _fold_pair_metric(half_rinv.astype(complex), idx),
-        _pair_metric_inverse((2.0 * R).astype(complex), idx),
-    )
+    return _upper_pair_metric(pt), _upper_pair_inverse(pt)
+
+
+def _sym_R(pt: SiegelUpperPoint) -> np.ndarray:
+    return 0.5 * (pt.R + pt.R.swapaxes(-1, -2))
+
+
+def _upper_pair_metric(pt: SiegelUpperPoint) -> np.ndarray:
+    """The first half of ``upper_metric_pair``: its callers that read only
+    the metric build no inverse."""
+    return _fold_pair_metric((0.5 * np.linalg.inv(_sym_R(pt))).astype(complex), PairIndex(pt.n))
+
+
+def _upper_pair_inverse(pt: SiegelUpperPoint) -> np.ndarray:
+    """The second half of ``upper_metric_pair``."""
+    return _pair_metric_inverse((2.0 * _sym_R(pt)).astype(complex), PairIndex(pt.n))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,13 @@
-"""Independent numerical ground truth: Wirtinger finite-difference gradients
-and Hessians, numerical Jacobians of holomorphic maps with a holomorphy gate,
-and the volume-density invariance check.
+"""Independent numerical ground truth: Wirtinger finite-difference gradients,
+Hessians and Laplacians trace(C H), numerical Jacobians of holomorphic maps
+with a holomorphy gate, and the volume-density invariance check.
+
+Every derivative comes from one stencil, the line stencil: for each row v
+of a direction array, the values at p + s w v for w = 1, -1, i, -i and the
+Richardson levels s = 1, 1/2.  First derivatives take the lines along the
+coordinate axes; the Hessian polarises line Laplacians along the axes and
+along h_a e_a + i^k h_b e_b; ``fd_laplacian`` takes d lines along the
+eigenframe of C.
 
 Each oracle builds all of its stencil offsets first and hands them to the
 field or map as stacked points: one trusted point whose arrays carry a
@@ -23,13 +30,14 @@ from typing import Callable
 import numpy as np
 
 from .domains import SiegelBallPoint, flatten_point
-from .errors import NonHolomorphic, StepTooLarge
+from .errors import DimensionMismatch, NonHolomorphic, StepTooLarge
 from .groups import JacobiElementC, act_ball, act_siegel_ball
 from .kernels import volume_densities
 
 __all__ = [
     "fd_wirtinger_gradient",
     "fd_wirtinger_hessian",
+    "fd_laplacian",
     "fd_jacobian",
     "volume_invariance_check",
 ]
@@ -50,92 +58,24 @@ def _steps(pt, fd_step: float) -> np.ndarray:
         raise ValueError(
             f"fd_step {fd_step!r} is below {MIN_FD_STEP:g}, where rounding swamps the differences"
         )
-    h = fd_step * (1.0 + np.abs(flatten_point(pt)))
-    # one stencil point moves at most two coordinates by h each; a coordinate
-    # move of size h shifts the relevant Gram spectrum by at most ~4h
-    worst = 4.0 * float(np.max(h)) * (1.0 + float(np.max(h)))
-    margin = pt.margin()
-    if worst >= margin:
-        raise StepTooLarge(f"stencil excursion {worst:.3e} exceeds domain margin {margin:.3e}")
-    return h
-
-
-def _stencil(s: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Offsets of the Hessian stencil at step vector s, one row per point.
-
-    First 4 rows per coordinate a (the diagonal entry): +-s_a e_a and
-    +-i s_a e_a.  Then 16 rows per pair (A[p], B[p]): for the directions
-    (sa, sb) = (s_a, s_b), (i s_a, i s_b), (s_a, i s_b), (i s_a, s_b), the
-    points sa e_a + sb e_b, sa e_a - sb e_b, -sa e_a + sb e_b, -sa e_a - sb e_b.
-    Each row is built with the products and sums of the scalar expressions
-    in ``_diagonal_entry``/``_pair_entries``, so it is the same offset to the
-    last bit (signed zeros included).
-    """
-    E = np.eye(s.shape[0], dtype=complex)
-    x, y = s[:, None], 1j * s[:, None]
-    diag = np.stack([x * E, -x * E, y * E, -y * E], axis=1)
-
-    def four(sa, sb):
-        ta, tb, ma = sa * E[A], sb * E[B], -sa * E[A]
-        return [ta + tb, ta - tb, ma + tb, ma - tb]
-
-    pair = np.stack(
-        four(x[A], x[B]) + four(y[A], y[B]) + four(x[A], y[B]) + four(y[A], x[B]), axis=1
-    )
-    return np.concatenate([diag.reshape(-1, s.shape[0]), pair.reshape(-1, s.shape[0])])
-
-
-def _diagonal_entry(v, ha, f0):
-    """H[a, a] = (Dxx + Dyy) / 4 from the 4 values of f at +-ha e_a,
-    +-i ha e_a (the order of ``_stencil``)."""
-
-    def second(s, up, dn):
-        return (up - 2.0 * f0 + dn) / (s.real**2 + s.imag**2)
-
-    return 0.25 * (second(ha, v[0], v[1]) + second(1j * ha, v[2], v[3]))
-
-
-def _pair_entries(v, ha, hb):
-    """(H[a, b], H[b, a]) for a != b, d^2 f / dz_a dzbar_b = (Dxx + Dyy +
-    i (Dxy - Dyx)) / 4, from the 16 values of f at sa e_a + sb e_b (the order
-    of ``_stencil``).  Both entries difference the same values; each keeps
-    its own difference order and divisor, so it rounds as if computed
-    alone."""
-
-    def second(sa, sb, pp, pm, mp, mm):
-        """Mixed second difference along (sa e_a, sb e_b), and along
-        (sb e_b, sa e_a) from the same four values."""
-        na = abs(sa)
-        nb = abs(sb)
-        return (pp - pm - mp + mm) / (4.0 * na * nb), (pp - mp - pm + mm) / (4.0 * nb * na)
-
-    dxx, dxx_t = second(ha, hb, *v[0:4])
-    dyy, dyy_t = second(1j * ha, 1j * hb, *v[4:8])
-    dxy, dyx_t = second(ha, 1j * hb, *v[8:12])   # x along a, y along b
-    dyx, dxy_t = second(1j * ha, hb, *v[12:16])  # y along a, x along b
-    return (
-        0.25 * (dxx + dyy + 1j * (dxy - dyx)),
-        0.25 * (dxx_t + dyy_t + 1j * (dxy_t - dyx_t)),
-    )
+    return fd_step * (1.0 + np.abs(flatten_point(pt)))
 
 
 # A field gets at most STACK_ENTRIES // d^2 stencil points per call.
 # A point's metric has d^2 entries, so the field's arrays stay near
 # STACK_ENTRIES complex entries (8 MiB) whatever n is: at n = 8 (d = 44) the
-# 30625-point Richardson stencil goes in chunks of 270, while every stencil
-# up to n = 3 (d = 9, 1225 points) is a single call.
+# 30625-point Richardson Hessian stencil goes in chunks of 270, while every
+# stencil up to n = 3 (d = 9, 1225 points) is a single call.
 STACK_ENTRIES = 2**19
 
 
-def _evaluate(fn: Callable, pt, offsets: np.ndarray, scalar: bool):
-    """fn at ``pt.at_offset`` of every offset row, in row order.
+def _evaluate(fn: Callable, pt, offsets: np.ndarray, scalar: bool) -> np.ndarray:
+    """fn at ``pt.at_offset`` of every offset row, as one array with a row
+    per point.
 
     fn gets consecutive chunks of at most STACK_ENTRIES // d^2 points as one
-    point with a leading stencil axis, and must return one value per point.
-    A scalar field's values come back as a list of Python scalars (for a
-    complex field, numpy complex scalars would divide by the real step with
-    a different rounding than Python complex numbers do); any other fn's
-    values come back as one array with a row per point."""
+    point with a leading stencil axis, and must return one value per point
+    (a scalar field one number each)."""
     size = max(1, STACK_ENTRIES // offsets.shape[1] ** 2)
     parts = []
     for start in range(0, offsets.shape[0], size):
@@ -147,20 +87,62 @@ def _evaluate(fn: Callable, pt, offsets: np.ndarray, scalar: bool):
                 f"expected one value per stencil point ({chunk.shape[0]},)"
             )
         parts.append(vals)
-    values = np.concatenate(parts)
-    return values.tolist() if scalar else values
+    return np.concatenate(parts)
+
+
+# The line stencil: the four points w = 1, -1, i, -i of each complex line
+# p + s w v, at the levels s = 1 and 1/2 that Richardson combines.
+LINE = np.array([1.0, -1.0, 1j, -1j])
+LEVELS = np.array([1.0, 0.5])
+
+
+def _line_values(fn: Callable, pt, V: np.ndarray, center: bool, scalar: bool = True):
+    """(fn(p) or None, values): fn at p + s w v for every row v of V, as one
+    array indexed (w, level, row) and then by the shape of one value.  The
+    w axis leads, so that ``sum`` adds a line's four values in one fixed
+    order.
+
+    Before any evaluation the rows' excursion is bounded: a chart offset of
+    l1 norm e moves the matrix part by at most e in spectral norm, which
+    shifts the spectrum behind ``pt.margin()`` by at most e (2 + e)."""
+    excursion = float(np.max(np.sum(np.abs(V), axis=1)))
+    worst = excursion * (2.0 + excursion)
+    margin = pt.margin()
+    if worst >= margin:
+        raise StepTooLarge(f"stencil excursion {worst:.3e} exceeds domain margin {margin:.3e}")
+    d = V.shape[1]
+    offsets = (LINE[:, None, None, None] * LEVELS[:, None, None] * V).reshape(-1, d)
+    if center:
+        offsets = np.concatenate([np.zeros((1, d), dtype=complex), offsets])
+    values = _evaluate(fn, pt, offsets, scalar)
+    lines = values[1:] if center else values
+    return (values[0] if center else None), lines.reshape((4, 2) + V.shape[:1] + values.shape[1:])
+
+
+def _richardson(per_level: np.ndarray) -> np.ndarray:
+    """(4 x(s/2) - x(s)) / 3 over the leading level axis: the O(s^2) terms
+    of a central difference cancel."""
+    return (4.0 * per_level[1] - per_level[0]) / 3.0
+
+
+def _line_laplacians(f0, lines: np.ndarray) -> np.ndarray:
+    """d^2 f(p + w v) / dw dwbar at w = 0 for every row v of the stencil:
+    sum_w (f(p + s w v) - f(p)) / (4 s^2) at each level, Richardson-combined."""
+    return _richardson(sum(lines - f0) / (4.0 * LEVELS[:, None] ** 2))
 
 
 def fd_wirtinger_hessian(f: Callable, pt, fd_step: float = 1e-4) -> np.ndarray:
     """Mixed Wirtinger Hessian H[a, b] = d^2 f / dz_a dzbar_b over the
-    point's chart, via central differences at the steps h of ``_steps`` and
-    h / 2, Richardson-combined for O(h^4) truncation.
+    point's chart, by polarisation of line Laplacians at the steps h of
+    ``_steps`` and h / 2, Richardson-combined for O(h^4) truncation.
 
-    All stencil offsets are built first.  H[a, b] and H[b, a] share their 16
-    stencil points per step size, so each unordered pair a < b is evaluated
-    once and both entries are differenced from the shared values.  H[b, a]
-    is not taken as conj(H[a, b]): that holds only for real f, and each entry
-    keeps the arithmetic it would have on its own.
+    H[a, a] is the line Laplacian along h_a e_a over h_a^2.  A pair a < b
+    takes the four lines along h_a e_a + i^k h_b e_b, k = 0..3; with
+    Re = sum_w (f_0 - f_2) and Im = sum_w (f_1 - f_3) over their values,
+    H[a, b] = (Re + i Im) / (16 h_a h_b) and H[b, a] = (Re - i Im) /
+    (16 h_a h_b).  The differences come before the sums, so that the large
+    common part of the values cancels first.  H[b, a] is not taken as
+    conj(H[a, b]): that holds only for real f.
 
     The stencil has 1 + 8d + 16d(d-1) points, d = chart dimension.  f is
     called on points whose arrays carry a leading stencil axis of at most
@@ -171,54 +153,55 @@ def fd_wirtinger_hessian(f: Callable, pt, fd_step: float = 1e-4) -> np.ndarray:
     h = _steps(pt, fd_step)
     d = h.shape[0]
     A, B = np.triu_indices(d, 1)
-    offsets = np.concatenate(
-        [np.zeros((1, d), dtype=complex), _stencil(h, A, B), _stencil(h / 2, A, B)]
-    )
-    values = _evaluate(f, pt, offsets, scalar=True)
-    f0 = values[0]
-    per_level = 4 * d + 16 * len(A)
-    coarse = values[1 : 1 + per_level]
-    fine = values[1 + per_level :]
-    out = np.empty((d, d), dtype=complex)
-    for a in range(d):
-        aa = _diagonal_entry(coarse[4 * a : 4 * a + 4], h[a], f0)
-        out[a, a] = (4.0 * _diagonal_entry(fine[4 * a : 4 * a + 4], h[a] / 2, f0) - aa) / 3.0
-    for p, (a, b) in enumerate(zip(A.tolist(), B.tolist())):
-        i = 4 * d + 16 * p
-        ab, ba = _pair_entries(coarse[i : i + 16], h[a], h[b])
-        ab2, ba2 = _pair_entries(fine[i : i + 16], h[a] / 2, h[b] / 2)
-        out[a, b], out[b, a] = (4.0 * ab2 - ab) / 3.0, (4.0 * ba2 - ba) / 3.0
+    # pair lines h_a e_a + LINE[j] h_b e_b: i^k for k = 0, 2, 1, 3
+    pairs = np.zeros((4, len(A), d), dtype=complex)
+    pairs[:, np.arange(len(A)), A] = h[A]
+    pairs[:, np.arange(len(A)), B] = LINE[:, None] * h[B]
+    f0, lines = _line_values(f, pt, np.concatenate([np.diag(h), pairs.reshape(-1, d)]), True)
+    out = np.diag(_line_laplacians(f0, lines[:, :, :d]) / (h * h)).astype(complex)
+    quad = lines[:, :, d:].reshape(4, 2, 4, len(A))  # (w, level, j, pair)
+    re = sum(quad[:, :, 0] - quad[:, :, 1])
+    im = sum(quad[:, :, 2] - quad[:, :, 3])
+    den = 16.0 * LEVELS[:, None] ** 2 * (h[A] * h[B])
+    out[A, B] = _richardson((re + 1j * im) / den)
+    out[B, A] = _richardson((re - 1j * im) / den)
     return out
+
+
+def fd_laplacian(f: Callable, pt, C: np.ndarray, fd_step: float = 1e-4) -> complex:
+    """trace(C H) for the Wirtinger Hessian H of f and a hermitian C over
+    the point's chart, from 1 + 8d evaluations of f.
+
+    With D = diag(h) for the steps h of ``_steps`` and eigh(D^-1 C D^-1) =
+    U diag(lam) U*, trace(C H) = sum_i lam_i L_i, where L_i is the line
+    Laplacian of f along v_i = D conj(u_i).  Each line is scaled by
+    t_i = 1 / max|u_i| (and lam_i by t_i^2), so that its largest coordinate
+    moves by exactly that coordinate's step: a unit u_i would take steps
+    up to sqrt(d) times shorter, with more rounding.  C enters only through
+    the contraction, so no closed form reaches f; f is called on stacked
+    points, as in ``fd_wirtinger_hessian``.
+    """
+    h = _steps(pt, fd_step)
+    if C.shape != (h.shape[0], h.shape[0]):
+        raise DimensionMismatch("field chart and coefficient matrix disagree")
+    lam, U = np.linalg.eigh(C / np.outer(h, h))
+    top = np.max(np.abs(U), axis=0)
+    f0, lines = _line_values(f, pt, h * (U / top).conj().T, True)
+    return complex((lam * top**2) @ _line_laplacians(f0, lines))
 
 
 def _first_derivatives(fn: Callable, pt, fd_step: float, scalar: bool):
     """(d/dz_a, d/dzbar_a) of fn's values for every chart coordinate a, as
-    two lists over a: central differences along +-h_a e_a and +-i h_a e_a,
-    Richardson-refined with the h_a / 2 stencil.  All 8d offsets are built
-    first and evaluated as in ``_evaluate``."""
+    two arrays with a row per a: central differences along the lines
+    h_a e_a, Richardson-refined with the h_a / 2 level.  The 8d points
+    exclude p itself."""
     h = _steps(pt, fd_step)
-    d = h.shape[0]
-    E = np.eye(d, dtype=complex)
-    # row 4a + k of a level: step k (h_a, -h_a, i h_a, -i h_a) along e_a
-    offsets = np.concatenate(
-        [(np.stack([s, -s, 1j * s, -1j * s], axis=1)[..., None] * E[:, None]).reshape(-1, d)
-         for s in (h, h / 2)]
-    )
-    values = _evaluate(fn, pt, offsets, scalar)
-
-    def central(v, ha):
-        dx = (v[0] - v[1]) / (2 * ha)
-        dy = (v[2] - v[3]) / (2 * ha)
-        return 0.5 * (dx - 1j * dy), 0.5 * (dx + 1j * dy)
-
-    hol, ahol = [], []
-    for a in range(d):
-        g, gb = central(values[4 * a : 4 * a + 4], h[a])
-        i = 4 * d + 4 * a
-        g2, gb2 = central(values[i : i + 4], h[a] / 2)
-        hol.append((4 * g2 - g) / 3.0)
-        ahol.append((4 * gb2 - gb) / 3.0)
-    return hol, ahol
+    _, lines = _line_values(fn, pt, np.diag(h), False, scalar)
+    lines = lines.reshape(lines.shape[:3] + (-1,))  # one column per value entry
+    den = (2.0 * LEVELS[:, None] * h)[..., None]
+    dx = (lines[0] - lines[1]) / den
+    dy = (lines[2] - lines[3]) / den
+    return _richardson(0.5 * (dx - 1j * dy)), _richardson(0.5 * (dx + 1j * dy))
 
 
 def fd_wirtinger_gradient(
@@ -227,7 +210,7 @@ def fd_wirtinger_gradient(
     """(df/dz_a, df/dzbar_a) over the chart coordinates.  f is called on the
     8d stencil points as stacked points, as in ``fd_wirtinger_hessian``."""
     hol, ahol = _first_derivatives(f, pt, fd_step, scalar=True)
-    return np.array(hol, dtype=complex), np.array(ahol, dtype=complex)
+    return hol[:, 0], ahol[:, 0]
 
 
 # largest dbar-block entry that fd_jacobian accepts as a holomorphic map
@@ -244,8 +227,8 @@ def fd_jacobian(map_fn: Callable, pt, fd_step: float = 1e-4) -> np.ndarray:
     cols, bar_cols = _first_derivatives(
         lambda q: flatten_point(map_fn(q)), pt, fd_step, scalar=False
     )
-    J = np.stack(cols, axis=1)
-    Jbar = np.stack(bar_cols, axis=1)
+    # row-major, as a caller's J @ x rounds differently on a transposed view
+    J, Jbar = np.ascontiguousarray(cols.T), bar_cols.T
     worst = float(np.max(np.abs(Jbar))) if Jbar.size else 0.0
     if worst > HOL_TOL:
         raise NonHolomorphic(f"dbar block has max entry {worst:.3e} > {HOL_TOL:.3e}")

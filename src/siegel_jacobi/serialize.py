@@ -7,7 +7,7 @@ digits), so decode(encode) is bit-exact.  Malformed input (not an object, a
 missing key, wrong nesting, an entry that is not a number or an [re, im]
 pair of numbers, an "n" that is not the point's size) raises ``ValueError``;
 non-finite numbers are refused by the point constructors on the way in and
-by ``dumps`` on the way out.
+by ``dumps`` on the way out, as ``NumericalOverflow``.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import json
 import numpy as np
 
 from .domains import JacobiBallPoint, SiegelBallPoint, SiegelUpperPoint
+from .errors import NumericalOverflow
 from .groups import JacobiElementC, JacobiElementR, SymplecticC, SymplecticR
 
 __all__ = [
@@ -168,7 +169,11 @@ def element_from_json(d: dict):
 
 
 def dumps(obj, pretty: bool = False) -> str:
-    """Deterministic JSON text: sorted keys, repr floats."""
-    if pretty:
-        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    """Deterministic JSON text: sorted keys, repr floats.  A NaN or inf that
+    reaches the encoder is a value beyond the float range, not bad input:
+    it raises NumericalOverflow."""
+    layout = {"indent": 2} if pretty else {"separators": (",", ":")}
+    try:
+        return json.dumps(obj, sort_keys=True, allow_nan=False, **layout)
+    except ValueError as exc:  # the encoder's refusal of a non-finite float
+        raise NumericalOverflow(f"a result is not a finite float ({exc})") from exc

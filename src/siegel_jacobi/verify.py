@@ -47,6 +47,7 @@ from .laplacian import (
 )
 from .metric import (
     MetricParams,
+    _fold_pair_metric,
     ball_metric_pair,
     curvature,
     ds2_eval,
@@ -193,7 +194,7 @@ def _ds2_ball(params, rng):
     pt = _pt(params, rng).ball
     v = _tangent(params.n, rng)
     direct = ds2_eval("ball", params, pt, v)
-    hk, _ = ball_metric_pair(pt)
+    hk = _fold_pair_metric(pt.M, params.pair_index)
     w = params.pair_index.pack(v.dW)
     quad = 4.0 * float((w @ hk @ w.conj()).real)
     return _rel(abs(direct - quad), abs(quad)), pt

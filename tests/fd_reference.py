@@ -1,19 +1,22 @@
 """Per-point loop references for the finite-difference oracles.
 
 The oracles hand a field its whole stencil as stacked points.  These loops
-call it at one single point per stencil offset instead, entry by entry, so
+call it at one single point per stencil offset instead, line by line, so
 an oracle result that equals them to the last bit shows that the stacked
 values, the chunking and the differencing all agree with the plain
 definition.  Each single point is ``pt.at_offset`` of a 1-d offset, the
-same chart the oracles use, and goes through the validating constructor.  A scalar field's values are taken as Python scalars, as the
-oracles take them: numpy complex scalars divide by a real step with a
-different rounding.
+same chart the oracles use, and goes through the validating constructor.
+A line along v at step s is the four points p + s w v, w = 1, -1, i, -i,
+for s = 1 and 1/2.
 """
 
 import numpy as np
 
 from siegel_jacobi.domains import flatten_point
 from siegel_jacobi.oracle import _steps
+
+LINE = (1, -1, 1j, -1j)
+LEVELS = (1.0, 0.5)
 
 
 def richardson_ids(value):
@@ -22,48 +25,53 @@ def richardson_ids(value):
     return f"{value}-richardson"
 
 
-def _scalar(f):
-    return lambda q: np.asarray(f(q)).item()
+def _line(f, pt, v, s):
+    """The four values of f along the line p + s w v."""
+    return np.array([np.asarray(f(pt.at_offset(s * w * v)))[()] for w in LINE])
+
+
+def _laplacian_along(f, pt, v, f0):
+    """d^2 f(p + w v) / dw dwbar at w = 0, Richardson over the two steps."""
+    per = [sum(_line(f, pt, v, s) - f0) / (4.0 * s**2) for s in LEVELS]
+    return (4.0 * per[1] - per[0]) / 3.0
 
 
 def loop_hessian(f, pt, fd_step=1e-4):
-    """The per-entry double loop the pair-shared stencil replaced: every
-    ordered entry (a, b) evaluates its own stencil points."""
-    f = _scalar(f)
+    """The Hessian by polarisation, one line at a time: H[a, a] from the
+    line along h_a e_a, and each pair a < b from the four lines along
+    h_a e_a + i^k h_b e_b, k = 0..3."""
     h = _steps(pt, fd_step)
     d = h.shape[0]
-    f0 = f(pt.at_offset(np.zeros(d, dtype=complex)))
-
-    def second_dir(ea, eb, ha, hb):
-        if ea is eb and ha == hb:
-            up = f(pt.at_offset(ha * ea))
-            dn = f(pt.at_offset(-ha * ea))
-            return (up - 2.0 * f0 + dn) / (ha.real**2 + ha.imag**2)
-        pp = f(pt.at_offset(ha * ea + hb * eb))
-        pm = f(pt.at_offset(ha * ea - hb * eb))
-        mp = f(pt.at_offset(-ha * ea + hb * eb))
-        mm = f(pt.at_offset(-ha * ea - hb * eb))
-        return (pp - pm - mp + mm) / (4.0 * abs(ha) * abs(hb))
-
-    def entry(a, b, ha, hb):
-        ea = np.zeros(d, dtype=complex)
-        eb = np.zeros(d, dtype=complex)
-        ea[a] = 1.0
-        eb[b] = 1.0
-        if a == b:
-            return 0.25 * (second_dir(ea, ea, ha, ha) + second_dir(ea, ea, 1j * ha, 1j * ha))
-        dxx = second_dir(ea, eb, ha, hb)
-        dyy = second_dir(ea, eb, 1j * ha, 1j * hb)
-        dxy = second_dir(ea, eb, ha, 1j * hb)
-        dyx = second_dir(ea, eb, 1j * ha, hb)
-        return 0.25 * (dxx + dyy + 1j * (dxy - dyx))
-
+    E = np.eye(d, dtype=complex)
+    f0 = np.asarray(f(pt.at_offset(np.zeros(d, dtype=complex))))[()]
     out = np.empty((d, d), dtype=complex)
     for a in range(d):
-        for b in range(d):
-            coarse = entry(a, b, h[a], h[b])
-            out[a, b] = (4.0 * entry(a, b, h[a] / 2, h[b] / 2) - coarse) / 3.0
+        out[a, a] = _laplacian_along(f, pt, h[a] * E[a], f0) / (h[a] * h[a])
+        for b in range(a + 1, d):
+            ab, ba = [], []
+            for s in LEVELS:
+                k = [_line(f, pt, h[a] * E[a] + ik * h[b] * E[b], s) for ik in (1, 1j, -1, -1j)]
+                re = sum(k[0] - k[2])
+                im = sum(k[1] - k[3])
+                den = 16.0 * s**2 * (h[a] * h[b])
+                ab.append((re + 1j * im) / den)
+                ba.append((re - 1j * im) / den)
+            out[a, b] = (4.0 * ab[1] - ab[0]) / 3.0
+            out[b, a] = (4.0 * ba[1] - ba[0]) / 3.0
     return out
+
+
+def loop_laplacian(f, pt, C, fd_step=1e-4):
+    """trace(C H) as sum_i lam_i L_i over the eigenframe of C in step
+    units, one line Laplacian at a time."""
+    h = _steps(pt, fd_step)
+    lam, U = np.linalg.eigh(C / np.outer(h, h))
+    f0 = np.asarray(f(pt.at_offset(np.zeros(h.shape[0], dtype=complex))))[()]
+    top = np.max(np.abs(U), axis=0)
+    L = np.array(
+        [_laplacian_along(f, pt, h * (U[:, i] / top[i]).conj(), f0) for i in range(len(h))]
+    )
+    return complex((lam * top**2) @ L)
 
 
 def _loop_first_derivatives(fn, pt, fd_step):
@@ -90,7 +98,7 @@ def _loop_first_derivatives(fn, pt, fd_step):
 
 
 def loop_gradient(f, pt, fd_step=1e-4):
-    hol, ahol = _loop_first_derivatives(_scalar(f), pt, fd_step)
+    hol, ahol = _loop_first_derivatives(lambda q: np.asarray(f(q))[()], pt, fd_step)
     return np.array(hol, dtype=complex), np.array(ahol, dtype=complex)
 
 

@@ -114,8 +114,8 @@ class TestEval:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_laplacian_stacked_field_matches_per_point(self, capsys, tmp_path, n, field):
         # the CLI evaluates every built-in field stacked; the printed value
-        # is the Laplacian of the per-point loop Hessian to the last bit
-        from fd_reference import loop_hessian
+        # is the per-line loop Laplacian to the last bit
+        from fd_reference import loop_laplacian
         from siegel_jacobi.laplacian import builtin_field, laplacian_coefficients
         from siegel_jacobi.metric import MetricParams
 
@@ -128,7 +128,7 @@ class TestEval:
         params = MetricParams(n=n, k=4.0, mu=1.0)
         f = builtin_field(field, "jacobi_ball", params)
         C = laplacian_coefficients("jacobi_ball", params, pt).matrix
-        val = complex(np.trace(C @ loop_hessian(f, pt)))
+        val = loop_laplacian(f, pt, C)
         assert json.loads(out) == {"field": field, "value": serialize.encode(val)}
 
     def test_ball_point_file_validated_once(self, capsys, tmp_path, rng, monkeypatch):

@@ -9,6 +9,7 @@ from siegel_jacobi.domains import (
     flatten_point,
     sample_point,
 )
+from siegel_jacobi.errors import DimensionMismatch
 from siegel_jacobi.groups import act_ball, inverse_partial_cayley, random_jacobi_c
 from siegel_jacobi.laplacian import (
     apply_laplacian,
@@ -17,9 +18,9 @@ from siegel_jacobi.laplacian import (
     laplacian_coefficients,
     laplacian_correspondence_check,
 )
-from fd_reference import loop_gradient, loop_hessian, richardson_ids
+from fd_reference import loop_gradient, loop_laplacian, richardson_ids
 from siegel_jacobi.metric import MetricParams, ball_metric_pair, metric_inverse
-from siegel_jacobi.oracle import fd_wirtinger_hessian
+from siegel_jacobi.oracle import fd_laplacian, fd_wirtinger_hessian
 
 
 class TestCoefficients:
@@ -107,19 +108,19 @@ class TestApply:
     @pytest.mark.parametrize("domain", ["jacobi_ball", "ball", "upper"])
     def test_builtin_lng_evaluated_as_one_stack(self, monkeypatch, domain):
         # apply_laplacian passes the built-in field the whole stencil at
-        # once, with the value of the per-point loop Hessian
+        # once, with the value of the per-line loop
         from siegel_jacobi import laplacian
 
         params = MetricParams(n=2, k=2.0, mu=1.0)
         pt = sample_point(domain, 2, np.random.default_rng(5))
         f = builtin_field("lnG", domain, params)
         C = laplacian_coefficients(domain, params, pt).matrix
-        per_point = complex(np.trace(C @ loop_hessian(f, pt, fd_step=2e-3)))
+        per_point = loop_laplacian(f, pt, C, fd_step=2e-3)
         ndims = []  # of the matrix each call of the closed form receives
         name, matrix = {
             "jacobi_ball": ("metric_det", lambda args: args[-1].W),
             "ball": ("_fold_pair_metric", lambda args: args[0]),  # pt.M
-            "upper": ("upper_metric_pair", lambda args: args[-1].V),
+            "upper": ("_upper_pair_metric", lambda args: args[0].V),
         }[domain]
         inner = getattr(laplacian, name)
 
@@ -129,8 +130,32 @@ class TestApply:
 
         monkeypatch.setattr(laplacian, name, counted)
         assert apply_laplacian(domain, params, f, pt, fd_step=2e-3) == per_point
-        # upper also builds its coefficient matrix from the pair
-        assert ndims == ([2, 3] if domain == "upper" else [3])
+        assert ndims == [3]
+
+    @pytest.mark.parametrize("domain", ["ball", "upper"])
+    def test_lng_builds_no_pair_inverse(self, monkeypatch, domain):
+        # the lnG fields read only the pair metric: the inverse half of a
+        # pair is never built over their stencils
+        from siegel_jacobi import metric
+
+        calls = []
+        inverse = metric._pair_metric_inverse
+        monkeypatch.setattr(
+            metric, "_pair_metric_inverse", lambda *a: calls.append(a) or inverse(*a)
+        )
+        pt = sample_point(domain, 2, np.random.default_rng(5))
+        f = builtin_field("lnG", domain)
+        f(pt.at_offset(np.zeros((4, flatten_point(pt).shape[0]))))
+        assert calls == []
+
+    def test_chart_and_coefficients_disagree(self, rng):
+        # ball coefficients (3 x 3 at n = 2) against a Jacobi-ball chart
+        # (d = 5) are refused before the field is called
+        pt = sample_point("jacobi_ball", 2, rng)
+        calls = []
+        with pytest.raises(DimensionMismatch):
+            apply_laplacian("ball", None, lambda q: calls.append(q), pt)
+        assert calls == []
 
     def test_invariance_under_action(self, rng):
         params = MetricParams(n=2, k=2.0, mu=1.0)
@@ -167,6 +192,19 @@ class TestApply:
 
 
 class TestNegativeControls:
+    def test_conjugated_frame_fails_identity(self, rng):
+        # the frame along u_i instead of conj(u_i) is the Laplacian of
+        # C.conj(): it must break Delta ln G as the conjugated Hessian does
+        params = MetricParams(n=2, k=2.0, mu=1.0)
+        pt = sample_point("jacobi_ball", 2, rng, radius=0.7)
+        f = builtin_field("lnG", "jacobi_ball", params)
+        C = laplacian_coefficients("jacobi_ball", params, pt).matrix
+        expected = (2.0 / params.k) * 2 * 3 * 4 / 2.0
+        good = fd_laplacian(f, pt, C)
+        bad = fd_laplacian(f, pt, C.conj())
+        assert abs(good.real - expected) / expected < 1e-5
+        assert abs(bad.real - expected) / expected > 1e-5
+
     def test_conjugated_convention_fails_identity(self, rng):
         # transposing (= conjugating) the Hessian breaks Delta ln G
         params = MetricParams(n=2, k=2.0, mu=1.0)
@@ -285,8 +323,7 @@ def test_stacked_laplacian_of_builtin_fields_matches_per_point(n):
             continue
         f = builtin_field(name, domain, params)
         C = laplacian_coefficients(domain, params, pt).matrix
-        per_point = complex(np.trace(C @ loop_hessian(f, pt)))
-        assert apply_laplacian(domain, params, f, pt) == per_point, name
+        assert apply_laplacian(domain, params, f, pt) == loop_laplacian(f, pt, C), name
 
 
 def test_re_poly_draws_once_per_dimension(monkeypatch, rng):
@@ -331,5 +368,5 @@ def test_stacked_cayley_checks_match_per_point(n, monkeypatch):
 
     stacked = values()
     monkeypatch.setattr(laplacian, "fd_wirtinger_gradient", loop_gradient)
-    monkeypatch.setattr(laplacian, "fd_wirtinger_hessian", loop_hessian)
+    monkeypatch.setattr(laplacian, "fd_laplacian", loop_laplacian)
     assert stacked == values()

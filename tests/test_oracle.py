@@ -21,8 +21,14 @@ from siegel_jacobi.groups import (
     random_jacobi_c,
     random_jacobi_r,
 )
-from fd_reference import loop_gradient, loop_hessian, loop_jacobian, richardson_ids
-from siegel_jacobi.laplacian import builtin_field
+from fd_reference import (
+    loop_gradient,
+    loop_hessian,
+    loop_jacobian,
+    loop_laplacian,
+    richardson_ids,
+)
+from siegel_jacobi.laplacian import apply_laplacian, builtin_field, laplacian_coefficients
 from siegel_jacobi.metric import (
     CurvatureData,
     MetricEval,
@@ -32,7 +38,9 @@ from siegel_jacobi.metric import (
     metric_blocks,
 )
 from siegel_jacobi.oracle import (
+    _steps,
     fd_jacobian,
+    fd_laplacian,
     fd_wirtinger_gradient,
     fd_wirtinger_hessian,
     volume_invariance_check,
@@ -93,7 +101,8 @@ class TestHessian:
         with pytest.raises(StepTooLarge):
             fd_wirtinger_hessian(const, pt, fd_step=1e-3)
         # the default step, scaled to at most 2e-4, still fits inside the
-        # 1e-3 margin: the excursion is 8.0e-4
+        # 1e-3 margin: the widest pair line has l1 norm 3.1e-4, so the
+        # excursion bound is 6.2e-4
         fd_wirtinger_hessian(const, pt)
 
     @pytest.mark.parametrize("step", [float("nan"), float("inf"), 0.0, -1e-4, 1e-300, 1e-9])
@@ -105,7 +114,8 @@ class TestHessian:
             calls.append(p)
             return np.zeros(p.z.shape[0])
 
-        for oracle in (fd_wirtinger_hessian, fd_wirtinger_gradient, fd_jacobian):
+        laplacian = lambda f, pt, fd_step: fd_laplacian(f, pt, np.eye(2), fd_step)
+        for oracle in (fd_wirtinger_hessian, fd_wirtinger_gradient, fd_jacobian, laplacian):
             with pytest.raises(ValueError, match="fd_step"):
                 oracle(f, pt, fd_step=step)
         assert calls == []
@@ -151,6 +161,39 @@ def test_hessian_evaluates_each_stencil_point_once(n):
     assert len({tuple(o) for o in offsets}) == expected
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_laplacian_evaluates_one_plus_8d_points(n):
+    # the frame Laplacian differences d lines through p, never the Hessian
+    params = MetricParams(n=n, k=4.0, mu=1.0)
+    pt = sample_point("jacobi_ball", n, np.random.default_rng(n))
+    offsets = []
+
+    def f(p):
+        offsets.extend(flatten_point(p).tolist())
+        return np.zeros(p.z.shape[0])
+
+    apply_laplacian("jacobi_ball", params, f, pt)
+    d = n * (n + 3) // 2
+    assert len({tuple(o) for o in offsets}) == len(offsets) == 1 + 8 * d  # 73 at d = 9
+
+
+def test_frame_leaving_the_domain_raises_before_any_call():
+    # a frame line moves every coordinate: at this point (margin 1e-3) the
+    # Hessian stencil fits at the default step, but a frame whose lines
+    # spread evenly over the 5 coordinates has an l1 excursion of sum(h)
+    W = np.diag([np.sqrt(1 - 1e-3), 0.1]).astype(complex)
+    pt = JacobiBallPoint(z=np.zeros(2), W=W)
+    h = _steps(pt, 1e-4)
+    F = np.exp(2j * np.pi * np.outer(np.arange(5), np.arange(5)) / 5) / np.sqrt(5)
+    C = h[:, None] * (F @ np.diag(np.arange(1.0, 6.0)) @ F.conj().T) * h
+    calls = []
+    fd_wirtinger_hessian(lambda p: np.zeros(p.z.shape[0]), pt)
+    with pytest.raises(StepTooLarge):
+        fd_laplacian(lambda p: calls.append(p), pt, C)
+    assert calls == []
+    fd_laplacian(lambda p: np.zeros(p.z.shape[0]), pt, np.diag(h * h))  # axis lines fit
+
+
 def _zeta0_times_sum_conj(q):
     """zeta_0 * sum(zeta_bar) over the chart coordinates."""
     zeta = flatten_point(q)
@@ -175,16 +218,18 @@ def _broadcasting_fields(domain, params):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_stacked_hessian_matches_per_point(n, domain):
     # the oracle hands f the whole stencil as one stacked point; its Hessian
-    # must equal the loop that calls f at one point per offset, to the last
-    # bit, or the seeded reports would move
+    # and Laplacian must equal the loops that call f at one point per
+    # offset, to the last bit, or the seeded reports would move
     params = MetricParams(n=n, k=4.0, mu=1.0)
     pt = sample_point(domain, n, np.random.default_rng(300 + n))
     d = flatten_point(pt).shape[0]
     offsets = 1e-3 * np.random.default_rng(n).standard_normal((7, d, 2)) @ [1, 1j]
+    C = laplacian_coefficients(domain, params, pt).matrix
     for f in _broadcasting_fields(domain, params):
         stacked = f(pt.at_offset(offsets))
         assert np.array_equal(stacked, [f(pt.at_offset(o)) for o in offsets])
         assert _matches_loop_hessian(f, pt)
+        assert fd_laplacian(f, pt, C) == loop_laplacian(f, pt, C)
 
 
 def test_stacked_identity_catches_broadcast_index_swap(monkeypatch):
@@ -528,7 +573,7 @@ class TestFuzzAll:
 
     def test_one_lng_hessian_per_ricci_trial(self, monkeypatch):
         # a verdict differences ln det h once per ricci_fd_match trial and
-        # nowhere else
+        # nowhere else (the Laplacians take no Hessian)
         from siegel_jacobi import laplacian, verify
 
         lng_fields, lng_hessians = set(), []
@@ -541,17 +586,32 @@ class TestFuzzAll:
             return f
 
         monkeypatch.setattr(verify, "builtin_field", tagging_field)
-        for module in (verify, laplacian):
-            hessian = module.fd_wirtinger_hessian
+        hessian = verify.fd_wirtinger_hessian
 
-            def counting(f, *args, _hessian=hessian, **kwargs):
-                if f in lng_fields:
-                    lng_hessians.append(f)
-                return _hessian(f, *args, **kwargs)
+        def counting(f, *args, **kwargs):
+            if f in lng_fields:
+                lng_hessians.append(f)
+            return hessian(f, *args, **kwargs)
 
-            monkeypatch.setattr(module, "fd_wirtinger_hessian", counting)
+        monkeypatch.setattr(verify, "fd_wirtinger_hessian", counting)
+        assert not hasattr(laplacian, "fd_wirtinger_hessian")
         fuzz_all(n=2, k=4.0, mu=1.0, trials=3, master_seed=7)
         assert len(lng_hessians) == 3
+
+    def test_ds2_ball_builds_no_pair_inverse(self, monkeypatch):
+        # ds2_ball_consistency reads only the pair metric h^k
+        from siegel_jacobi import metric
+
+        calls = []
+        inverse = metric._pair_metric_inverse
+        monkeypatch.setattr(
+            metric, "_pair_metric_inverse", lambda *a: calls.append(a) or inverse(*a)
+        )
+        rep = fuzz_all(
+            n=2, k=4.0, mu=1.0, trials=3, master_seed=7, properties=["ds2_ball_consistency"]
+        )
+        assert rep.passed
+        assert calls == []
 
     def test_tolerance_override(self):
         rep = fuzz_all(

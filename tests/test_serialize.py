@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from siegel_jacobi import serialize
 from siegel_jacobi.domains import JacobiBallPoint, SiegelUpperPoint, sample_point
-from siegel_jacobi.errors import InvalidInput
+from siegel_jacobi.errors import InvalidInput, NumericalOverflow
 from siegel_jacobi.groups import random_jacobi_c, random_jacobi_r
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
@@ -170,6 +170,7 @@ _R_RECORD = {"a": [[1.0]], "b": [[0.0]], "c": [[0.0]], "d": [[1.0]], "lambda_mu"
         "string-k_center", "inf-k_center",
     ],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_hostile_element_raises_a_typed_error(record, error):
     """Each record passes through json as the NaN / Infinity literals that
     json.loads accepts."""
@@ -187,7 +188,9 @@ def test_element_from_numpy_record():
 
 
 def test_dumps_refuses_nan():
-    with pytest.raises(ValueError):
+    # a non-finite result is a value beyond the float range (exit 3), not
+    # bad input (exit 2)
+    with pytest.raises(NumericalOverflow):
         serialize.dumps({"value": float("nan")})
 
 

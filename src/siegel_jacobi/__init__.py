@@ -5,7 +5,6 @@ kernels, each cross-checked against independent finite-difference oracles.
 """
 
 from .domains import (
-    BallDiagnostics,
     JacobiBallPoint,
     PairIndex,
     SiegelBallPoint,
@@ -13,7 +12,6 @@ from .domains import (
     TangentVector,
     flatten_point,
     sample_point,
-    validate_ball_point,
 )
 from .groups import (
     JacobiElementC,
@@ -59,14 +57,12 @@ from .laplacian import (
     laplacian_correspondence_check,
 )
 from .metric import (
-    AuxMatrices,
     CurvatureData,
     DetResult,
     MetricEval,
     MetricInverse,
     MetricParams,
     ball_metric_pair,
-    compute_aux,
     curvature,
     ds2_eval,
     kahler_potential,

@@ -15,8 +15,10 @@ Conventions fixed here and relied on package-wide:
   (``W`` or ``V``), named once per type and read as ``pt.vector`` and
   ``pt.matrix``; ``pt.margin()`` is its distance proxy to the boundary.
   A tangent is a point of the same kind (``dz`` and ``dW``).
-  The constructors validate a single point (one symmetry check for W, V
-  and dW; ``validate_ball_point`` for W).  ``assemble`` is the one trusted
+  The constructors validate a single point: one symmetry check for W, V
+  and dW, then the stored (symmetrised) matrix part must have a positive
+  ``margin()``, which is kept, so validating costs no second
+  eigendecomposition.  ``assemble`` is the one trusted
   constructor, whose arrays may carry leading stencil axes, and ``image``
   is the one rule for a map's image: validated when single, trusted when
   stacked.
@@ -28,7 +30,12 @@ Conventions fixed here and relied on package-wide:
   ``logdet_N = ln det N`` and (Jacobi ball) ``eta = M (z + W zbar)``, are
   formed only here, once per point object, and kept on it read-only by
   ``kept``, the one store of data derived from a point (``metric`` keeps its
-  own there too).
+  own there too).  A validated ball point forms N once, for its margin
+  check, and every later read of N or the margin finds it kept.
+* ``kept`` stores a value in the point's ``__dict__``, where it shadows a
+  method of the same name (a property such as ``N`` is a data descriptor and
+  is not shadowed): no key may be the name of a method, so the margin is
+  kept as ``lam_min``, not ``margin``.
 * ``sample_point`` validates each sampled point once.
 """
 
@@ -53,9 +60,7 @@ __all__ = [
     "SiegelUpperPoint",
     "JacobiBallPoint",
     "TangentVector",
-    "BallDiagnostics",
     "flatten_point",
-    "validate_ball_point",
     "sample_point",
 ]
 
@@ -73,9 +78,9 @@ def _as_complex_vector(a, name: str, n: int) -> np.ndarray:
     return _frozen(_finite(v, name))
 
 
-def _symmetric(a, name: str, tol: float) -> tuple[np.ndarray, float]:
-    """(a as a finite complex square matrix, max |a - a^t|): the one symmetry
-    check of W, V and dW.  Raises NonSymmetric when the defect exceeds tol."""
+def _symmetric(a, name: str, tol: float) -> np.ndarray:
+    """a as a finite complex square matrix: the one symmetry check of W, V
+    and dW.  Raises NonSymmetric when max |a - a^t| exceeds tol."""
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
@@ -83,7 +88,7 @@ def _symmetric(a, name: str, tol: float) -> tuple[np.ndarray, float]:
     defect = float(np.max(np.abs(m - m.T))) if m.size else 0.0
     if defect > tol:
         raise NonSymmetric(f"max |{name} - {name}^t| = {defect:.3e} exceeds tol {tol:.3e}")
-    return m, defect
+    return m
 
 
 def _frozen_symmetric(m: np.ndarray) -> np.ndarray:
@@ -193,30 +198,6 @@ class PairIndex:
         return m
 
 
-@dataclass(frozen=True)
-class BallDiagnostics:
-    symmetry_defect: float
-    min_eigenvalue: float
-
-
-def validate_ball_point(W, tol: float = 1e-12) -> BallDiagnostics:
-    """Check W = W^t and 1 - W Wbar > 0; return the measured margins.
-
-    Raises NonSymmetric / NotInBall with the offending value on failure.
-    """
-    W, sym_defect = _symmetric(W, "W", tol)
-    lam_min = float(np.linalg.eigvalsh(cross_gram(W))[0])
-    if lam_min <= tol:
-        raise NotInBall(f"smallest eigenvalue of 1 - W Wbar is {lam_min:.3e}")
-    return BallDiagnostics(symmetry_defect=sym_defect, min_eigenvalue=lam_min)
-
-
-def _ball_matrix(W) -> np.ndarray:
-    """W after validate_ball_point at tol 1e-10, stored exactly symmetric."""
-    validate_ball_point(W, tol=1e-10)
-    return _frozen_symmetric(np.asarray(W, dtype=complex))
-
-
 class _Point:
     """A symmetric matrix part named by ``_MATRIX`` (W or V) and a vector
     part named by ``_VECTOR`` (z, u, or None for a type without one).  A
@@ -321,8 +302,18 @@ class _BallPart(_Point):
         return kept(self.ball, "logdet_N", lambda pt: np.linalg.slogdet(pt.N)[1])
 
     def margin(self) -> float:
-        """Smallest eigenvalue of N: the distance proxy to the boundary."""
-        return float(np.linalg.eigvalsh(self.N)[0])
+        """Smallest eigenvalue of N: the distance proxy to the boundary,
+        kept like N."""
+        return kept(self.ball, "lam_min", lambda pt: float(np.linalg.eigvalsh(pt.N)[0]))
+
+    def _check_ball(self) -> None:
+        """Store W symmetrised and require 1 - W Wbar > 0 (at tol 1e-10) on
+        the stored W; the constructors' one ball check."""
+        W = _symmetric(self.W, "W", 1e-10)
+        object.__setattr__(self, "W", _frozen_symmetric(W))
+        lam_min = self.margin()
+        if lam_min <= 1e-10:
+            raise NotInBall(f"smallest eigenvalue of 1 - W Wbar is {lam_min:.3e}")
 
 
 def _item(x):
@@ -352,7 +343,7 @@ class SiegelBallPoint(_BallPart):
     W: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "W", _ball_matrix(self.W))
+        self._check_ball()
 
     @property
     def ball(self) -> "SiegelBallPoint":
@@ -369,7 +360,7 @@ class SiegelUpperPoint(_Point):
     _VECTOR = "u"
 
     def __post_init__(self):
-        V, _ = _symmetric(self.V, "V", 1e-10)
+        V = _symmetric(self.V, "V", 1e-10)
         object.__setattr__(self, "V", _frozen_symmetric(V))
         lam_min = self.margin()
         if lam_min <= 0:
@@ -382,8 +373,9 @@ class SiegelUpperPoint(_Point):
         return self.V.imag
 
     def margin(self) -> float:
-        """Smallest eigenvalue of Im V: the distance proxy to the boundary."""
-        return float(np.linalg.eigvalsh(0.5 * (self.R + self.R.T))[0])
+        """Smallest eigenvalue of Im V: the distance proxy to the boundary,
+        kept (``lam_min``)."""
+        return kept(self, "lam_min", lambda pt: float(np.linalg.eigvalsh(pt.R)[0]))
 
 
 @dataclass(frozen=True)
@@ -395,9 +387,8 @@ class JacobiBallPoint(_BallPart):
     _VECTOR = "z"
 
     def __post_init__(self):
-        W = _ball_matrix(self.W)
-        object.__setattr__(self, "z", _as_complex_vector(self.z, "z", W.shape[0]))
-        object.__setattr__(self, "W", W)
+        self._check_ball()
+        object.__setattr__(self, "z", _as_complex_vector(self.z, "z", self.n))
 
     @property
     def eta(self) -> np.ndarray:
@@ -423,7 +414,7 @@ class TangentVector(_Point):
     _VECTOR = "dz"
 
     def __post_init__(self):
-        dW, _ = _symmetric(self.dW, "dW", 1e-12)
+        dW = _symmetric(self.dW, "dW", 1e-12)
         object.__setattr__(self, "dW", _frozen_symmetric(dW))
         if self.dz is not None:
             object.__setattr__(self, "dz", _as_complex_vector(self.dz, "dz", dW.shape[0]))
@@ -433,7 +424,7 @@ def _complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
-def _sample_ball_matrix(n: int, rng: np.random.Generator, radius: float) -> np.ndarray:
+def _sample_W(n: int, rng: np.random.Generator, radius: float) -> np.ndarray:
     """A normalized symmetric Gaussian matrix of spectral norm radius/2 < 1/2,
     so 1 - W Wbar >= 3/4 needs no check here."""
     if not 0 <= radius < 1:
@@ -448,7 +439,7 @@ def _sample_ball_matrix(n: int, rng: np.random.Generator, radius: float) -> np.n
 def sample_point(domain: str, n: int, rng: np.random.Generator, radius: float = 0.4):
     """Draw a random interior point of the requested domain, validated once.
 
-    The ball part comes from ``_sample_ball_matrix``; z and u entries are
+    The ball part comes from ``_sample_W``; z and u entries are
     standard complex Gaussians.  Upper-half-plane points are the image of
     the inverse partial Cayley transform of a trusted Jacobi-ball sample
     (z is drawn for "upper" too, so every seed gives the same points).
@@ -456,15 +447,15 @@ def sample_point(domain: str, n: int, rng: np.random.Generator, radius: float = 
     if n < 1:
         raise ValueError("n must be >= 1")
     if domain == "ball":
-        return SiegelBallPoint(_sample_ball_matrix(n, rng, radius))
+        return SiegelBallPoint(_sample_W(n, rng, radius))
     if domain == "jacobi_ball":
-        W = _sample_ball_matrix(n, rng, radius)
+        W = _sample_W(n, rng, radius)
         z = _complex_gaussian(rng, n)
         return JacobiBallPoint(z=z, W=W)
     if domain in ("upper", "jacobi_upper"):
         from .groups import inverse_partial_cayley
 
-        W = _sample_ball_matrix(n, rng, radius)
+        W = _sample_W(n, rng, radius)
         z = _complex_gaussian(rng, n)
         pt = inverse_partial_cayley(JacobiBallPoint.assemble(z, W))
         if domain == "upper":

@@ -22,10 +22,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .domains import JacobiBallPoint, SiegelBallPoint, SiegelUpperPoint, TangentVector
+from .domains import JacobiBallPoint, SiegelBallPoint, SiegelUpperPoint, TangentVector, _frozen
 from .errors import DimensionMismatch, InvalidInput, SingularDenominator
 
 __all__ = [
@@ -276,15 +277,11 @@ def inverse_jacobi_c(h: JacobiElementC) -> JacobiElementC:
     return JacobiElementC(h.g.inverse(), -h.g.act(h.alpha), -h.t)
 
 
-_J_CACHE: dict[int, np.ndarray] = {}
-
-
+@lru_cache(maxsize=64)
 def _sp_form(n: int) -> np.ndarray:
-    if n not in _J_CACHE:
-        z = np.zeros((n, n))
-        e = np.eye(n)
-        _J_CACHE[n] = np.block([[z, e], [-e, z]])
-    return _J_CACHE[n]
+    """J = [[0, 1], [-1, 0]] of size 2n, read-only."""
+    z, e = np.zeros((n, n)), np.eye(n)
+    return _frozen(np.block([[z, e], [-e, z]]))
 
 
 def compose_jacobi_r(h1: JacobiElementR, h2: JacobiElementR) -> JacobiElementR:

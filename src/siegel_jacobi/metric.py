@@ -15,17 +15,16 @@ counting.  Each pair block is a single expression over the index arrays
 
     hk_pq,mn = 2 f_pq f_mn (M_mp M_nq + M_mq M_np).
 
-N, M and eta are the point's own Gram data (see ``domains``); the metric's
-own point data are kept on the point by ``domains.kept`` too: X, S, alpha
-(``compute_aux``), hk and k_inv, and the (k, mu)-free terms of the closed
-forms, ``h_terms`` (Mbar, the h2 core and hmu) and ``inv_terms`` (Nbar,
-Sbar S^t and the hinv2 core), so that each closed form only scales and
-assembles them.  Nothing that depends on (k, mu) is kept, and every result
-is a new, writable array.
+N, M and eta are the point's own Gram data (see ``domains``); the metric
+keeps its own point data on the point by ``domains.kept`` too, one entry per
+family of closed forms: the (k, mu)-free terms ``h_terms`` (hk, Mbar, the h2
+core and hmu) and ``inv_terms`` (alpha, Nbar, Sbar S^t, the hinv2 core and
+k_inv), so that each closed form only scales and assembles them.  Nothing
+that depends on (k, mu) is kept, and every result is a new, writable array.
 ``h @ metric_inverse(...).h_inv`` is the literal identity in this
 ordered-pair indexing.
 
-``compute_aux``, ``kahler_potential``, ``metric_det``, ``ball_metric_pair``
+``kahler_potential``, ``metric_det``, ``ball_metric_pair``
 and ``upper_metric_pair`` broadcast over leading axes of a trusted point
 (z of shape (..., n), W of shape (..., n, n)), so a finite-difference
 stencil is evaluated in one call.  A single point is the case with no
@@ -48,12 +47,10 @@ from .errors import DimensionMismatch, NumericalOverflow
 
 __all__ = [
     "MetricParams",
-    "AuxMatrices",
     "MetricEval",
     "MetricInverse",
     "DetResult",
     "CurvatureData",
-    "compute_aux",
     "kahler_potential",
     "metric_blocks",
     "metric_inverse",
@@ -100,38 +97,12 @@ class MetricParams:
         return self.pair_index.total_dim
 
 
-@dataclass(frozen=True)
-class AuxMatrices:
-    """The metric's own intermediates at a point (z, W), beside the point's
-    Gram data N, M and eta."""
-
-    X: np.ndarray          # Wbar M = Mbar Wbar, complex symmetric
-    S: np.ndarray          # S_n = sum_q eta_q Nbar_qn
-    alpha: float           # eta^t Nbar conj(eta) >= 0 (an array over a stack)
-
-
-def compute_aux(params: MetricParams, pt: JacobiBallPoint) -> AuxMatrices:
-    if params.n != pt.n:
-        raise DimensionMismatch("params and point of different dimension")
-    S = _vecmat(pt.eta, pt.N.conj())
-    return AuxMatrices(X=pt.W.conj() @ pt.M, S=S, alpha=_item(_dot(S, pt.eta.conj()).real))
-
-
 def _kept(params: MetricParams, pt: JacobiBallPoint, key: str, compute):
     """compute(pt), kept on pt (``domains.kept``); the dimension check runs
     on every call."""
     if params.n != pt.n:
         raise DimensionMismatch("params and point of different dimension")
     return kept(pt, key, compute)
-
-
-def _aux(params: MetricParams, pt: JacobiBallPoint) -> AuxMatrices:
-    return _kept(params, pt, "aux", lambda p: compute_aux(params, p))
-
-
-def _hk(params: MetricParams, pt: JacobiBallPoint) -> np.ndarray:
-    """The Siegel-ball pair form of M."""
-    return _kept(params, pt, "hk", lambda p: _fold_pair_metric(p.M, params.pair_index))
 
 
 def _assemble(h1: np.ndarray, h2: np.ndarray, h3: np.ndarray, h4: np.ndarray) -> np.ndarray:
@@ -149,9 +120,10 @@ def _assemble(h1: np.ndarray, h2: np.ndarray, h3: np.ndarray, h4: np.ndarray) ->
 def kahler_potential(params: MetricParams, pt: JacobiBallPoint) -> float:
     """f = -(k/2) log det(1 - W Wbar)
           + mu [ zbar^t M z + Re(z^t Wbar M z) ]."""
-    aux = _aux(params, pt)
+    if params.n != pt.n:
+        raise DimensionMismatch("params and point of different dimension")
     z = pt.z
-    quad = _dot(z.conj(), _matvec(pt.M, z)).real + _dot(_vecmat(z, aux.X), z).real
+    quad = _dot(z.conj(), _matvec(pt.M, z)).real + _dot(_vecmat(z, pt.W.conj() @ pt.M), z).real
     return _item(-0.5 * params.k * pt.logdet_N + params.mu * quad)
 
 
@@ -207,19 +179,15 @@ def upper_metric_pair(pt: SiegelUpperPoint) -> tuple[np.ndarray, np.ndarray]:
     return _upper_pair_metric(pt), _upper_pair_inverse(pt)
 
 
-def _sym_R(pt: SiegelUpperPoint) -> np.ndarray:
-    return 0.5 * (pt.R + pt.R.swapaxes(-1, -2))
-
-
 def _upper_pair_metric(pt: SiegelUpperPoint) -> np.ndarray:
     """The first half of ``upper_metric_pair``: its callers that read only
     the metric build no inverse."""
-    return _fold_pair_metric((0.5 * np.linalg.inv(_sym_R(pt))).astype(complex), PairIndex(pt.n))
+    return _fold_pair_metric((0.5 * np.linalg.inv(pt.R)).astype(complex), PairIndex(pt.n))
 
 
 def _upper_pair_inverse(pt: SiegelUpperPoint) -> np.ndarray:
     """The second half of ``upper_metric_pair``."""
-    return _pair_metric_inverse((2.0 * _sym_R(pt)).astype(complex), PairIndex(pt.n))
+    return _pair_metric_inverse((2.0 * pt.R).astype(complex), PairIndex(pt.n))
 
 
 @dataclass(frozen=True)
@@ -244,9 +212,11 @@ def metric_blocks(params: MetricParams, pt: JacobiBallPoint) -> MetricEval:
     return _blocks(params, pt)
 
 
-def _h_terms(pt: JacobiBallPoint, idx: PairIndex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (k, mu)-free parts of h1, h2 and h4: Mbar,
-    X_i,pq = eta_q Mbar_ip + eta_p Mbar_iq and hmu."""
+def _h_terms(
+    pt: JacobiBallPoint, idx: PairIndex
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The (k, mu)-free parts of h1, h2 and h4: the Siegel-ball pair form
+    hk of M, Mbar, X_i,pq = eta_q Mbar_ip + eta_p Mbar_iq and hmu."""
     P, Q, f = idx.P, idx.Q, idx.f
     Mb = pt.M.conj()
     eta = pt.eta
@@ -260,12 +230,11 @@ def _h_terms(pt: JacobiBallPoint, idx: PairIndex) -> tuple[np.ndarray, np.ndarra
         _cmul(etab.take(P, -1)[..., None], K.take(Q, -2))
         + _cmul(etab.take(Q, -1)[..., None], K.take(P, -2))
     )
-    return Mb, X, hmu
+    return _fold_pair_metric(pt.M, idx), Mb, X, hmu
 
 
 def _blocks(params: MetricParams, pt: JacobiBallPoint) -> MetricEval:
-    hk = _hk(params, pt)
-    Mb, X, hmu = _kept(params, pt, "h_terms", lambda p: _h_terms(p, params.pair_index))
+    hk, Mb, X, hmu = _kept(params, pt, "h_terms", lambda p: _h_terms(p, params.pair_index))
     mu, k = params.mu, params.k
 
     h1 = mu * Mb
@@ -285,13 +254,18 @@ class MetricInverse:
 
 
 def _inv_terms(
-    pt: JacobiBallPoint, S: np.ndarray, idx: PairIndex
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (k, mu)-free parts of hinv1 and hinv2: Nbar, Sbar_i S_j and
-    Y_i,mn = S_n Nbar_im + S_m Nbar_in."""
+    pt: JacobiBallPoint, idx: PairIndex
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The (k, mu)-free parts of the inverse blocks, with S_n = sum_q eta_q
+    Nbar_qn: alpha = eta^t Nbar conj(eta) >= 0, Nbar, Sbar_i S_j,
+    Y_i,mn = S_n Nbar_im + S_m Nbar_in and the Siegel-ball pair inverse
+    k_inv."""
     P, Q = idx.P, idx.Q
     Nb = pt.N.conj()
-    return Nb, np.outer(S.conj(), S), S[Q] * Nb[:, P] + S[P] * Nb[:, Q]
+    S = _vecmat(pt.eta, Nb)
+    alpha = _item(_dot(S, pt.eta.conj()).real)
+    Y = S[Q] * Nb[:, P] + S[P] * Nb[:, Q]
+    return alpha, Nb, np.outer(S.conj(), S), Y, _pair_metric_inverse(pt.N, idx)
 
 
 def metric_inverse(params: MetricParams, pt: JacobiBallPoint) -> MetricInverse:
@@ -307,15 +281,15 @@ def metric_inverse(params: MetricParams, pt: JacobiBallPoint) -> MetricInverse:
     scalar and hinv1 reduces to (1/mu + 2 alpha/k) Nbar.
     hinv4 is the Siegel-ball pair inverse scaled by 2/k.
     """
-    idx = params.pair_index
-    aux = _aux(params, pt)
-    Nb, SS, Y = _kept(params, pt, "inv_terms", lambda p: _inv_terms(p, aux.S, idx))
+    alpha, Nb, SS, Y, k_inv = _kept(
+        params, pt, "inv_terms", lambda p: _inv_terms(p, params.pair_index)
+    )
     k = params.k
 
-    i1 = (1.0 / params.mu + aux.alpha / k) * Nb + SS / k
+    i1 = (1.0 / params.mu + alpha / k) * Nb + SS / k
     i2 = -Y / k
     i3 = i2.conj().T
-    i4 = _kept(params, pt, "k_inv", lambda p: _pair_metric_inverse(p.N, idx)) / (0.5 * k)
+    i4 = k_inv / (0.5 * k)
 
     return MetricInverse(h1=i1, h2=i2, h3=i3, h4=i4, h_inv=_assemble(i1, i2, i3, i4))
 
@@ -369,7 +343,8 @@ def curvature(params: MetricParams, pt: JacobiBallPoint) -> CurvatureData:
     n = params.n
     d = params.dim
     ric = np.zeros((d, d), dtype=complex)
-    ric[n:, n:] = -(n + 2) * _hk(params, pt)
+    hk = _kept(params, pt, "h_terms", lambda p: _h_terms(p, params.pair_index))[0]
+    ric[n:, n:] = -(n + 2) * hk
     scalar = -(2.0 / params.k) * n * (n + 1) * (n + 2) / 2.0
     qk = ((n + 1) * (n + 2) / 2.0) * _blocks(params, pt).h - ric
     return CurvatureData(ric=ric, scalar_curvature=scalar, qk_lu=qk)
@@ -385,8 +360,7 @@ def ds2_eval(domain: str, params: MetricParams, pt, tangent: TangentVector) -> f
     if tangent.n != pt.n:
         raise DimensionMismatch("tangent and point of different dimension")
     if domain == "upper":
-        R = 0.5 * (pt.R + pt.R.T)
-        Rinv = np.linalg.inv(R)
+        Rinv = np.linalg.inv(pt.R)
         dV = tangent.dW
         return float(np.trace(Rinv @ dV @ Rinv @ dV.conj()).real)
     if domain == "ball":

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from siegel_jacobi import cli, serialize
 from siegel_jacobi.cli import build_parser, main
 from siegel_jacobi.domains import JacobiBallPoint, sample_point
+from siegel_jacobi.errors import GeometryError
 
 
 def run_cli(capsys, *argv):
@@ -132,15 +134,12 @@ class TestEval:
         assert json.loads(out) == {"field": field, "value": serialize.encode(val)}
 
     def test_ball_point_file_validated_once(self, capsys, tmp_path, rng, monkeypatch):
-        # a {n, W} file is validated as it is read, not again as (0, W)
-        from siegel_jacobi import domains
-
+        # a {n, W} file is validated as it is read, not again as (0, W): one
+        # eigendecomposition, the margin check
         path = write_point(tmp_path, sample_point("ball", 2, rng))
         calls = []
-        original = domains.validate_ball_point
-        monkeypatch.setattr(
-            domains, "validate_ball_point", lambda *a, **k: calls.append(1) or original(*a, **k)
-        )
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a: calls.append(1) or eigvalsh(*a))
         code, _ = run_cli(capsys, "eval", "det", "--n", "2", "--point", path)
         assert code == 0
         assert len(calls) == 1
@@ -638,3 +637,42 @@ def test_hostile_point_file_gives_one_error_object(hostile_dir, case, reader):
         assert code == 2, (argv, text)
     assert out.getvalue().count("\n") == 1
     assert list(json.loads(out.getvalue(), parse_constant=_reject_constant)) == ["error"]
+
+
+_GEOMETRY_KINDS = {"GeometryError"} | {c.__name__ for c in GeometryError.__subclasses__()}
+
+
+def _near_boundary_point(n, margin, rng):
+    """A Jacobi-ball point whose N = 1 - W Wbar has smallest eigenvalue
+    margin: W is a symmetric Gaussian matrix scaled to spectral norm
+    sqrt(1 - margin)."""
+    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    W = np.sqrt(1.0 - margin) * (A + A.T) / np.linalg.norm(A + A.T, 2)
+    return JacobiBallPoint(z=rng.standard_normal(n) + 1j * rng.standard_normal(n), W=W)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12, 16, 24, 32])
+def test_eval_contract_near_the_boundary(tmp_path, n):
+    # every eval quantity prints one JSON object: finite numbers with exit
+    # 0, or a GeometryError kind with exit 3, never exit 2 or a traceback.
+    # metric, inverse and curvature print d x d matrices (d = 560 at n = 32;
+    # det assembles the same h at every n) and laplacian evaluates a 1 + 8d
+    # point stencil, so both are run at the smaller n only.
+    quantities = ["potential", "det", "kernel"]
+    quantities += ["metric", "inverse", "curvature"] if n <= 12 else []
+    quantities += ["laplacian"] if n <= 3 else []
+    rng = np.random.default_rng(n)
+    for margin in (0.5, 1e-2, 1e-4, 1e-6):
+        path = write_point(tmp_path, _near_boundary_point(n, margin, rng))
+        for k, q in itertools.product(("2", "4", "10", "1000"), quantities):
+            argv = ["eval", q, "--n", str(n), "--k", k, "--point", path]
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(argv)
+            assert out.getvalue().count("\n") == 1, argv
+            data = json.loads(out.getvalue(), parse_constant=_reject_constant)
+            if code == 3:
+                assert list(data) == ["error"], argv
+                assert data["error"]["kind"] in _GEOMETRY_KINDS, (argv, data)
+            else:
+                assert code == 0, (argv, data)

@@ -11,32 +11,29 @@ from siegel_jacobi.domains import (
     TangentVector,
     flatten_point,
     sample_point,
-    validate_ball_point,
 )
 from siegel_jacobi.errors import NonSymmetric, NotInBall
 
 
 class TestValidate:
     def test_zero_matrix_accepted(self):
-        diag = validate_ball_point(np.zeros((3, 3)))
-        assert diag.min_eigenvalue == pytest.approx(1.0)
+        assert SiegelBallPoint(np.zeros((3, 3))).margin() == pytest.approx(1.0)
 
     def test_scalar_interior(self):
-        diag = validate_ball_point(np.array([[0.5]]))
-        assert diag.min_eigenvalue == pytest.approx(0.75)
+        assert SiegelBallPoint(np.array([[0.5]])).margin() == pytest.approx(0.75)
 
     def test_scalar_outside(self):
         with pytest.raises(NotInBall, match="eigenvalue"):
-            validate_ball_point(np.array([[1.2]]))
+            SiegelBallPoint(np.array([[1.2]]))
 
     def test_non_symmetric(self):
         W = np.array([[0.0, 0.1], [0.3, 0.0]])
         with pytest.raises(NonSymmetric):
-            validate_ball_point(W)
+            SiegelBallPoint(W)
 
     def test_boundary_rejected(self):
         with pytest.raises(NotInBall):
-            validate_ball_point(np.array([[1.0]]))
+            SiegelBallPoint(np.array([[1.0]]))
 
 
 class TestPairIndex:
@@ -89,7 +86,7 @@ class TestSampling:
         rng = np.random.default_rng(1000 + n)
         for _ in range(1000 // 3 + 1):
             pt = sample_point("ball", n, rng)
-            assert validate_ball_point(pt.W).min_eigenvalue > 1e-3
+            assert SiegelBallPoint(pt.W).margin() > 1e-3
 
     @pytest.mark.parametrize("domain", ["ball", "jacobi_ball", "upper", "jacobi_upper"])
     def test_one_eigendecomposition_per_sample(self, domain, monkeypatch):
@@ -109,7 +106,7 @@ class TestSampling:
             pt = sample_point("ball", n, rng)
             W = pt.W * (1.0001 / np.linalg.norm(pt.W, 2))
             with pytest.raises(NotInBall):
-                validate_ball_point(W)
+                SiegelBallPoint(W)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3))
@@ -171,16 +168,14 @@ class TestTypes:
             JacobiBallPoint(z=np.zeros(3), W=np.zeros((2, 2)))
 
     def test_ball_part_is_not_revalidated(self, monkeypatch, rng):
-        # the constructor validated and symmetrised W at tol 1e-10 already
-        from siegel_jacobi import domains
-
+        # the constructor validated and symmetrised W at tol 1e-10 already,
+        # and the ball part shares the margin it kept
         pt = sample_point("jacobi_ball", 3, rng)
         calls = []
-        original = domains.validate_ball_point
-        monkeypatch.setattr(
-            domains, "validate_ball_point", lambda *a, **k: calls.append(1) or original(*a, **k)
-        )
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a: calls.append(1) or eigvalsh(*a))
         ball = pt.ball
+        assert ball.margin() == pt.margin()
         assert calls == []
         assert isinstance(ball, SiegelBallPoint) and ball.W is pt.W
         JacobiBallPoint(z=pt.z, W=pt.W)

@@ -10,11 +10,10 @@ from siegel_jacobi.domains import JacobiBallPoint, SiegelUpperPoint, TangentVect
 from siegel_jacobi.errors import DimensionMismatch, NumericalOverflow
 from siegel_jacobi.groups import fc_transform
 from siegel_jacobi.kernels import kernel_eval, volume_densities
-from siegel_jacobi.laplacian import builtin_field, laplacian_coefficients
+from siegel_jacobi.laplacian import apply_laplacian, builtin_field, laplacian_coefficients
 from siegel_jacobi.metric import (
     MetricParams,
     ball_metric_pair,
-    compute_aux,
     curvature,
     ds2_eval,
     kahler_potential,
@@ -79,10 +78,10 @@ class TestAux:
     def test_invariants(self, rng):
         params = MetricParams(n=3, k=2, mu=1)
         pt = sample_point("jacobi_ball", 3, rng)
-        aux = compute_aux(params, pt)
+        metric_inverse(params, pt)
+        alpha = vars(pt)["inv_terms"][0]
         assert np.max(np.abs(pt.M @ pt.N - np.eye(3))) < 1e-12
-        assert np.max(np.abs(aux.X - aux.X.T)) < 1e-12
-        assert aux.alpha >= 0
+        assert alpha >= 0
 
 
 class TestPotential:
@@ -146,11 +145,11 @@ def _loop_pair_blocks(params, pt):
     """Entry-by-entry reference for the pair blocks: (h2, h4, hinv2, hinv4,
     h^k, k_inv), written from the closed forms with one Python loop per
     entry and the four-way case split of h^k."""
-    aux = compute_aux(params, pt)
-    M, N, eta, S, k, mu = pt.M, pt.N, pt.eta, aux.S, params.k, params.mu
+    M, N, eta, k, mu = pt.M, pt.N, pt.eta, params.k, params.mu
     Mb, Nb, etab = M.conj(), N.conj(), eta.conj()
     pairs = params.pair_index.pairs
     n, m = params.n, len(pairs)
+    S = np.array([sum(eta[q] * Nb[q, j] for q in range(n)) for j in range(n)])
     h2, i2 = np.empty((n, m), complex), np.empty((n, m), complex)
     hk, hmu, kinv, i4 = (np.empty((m, m), complex) for _ in range(4))
     for j, (a, b) in enumerate(pairs):
@@ -441,8 +440,8 @@ def _case(n, seed=40):
 
 
 class TestGramCache:
-    """N, M, ln det N and eta (domains) and the metric's X, S, alpha, hk and
-    k_inv are computed once per point and kept on it."""
+    """N, M, ln det N, eta and the margin (domains) and the metric's
+    h_terms and inv_terms are computed once per point and kept on it."""
 
     def _count(self, monkeypatch, name, module=metric):
         calls = []
@@ -456,24 +455,29 @@ class TestGramCache:
         return calls
 
     def test_one_gram_computation_per_point_object(self, monkeypatch):
+        # a validated point forms N and its margin once, at construction
+        grams = self._count(monkeypatch, "cross_gram", module=domains)
+        eigs = self._count(monkeypatch, "eigvalsh", module=np.linalg)
         params, pt, tangent = _case(3)
         ball = pt.ball
-        calls = self._count(monkeypatch, "cross_gram", module=domains)
+        field = builtin_field("trWWbar", "ball")
 
         def every_reader(pt, ball):
             _seven_closed_forms(params, lambda: pt, tangent)
             _gram_readers(params, lambda: pt)
             pt.margin()
+            apply_laplacian("jacobi_ball", params, field, pt)
             ball_metric_pair(ball)
             ds2_eval("ball", params, ball, tangent)
             volume_densities(ball)
             ball.margin()
+            apply_laplacian("ball", None, field, ball)
 
         for _ in range(2):
             every_reader(pt, ball)
-        assert len(calls) == 1  # pt and its ball share the Gram data
+        assert (len(grams), len(eigs)) == (1, 1)  # pt and its ball share them
         every_reader(_fresh(pt), ball)
-        assert len(calls) == 2
+        assert (len(grams), len(eigs)) == (2, 2)
 
     def test_pair_terms_folded_once_per_point(self, monkeypatch):
         h_calls = self._count(monkeypatch, "_h_terms")
@@ -508,14 +512,16 @@ class TestGramCache:
                 a[...] = 0
 
     def test_one_aux_computation_per_point(self, monkeypatch):
-        calls = self._count(monkeypatch, "compute_aux")
+        # X = Wbar M is formed in _h_terms, S = eta Nbar and alpha in _inv_terms
+        h_calls = self._count(monkeypatch, "_h_terms")
+        inv_calls = self._count(monkeypatch, "_inv_terms")
         params, pt, tangent = _case(3)
         for _ in range(2):
             _seven_closed_forms(params, lambda: pt, tangent)
-        assert len(calls) == 1
+        assert (len(h_calls), len(inv_calls)) == (1, 1)
         fresh = _fresh(pt)
         _seven_closed_forms(params, lambda: fresh, tangent)
-        assert len(calls) == 2
+        assert (len(h_calls), len(inv_calls)) == (2, 2)
 
     def test_curvature_folds_hk_once(self, monkeypatch):
         calls = self._count(monkeypatch, "_fold_pair_metric")
@@ -530,10 +536,10 @@ class TestGramCache:
         params, pt, _ = _case(2)
         metric_blocks(params, pt)
         metric_inverse(params, pt)
-        aux = metric._aux(params, pt)
-        kept_terms = vars(pt)["h_terms"] + vars(pt)["inv_terms"]
-        assert len(kept_terms) == 6
-        for a in (aux.X, aux.S, metric._hk(params, pt), *kept_terms):
+        alpha, *inv_terms = vars(pt)["inv_terms"]
+        kept_terms = vars(pt)["h_terms"] + tuple(inv_terms)
+        assert len(kept_terms) == 8 and isinstance(alpha, float)
+        for a in kept_terms:
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0
 
@@ -573,8 +579,8 @@ class TestGramCache:
         stack = pt.at_offset(np.zeros((3, params.dim)))
         det = metric_det(params, stack).value
         assert len(calls) == 1
-        assert metric._hk(params, stack).shape == (3, 3, 3)
-        assert metric._hk(params, pt).shape == (3, 3)
+        assert vars(stack)["h_terms"][0].shape == (3, 3, 3)
+        assert vars(pt)["h_terms"][0].shape == (3, 3)
         assert np.array_equal(det, np.full(3, metric_det(params, pt).value))
 
     def test_mutating_results_leaves_the_cache_intact(self):
@@ -592,7 +598,6 @@ class TestGramCache:
         wrong = MetricParams(n=3, k=params.k, mu=params.mu)
         for closed_form in (
             kahler_potential, metric_blocks, metric_inverse, metric_det, curvature,
-            compute_aux,
         ):
             with pytest.raises(DimensionMismatch):
                 closed_form(wrong, pt)

@@ -146,7 +146,7 @@ def _as_jacobi(pt) -> JacobiBallPoint:
     if isinstance(pt, SiegelUpperPoint):
         raise GeometryError("expected a ball-model point, got an upper-half-plane one")
     # point_from_json validated W already
-    return JacobiBallPoint.assemble(np.zeros(pt.n, dtype=complex), pt.W)
+    return JacobiBallPoint.from_ball(pt)
 
 
 def _eval(args) -> dict:

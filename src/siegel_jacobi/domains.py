@@ -29,18 +29,25 @@ Conventions fixed here and relied on package-wide:
 * The Gram data of a ball-model point, ``N = 1 - W Wbar``, ``M = N^{-1}``,
   ``logdet_N = ln det N`` and (Jacobi ball) ``eta = M (z + W zbar)``, are
   formed only here, once per point object, and kept on it read-only by
-  ``kept``, the one store of data derived from a point (``metric`` keeps its
-  own there too).  A validated ball point forms N once, for its margin
-  check, and every later read of N or the margin finds it kept.
-* ``kept`` stores a value in the point's ``__dict__``, where it shadows a
-  method of the same name (a property such as ``N`` is a data descriptor and
-  is not shadowed): no key may be the name of a method, so the margin is
-  kept as ``lam_min``, not ``margin``.
+  ``kept``, the one store of data derived from a point (``metric`` and
+  ``kernels`` keep their own there too).  A validated ball point forms N
+  once, for its margin check, and every later read of N or the margin finds
+  it kept; ``JacobiBallPoint.from_ball`` puts it under a zero-z Jacobi-ball
+  point that shares its store.
+* ``kept_pair`` is the same store for data of an ordered point pair
+  (``kernels`` keeps its (k, mu)-free pair data there): one entry per key,
+  for the last partner only, held by a weak reference and matched by
+  identity.
+* The store is the point's ``__dict__`` (named nowhere else in the
+  package), where an entry shadows a method of the same name (a property
+  such as ``N`` is a data descriptor and is not shadowed): no key may be the
+  name of a method, so the margin is kept as ``lam_min``, not ``margin``.
 * ``sample_point`` validates each sampled point once.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field, is_dataclass
 from functools import lru_cache
 from typing import ClassVar
@@ -115,22 +122,40 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _read_only(value):
+    """value, its arrays (a bare array, a tuple's items or a dataclass's
+    fields) made read-only."""
+    if is_dataclass(value):
+        parts = vars(value).values()
+    else:
+        parts = value if isinstance(value, tuple) else (value,)
+    for a in parts:
+        if isinstance(a, np.ndarray):
+            a.setflags(write=False)
+    return value
+
+
 def kept(pt, key: str, compute):
     """compute(pt), computed at the first call for key on the point object pt
-    and kept on it, its arrays (a bare array, a tuple's items or a
-    dataclass's fields) read-only: a point's parts never change (see
+    and kept on it, its arrays read-only: a point's parts never change (see
     ``assemble``), so neither does this."""
     data = pt.__dict__
     if key not in data:
-        value = data[key] = compute(pt)
-        if is_dataclass(value):
-            parts = vars(value).values()
-        else:
-            parts = value if isinstance(value, tuple) else (value,)
-        for a in parts:
-            if isinstance(a, np.ndarray):
-                a.setflags(write=False)
+        data[key] = _read_only(compute(pt))
     return data[key]
+
+
+def kept_pair(pt, other, key: str, compute):
+    """compute(pt, other), kept on pt like ``kept`` but for the last partner
+    only: the one entry for key holds a weak reference to the partner object,
+    matched by identity, so no partner is kept alive, no reference cycle
+    forms, and a new object that reuses a freed id never gets the old
+    value.  Another partner replaces the entry."""
+    data = pt.__dict__
+    entry = data.get(key)
+    if entry is None or entry[0]() is not other:
+        entry = data[key] = (weakref.ref(other), _read_only(compute(pt, other)))
+    return entry[1]
 
 
 @lru_cache(maxsize=64)
@@ -401,6 +426,15 @@ class JacobiBallPoint(_BallPart):
         symmetrised it (a trusted stacked point gives a trusted stacked ball
         point)."""
         return kept(self, "ball", lambda pt: SiegelBallPoint.assemble(None, pt.W))
+
+    @classmethod
+    def from_ball(cls, ball: SiegelBallPoint) -> "JacobiBallPoint":
+        """The point (0, W) over a validated ball point, whose ``ball`` is
+        that very object: the two share one store, so the Gram data and
+        margin kept by the ball point's validation are not formed again."""
+        pt = cls.assemble(_frozen(np.zeros(ball.n, dtype=complex)), ball.W)
+        kept(pt, "ball", lambda _: ball)
+        return pt
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,12 @@ Fractional determinant powers use the principal logarithm with continuity
 tracking along t -> det(1 - t W Vbar), t in [0, 1]; a path whose continuous
 argument leaves (-pi, pi) is reported as BranchAmbiguity rather than being
 assigned a branch silently.
+
+The data of a point pair that do not depend on (k, mu), the exponent
+F(x, y) and the tracked log det(1 - W_y Wbar_x), are computed once and kept
+on x (``domains.kept_pair``, for the last partner y only; ``domains.kept``
+for the diagonal pair and F(x, x)), so the kernels at the same ordered
+pair of point objects, at any (k, mu), only scale and exponentiate them.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .domains import JacobiBallPoint, kept
+from .domains import JacobiBallPoint, kept, kept_pair
 from .errors import BranchAmbiguity, GammaPoleError, NotConverged, NumericalOverflow
 from .metric import MetricParams, kahler_potential
 
@@ -107,14 +113,22 @@ def _diagonal_exponent(pt: JacobiBallPoint) -> complex:
     return kept(pt, "F_diag", lambda p: _two_point_exponent(p.z, p.W, p.z, p.W))
 
 
+def _pair_data(zeta: JacobiBallPoint, zeta2: JacobiBallPoint) -> tuple[complex, complex]:
+    return (
+        _two_point_exponent(zeta.z, zeta.W, zeta2.z, zeta2.W),
+        _tracked_logdet(zeta2.W, zeta.W.conj()),
+    )
+
+
 def _pair_terms(zeta: JacobiBallPoint, zeta2: JacobiBallPoint) -> tuple[complex, complex]:
     """(F(zeta, zeta2), the tracked log det(1 - W2 Wbar1)): the data of a
-    point pair that the kernels share."""
+    point pair that the kernels share, kept on zeta for its last partner
+    (``kept_pair``); the diagonal pair depends on zeta alone and is kept
+    like F(zeta, zeta)."""
     if zeta2 is zeta:
-        F = _diagonal_exponent(zeta)
-    else:
-        F = _two_point_exponent(zeta.z, zeta.W, zeta2.z, zeta2.W)
-    return F, _tracked_logdet(zeta2.W, zeta.W.conj())
+        ld = kept(zeta, "ld_diag", lambda p: _tracked_logdet(p.W, p.W.conj()))
+        return _diagonal_exponent(zeta), ld
+    return kept_pair(zeta, zeta2, "pair_terms", _pair_data)
 
 
 def _kernel(params: MetricParams, F: complex, ld_mixed: complex) -> complex:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from siegel_jacobi import cli, serialize
+from siegel_jacobi import cli, domains, serialize
 from siegel_jacobi.cli import build_parser, main
 from siegel_jacobi.domains import JacobiBallPoint, sample_point
 from siegel_jacobi.errors import GeometryError
@@ -143,6 +143,18 @@ class TestEval:
         code, _ = run_cli(capsys, "eval", "det", "--n", "2", "--point", path)
         assert code == 0
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("quantity", ["det", "kernel", "metric"])
+    @pytest.mark.parametrize("domain", ["ball", "jacobi_ball"])
+    def test_point_file_forms_n_once(self, capsys, tmp_path, rng, monkeypatch, domain, quantity):
+        # the (0, W) point over a {n, W} file shares the validated point's
+        # store, so N is formed once, for the margin check, as for {n, z, W}
+        path = write_point(tmp_path, sample_point(domain, 3, rng))
+        calls = []
+        cross_gram = domains.cross_gram
+        monkeypatch.setattr(domains, "cross_gram", lambda W: calls.append(1) or cross_gram(W))
+        code, _ = run_cli(capsys, "eval", quantity, "--n", "3", "--point", path)
+        assert (code, len(calls)) == (0, 1)
 
     def test_metric_blocks_emitted(self, capsys):
         code, out = run_cli(

@@ -180,3 +180,12 @@ class TestTypes:
         assert isinstance(ball, SiegelBallPoint) and ball.W is pt.W
         JacobiBallPoint(z=pt.z, W=pt.W)
         assert calls == [1]
+
+    def test_jacobi_point_over_a_ball_point_shares_its_store(self, rng):
+        ball = sample_point("ball", 3, rng)
+        pt = JacobiBallPoint.from_ball(ball)
+        assert pt.ball is ball and pt.W is ball.W
+        assert np.array_equal(pt.z, np.zeros(3)) and not pt.z.flags.writeable
+        assert pt.N is ball.N and pt.margin() == ball.margin()
+        fresh = JacobiBallPoint(z=np.zeros(3), W=ball.W)
+        assert np.array_equal(pt.eta, fresh.eta)

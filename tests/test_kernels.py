@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -85,14 +87,21 @@ class TestTwoPointKernel:
         # last of 8 path steps; refining resolves it, a capped path must not
         # return the coarse sum
         W = 0.9999 * np.exp(0.01j) * np.eye(2)
-        pa = JacobiBallPoint(z=np.zeros(2), W=0.9999 * np.eye(2))
-        pb = JacobiBallPoint(z=np.zeros(2), W=W)
+
+        def pair():
+            return (
+                JacobiBallPoint(z=np.zeros(2), W=0.9999 * np.eye(2)),
+                JacobiBallPoint(z=np.zeros(2), W=W),
+            )
+
         params = MetricParams(n=2, k=2, mu=1)
-        F, K = two_point_kernel(params, pa, pb)
+        F, K = two_point_kernel(params, *pair())
         assert np.isfinite(K)
         monkeypatch.setattr(kernels, "_MAX_PATH_STEPS", 8)
+        # new point objects: the pair data kept on the first pair would
+        # answer without walking the path
         with pytest.raises(NotConverged, match="8 path steps"):
-            two_point_kernel(params, pa, pb)
+            two_point_kernel(params, *pair())
 
 
 def _loop_tracked_logdet_reference(W, Vbar):
@@ -374,13 +383,69 @@ class TestKernelEval:
 
             monkeypatch.setattr(kernels, name, counted)
         params = MetricParams(n=2, k=8, mu=1)
-        p1, p2 = (sample_point("jacobi_ball", 2, rng) for _ in range(2))
+        p1, p2, p3 = (sample_point("jacobi_ball", 2, rng) for _ in range(3))
         kernel_eval(params, p1)
         assert sorted(calls) == ["_tracked_logdet", "_two_point_exponent"]
         calls.clear()
         # F(p1, p2) and F(p2, p2); F(p1, p1) is kept on p1
         kernel_eval(params, p1, p2)
         assert sorted(calls) == ["_tracked_logdet"] + ["_two_point_exponent"] * 2
+        calls.clear()
+        # the pair data do not depend on (k, mu): a repeated ordered pair of
+        # point objects reads them kept, whatever the kernel
+        self._every_kernel(p1, p2)
+        assert calls == []
+        kernel_eval(params, p3)  # p3's own diagonal data
+        calls.clear()
+        # one entry per point, for its last partner: another partner, the
+        # earlier one again and the reversed pair each compute once more
+        for pair in ((p1, p3), (p1, p2), (p2, p1)):
+            self._every_kernel(*pair)
+            assert sorted(calls) == ["_tracked_logdet", "_two_point_exponent"]
+            calls.clear()
+        # a new object with p2's arrays is another point: it computes its own
+        fresh = JacobiBallPoint.assemble(p2.z, p2.W)
+        two_point_kernel(params, fresh, p1)
+        two_point_kernel(params, fresh, p1)
+        assert sorted(calls) == ["_tracked_logdet", "_two_point_exponent"]
+
+    _SWEEP = ((8, 1), (5.5, 0.7), (64, 2.5))
+
+    def _every_kernel(self, x, y) -> list:
+        """Every kernel output at the ordered pair (x, y), over the sweep."""
+        out = []
+        for k, mu in self._SWEEP:
+            params = MetricParams(n=x.n, k=k, mu=mu)
+            out += [
+                kernel_eval(params, x, y),
+                two_point_kernel(params, x, y),
+                normalized_kernels(params, x, y),
+            ]
+        return out
+
+    def test_warm_equals_cold(self, rng):
+        # bit for bit: repr tells -0.0 from 0.0 and prints every float exactly
+        p1, p2, p3 = (sample_point("jacobi_ball", 2, rng) for _ in range(3))
+
+        def fresh(pt):
+            return JacobiBallPoint.assemble(pt.z, pt.W)
+
+        for x, y in ((p1, p2), (p1, p3), (p1, p2), (p2, p1), (p1, p1), (p1, p2)):
+            cold_x = fresh(x)
+            cold = self._every_kernel(cold_x, cold_x if y is x else fresh(y))
+            for _ in range(2):
+                assert repr(self._every_kernel(x, y)) == repr(cold)
+
+    def test_partner_is_not_kept_alive(self, rng):
+        params = MetricParams(n=2, k=8, mu=1)
+        p1, p2 = (sample_point("jacobi_ball", 2, rng) for _ in range(2))
+        two_point_kernel(params, p1, p2)
+        partner, _ = vars(p1)["pair_terms"]
+        assert partner() is p2
+        del p2
+        gc.collect()
+        assert partner() is None
+        assert vars(p1)["pair_terms"][0] is partner
 
     def test_overflow_raises(self):
         # Q_ball = det(1 - W Wbar)^{-(n+1)}, K = det(1 - W Wbar)^{-k/2} at

@@ -71,12 +71,7 @@ from .metric import (
     metric_inverse,
     upper_metric_pair,
 )
-from .oracle import (
-    fd_jacobian,
-    fd_wirtinger_gradient,
-    fd_wirtinger_hessian,
-    volume_invariance_check,
-)
+from .oracle import fd_jacobian, fd_wirtinger_gradient, fd_wirtinger_hessian
 from .verify import FuzzReport, PropertyResult, fuzz_all
 
 __version__ = "0.1.0"

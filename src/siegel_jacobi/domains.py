@@ -86,13 +86,13 @@ def _as_complex_vector(a, name: str, n: int) -> np.ndarray:
 
 
 def _symmetric(a, name: str, tol: float) -> np.ndarray:
-    """a as a finite complex square matrix: the one symmetry check of W, V
-    and dW.  Raises NonSymmetric when max |a - a^t| exceeds tol."""
+    """a as a finite nonempty complex square matrix: the one symmetry check
+    of W, V and dW.  Raises NonSymmetric when max |a - a^t| exceeds tol."""
     m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise ValueError(f"{name} must be a nonempty square matrix, got shape {m.shape}")
     _finite(m, name)
-    defect = float(np.max(np.abs(m - m.T))) if m.size else 0.0
+    defect = float(np.max(np.abs(m - m.T)))
     if defect > tol:
         raise NonSymmetric(f"max |{name} - {name}^t| = {defect:.3e} exceeds tol {tol:.3e}")
     return m

@@ -30,7 +30,7 @@ from .metric import (
     _pair_metric_inverse,
     _upper_pair_inverse,
     _upper_pair_metric,
-    metric_det,
+    metric_blocks,
     metric_inverse,
 )
 from .oracle import fd_laplacian, fd_wirtinger_gradient
@@ -138,29 +138,20 @@ def laplacian_correspondence_check(
 
 
 def _ln_g(domain: str, params: MetricParams | None):
-    """ln det of the domain's assembled metric matrix (never the closed form
-    of the determinant, which the lnG checks verify)."""
+    """ln det of the domain's assembled metric matrix, by ``slogdet`` (never
+    the closed form of the determinant, which the lnG checks verify; a
+    determinant beyond the float range keeps a finite log)."""
     if domain == "jacobi_ball":
         if params is None:
             raise ValueError("lnG on the jacobi ball needs metric parameters")
-
-        def f(pt):
-            return _item(np.log(metric_det(params, pt).value))
-
+        metric = lambda pt: metric_blocks(params, pt).h
     elif domain == "ball":
-
-        def f(pt):
-            hk = _fold_pair_metric(pt.M, PairIndex(pt.n))
-            return _item(np.log(np.linalg.det(hk).real))
-
+        metric = lambda pt: _fold_pair_metric(pt.M, PairIndex(pt.n))
     elif domain == "upper":
-
-        def f(pt):
-            return _item(np.log(np.linalg.det(_upper_pair_metric(pt)).real))
-
+        metric = lambda pt: _upper_pair_metric(pt)
     else:
         raise ValueError(f"unknown domain {domain!r}")
-    return f
+    return lambda pt: _item(np.linalg.slogdet(metric(pt))[1])
 
 
 def _re_poly(seed: int):

@@ -1,6 +1,6 @@
 """Independent numerical ground truth: Wirtinger finite-difference gradients,
-Hessians and Laplacians trace(C H), numerical Jacobians of holomorphic maps
-with a holomorphy gate, and the volume-density invariance check.
+Hessians and Laplacians trace(C H), and numerical Jacobians of holomorphic
+maps with a holomorphy gate.
 
 Every derivative comes from one stencil, the line stencil: for each row v
 of a direction array, the values at p + s w v for w = 1, -1, i, -i and the
@@ -16,10 +16,11 @@ The field returns one value per point (a map, one stacked image point).
 Offsets are chart coordinates: ``pt.at_offset`` and ``flatten_point`` (see
 ``domains``) move and read every point type the same way.
 
-The finite-difference oracles never call the closed forms they are used
-to verify; perturbations of symmetric-matrix coordinates always move the
-(p, q) and (q, p) entries jointly, matching the package-wide symmetric-pair
-convention.
+The oracles never call the closed forms they are used to verify: this
+module imports nothing from ``groups``, ``metric`` or ``kernels``, and the
+laws that combine an oracle with a closed form live in ``verify``.
+Perturbations of symmetric-matrix coordinates always move the (p, q) and
+(q, p) entries jointly, matching the package-wide symmetric-pair convention.
 """
 
 from __future__ import annotations
@@ -29,17 +30,14 @@ from typing import Callable
 
 import numpy as np
 
-from .domains import SiegelBallPoint, flatten_point
+from .domains import flatten_point
 from .errors import DimensionMismatch, NonHolomorphic, StepTooLarge
-from .groups import JacobiElementC, act_ball, act_siegel_ball
-from .kernels import volume_densities
 
 __all__ = [
     "fd_wirtinger_gradient",
     "fd_wirtinger_hessian",
     "fd_laplacian",
     "fd_jacobian",
-    "volume_invariance_check",
 ]
 
 
@@ -233,28 +231,3 @@ def fd_jacobian(map_fn: Callable, pt, fd_step: float = 1e-4) -> np.ndarray:
     if worst > HOL_TOL:
         raise NonHolomorphic(f"dbar block has max entry {worst:.3e} > {HOL_TOL:.3e}")
     return J
-
-
-def volume_invariance_check(
-    domain: str,
-    h: JacobiElementC,
-    pt,
-) -> float:
-    """|det J|^2 Q(h.pt) / Q(pt) - 1 for the invariant densities of
-    ``kernels.volume_densities``, Q = det(1 - W Wbar)^{-(n+1)} on the ball
-    and ^{-(n+2)} on the Jacobi ball, with J the finite-difference Jacobian
-    of the action.  Zero exactly when the density transforms by the squared
-    Jacobian.
-    """
-    if domain == "ball":
-        pt = pt.ball
-        action = lambda x: SiegelBallPoint.assemble(None, act_siegel_ball(h.g, x.W))
-        density = lambda x: volume_densities(x).Q_ball
-    elif domain == "jacobi_ball":
-        action = lambda x: act_ball(h, x)
-        density = lambda x: volume_densities(x).Q_jacobi
-    else:
-        raise ValueError(f"unknown domain {domain!r}")
-    J = fd_jacobian(action, pt)
-    ratio = abs(np.linalg.det(J)) ** 2 * density(action(pt)) / density(pt)
-    return abs(ratio - 1.0)

@@ -434,6 +434,21 @@ class TestErrors:
         error = json.loads(captured.out)["error"]
         assert error == {"kind": "ValueError", "detail": "n must be >= 1"}
 
+    def test_volume_group_is_gone(self, capsys):
+        # action_jacobian checks the volume laws, in the invariance group
+        code, out = run_cli(capsys, "verify", "volume", "--n", "1", "--trials", "1")
+        assert code == 2
+        assert json.loads(out)["error"]["kind"] == "UsageError"
+
+    @pytest.mark.parametrize("kind", ["fc", "inv-cayley", "cayley"])
+    def test_transform_of_an_empty_point_exit_two(self, capsys, kind):
+        # --n 0 builds a 0 x 0 origin, which the point constructors refuse
+        code = main(["transform", kind, "--n", "0", "--point", "origin"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ""
+        assert json.loads(captured.out)["error"]["kind"] == "ValueError"
+
     @pytest.mark.parametrize("step", ["nan", "inf", "0", "-1", "1e-300", "1e-9"])
     def test_invalid_fd_step_exit_two(self, capsys, step):
         code, out = run_cli(

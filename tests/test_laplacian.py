@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -118,7 +120,7 @@ class TestApply:
         per_point = loop_laplacian(f, pt, C, fd_step=2e-3)
         ndims = []  # of the matrix each call of the closed form receives
         name, matrix = {
-            "jacobi_ball": ("metric_det", lambda args: args[-1].W),
+            "jacobi_ball": ("metric_blocks", lambda args: args[-1].W),
             "ball": ("_fold_pair_metric", lambda args: args[0]),  # pt.M
             "upper": ("_upper_pair_metric", lambda args: args[0].V),
         }[domain]
@@ -280,6 +282,16 @@ class TestBuiltinFields:
         f3 = builtin_field("re_poly(4)", "jacobi_ball")
         assert f1(pt) == f2(pt)
         assert f1(pt) != f3(pt)
+
+    def test_lng_beyond_the_float_range_of_det(self):
+        # det h = 2^{n^2} at the origin with k = 4, mu = 1 overflows at
+        # n = 32, while ln det h = 1024 ln 2 is finite
+        n = 32
+        origin = JacobiBallPoint(z=np.zeros(n), W=np.zeros((n, n)))
+        f = builtin_field("lnG", "jacobi_ball", MetricParams(n=n, k=4.0, mu=1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy overflow warning either
+            assert f(origin) == pytest.approx(n * n * np.log(2.0), rel=1e-12)
 
     def test_unknown_field(self):
         with pytest.raises(ValueError, match="unknown field"):

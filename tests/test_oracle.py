@@ -6,6 +6,7 @@ from siegel_jacobi.domains import (
     JacobiBallPoint,
     SiegelBallPoint,
     SiegelUpperPoint,
+    TangentVector,
     flatten_point,
     sample_point,
 )
@@ -43,7 +44,6 @@ from siegel_jacobi.oracle import (
     fd_laplacian,
     fd_wirtinger_gradient,
     fd_wirtinger_hessian,
-    volume_invariance_check,
 )
 from siegel_jacobi.verify import PROPERTY_GROUPS, PropertyResult, fuzz_all
 
@@ -465,41 +465,81 @@ class TestJacobian:
             fd_jacobian(fc_map, pt)
 
 
-class TestVolumeInvariance:
-    def test_identity_element(self, rng):
-        pt = sample_point("jacobi_ball", 2, rng)
-        defect = volume_invariance_check("jacobi_ball", JacobiElementC.identity(2), pt)
-        assert defect < 1e-12
+class TestActionJacobian:
+    """action_jacobian: one FD Jacobian of act_ball per trial checks the ds2
+    pullback, the pushforward and both volume laws."""
 
-    def test_scalar_moebius(self, rng):
-        pt = sample_point("ball", 1, rng)
-        h = random_jacobi_c(1, rng)
-        assert volume_invariance_check("ball", h, pt) < 1e-6
+    def test_identity_element(self, monkeypatch):
+        from siegel_jacobi import verify
 
-    def test_reads_the_exported_densities(self, monkeypatch, rng):
-        # the check takes Q from kernels.volume_densities: a wrong exponent
-        # there must show as a defect
-        from siegel_jacobi import oracle
+        monkeypatch.setattr(verify, "random_jacobi_c", lambda n, rng: JacobiElementC.identity(n))
+        rep = fuzz_all(n=2, k=4.0, mu=1.0, trials=3, master_seed=7, properties=["action_jacobian"])
+        assert rep.results[0].max_error < 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_trials_pass(self, n):
+        rep = fuzz_all(n=n, k=4.0, mu=1.0, trials=20, master_seed=7, properties=["action_jacobian"])
+        assert rep.passed
+        assert rep.results[0].trials == 20
+
+    def test_one_jacobian_per_trial(self, monkeypatch):
+        # a one-trial verdict builds one Jacobian of the action
+        # (action_jacobian) and one of the partial Cayley map (holomorphy_gates)
+        from siegel_jacobi import oracle, verify
+
+        calls = []
+        jacobian = oracle.fd_jacobian
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return jacobian(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "fd_jacobian", counting)
+        monkeypatch.setattr(oracle, "fd_jacobian", counting)
+        assert fuzz_all(n=2, k=4.0, mu=1.0, trials=1, master_seed=7).passed
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("corrupt", [None, "h4", "dz", "Q_jacobi", "Q_ball"])
+    def test_corrupted_law_detected(self, monkeypatch, corrupt):
+        # negative controls, one per law: the metric's h4 block (ds2
+        # pullback), the dz part of the differential (pushforward) and each
+        # density's exponent (volume laws); the unpatched run passes
+        from siegel_jacobi import kernels, metric, verify
         from siegel_jacobi.kernels import VolumeData
 
-        pt = sample_point("jacobi_ball", 2, rng)
-        h = random_jacobi_c(2, rng)
-        assert volume_invariance_check("jacobi_ball", h, pt) < 1e-5
+        if corrupt == "h4":
+            blocks = metric.metric_blocks
 
-        def wrong(x):
-            _, logdet = np.linalg.slogdet(x.N)
-            q = float(np.exp(-(x.n + 1) * logdet))
-            return VolumeData(Q_ball=q, Q_jacobi=q)
+            def corrupted(params, pt):
+                ev = blocks(params, pt)
+                h4 = 1.01 * ev.h4
+                h = metric._assemble(ev.h1, ev.h2, ev.h3, h4)
+                return MetricEval(h1=ev.h1, h2=ev.h2, h3=ev.h3, h4=h4, h=h)
 
-        monkeypatch.setattr(oracle, "volume_densities", wrong)
-        assert volume_invariance_check("jacobi_ball", h, pt) > 1e-3
+            monkeypatch.setattr(metric, "metric_blocks", corrupted)
+        elif corrupt == "dz":
+            differential = verify.act_ball_differential
 
-    @pytest.mark.parametrize("domain", ["ball", "jacobi_ball"])
-    def test_random_elements(self, rng, domain):
-        for _ in range(5):
-            pt = sample_point("jacobi_ball", 2, rng)
-            h = random_jacobi_c(2, rng)
-            assert volume_invariance_check(domain, h, pt) < 1e-5
+            def corrupted(h, pt, v):
+                push = differential(h, pt, v)
+                return TangentVector(dz=1.0001 * push.dz, dW=push.dW)
+
+            monkeypatch.setattr(verify, "act_ball_differential", corrupted)
+        elif corrupt is not None:
+            densities = kernels.volume_densities
+
+            def corrupted(pt):
+                # Q_jacobi at exponent n + 1, or Q_ball at n + 2: the other density
+                q = densities(pt)
+                if corrupt == "Q_jacobi":
+                    return VolumeData(Q_ball=q.Q_ball, Q_jacobi=q.Q_ball)
+                return VolumeData(Q_ball=q.Q_jacobi, Q_jacobi=q.Q_jacobi)
+
+            monkeypatch.setattr(kernels, "volume_densities", corrupted)
+        rep = fuzz_all(n=2, k=4.0, mu=1.0, trials=5, master_seed=7, properties=["action_jacobian"])
+        res = rep.results[0]
+        assert np.isfinite(res.max_error)  # a defect, not a raise
+        assert res.passed == (corrupt is None)
 
 
 class TestFuzzAll:
@@ -636,7 +676,7 @@ class TestFuzzAll:
             fuzz_all(n=1, k=4.0, mu=1.0, trials=1, properties="inverse", tolerances=tolerances)
 
     def test_report_schema(self):
-        rep = fuzz_all(n=1, k=4.0, mu=1.0, trials=1, master_seed=0, properties="volume")
+        rep = fuzz_all(n=1, k=4.0, mu=1.0, trials=1, master_seed=0, properties="invariance")
         data = rep.to_json()
         for entry in data["properties"]:
             assert set(entry) == {"property", "trials", "max_error", "tol", "pass", "worst"}

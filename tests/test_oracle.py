@@ -465,6 +465,32 @@ class TestJacobian:
             fd_jacobian(fc_map, pt)
 
 
+class TestVolumeInvariance:
+    """Each invariant density of ``kernels.volume_densities`` transforms by
+    the squared Jacobian: |det J|^2 Q(h.pt) / Q(pt) = 1, with J the
+    finite-difference Jacobian of the action on that domain."""
+
+    @pytest.mark.parametrize("domain", ["ball", "jacobi_ball"])
+    def test_random_elements(self, rng, domain):
+        from siegel_jacobi.kernels import volume_densities
+
+        if domain == "ball":
+            density = lambda x: volume_densities(x).Q_ball
+        else:
+            density = lambda x: volume_densities(x).Q_jacobi
+        for _ in range(5):
+            pt = sample_point("jacobi_ball", 2, rng)
+            h = random_jacobi_c(2, rng)
+            if domain == "ball":
+                pt = pt.ball
+                action = lambda x: SiegelBallPoint.assemble(None, act_siegel_ball(h.g, x.W))
+            else:
+                action = lambda x: act_ball(h, x)
+            J = fd_jacobian(action, pt)
+            defect = abs(abs(np.linalg.det(J)) ** 2 * density(action(pt)) / density(pt) - 1.0)
+            assert defect < 1e-5
+
+
 class TestActionJacobian:
     """action_jacobian: one FD Jacobian of act_ball per trial checks the ds2
     pullback, the pushforward and both volume laws."""

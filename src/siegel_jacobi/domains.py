@@ -16,12 +16,13 @@ Conventions fixed here and relied on package-wide:
   ``pt.matrix``; ``pt.margin()`` is its distance proxy to the boundary.
   A tangent is a point of the same kind (``dz`` and ``dW``).
   The constructors validate a single point: one symmetry check for W, V
-  and dW, then the stored (symmetrised) matrix part must have a positive
-  ``margin()``, which is kept, so validating costs no second
-  eigendecomposition.  ``assemble`` is the one trusted
-  constructor, whose arrays may carry leading stencil axes, and ``image``
-  is the one rule for a map's image: validated when single, trusted when
-  stacked.
+  and dW, then the stored (symmetrised) matrix part must pass
+  ``_check_margin()``, a positive ``margin()``, which is kept, so
+  validating costs no second eigendecomposition.  ``assemble`` is the one
+  trusted constructor, whose arrays may carry leading stencil axes, and
+  ``image`` is the one rule for a map's image: ``assemble`` plus, when
+  single, the same ``_check_margin()`` (a map's image is finite and
+  exactly symmetric by construction), trusted when stacked.
 * The chart is ``flatten_point`` (vector part, then the pairs of the matrix
   part) and its inverse ``from_chart``; ``pt.at_offset(delta)`` is the
   point at chart coordinates ``flatten_point(pt) + delta``.  Every
@@ -250,11 +251,11 @@ class _Point:
     def assemble(cls, vector: np.ndarray | None, matrix: np.ndarray):
         """A trusted point, the only one built without validation: the
         caller guarantees the invariants (finite-difference stencils, whose
-        margin was checked up front, the stacked images of the group maps,
-        and parts of a point that was validated already), and that the
-        arrays do not change afterwards: data derived from a point is kept
-        on the point (``kept``).  vector is ignored by a type without a
-        vector part."""
+        margin was checked up front, the images of the group maps (see
+        ``image``), and parts of a point that was validated already), and
+        that the arrays do not change afterwards: data derived from a point
+        is kept on the point (``kept``).  vector is ignored by a type without
+        a vector part."""
         obj = object.__new__(cls)
         object.__setattr__(obj, cls._MATRIX, matrix)
         if cls._VECTOR is not None:
@@ -263,26 +264,35 @@ class _Point:
 
     @classmethod
     def image(cls, vector: np.ndarray | None, matrix: np.ndarray):
-        """The image point of a map: a single point goes through the
-        validating constructor, a stacked one is trusted."""
+        """The image point of a map, whose parts are the map's own new
+        arrays, set read-only here: finite (``groups._solve`` checks that)
+        and with the matrix part exactly symmetric (``_right_divide``
+        symmetrises it), so only the margin, which rounding near the
+        boundary can still fail, is checked, on a single image; a stacked
+        one is trusted."""
+        pt = cls.assemble(_read_only(vector), _read_only(matrix))
+        if matrix.ndim == 2:
+            pt._check_margin()
+        return pt
+
+    @classmethod
+    def from_chart(cls, coords: np.ndarray, n: int):
+        """Inverse of ``flatten_point``: the point at chart coordinates
+        coords (last axis), validated when single (the coordinates are no
+        map's output), trusted when stacked.  The coordinates hold a vector
+        part when they are longer than the n(n+1)/2 pairs."""
+        idx = PairIndex(n)
+        k = coords.shape[-1] - idx.size
+        # C-ordered like the pairs of PairIndex.pack, so that each row of a
+        # stack takes the BLAS path of a single point's vector
+        vector = np.ascontiguousarray(coords[..., :k]) if k else None
+        matrix = idx.unpack(coords[..., k:])
         if matrix.ndim > 2:
             return cls.assemble(vector, matrix)
         parts = {cls._MATRIX: matrix}
         if cls._VECTOR is not None:
             parts[cls._VECTOR] = vector
         return cls(**parts)
-
-    @classmethod
-    def from_chart(cls, coords: np.ndarray, n: int):
-        """Inverse of ``flatten_point``: the point at chart coordinates
-        coords (last axis), built by ``image``.  The coordinates hold a
-        vector part when they are longer than the n(n+1)/2 pairs."""
-        idx = PairIndex(n)
-        k = coords.shape[-1] - idx.size
-        # C-ordered like the pairs of PairIndex.pack, so that each row of a
-        # stack takes the BLAS path of a single point's vector
-        vector = np.ascontiguousarray(coords[..., :k]) if k else None
-        return cls.image(vector, idx.unpack(coords[..., k:]))
 
     def at_offset(self, delta: np.ndarray):
         """The point at chart coordinates flatten_point(self) + delta: a
@@ -331,14 +341,18 @@ class _BallPart(_Point):
         kept like N."""
         return kept(self.ball, "lam_min", lambda pt: float(np.linalg.eigvalsh(pt.N)[0]))
 
+    def _check_margin(self) -> None:
+        """Require 1 - W Wbar > 0 (at tol 1e-10); a NaN margin fails."""
+        lam_min = self.margin()
+        if not lam_min > 1e-10:
+            raise NotInBall(f"smallest eigenvalue of 1 - W Wbar is {lam_min:.3e}")
+
     def _check_ball(self) -> None:
-        """Store W symmetrised and require 1 - W Wbar > 0 (at tol 1e-10) on
-        the stored W; the constructors' one ball check."""
+        """Store W symmetrised and check the margin of the stored W; the
+        constructors' one ball check."""
         W = _symmetric(self.W, "W", 1e-10)
         object.__setattr__(self, "W", _frozen_symmetric(W))
-        lam_min = self.margin()
-        if lam_min <= 1e-10:
-            raise NotInBall(f"smallest eigenvalue of 1 - W Wbar is {lam_min:.3e}")
+        self._check_margin()
 
 
 def _item(x):
@@ -387,9 +401,7 @@ class SiegelUpperPoint(_Point):
     def __post_init__(self):
         V = _symmetric(self.V, "V", 1e-10)
         object.__setattr__(self, "V", _frozen_symmetric(V))
-        lam_min = self.margin()
-        if lam_min <= 0:
-            raise NotInUpperHalfPlane(f"smallest eigenvalue of Im V is {lam_min:.3e}")
+        self._check_margin()
         if self.u is not None:
             object.__setattr__(self, "u", _as_complex_vector(self.u, "u", V.shape[0]))
 
@@ -401,6 +413,12 @@ class SiegelUpperPoint(_Point):
         """Smallest eigenvalue of Im V: the distance proxy to the boundary,
         kept (``lam_min``)."""
         return kept(self, "lam_min", lambda pt: float(np.linalg.eigvalsh(pt.R)[0]))
+
+    def _check_margin(self) -> None:
+        """Require Im V > 0; a NaN margin fails."""
+        lam_min = self.margin()
+        if not lam_min > 0:
+            raise NotInUpperHalfPlane(f"smallest eigenvalue of Im V is {lam_min:.3e}")
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,12 @@ coordinate that composes but never enters the actions.
 ``inverse_partial_cayley`` and ``fc_transform`` broadcast over leading axes
 of a trusted point (z of shape (..., n), W of shape (..., n, n)), so a
 finite-difference stencil is mapped in one call (for ``fc_transform``, to
-stacked ``eta`` and ``W``).  The point maps build their images with the
-point type's ``image`` (see ``domains``): a single image is validated, a
-stacked one trusted.  Each stacked image equals the single-point image to
-the last bit: every matrix product and solve runs per point exactly as it
-does alone.
+stacked ``eta`` and ``W``).  Each point map factorises its denominator once
+(``_right_divide``, which solves for the vector part in the same call) and
+builds its image with the point type's ``image`` (see ``domains``): a single
+image is checked for its margin, a stacked one trusted.  Each stacked image
+equals the single-point image to the last bit: every matrix product and
+solve runs per point exactly as it does alone.
 """
 
 from __future__ import annotations
@@ -58,14 +59,10 @@ __all__ = [
 def _solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """A^{-1} B with singularity mapped to SingularDenominator.
 
-    Broadcasts over leading axes of A; B is a matrix, or a vector per point
-    (one axis fewer than A).  One singular matrix fails the whole stack."""
+    Broadcasts over leading axes of A and B (B a matrix per point, or one
+    vector for a single A).  One singular matrix fails the whole stack."""
     try:
-        if A.ndim > 2 and B.ndim == A.ndim - 1:
-            # a stack of vectors: numpy reads a 2-d b as one matrix
-            out = np.linalg.solve(A, B[..., None])[..., 0]
-        else:
-            out = np.linalg.solve(A, B)
+        out = np.linalg.solve(A, B)
     except np.linalg.LinAlgError as exc:
         raise SingularDenominator(str(exc)) from exc
     if not np.isfinite(out).all():
@@ -73,11 +70,22 @@ def _solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return out
 
 
-def _right_divide(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """num den^{-1} for a symmetric quotient, exactly symmetrised; solved as
-    its transpose (den^t)^{-1} num^t, whose symmetrisation is the same sum."""
-    X = _solve(den.swapaxes(-1, -2), num.swapaxes(-1, -2))
-    return 0.5 * (X.swapaxes(-1, -2) + X)
+def _right_divide(
+    num: np.ndarray, den: np.ndarray, v: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """(num den^{-1}, (den^t)^{-1} v) for a symmetric quotient, exactly
+    symmetrised, from one factorisation: the quotient is solved as its
+    transpose (den^t)^{-1} num^t, whose symmetrisation is the same sum, and v
+    (a vector per point, or None) rides as one more column of that solve."""
+    rhs = num.swapaxes(-1, -2)
+    if v is not None:
+        rhs = np.concatenate([rhs, v[..., None]], axis=-1)
+    X = _solve(den.swapaxes(-1, -2), rhs)
+    n = num.shape[-1]
+    quotient = X[..., :n]
+    # the vector C-ordered, so that it takes the BLAS path of a new vector
+    vector = None if v is None else np.ascontiguousarray(X[..., n])
+    return 0.5 * (quotient.swapaxes(-1, -2) + quotient), vector
 
 
 def _max_abs(a: np.ndarray) -> float:
@@ -341,31 +349,32 @@ def theta(h: JacobiElementR) -> JacobiElementC:
 
 def act_siegel_ball(g: SymplecticC, W: np.ndarray) -> np.ndarray:
     """W1 = (p W + q)(qbar W + pbar)^{-1}, returned exactly symmetrized."""
-    return _right_divide(g.p @ W + g.q, g.q.conj() @ W + g.p.conj())
+    return _right_divide(g.p @ W + g.q, g.q.conj() @ W + g.p.conj())[0]
 
 
 def act_ball(h: JacobiElementC, pt: JacobiBallPoint) -> JacobiBallPoint:
     """Holomorphic action on C^n x D_n:
     W1 = (p W + q)(qbar W + pbar)^{-1},
-    z1 = (W q* + p*)^{-1} (z + alpha - W conj(alpha))."""
+    z1 = (W q* + p*)^{-1} (z + alpha - W conj(alpha)),
+    with one factorisation: W q* + p* is (qbar W + pbar)^t, W being
+    symmetric."""
     if h.n != pt.n:
         raise DimensionMismatch("element and point of different size")
-    g = h.g
-    W1 = act_siegel_ball(g, pt.W)
-    lhs = pt.W @ g.q.conj().T + g.p.conj().T
-    z1 = _solve(lhs, pt.z + h.alpha - pt.W @ h.alpha.conj())
+    g, W = h.g, pt.W
+    W1, z1 = _right_divide(
+        g.p @ W + g.q, g.q.conj() @ W + g.p.conj(), pt.z + h.alpha - W @ h.alpha.conj()
+    )
     return JacobiBallPoint.image(z1, W1)
 
 
 def act_upper(h: JacobiElementR, pt: SiegelUpperPoint) -> SiegelUpperPoint:
-    """V1 = (a V + b)(c V + d)^{-1}; u1 = (V c^t + d^t)^{-1}(u + V lam + mu)."""
+    """V1 = (a V + b)(c V + d)^{-1}; u1 = (V c^t + d^t)^{-1}(u + V lam + mu),
+    where V c^t + d^t is (c V + d)^t."""
     if h.n != pt.n:
         raise DimensionMismatch("element and point of different size")
-    g = h.g
-    V1 = _right_divide(g.a @ pt.V + g.b, g.c @ pt.V + g.d)
-    u1 = None
-    if pt.u is not None:
-        u1 = _solve(pt.V @ g.c.T + g.d.T, pt.u + pt.V @ h.alpha_im + h.alpha_re)
+    g, V = h.g, pt.V
+    v = None if pt.u is None else pt.u + V @ h.alpha_im + h.alpha_re
+    V1, u1 = _right_divide(g.a @ V + g.b, g.c @ V + g.d, v)
     return SiegelUpperPoint.image(u1, V1)
 
 
@@ -373,21 +382,18 @@ def partial_cayley(pt: SiegelUpperPoint) -> JacobiBallPoint | SiegelBallPoint:
     """Biholomorphism onto the ball model:
     W = (V - i)(V + i)^{-1}, z = 2i (V + i)^{-1} u."""
     eye = np.eye(pt.n)
-    den = pt.V + 1j * eye
-    W = _right_divide(pt.V - 1j * eye, den)
+    W, u = _right_divide(pt.V - 1j * eye, pt.V + 1j * eye, pt.u)
     if pt.u is None:
         return SiegelBallPoint.image(None, W)
-    return JacobiBallPoint.image(2j * _solve(den, pt.u), W)
+    return JacobiBallPoint.image(2j * u, W)
 
 
 def inverse_partial_cayley(pt: JacobiBallPoint | SiegelBallPoint) -> SiegelUpperPoint:
-    """V = i (1 - W)^{-1} (1 + W), u = (1 - W)^{-1} z."""
+    """V = i (1 + W)(1 - W)^{-1}, u = (1 - W)^{-1} z: the two factors of V
+    commute, and 1 - W is its own transpose."""
     eye = np.eye(pt.n)
-    A = eye - pt.W
-    V = 1j * _solve(A, eye + pt.W)
-    V = 0.5 * (V + V.swapaxes(-1, -2))
-    u = None if pt.vector is None else _solve(A, pt.vector)
-    return SiegelUpperPoint.image(u, V)
+    X, u = _right_divide(eye + pt.W, eye - pt.W, pt.vector)
+    return SiegelUpperPoint.image(u, 1j * X)
 
 
 def fc_transform(pt: JacobiBallPoint) -> tuple[np.ndarray, np.ndarray]:

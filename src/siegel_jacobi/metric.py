@@ -133,26 +133,13 @@ def _grid(A: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return A.take(rows, -2).take(cols, -1)
 
 
-def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Complex a * b with each real product rounded on its own.
-
-    NumPy's vector complex multiply may fuse multiply-adds (AVX2/AVX-512) and
-    so move last bits; a product with a real factor cannot fuse.  The
-    finite-difference checks of ln det h amplify last-bit changes of the pair
-    x pair blocks into the seeded fuzz reports, so those blocks use this form
-    and the n x m blocks h2, i2 the vector product; changing either form
-    changes the report bytes.
-    """
-    return a * b.real + 1j * (a * b.imag)
-
-
 def _fold_pair_metric(M: np.ndarray, idx: PairIndex) -> np.ndarray:
     """Ordered-pair matrix of the quadratic form Tr(M dW Mbar dWbar):
     entry[(p,q),(m,n)] = 2 f_pq f_mn (M_mp M_nq + M_mq M_np)."""
     P, Q, f = idx.P, idx.Q, idx.f
     A = M.swapaxes(-1, -2)
     return 2.0 * f[:, None] * f * (
-        _cmul(_grid(A, P, P), _grid(A, Q, Q)) + _cmul(_grid(A, Q, P), _grid(A, P, Q))
+        _grid(A, P, P) * _grid(A, Q, Q) + _grid(A, Q, P) * _grid(A, P, Q)
     )
 
 
@@ -161,7 +148,7 @@ def _pair_metric_inverse(N: np.ndarray, idx: PairIndex) -> np.ndarray:
     P, Q = idx.P, idx.Q
     A, Nb = N.swapaxes(-1, -2), N.conj()
     return 0.5 * (
-        _cmul(_grid(A, Q, Q), _grid(Nb, P, P)) + _cmul(_grid(A, P, Q), _grid(Nb, Q, P))
+        _grid(A, Q, Q) * _grid(Nb, P, P) + _grid(A, P, Q) * _grid(Nb, Q, P)
     )
 
 
@@ -224,11 +211,9 @@ def _h_terms(
     eQ, eP = eta.take(Q, -1)[..., None, :], eta.take(P, -1)[..., None, :]
     MP, MQ = Mb.take(P, -1), Mb.take(Q, -1)
     X = eQ * MP + eP * MQ
-    # K_a,mn = eta_n Mbar_am + eta_m Mbar_an
-    K = _cmul(eQ, MP) + _cmul(eP, MQ)
+    # hmu_pq,mn = (etab_p X_q,mn + etab_q X_p,mn) f_pq f_mn
     hmu = f[:, None] * f * (
-        _cmul(etab.take(P, -1)[..., None], K.take(Q, -2))
-        + _cmul(etab.take(Q, -1)[..., None], K.take(P, -2))
+        etab.take(P, -1)[..., None] * X.take(Q, -2) + etab.take(Q, -1)[..., None] * X.take(P, -2)
     )
     return _fold_pair_metric(pt.M, idx), Mb, X, hmu
 
@@ -321,7 +306,7 @@ def metric_det(params: MetricParams, pt: JacobiBallPoint) -> DetResult:
             )
         except OverflowError:  # a Python float power beyond the range
             const = closed = math.inf
-    if not (np.all(np.isfinite(value)) and np.all(np.isfinite(closed))):
+    if not (np.isfinite(value).all() and np.isfinite(closed).all()):
         raise NumericalOverflow(
             f"metric determinant at n={n}, k={params.k}, mu={params.mu} "
             "exceeds the float range"

@@ -424,6 +424,15 @@ class TestErrors:
         assert code == 3
         assert json.loads(out)["error"]["kind"] == "NotInBall"
 
+    def test_cayley_image_at_the_boundary_exit_three(self, capsys, tmp_path):
+        # a valid upper point whose ball image has margin 3.7e-13 < 1e-10:
+        # the image's margin check refuses it as a domain error
+        path = tmp_path / "upper.json"
+        path.write_text(json.dumps({"n": 1, "V": [[[0.3, 1e-13]]], "u": [[0.1, 0.0]]}))
+        code, out = run_cli(capsys, "transform", "cayley", "--n", "1", "--point", str(path))
+        assert code == 3
+        assert json.loads(out)["error"]["kind"] == "NotInBall"
+
     @pytest.mark.parametrize("n", ["0", "-1"])
     @pytest.mark.parametrize("domain", ["jacobi_ball", "upper"])
     def test_sample_group_needs_positive_n(self, capsys, n, domain):

@@ -12,7 +12,7 @@ from siegel_jacobi.domains import (
     flatten_point,
     sample_point,
 )
-from siegel_jacobi.errors import NonSymmetric, NotInBall
+from siegel_jacobi.errors import NonSymmetric, NotInBall, NotInUpperHalfPlane
 
 
 class TestValidate:
@@ -180,6 +180,28 @@ class TestTypes:
         assert isinstance(ball, SiegelBallPoint) and ball.W is pt.W
         JacobiBallPoint(z=pt.z, W=pt.W)
         assert calls == [1]
+
+    def test_image_with_a_nan_matrix_part_fails_its_margin(self):
+        # an image is checked for its margin only, and eigvalsh of a NaN
+        # matrix returns NaN eigenvalues, which no margin check may pass
+        nan = np.full((2, 2), complex(np.nan, np.nan))
+        with pytest.raises(NotInBall):
+            JacobiBallPoint.image(np.zeros(2, dtype=complex), nan)
+        with pytest.raises(NotInUpperHalfPlane):
+            SiegelUpperPoint.image(None, nan)
+
+    def test_image_is_read_only_and_checks_only_its_margin(self, monkeypatch):
+        # one eigendecomposition (the margin), no symmetry or finiteness
+        # check: a map's image is exactly symmetric and finite already
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a: calls.append(1) or eigvalsh(*a))
+        W = np.array([[0.1, 0.2j], [0.2j, -0.3]])
+        pt = JacobiBallPoint.image(np.array([0.5, 1j]), W)
+        assert calls == [1] and pt.W is W
+        assert not (pt.W.flags.writeable or pt.z.flags.writeable)
+        with pytest.raises(NotInBall):
+            SiegelBallPoint.image(None, np.array([[1.0 + 0j]]))
 
     def test_jacobi_point_over_a_ball_point_shares_its_store(self, rng):
         ball = sample_point("ball", 3, rng)

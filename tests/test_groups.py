@@ -16,7 +16,7 @@ from siegel_jacobi.domains import (
     flatten_point,
     sample_point,
 )
-from siegel_jacobi.errors import DimensionMismatch, InvalidInput, SingularDenominator
+from siegel_jacobi.errors import DimensionMismatch, InvalidInput, NotInBall, SingularDenominator
 from siegel_jacobi.groups import (
     JacobiElementC,
     JacobiElementR,
@@ -437,16 +437,57 @@ def test_stacked_images_are_trusted_stacks(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_one_solve_per_map(n, monkeypatch):
+    # each map factorises its denominator once, single or stacked: the
+    # vector part (z or u) rides as one more column of that solve
+    calls = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda *a: calls.append(1) or solve(*a))
+    for name, map_fn, pt in _map_cases(n):
+        stack = pt.at_offset(np.zeros((3, flatten_point(pt).shape[0]), dtype=complex))
+        for q in (pt, stack):
+            calls.clear()
+            map_fn(q)
+            assert len(calls) == 1, name
+
+
+def test_single_images_are_not_revalidated(monkeypatch):
+    # a single image is checked for its margin only: no validating
+    # constructor runs
+    from siegel_jacobi import domains
+
+    cases = _map_cases(2)
+    calls = []
+    for cls in (domains.SiegelBallPoint, domains.SiegelUpperPoint,
+                domains.JacobiBallPoint, domains.TangentVector):
+        post_init = cls.__post_init__
+        monkeypatch.setattr(
+            cls, "__post_init__",
+            lambda self, f=post_init: calls.append(type(self).__name__) or f(self),
+        )
+    for name, map_fn, pt in cases:
+        image = map_fn(pt)
+        assert calls == [], name
+        if not isinstance(image, np.ndarray):
+            assert not any(a.flags.writeable for a in _parts(image)), name
+
+
+def test_image_within_rounding_of_the_boundary_is_refused():
+    # W = (V - i)/(V + i) has margin 1 - |W|^2 = 3.7e-13 here, below the
+    # ball's 1e-10: the image's margin check refuses it
+    with pytest.raises(NotInBall, match="eigenvalue"):
+        partial_cayley(SiegelUpperPoint(V=[[0.3 + 1e-13j]], u=[0.1]))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 8])
 def test_stacked_solve_matches_per_point(n):
     rng = np.random.default_rng(n)
     A = rng.standard_normal((5, n, n)) + 1j * rng.standard_normal((5, n, n))
     B = rng.standard_normal((5, n, n)) + 1j * rng.standard_normal((5, n, n))
-    b = rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n))
     per_point = [_solve(a, x) for a, x in zip(A, B)]
     assert np.array_equal(np.linalg.solve(A, B), per_point)
     assert np.array_equal(_solve(A, B), per_point)
-    assert np.array_equal(_solve(A, b), [_solve(a, x) for a, x in zip(A, b)])
 
 
 @pytest.mark.parametrize("bad", ["singular", "nan"])
@@ -459,7 +500,7 @@ def test_one_bad_matrix_fails_the_stack(bad):
         A[2, 0, 1] = np.nan
     B = rng.standard_normal((5, 3, 3)) + 0j
     b = rng.standard_normal((5, 3)) + 0j
-    for args in ((A[2], B[2]), (A[2], b[2]), (A, B), (A, b)):
+    for args in ((A[2], B[2]), (A[2], b[2]), (A, B)):
         with pytest.raises(SingularDenominator):
             _solve(*args)
 
@@ -476,22 +517,19 @@ def test_singular_slice_in_stacked_map():
 
 def test_stacked_identity_catches_transposed_denominator(monkeypatch):
     # negative control: a den transposed only over a stack leaves every
-    # single-point image intact but must fail the check
-    original = groups.act_siegel_ball
+    # single-point image intact but must fail the check of both maps that
+    # divide by qbar W + pbar
+    original = groups._right_divide
 
-    def transposed(g, W):
-        if W.ndim == 2:
-            return original(g, W)
-        num = g.p @ W + g.q
-        den = (g.q.conj() @ W + g.p.conj()).swapaxes(-1, -2)
-        W1 = groups._solve(den.swapaxes(-1, -2), num.swapaxes(-1, -2))
-        return 0.5 * (W1.swapaxes(-1, -2) + W1)
+    def transposed(num, den, v=None):
+        if den.ndim == 2:
+            return original(num, den, v)
+        return original(num, den.swapaxes(-1, -2), v)
 
     cases = [c for c in _map_cases(2) if c[0] in ("act_ball", "act_siegel_ball")]
     for name, map_fn, pt in cases:
         assert _stacked_matches_per_point(map_fn, pt), name
-    monkeypatch.setattr(groups, "act_siegel_ball", transposed)
-    cases = [c for c in _map_cases(2) if c[0] in ("act_ball", "act_siegel_ball")]
+    monkeypatch.setattr(groups, "_right_divide", transposed)
     for name, map_fn, pt in cases:
         assert not _stacked_matches_per_point(map_fn, pt), name
 

@@ -244,9 +244,9 @@ def test_stacked_identity_catches_broadcast_index_swap(monkeypatch):
             return fold(M, idx)
         P, Q, f = idx.P, idx.Q, idx.f
         A = M.swapaxes(-1, -2)
-        grid, cmul = metric._grid, metric._cmul
+        grid = metric._grid
         return 2.0 * f[:, None] * f * (  # Q for P in the last grid's rows
-            cmul(grid(A, P, P), grid(A, Q, Q)) + cmul(grid(A, Q, P), grid(A, Q, Q))
+            grid(A, P, P) * grid(A, Q, Q) + grid(A, Q, P) * grid(A, Q, Q)
         )
 
     params = MetricParams(n=2, k=4.0, mu=1.0)

@@ -34,8 +34,11 @@ class SingularDenominator(GeometryError):
 
 
 class BranchAmbiguity(GeometryError):
-    """det^(k/2) branch tracking crossed the negative real axis; the value
-    would depend on an arbitrary branch choice, so it is reported instead."""
+    """The branch of log det(1 - t W Vbar) continuous in t in [0, 1], which
+    det^(k/2) needs, ends with |Im| > pi: it is not the principal log of
+    det(1 - W Vbar), so the value would depend on a branch choice and is
+    reported instead.  The branch is sum_i Log(1 - lam_i) over the
+    eigenvalues of W Vbar, exact since |lam_i| < 1 on ball points."""
 
 
 class GammaPoleError(GeometryError):

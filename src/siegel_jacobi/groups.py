@@ -414,23 +414,27 @@ def act_ball_differential(
 ) -> TangentVector:
     """Pushforward of a tangent under act_ball, in closed form.
 
-    With L = W q* + p*, differentiating W1 = (p W + q)(qbar W + pbar)^{-1}
-    and z1 = L^{-1} (z + alpha - W conj(alpha)) gives
+    With L = W q* + p*, which is (qbar W + pbar)^t, differentiating
+    W1 = (p W + q) (L^t)^{-1} and z1 = L^{-1} (z + alpha - W conj(alpha))
+    gives
 
-        dW1 = L^{-1} dW (qbar W + pbar)^{-1},
-        dz1 = L^{-1} (dz - dW (conj(alpha) + q* z1)).
+        dW1 = L^{-1} dW (L^{-1})^t,
+        dz1 = L^{-1} (dz - dW (conj(alpha) + q* z1)),
+
+    from one factorisation of L.
     """
     if tangent.dz is None:
         raise ValueError("jacobi-ball tangent needs a dz component")
-    g = h.g
+    if h.n != pt.n:
+        raise DimensionMismatch("element and point of different size")
+    g, W = h.g, pt.W
     q_star = g.q.conj().T
-    left = pt.W @ q_star + g.p.conj().T
-    right = g.q.conj() @ pt.W + g.p.conj()
-    dW1 = _solve(left, tangent.dW) @ np.linalg.inv(right)
-    dW1 = 0.5 * (dW1 + dW1.T)
-    z1 = act_ball(h, pt).z
-    dz1 = _solve(left, tangent.dz - tangent.dW @ (h.alpha.conj() + q_star @ z1))
-    return TangentVector(dz=dz1, dW=dW1)
+    alpha_bar = h.alpha.conj()
+    Linv = _solve(W @ q_star + g.p.conj().T, np.eye(pt.n))
+    z1 = Linv @ (pt.z + h.alpha - W @ alpha_bar)
+    dW1 = Linv @ tangent.dW @ Linv.T
+    dz1 = Linv @ (tangent.dz - tangent.dW @ (alpha_bar + q_star @ z1))
+    return TangentVector(dz=dz1, dW=0.5 * (dW1 + dW1.T))
 
 
 def random_symplectic_r(n: int, rng: np.random.Generator) -> SymplecticR:

@@ -3,10 +3,12 @@ diastasis, the epsilon-function witness of balancedness, volume densities,
 the normalization constant, and the n = 1 Parseval quadrature check.
 
 Scalar products are antilinear in the first argument: (x, A y) = xbar^t A y.
-Fractional determinant powers use the principal logarithm with continuity
-tracking along t -> det(1 - t W Vbar), t in [0, 1]; a path whose continuous
-argument leaves (-pi, pi) is reported as BranchAmbiguity rather than being
-assigned a branch silently.
+Fractional determinant powers take the branch of log det(1 - t W Vbar)
+continuous along t in [0, 1], in closed form: sum_i Log(1 - lam_i) over the
+eigenvalues of W Vbar, exact because |lam_i| < 1 on ball points keeps every
+factor 1 - t lam_i in the right half-plane.  Where its argument ends outside
+[-pi, pi], so that it is not the principal log of det(1 - W Vbar), it is
+reported as BranchAmbiguity rather than returned.
 
 The data of a point pair that do not depend on (k, mu), the exponent
 F(x, y) and the tracked log det(1 - W_y Wbar_x), are computed once and kept
@@ -40,41 +42,22 @@ __all__ = [
     "parseval_check_n1",
 ]
 
-_MAX_PATH_STEPS = 4096
-
 
 def _tracked_logdet(W: np.ndarray, Vbar: np.ndarray) -> complex:
-    """log det(1 - W Vbar) with the argument tracked continuously from the
-    identity (t = 0) to t = 1; raises BranchAmbiguity if the running
-    argument crosses +-pi, and NotConverged if a step still turns it by
-    pi/2 or more at _MAX_PATH_STEPS steps."""
-    eye = np.eye(W.shape[0])
-    wv = W @ Vbar
-    steps = 8
-    while True:
-        ts = np.linspace(0.0, 1.0, steps + 1)
-        dets = np.linalg.det(eye - ts[:, None, None] * wv)
-        if np.any(dets == 0):
-            raise BranchAmbiguity("det(1 - t W Vbar) vanishes on the path")
-        increments = np.angle(dets[1:] / dets[:-1])
-        if np.max(np.abs(increments)) < 0.5 * np.pi:
-            break
-        if steps >= _MAX_PATH_STEPS:
-            raise NotConverged(
-                f"argument of det(1 - t W Vbar) still moves by >= pi/2 per step "
-                f"after {steps} path steps; its branch cannot be tracked"
-            )
-        steps *= 2
-    # the running argument, summed in order from +0.0 (0.0 + turns a
-    # leading -0.0 into +0.0 and leaves every other sum as it is)
-    args = 0.0 + np.cumsum(increments)
-    crossed = np.flatnonzero(np.abs(args) > np.pi)
-    if crossed.size:
+    """The branch of log det(1 - t W Vbar) continuous in t from 0 (the
+    identity) to 1, in closed form: sum_i Log(1 - lam_i) over the
+    eigenvalues lam_i of W Vbar.  On ball points |W|_op, |V|_op < 1, so
+    |lam_i| < 1 and every factor 1 - t lam_i stays in the right half-plane,
+    where the principal Log is continuous.  Raises BranchAmbiguity where
+    |Im| > pi, the one case in which this branch is not the principal log
+    of det(1 - W Vbar)."""
+    ld = complex(np.sum(np.log(1.0 - np.linalg.eigvals(W @ Vbar))))
+    if abs(ld.imag) > np.pi:
         raise BranchAmbiguity(
-            f"continuous argument reached {args[crossed[0]]:.4f}; det(1 - W Vbar) "
-            "crossed the negative real axis"
+            f"continuous argument of det(1 - t W Vbar) ends at {ld.imag:.4f}, "
+            "outside [-pi, pi], so it is not the principal log of det(1 - W Vbar)"
         )
-    return complex(np.log(abs(dets[-1])), float(args[-1]))
+    return ld
 
 
 def _two_point_exponent(x, V, y, W) -> complex:
@@ -297,7 +280,7 @@ def _ring_average(u: np.ndarray, k: float, mu: float, angular_points: int) -> np
     P = 1.0 - u
     # scalar powers: NumPy's array power may differ from them in the last bit
     radial = np.array([p ** (0.5 * k - 3.0) for p in P.ravel()]).reshape(P.shape)
-    phis = np.linspace(0.0, 2.0 * np.pi, angular_points, endpoint=False)
+    phis = np.arange(angular_points) * (2.0 * np.pi / angular_points)
     # w[angle, panel, node]
     w = np.sqrt(u) * np.exp(1j * phis)[:, None, None]
     a, b = w.real, w.imag

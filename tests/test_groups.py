@@ -347,6 +347,27 @@ class TestDifferential:
         out = act_ball_differential(JacobiElementC.identity(2), origin, tv)
         assert np.allclose(out.dW, tv.dW)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_one_factorisation_per_call(self, n, monkeypatch):
+        # L = W q* + p* is factorised once: z1, dW1 and dz1 all read L^{-1}
+        rng = np.random.default_rng(90 + n)
+        pt = sample_point("jacobi_ball", n, rng)
+        h = random_jacobi_c(n, rng)
+        A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        tv = TangentVector(dz=rng.standard_normal(n) + 1j * rng.standard_normal(n), dW=A + A.T)
+        calls = []
+        for name in ("solve", "inv"):
+            f = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda *a, f=f: calls.append(f) or f(*a))
+        act_ball_differential(h, pt, tv)
+        assert len(calls) == 1
+
+    def test_dimension_mismatch(self, rng):
+        pt = sample_point("jacobi_ball", 2, rng)
+        tv = TangentVector(dz=np.zeros(2), dW=np.zeros((2, 2)))
+        with pytest.raises(DimensionMismatch):
+            act_ball_differential(JacobiElementC.identity(3), pt, tv)
+
 
 class TestLazyExpm:
     def test_cli_import_leaves_scipy_linalg_unloaded(self):

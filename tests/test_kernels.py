@@ -82,30 +82,40 @@ class TestTwoPointKernel:
         with pytest.raises(BranchAmbiguity):
             two_point_kernel(MetricParams(n=3, k=2, mu=1), pa, pb)
 
-    def test_step_limit_raises(self, monkeypatch):
-        # an eigenvalue of W Vbar near 1 turns the argument by ~3 rad in the
-        # last of 8 path steps; refining resolves it, a capped path must not
-        # return the coarse sum
-        W = 0.9999 * np.exp(0.01j) * np.eye(2)
-
-        def pair():
-            return (
-                JacobiBallPoint(z=np.zeros(2), W=0.9999 * np.eye(2)),
-                JacobiBallPoint(z=np.zeros(2), W=W),
-            )
-
-        params = MetricParams(n=2, k=2, mu=1)
-        F, K = two_point_kernel(params, *pair())
+    def test_near_boundary_pair(self):
+        # an eigenvalue of W Vbar at 0.9999 e^{0.01i}: its factor 1 - lam
+        # turns by ~pi/2 in the last percent of the path t -> 1 - t lam
+        pa = JacobiBallPoint(z=np.zeros(2), W=0.9999 * np.eye(2))
+        pb = JacobiBallPoint(z=np.zeros(2), W=0.9999 * np.exp(0.01j) * np.eye(2))
+        F, K = two_point_kernel(MetricParams(n=2, k=2, mu=1), pa, pb)
         assert np.isfinite(K)
-        monkeypatch.setattr(kernels, "_MAX_PATH_STEPS", 8)
-        # new point objects: the pair data kept on the first pair would
-        # answer without walking the path
-        with pytest.raises(NotConverged, match="8 path steps"):
-            two_point_kernel(params, *pair())
+
+    def test_winding_pair_takes_the_principal_log(self):
+        # the factors of det(1 - t W Vbar) turn it below -pi and back on the
+        # way to t = 1; the branch at t = 1 is the principal log of the
+        # determinant, so it is returned, not reported
+        pa, pb = _winding_pair()
+        expected = np.log(np.linalg.det(np.eye(6) - pb.W @ pa.W.conj()))
+        assert kernels._tracked_logdet(pb.W, pa.W.conj()) == pytest.approx(expected, rel=1e-13)
+        assert np.isfinite(two_point_kernel(MetricParams(n=6, k=4, mu=1), pa, pb)[1])
+
+
+def _winding_pair():
+    """(V, W) at n = 6, z = 0, with the eigenvalues of W Vbar at 0.9i
+    (five times) and 0.9999 e^{-0.01i}: W = diag(sqrt|lam| e^{i arg lam}),
+    V = diag(sqrt|lam|)."""
+    lam = np.array([0.9j] * 5 + [0.9999 * np.exp(-0.01j)])
+    root = np.sqrt(np.abs(lam))
+    return (
+        JacobiBallPoint(z=np.zeros(6), W=np.diag(root)),
+        JacobiBallPoint(z=np.zeros(6), W=np.diag(root * np.exp(1j * np.angle(lam)))),
+    )
 
 
 def _loop_tracked_logdet_reference(W, Vbar):
-    """The per-t loop that the stacked det in _tracked_logdet replaced."""
+    """The continuous log det(1 - t W Vbar) at t = 1 by walking the path:
+    per-t determinants, the step count doubled until no step turns the
+    argument by pi/2, the increments summed in order."""
     eye = np.eye(W.shape[0])
     steps = 8
     while True:
@@ -121,22 +131,36 @@ def _loop_tracked_logdet_reference(W, Vbar):
     return complex(np.log(abs(dets[-1])), arg), steps
 
 
+def _symmetric_with_norm(n, norm, rng):
+    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    A = A + A.T
+    return norm / np.linalg.norm(A, 2) * A
+
+
 def test_tracked_logdet_matches_loop_reference():
-    # one stacked det per refinement level; the same rounding as the loop
+    # the eigenvalue sum against an independent walk along the path, on
+    # sampled points and on pairs up to spectral norm 0.9999
     rng = np.random.default_rng(2024)
     pairs = [
         (sample_point("jacobi_ball", n, rng).W, sample_point("jacobi_ball", n, rng).W)
-        for n in (1, 2, 3, 6)
-        for _ in range(10)
+        for n in (1, 2, 3, 4, 6, 8)
+        for _ in range(5)
     ]
+    for n in (1, 2, 3, 4, 6, 8):
+        for norm in (0.9, 0.99, 0.999, 0.9999):
+            # a random partner, and an aligned one: W Vbar = e^{0.01i} W Wbar
+            W = _symmetric_with_norm(n, norm, rng)
+            pairs += [(W, _symmetric_with_norm(n, norm, rng)), (W, np.exp(-0.01j) * W)]
+    # the near-boundary pair, where the walk needs more than 8 steps
+    pairs.append((0.9999 * np.exp(0.01j) * np.eye(2), 0.9999 * np.eye(2)))
     for W, V in pairs:
-        expected, _ = _loop_tracked_logdet_reference(W, V.conj())
-        assert kernels._tracked_logdet(W, V.conj()) == expected
-    # the pair of test_step_limit_raises, where 8 steps do not suffice
-    W, Vbar = 0.9999 * np.exp(0.01j) * np.eye(2), 0.9999 * np.eye(2)
-    expected, steps = _loop_tracked_logdet_reference(W, Vbar)
+        expected, steps = _loop_tracked_logdet_reference(W, V.conj())
+        assert abs(expected.imag) <= np.pi
+        # abs: a sampled pair's log det can be small next to its rounding
+        assert kernels._tracked_logdet(W, V.conj()) == pytest.approx(
+            expected, rel=1e-13, abs=1e-15
+        )
     assert steps > 8
-    assert kernels._tracked_logdet(W, Vbar) == expected
 
 
 class TestNormalizedKernels:

@@ -38,7 +38,6 @@ from .groups import (
 )
 from .kernels import (
     KernelEval,
-    QuadratureSpec,
     VolumeData,
     epsilon_function,
     kernel_eval,

@@ -47,7 +47,9 @@ class GammaPoleError(GeometryError):
 
 
 class NotConverged(GeometryError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
+    """A fixed quadrature rule's result is not finite and positive, or its
+    error estimate (the rule rerun at half the order) exceeds the rule's
+    own relative tolerance."""
 
 
 class StepTooLarge(GeometryError):

@@ -1,6 +1,8 @@
 """Reproducing kernel, normalized Bergman kernel, Berezin kernel, Calabi
 diastasis, the epsilon-function witness of balancedness, volume densities,
-the normalization constant, and the n = 1 Parseval quadrature check.
+the normalization constant, and the n = 1 Parseval quadrature check (one
+Gauss-Jacobi rule in u = |w|^2 with the weight (1 - u)^{(k-5)/2}, its nodes
+computed once per (order, weight), and an equally spaced angle average).
 
 Scalar products are antilinear in the first argument: (x, A y) = xbar^t A y.
 Fractional determinant powers take the branch of log det(1 - t W Vbar)
@@ -32,7 +34,6 @@ from .metric import MetricParams, kahler_potential
 __all__ = [
     "KernelEval",
     "VolumeData",
-    "QuadratureSpec",
     "two_point_kernel",
     "normalized_kernels",
     "kernel_eval",
@@ -249,40 +250,34 @@ def normalization_constant(params: MetricParams) -> float:
     return _finite_exp(log_lambda, "Lambda_n")
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Disk-quadrature resolution.  Radial panels shrink geometrically toward
-    the boundary, so the reachable sliver is ~2^-(radial_panels-1) (capped by
-    float spacing near 1); its analytic bound ~delta^{(k-3)/2} enters the
-    error estimate, so weights close to the k = 3 integrability threshold
-    need a looser rtol."""
-
-    radial_panels: int = 48
-    radial_order: int = 16
-    angular_points: int = 16
-    rtol: float = 1e-6
-
-    def __post_init__(self):
-        # 1 - 0.5^47 is the last panel edge still < 1 in floats
-        if not 2 <= self.radial_panels <= 48:
-            raise ValueError(f"radial_panels must be in 2..48, got {self.radial_panels}")
-        # the error estimate reruns each panel with radial_order // 2 nodes
-        if self.radial_order < 2 or self.radial_order % 2:
-            raise ValueError(f"radial_order must be even and >= 2, got {self.radial_order}")
-        if self.angular_points < 1:
-            raise ValueError(f"angular_points must be >= 1, got {self.angular_points}")
-        if not self.rtol > 0:
-            raise ValueError(f"rtol must be positive, got {self.rtol}")
+# the n = 1 Parseval rule: Gauss-Jacobi nodes in u = |w|^2 (the error
+# estimate reruns it at half the order), equally spaced angles, and the
+# largest error estimate accepted, relative to the norm
+RADIAL_ORDER = 24
+ANGLES = 16
+RTOL = 1e-6
 
 
-def _ring_average(u: np.ndarray, k: float, mu: float, angular_points: int) -> np.ndarray:
-    """Angle average of Q K^{-1} after the z-integral, at every u = |w|^2."""
+@lru_cache(maxsize=32)
+def _jacobi_rule(order: int, s: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Jacobi nodes u in [0, 1] and weights for the weight (1 - u)^s,
+    computed once per (order, s)."""
+    # imported where used: scipy.special adds ~4 MB resident to every process
+    from scipy.special import roots_jacobi
+
+    x, weights = roots_jacobi(order, s, 0.0)
+    # u = (1 + x)/2 maps [-1, 1] onto [0, 1]: (1 - x)^s dx = 2^{s+1} (1 - u)^s du
+    u, weights = 0.5 * (1.0 + x), weights * 0.5 ** (s + 1.0)
+    u.flags.writeable = weights.flags.writeable = False
+    return u, weights
+
+
+def _ring_average(u: np.ndarray, k: float, mu: float, s: float) -> np.ndarray:
+    """Angle average of Q K^{-1} after the z-integral, divided by the weight
+    (1 - u)^s, at every u = |w|^2."""
     P = 1.0 - u
-    # scalar powers: NumPy's array power may differ from them in the last bit
-    radial = np.array([p ** (0.5 * k - 3.0) for p in P.ravel()]).reshape(P.shape)
-    phis = np.arange(angular_points) * (2.0 * np.pi / angular_points)
-    # w[angle, panel, node]
-    w = np.sqrt(u) * np.exp(1j * phis)[:, None, None]
+    # w[angle, node]
+    w = np.sqrt(u) * np.exp(1j * np.arange(ANGLES) * (2.0 * np.pi / ANGLES))[:, None]
     a, b = w.real, w.imag
     # completed square of 2F = (2|z|^2 + z^2 wbar + zbar^2 w)/P: the 2 x 2
     # form [[q00, q01], [q01, q11]], its determinant written out
@@ -290,71 +285,40 @@ def _ring_average(u: np.ndarray, k: float, mu: float, angular_points: int) -> np
     q01 = b / P
     q11 = (1.0 - a) / P
     gaussian = np.pi / (mu * np.sqrt(q00 * q11 - q01 * q01))
-    # axis 0 is outermost, so the angles are added in sequence
-    return np.sum(gaussian * radial, axis=0) / angular_points
+    # the radial factor P^{k/2-3} over the weight as one power, so neither underflows
+    return gaussian.mean(axis=0) * P ** (0.5 * k - 3.0 - s)
 
 
-@lru_cache(maxsize=None)
-def _legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order."""
-    # imported where used: scipy.special adds ~4 MB resident to every process
-    from scipy.special import roots_legendre
-
-    nodes, weights = roots_legendre(order)
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
-
-
-def parseval_check_n1(k: float, mu: float, spec: QuadratureSpec | None = None) -> float:
+def parseval_check_n1(k: float, mu: float) -> float:
     """Norm of the constant function in the weighted Bergman space for n = 1:
 
         Lambda_1 * Integral_{C x D_1} Q K^{-1} dRe z dIm z dRe w dIm w.
 
     The z-integral is a 2D Gaussian exp(-mu [x y] Q2 [x y]^t) with
     w-dependent covariance and is done analytically (pi / (mu sqrt(det Q2)));
-    the disk integral uses panel-adaptive Gauss-Legendre in u = r^2 and a
-    trapezoid average in angle.  Expected value 1.
+    the disk integral is a Gauss-Jacobi rule in u = |w|^2 with the weight
+    (1 - u)^s, s = (k - 5)/2, and a trapezoid average in angle.  Expected
+    value 1.
 
-    All angles, panels and nodes are evaluated as one array, with the 2 x 2
-    determinant written out; angles, nodes and panels are each summed in
-    sequence, so the result rounds like a scalar loop over them.  Raises
-    NotConverged unless the result is finite and positive and its error
-    estimate is at most rtol times the result.
+    Raises NotConverged unless the result is finite and positive and the
+    difference from the rule at half the order is at most RTOL times the
+    result; above k ~ 2070 the Gauss-Jacobi weights leave the float range,
+    and that is reported the same way.
     """
-    spec = spec or QuadratureSpec()
     lam = normalization_constant(MetricParams(n=1, k=k, mu=mu))
-
-    nodes, weights = _legendre(spec.radial_order)
-    nodes_lo, weights_lo = _legendre(spec.radial_order // 2)
-
-    # geometric panels accumulating toward the boundary u = 1; the final
-    # sliver [1 - delta, 1) is bounded analytically via P^{(k-5)/2}
-    edges = [0.0] + [1.0 - 0.5**j for j in range(1, spec.radial_panels)]
-    lo, hi = np.array(edges[:-1]), np.array(edges[1:])
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    # ring[panel, node]: the high-order nodes, then the low-order ones
-    u = mid[:, None] + half[:, None] * np.concatenate([nodes, nodes_lo])
-    ring = _ring_average(u, k, mu, spec.angular_points)
-    hi_sums = sum(w * col for w, col in zip(weights, ring[:, : len(nodes)].T))
-    lo_sums = sum(w * col for w, col in zip(weights_lo, ring[:, len(nodes) :].T))
-    value = 0.0
-    err_est = 0.0
-    for hw, hi_sum, lo_sum in zip(half, hi_sums, lo_sums):
-        value += hw * hi_sum
-        err_est += hw * abs(hi_sum - lo_sum)
-    delta = 1.0 - edges[-1]
-    err_est += (np.pi / mu) * delta ** (0.5 * (k - 3.0)) * 2.0 / (k - 3.0)
-    value *= 0.5  # dA = r dr dphi = du dphi / 2
-    err_est *= 0.5
-
-    result = float(lam * 2.0 * np.pi * value)
-    err = err_est * lam * 2.0 * np.pi
-    # relative to the result, so a norm that underflows toward 0 cannot pass
-    if not (0.0 < result < math.inf and err <= spec.rtol * result):
-        rel = err / result if result > 0.0 else math.inf
-        raise NotConverged(
-            f"quadrature relative error estimate {rel:.3e} (value {result:.3e}) "
-            f"exceeds rtol {spec.rtol:.1e}"
+    s = 0.5 * (k - 5.0)
+    with np.errstate(all="ignore"):
+        # dA = r dr dphi = du dphi / 2; the angle average carries the 2 pi
+        value, value_lo = (
+            float(lam * np.pi * (weights @ _ring_average(u, k, mu, s)))
+            for u, weights in (_jacobi_rule(RADIAL_ORDER, s), _jacobi_rule(RADIAL_ORDER // 2, s))
         )
-    return result
+        err = abs(value - value_lo)
+    # relative to the result, which must be finite and positive
+    if not (0.0 < value < math.inf and err <= RTOL * value):
+        rel = err / value if 0.0 < value < math.inf else math.inf
+        raise NotConverged(
+            f"quadrature relative error estimate {rel:.3e} (value {value:.3e}) "
+            f"exceeds rtol {RTOL:.1e}"
+        )
+    return value

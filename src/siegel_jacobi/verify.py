@@ -522,7 +522,7 @@ def _diastasis_invariance(params, rng):
 
 
 # --------------------------------------------------------------------------
-# parseval (always n = 1; not reproduced at desk scale for n >= 2)
+# parseval (always n = 1; n >= 2 waits for a ray-quadrature oracle, ROADMAP item 1)
 
 
 @_register("parseval_n1", "parseval", 0.02, once=True)

@@ -62,5 +62,5 @@ class NonHolomorphic(GeometryError):
 
 
 class NumericalOverflow(GeometryError):
-    """A closed-form value exceeds the floating-point range (e.g. the metric
-    determinant at large n); it is reported instead of returned as inf."""
+    """A closed-form value leaves the normal float range (e.g. the metric
+    determinant at large n or tiny weights); it is reported, not returned."""

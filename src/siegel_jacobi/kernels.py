@@ -28,7 +28,8 @@ from functools import lru_cache
 import numpy as np
 
 from .domains import JacobiBallPoint, kept, kept_pair
-from .errors import BranchAmbiguity, GammaPoleError, NotConverged, NumericalOverflow
+from .errors import BranchAmbiguity, DimensionMismatch, GammaPoleError
+from .errors import NotConverged, NumericalOverflow
 from .metric import MetricParams, kahler_potential
 
 __all__ = [
@@ -104,11 +105,15 @@ def _pair_data(zeta: JacobiBallPoint, zeta2: JacobiBallPoint) -> tuple[complex, 
     )
 
 
-def _pair_terms(zeta: JacobiBallPoint, zeta2: JacobiBallPoint) -> tuple[complex, complex]:
+def _pair_terms(
+    params: MetricParams, zeta: JacobiBallPoint, zeta2: JacobiBallPoint
+) -> tuple[complex, complex]:
     """(F(zeta, zeta2), the tracked log det(1 - W2 Wbar1)): the data of a
     point pair that the kernels share, kept on zeta for its last partner
     (``kept_pair``); the diagonal pair depends on zeta alone and is kept
-    like F(zeta, zeta)."""
+    like F(zeta, zeta).  Raises DimensionMismatch unless all three n agree."""
+    if not params.n == zeta.n == zeta2.n:
+        raise DimensionMismatch("params and points of different dimension")
     if zeta2 is zeta:
         ld = kept(zeta, "ld_diag", lambda p: _tracked_logdet(p.W, p.W.conj()))
         return _diagonal_exponent(zeta), ld
@@ -129,7 +134,7 @@ def two_point_kernel(
 ) -> tuple[complex, complex]:
     """(F, K) with K = det(U)^{k/2} exp(mu F); raises NumericalOverflow
     where K leaves the float range."""
-    F, ld_mixed = _pair_terms(zeta, zeta2)
+    F, ld_mixed = _pair_terms(params, zeta, zeta2)
     return F, _kernel(params, F, ld_mixed)
 
 
@@ -157,7 +162,7 @@ def normalized_kernels(
 
     with kappa_ball = det^{k/2}[(1 - V Vbar)(1 - W Wbar) / (1 - W Vbar)^2].
     """
-    return _normalized(params, zeta, zeta2, *_pair_terms(zeta, zeta2))
+    return _normalized(params, zeta, zeta2, *_pair_terms(params, zeta, zeta2))
 
 
 def epsilon_function(params: MetricParams, pt: JacobiBallPoint) -> float:
@@ -175,7 +180,7 @@ def kernel_eval(
     """Bundle of all two-point quantities (diagonal when zeta2 is omitted);
     the pair data are computed once and shared."""
     other = zeta if zeta2 is None else zeta2
-    F, ld_mixed = _pair_terms(zeta, other)
+    F, ld_mixed = _pair_terms(params, zeta, other)
     K = _kernel(params, F, ld_mixed)
     kappa, berezin, diastasis = _normalized(params, zeta, other, F, ld_mixed)
     eps = epsilon_function(params, zeta)
@@ -265,7 +270,10 @@ def _jacobi_rule(order: int, s: float) -> tuple[np.ndarray, np.ndarray]:
     # imported where used: scipy.special adds ~4 MB resident to every process
     from scipy.special import roots_jacobi
 
-    x, weights = roots_jacobi(order, s, 0.0)
+    try:
+        x, weights = roots_jacobi(order, s, 0.0)
+    except ValueError:  # at k >~ 1e190 its Jacobi matrix holds infs: no rule, so a NaN norm
+        x = weights = np.full(order, math.nan)
     # u = (1 + x)/2 maps [-1, 1] onto [0, 1]: (1 - x)^s dx = 2^{s+1} (1 - u)^s du
     u, weights = 0.5 * (1.0 + x), weights * 0.5 ** (s + 1.0)
     u.flags.writeable = weights.flags.writeable = False
@@ -302,8 +310,8 @@ def parseval_check_n1(k: float, mu: float) -> float:
 
     Raises NotConverged unless the result is finite and positive and the
     difference from the rule at half the order is at most RTOL times the
-    result; above k ~ 2070 the Gauss-Jacobi weights leave the float range,
-    and that is reported the same way.
+    result; above k ~ 2070 the Gauss-Jacobi weights leave the float range
+    (above ~1e190 scipy forms no rule), and that is reported the same way.
     """
     lam = normalization_constant(MetricParams(n=1, k=k, mu=mu))
     s = 0.5 * (k - 5.0)

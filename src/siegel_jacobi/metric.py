@@ -15,12 +15,13 @@ counting.  Each pair block is a single expression over the index arrays
 
     hk_pq,mn = 2 f_pq f_mn (M_mp M_nq + M_mq M_np).
 
-N, M and eta are the point's own Gram data (see ``domains``); the metric
-keeps its own point data on the point by ``domains.kept`` too, one entry per
-family of closed forms: the (k, mu)-free terms ``h_terms`` (hk, Mbar, the h2
-core and hmu) and ``inv_terms`` (alpha, Nbar, Sbar S^t, the hinv2 core and
-k_inv), so that each closed form only scales and assembles them.  Nothing
-that depends on (k, mu) is kept, and every result is a new, writable array.
+N, M and eta are the point's own Gram data (see ``domains``).  The metric and
+its inverse are linear in the weights, h = mu A + (k/2) B and h^{-1} = C/mu +
+D/k, with B zero but for hk and C zero but for its z block Nbar; the metric
+keeps ``h_terms`` (A, hk) and ``inv_terms`` (Nbar, D) on the point by
+``domains.kept``, so each closed form scales one and adds the other into one
+block.  Nothing that depends on (k, mu) is kept; every result is a new,
+writable array, and the blocks h1..h4 of a result are views of its h.
 ``h @ metric_inverse(...).h_inv`` is the literal identity in this
 ordered-pair indexing.
 
@@ -86,7 +87,8 @@ class MetricParams:
 
     @property
     def nonintegral_weight(self) -> bool:
-        return abs(2 * self.k - round(2 * self.k)) > 1e-9
+        # |2k - round(2k)| > 1e-9 without forming 2k, which overflows above ~9e307
+        return abs(math.remainder(self.k, 0.5)) > 0.5e-9
 
     @property
     def pair_index(self) -> PairIndex:
@@ -105,15 +107,18 @@ def _kept(params: MetricParams, pt: JacobiBallPoint, key: str, compute):
     return kept(pt, key, compute)
 
 
+def _split(h: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The four blocks [[h1, h2], [h3, h4]] of h, as views."""
+    return h[..., :n, :n], h[..., :n, n:], h[..., n:, :n], h[..., n:, n:]
+
+
 def _assemble(h1: np.ndarray, h2: np.ndarray, h3: np.ndarray, h4: np.ndarray) -> np.ndarray:
     """[[h1, h2], [h3, h4]] written into one new array, which costs less than
     a general block builder at these sizes; broadcasts over leading axes."""
     n = h1.shape[-1]
     h = np.empty(h4.shape[:-2] + (n + h4.shape[-1],) * 2, dtype=complex)
-    h[..., :n, :n] = h1
-    h[..., :n, n:] = h2
-    h[..., n:, :n] = h3
-    h[..., n:, n:] = h4
+    for view, block in zip(_split(h, n), (h1, h2, h3, h4)):
+        view[...] = block
     return h
 
 
@@ -199,11 +204,10 @@ def metric_blocks(params: MetricParams, pt: JacobiBallPoint) -> MetricEval:
     return _blocks(params, pt)
 
 
-def _h_terms(
-    pt: JacobiBallPoint, idx: PairIndex
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The (k, mu)-free parts of h1, h2 and h4: the Siegel-ball pair form
-    hk of M, Mbar, X_i,pq = eta_q Mbar_ip + eta_p Mbar_iq and hmu."""
+def _h_terms(pt: JacobiBallPoint, idx: PairIndex) -> tuple[np.ndarray, np.ndarray]:
+    """The (k, mu)-free parts of h = mu A + (k/2) B: the assembled
+    A = [[Mbar, f X], [(f X)*, hmu]] with X_i,pq = eta_q Mbar_ip + eta_p Mbar_iq,
+    and the Siegel-ball pair form hk of M, the one non-zero block of B."""
     P, Q, f = idx.P, idx.Q, idx.f
     Mb = pt.M.conj()
     eta = pt.eta
@@ -215,18 +219,16 @@ def _h_terms(
     hmu = f[:, None] * f * (
         etab.take(P, -1)[..., None] * X.take(Q, -2) + etab.take(Q, -1)[..., None] * X.take(P, -2)
     )
-    return _fold_pair_metric(pt.M, idx), Mb, X, hmu
+    fX = f * X
+    return _assemble(Mb, fX, fX.conj().swapaxes(-1, -2), hmu), _fold_pair_metric(pt.M, idx)
 
 
 def _blocks(params: MetricParams, pt: JacobiBallPoint) -> MetricEval:
-    hk, Mb, X, hmu = _kept(params, pt, "h_terms", lambda p: _h_terms(p, params.pair_index))
-    mu, k = params.mu, params.k
-
-    h1 = mu * Mb
-    h2 = mu * params.pair_index.f * X
-    h3 = h2.conj().swapaxes(-1, -2)
-    h4 = 0.5 * k * hk + mu * hmu
-    return MetricEval(h1=h1, h2=h2, h3=h3, h4=h4, h=_assemble(h1, h2, h3, h4))
+    A, hk = _kept(params, pt, "h_terms", lambda p: _h_terms(p, params.pair_index))
+    n = params.n
+    h = params.mu * A
+    h[..., n:, n:] += (0.5 * params.k) * hk
+    return MetricEval(*_split(h, n), h=h)
 
 
 @dataclass(frozen=True)
@@ -238,19 +240,18 @@ class MetricInverse:
     h_inv: np.ndarray
 
 
-def _inv_terms(
-    pt: JacobiBallPoint, idx: PairIndex
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The (k, mu)-free parts of the inverse blocks, with S_n = sum_q eta_q
-    Nbar_qn: alpha = eta^t Nbar conj(eta) >= 0, Nbar, Sbar_i S_j,
-    Y_i,mn = S_n Nbar_im + S_m Nbar_in and the Siegel-ball pair inverse
-    k_inv."""
+def _inv_terms(pt: JacobiBallPoint, idx: PairIndex) -> tuple[np.ndarray, np.ndarray]:
+    """The (k, mu)-free parts of h^{-1} = C/mu + D/k: Nbar, the one non-zero
+    block of C, and the assembled D = [[alpha Nbar + Sbar S^t, -Y], [-Y*, 2 k_inv]]
+    with S_n = sum_q eta_q Nbar_qn, alpha = eta^t Nbar conj(eta) >= 0,
+    Y_i,mn = S_n Nbar_im + S_m Nbar_in and the Siegel-ball pair inverse k_inv."""
     P, Q = idx.P, idx.Q
     Nb = pt.N.conj()
     S = _vecmat(pt.eta, Nb)
     alpha = _item(_dot(S, pt.eta.conj()).real)
     Y = S[Q] * Nb[:, P] + S[P] * Nb[:, Q]
-    return alpha, Nb, np.outer(S.conj(), S), Y, _pair_metric_inverse(pt.N, idx)
+    D1 = alpha * Nb + np.outer(S.conj(), S)
+    return Nb, _assemble(D1, -Y, -Y.conj().T, 2.0 * _pair_metric_inverse(pt.N, idx))
 
 
 def metric_inverse(params: MetricParams, pt: JacobiBallPoint) -> MetricInverse:
@@ -266,17 +267,11 @@ def metric_inverse(params: MetricParams, pt: JacobiBallPoint) -> MetricInverse:
     scalar and hinv1 reduces to (1/mu + 2 alpha/k) Nbar.
     hinv4 is the Siegel-ball pair inverse scaled by 2/k.
     """
-    alpha, Nb, SS, Y, k_inv = _kept(
-        params, pt, "inv_terms", lambda p: _inv_terms(p, params.pair_index)
-    )
-    k = params.k
-
-    i1 = (1.0 / params.mu + alpha / k) * Nb + SS / k
-    i2 = -Y / k
-    i3 = i2.conj().T
-    i4 = k_inv / (0.5 * k)
-
-    return MetricInverse(h1=i1, h2=i2, h3=i3, h4=i4, h_inv=_assemble(i1, i2, i3, i4))
+    Nb, D = _kept(params, pt, "inv_terms", lambda p: _inv_terms(p, params.pair_index))
+    n = params.n
+    h_inv = D / params.k
+    h_inv[:n, :n] += Nb / params.mu
+    return MetricInverse(*_split(h_inv, n), h_inv=h_inv)
 
 
 @dataclass(frozen=True)
@@ -289,8 +284,8 @@ class DetResult:
 def metric_det(params: MetricParams, pt: JacobiBallPoint) -> DetResult:
     """Determinant of the assembled metric and its closed form.
 
-    Raises NumericalOverflow when either value leaves the float range, e.g.
-    at the origin for n >= 32 with k = 4, mu = 1, where both equal 2^{n^2}.
+    Raises NumericalOverflow when either value leaves the normal float range,
+    e.g. 2^{n^2} at the origin for n >= 32 with k = 4, mu = 1, or mu = 1e-300.
     """
     n = params.n
     with np.errstate(over="ignore", invalid="ignore"):
@@ -306,10 +301,11 @@ def metric_det(params: MetricParams, pt: JacobiBallPoint) -> DetResult:
             )
         except OverflowError:  # a Python float power beyond the range
             const = closed = math.inf
-    if not (np.isfinite(value).all() and np.isfinite(closed).all()):
+    tiny = np.finfo(float).tiny
+    if not all(tiny <= abs(v) < math.inf for x in (value, closed) for v in np.ravel(x).tolist()):
         raise NumericalOverflow(
             f"metric determinant at n={n}, k={params.k}, mu={params.mu} "
-            "exceeds the float range"
+            "leaves the normal float range"
         )
     return DetResult(value=_item(value), closed_form=_item(closed), constant_C=const)
 
@@ -328,10 +324,11 @@ def curvature(params: MetricParams, pt: JacobiBallPoint) -> CurvatureData:
     n = params.n
     d = params.dim
     ric = np.zeros((d, d), dtype=complex)
-    hk = _kept(params, pt, "h_terms", lambda p: _h_terms(p, params.pair_index))[0]
+    hk = _kept(params, pt, "h_terms", lambda p: _h_terms(p, params.pair_index))[1]
     ric[n:, n:] = -(n + 2) * hk
     scalar = -(2.0 / params.k) * n * (n + 1) * (n + 2) / 2.0
-    qk = ((n + 1) * (n + 2) / 2.0) * _blocks(params, pt).h - ric
+    qk = ((n + 1) * (n + 2) / 2.0) * _blocks(params, pt).h
+    qk[n:, n:] -= ric[n:, n:]
     return CurvatureData(ric=ric, scalar_curvature=scalar, qk_lu=qk)
 
 

@@ -303,15 +303,18 @@ class TestVerify:
         assert error["kind"] == "ValueError" and "bogus" in error["detail"]
 
     def test_underflowing_parseval_exit_one(self, capsys):
-        # at k = 1e6 the n = 1 norm underflows to 0: each parseval property
-        # reports NotConverged instead of a traceback
-        code, out = run_cli(capsys, "verify", "parseval", "--n", "1", "--k", "1e6", "--trials", "1")
-        assert code == 1
-        report = json.loads(out, parse_constant=_reject_constant)
-        assert report["pass"] is False
-        for entry in report["properties"]:
-            assert entry["max_error"] is None
-            assert entry["worst"]["point"]["error"].startswith("NotConverged")
+        # at k = 1e6 the n = 1 norm underflows to 0, and at k = 1e200 scipy
+        # forms no Gauss-Jacobi rule: each parseval property reports
+        # NotConverged instead of a traceback or a usage error
+        for k in ("1e6", "1e200"):
+            code, out = run_cli(capsys, "verify", "parseval", "--n", "1", "--k", k, "--trials", "1")
+            assert code == 1
+            report = json.loads(out, parse_constant=_reject_constant)
+            assert report["pass"] is False
+            assert len(report["properties"]) == 2
+            for entry in report["properties"]:
+                assert entry["max_error"] is None
+                assert entry["worst"]["point"]["error"].startswith("NotConverged")
 
     def test_negative_trials_rejected(self, capsys):
         code, out = run_cli(capsys, "verify", "metric", "--trials", "-3")
@@ -495,6 +498,35 @@ class TestErrors:
         )
         assert code == 3
         assert json.loads(out)["error"]["kind"] == "NumericalOverflow"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_det_underflow_exit_three(self, capsys):
+        # mu^n = 1e-600 underflows: reported, not printed as a determinant of 0.0
+        code, out = run_cli(
+            capsys, "eval", "det", "--n", "2", "--mu", "1e-300", "--point", "origin"
+        )
+        assert code == 3
+        assert json.loads(out)["error"]["kind"] == "NumericalOverflow"
+
+    def test_weight_beyond_half_the_float_range_exit_zero(self, capsys):
+        # 2k overflows at k = 1e308; the weight flag is computed without it
+        code, out = run_cli(capsys, "eval", "metric", "--n", "1", "--k", "1e308", "--point", "origin")
+        assert code == 0
+        assert json.loads(out, parse_constant=_reject_constant)["h4"] == [[[5e307, 0.0]]]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning", "ignore::UserWarning")
+    @pytest.mark.parametrize(
+        "n, k, mu",
+        [("2", "4", "1e-300"), ("3", "1e-120", "1"), ("1", "1e308", "1"), ("2", "1e200", "1"),
+         ("2", "1e-300", "1e300")],
+    )
+    def test_extreme_weights_verify_exit_one(self, capsys, n, k, mu):
+        # each failing check is a report entry: one JSON report, exit 1
+        code, out = run_cli(
+            capsys, "verify", "all", "--n", n, "--k", k, "--mu", mu, "--trials", "1"
+        )
+        assert code == 1
+        assert json.loads(out, parse_constant=_reject_constant)["pass"] is False
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("n, k, w", [(12, "4", 0.9995), (10, "1000", 0.0), (1, "1000", 0.9)])

@@ -6,7 +6,9 @@ import pytest
 
 from siegel_jacobi import kernels
 from siegel_jacobi.domains import JacobiBallPoint, sample_point
-from siegel_jacobi.errors import BranchAmbiguity, GammaPoleError, NotConverged, NumericalOverflow
+from siegel_jacobi.errors import (
+    BranchAmbiguity, DimensionMismatch, GammaPoleError, NotConverged, NumericalOverflow,
+)
 from siegel_jacobi.kernels import (
     epsilon_function,
     kernel_eval,
@@ -289,10 +291,11 @@ class TestParseval:
         for k in (3.5, 1000.0):
             assert abs(parseval_check_n1(k, 1.0) - 1.0) <= 1e-6
 
-    @pytest.mark.parametrize("k", [3e4, 1e5, 1e6])
+    @pytest.mark.parametrize("k", [3e4, 1e5, 1e6, 1e200, 1e300])
     def test_underflowing_norm_not_converged(self, k):
-        # above k ~ 2070 the Gauss-Jacobi weights leave the float range, so
-        # the norm is not finite; it is reported, with no RuntimeWarning
+        # above k ~ 2070 the Gauss-Jacobi weights leave the float range, and
+        # above k ~ 1e190 scipy forms no rule, so the norm is not finite; it
+        # is reported, with no RuntimeWarning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NotConverged, match="relative error estimate"):
@@ -451,6 +454,16 @@ class TestKernelEval:
         gc.collect()
         assert partner() is None
         assert vars(p1)["pair_terms"][0] is partner
+
+    @pytest.mark.parametrize("kernel", [two_point_kernel, normalized_kernels, kernel_eval])
+    def test_dimension_mismatch(self, kernel, rng):
+        # points of another n than params, and points of two sizes, as every
+        # metric closed form reports them
+        params = MetricParams(n=2, k=8, mu=1)
+        p2, p3, q3 = (sample_point("jacobi_ball", n, rng) for n in (2, 3, 3))
+        for a, b in ((p3, p3), (p3, q3), (p2, p3), (p3, p2)):
+            with pytest.raises(DimensionMismatch):
+                kernel(params, a, b)
 
     def test_overflow_raises(self):
         # Q_ball = det(1 - W Wbar)^{-(n+1)}, K = det(1 - W Wbar)^{-k/2} at

@@ -73,15 +73,26 @@ class TestParams:
         with pytest.warns(UserWarning):
             assert MetricParams(n=1, k=1.3, mu=1).nonintegral_weight
 
+    @pytest.mark.parametrize("k", [1e308, np.finfo(float).max, 2.0**52 + 0.5])
+    def test_weight_flag_at_huge_k(self, k):
+        # 2k overflows above ~9e307; every float above 2^52 is a multiple of 0.5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not MetricParams(n=1, k=k, mu=1).nonintegral_weight
+
 
 class TestAux:
     def test_invariants(self, rng):
         params = MetricParams(n=3, k=2, mu=1)
         pt = sample_point("jacobi_ball", 3, rng)
         metric_inverse(params, pt)
-        alpha = vars(pt)["inv_terms"][0]
+        Nb, D = vars(pt)["inv_terms"]
+        S = pt.eta @ Nb
+        alpha = (S @ pt.eta.conj()).real
         assert np.max(np.abs(pt.M @ pt.N - np.eye(3))) < 1e-12
         assert alpha >= 0
+        # the z block of D = k h^{-1} - (k/mu) C is alpha Nbar + Sbar S^t
+        assert np.allclose(D[:3, :3], alpha * Nb + np.outer(S.conj(), S), rtol=1e-13, atol=1e-13)
 
 
 class TestPotential:
@@ -186,6 +197,28 @@ def test_pair_blocks_match_loop_reference(n):
     got = (ev.h2, ev.h4, inv.h2, inv.h4) + ball_metric_pair(pt.ball)
     for block, ref in zip(got, _loop_pair_blocks(params, pt)):
         assert np.max(np.abs(block - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+class TestLinearForm:
+    """h = mu A + (k/2) B and h^{-1} = C/mu + D/k from kept (k, mu)-free
+    matrices; the blocks are views of the assembled matrix."""
+
+    def test_blocks_are_views(self):
+        params, pt, _ = _case(3)
+        n = params.n
+        ev, inv = metric_blocks(params, pt), metric_inverse(params, pt)
+        for whole, blocks in ((ev.h, (ev.h1, ev.h2, ev.h3, ev.h4)),
+                              (inv.h_inv, (inv.h1, inv.h2, inv.h3, inv.h4))):
+            assert all(np.shares_memory(b, whole) for b in blocks)
+            assert np.array_equal(whole, np.block([[blocks[0], blocks[1]], [blocks[2], blocks[3]]]))
+            assert blocks[0].shape == (n, n) and blocks[3].shape == (params.dim - n,) * 2
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6])
+    def test_doubling_both_weights_doubles_h(self, n):
+        # doubling is exact in floating point, so the linear form gives the same bits
+        params, pt, _ = _case(n)
+        doubled = MetricParams(n=n, k=2 * params.k, mu=2 * params.mu)
+        assert np.array_equal(metric_blocks(doubled, pt).h, 2 * metric_blocks(params, pt).h)
 
 
 class TestInverse:
@@ -295,6 +328,11 @@ class TestDeterminant:
             # a Python float power out of range raises the same error
             with pytest.raises(NumericalOverflow):
                 metric_det(MetricParams(n=2, k=1e200, mu=1), origin(2))
+            # so does a value below the normal range, not a silent 0.0: mu^n or
+            # (k/2)^{n(n+1)/2} that underflows to 0, and a subnormal determinant
+            for n, k, mu in ((2, 4, 1e-300), (3, 1e-120, 1), (1, 4, 1e-308)):
+                with pytest.raises(NumericalOverflow, match="normal float range"):
+                    metric_det(MetricParams(n=n, k=k, mu=mu), origin(n))
 
     def test_large_n_finite(self):
         res = metric_det(MetricParams(n=30, k=4, mu=1), origin(30))
@@ -534,9 +572,8 @@ class TestGramCache:
         params, pt, _ = _case(2)
         metric_blocks(params, pt)
         metric_inverse(params, pt)
-        alpha, *inv_terms = vars(pt)["inv_terms"]
-        kept_terms = vars(pt)["h_terms"] + tuple(inv_terms)
-        assert len(kept_terms) == 8 and isinstance(alpha, float)
+        kept_terms = vars(pt)["h_terms"] + vars(pt)["inv_terms"]
+        assert len(kept_terms) == 4
         for a in kept_terms:
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0
@@ -577,8 +614,10 @@ class TestGramCache:
         stack = pt.at_offset(np.zeros((3, params.dim)))
         det = metric_det(params, stack).value
         assert len(calls) == 1
-        assert vars(stack)["h_terms"][0].shape == (3, 3, 3)
-        assert vars(pt)["h_terms"][0].shape == (3, 3)
+        d = params.dim
+        assert vars(stack)["h_terms"][0].shape == (3, d, d)
+        assert vars(stack)["h_terms"][1].shape == (3, 3, 3)
+        assert vars(pt)["h_terms"][0].shape == (d, d)
         assert np.array_equal(det, np.full(3, metric_det(params, pt).value))
 
     def test_mutating_results_leaves_the_cache_intact(self):

@@ -520,13 +520,17 @@ class TestErrors:
         [("2", "4", "1e-300"), ("3", "1e-120", "1"), ("1", "1e308", "1"), ("2", "1e200", "1"),
          ("2", "1e-300", "1e300")],
     )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_extreme_weights_verify_exit_one(self, capsys, n, k, mu):
-        # each failing check is a report entry: one JSON report, exit 1
+        # each failing check is a report entry that names its worst trial:
+        # one JSON report, exit 1, and no numpy warning on the way
         code, out = run_cli(
             capsys, "verify", "all", "--n", n, "--k", k, "--mu", mu, "--trials", "1"
         )
         assert code == 1
-        assert json.loads(out, parse_constant=_reject_constant)["pass"] is False
+        report = json.loads(out, parse_constant=_reject_constant)
+        assert report["pass"] is False
+        assert all(e["worst"] is not None for e in report["properties"] if not e["pass"])
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("n, k, w", [(12, "4", 0.9995), (10, "1000", 0.0), (1, "1000", 0.9)])

@@ -45,7 +45,7 @@ from siegel_jacobi.oracle import (
     fd_wirtinger_gradient,
     fd_wirtinger_hessian,
 )
-from siegel_jacobi.verify import PROPERTY_GROUPS, PropertyResult, fuzz_all
+from siegel_jacobi.verify import PROPERTIES, PROPERTY_GROUPS, PropertyResult, fuzz_all
 
 
 class TestHessian:
@@ -688,8 +688,13 @@ class TestFuzzAll:
 
     @pytest.mark.parametrize(
         "tolerances",
-        [{"bogus": 1e-3}, {"ball_pair_inverse": float("nan")}, {"ball_pair_inverse": float("inf")}],
-        ids=["unknown-name", "nan", "inf"],
+        [{"bogus": 1e-3}, {"ball_pair_inverse": float("nan")}, {"ball_pair_inverse": float("inf")}]
+        # names whose laws were folded into another property
+        + [{name: 1e-3} for name in ("cayley_multiplicative", "cayley_roundtrip",
+                                     "det_ratio_law", "metric_positive_definite",
+                                     "diastasis_symmetry")],
+        ids=["unknown-name", "nan", "inf", "cayley_multiplicative", "cayley_roundtrip",
+             "det_ratio_law", "metric_positive_definite", "diastasis_symmetry"],
     )
     def test_bad_tolerance_rejected_before_any_property(self, monkeypatch, tolerances):
         from siegel_jacobi import verify
@@ -713,6 +718,36 @@ class TestFuzzAll:
         assert res.to_json()["max_error"] is None
         assert serialize.dumps(res.to_json())
 
+    @pytest.mark.parametrize(
+        "errors, worst_trial",
+        [((1e-12, float("nan"), float("nan")), 1), ((float("nan"), 1e-12, 0.0), 0)],
+        ids=["nan-after-first", "nan-first"],
+    )
+    def test_nan_trial_fails_and_names_its_seed(self, monkeypatch, errors, worst_trial):
+        # a registered property whose trial t returns errors[t] at a sampled point
+        from siegel_jacobi import verify
+
+        calls = iter(errors)
+        fn = lambda params, rng: (next(calls), sample_point("jacobi_ball", params.n, rng))
+        monkeypatch.setitem(PROPERTIES, "fake", verify._Prop("fake", "fake", 1e-8, fn))
+        res = fuzz_all(
+            n=1, k=4.0, mu=1.0, trials=len(errors), master_seed=7, properties=["fake"]
+        ).results[0]
+        assert not res.passed
+        assert res.to_json()["max_error"] is None
+        assert res.worst["seed"] == verify._trial_seed(7, "fake", worst_trial)
+        assert set(res.worst["point"]) == {"n", "z", "W"}
+        assert serialize.dumps(res.to_json())
+
+    def test_registry(self):
+        # 27 properties: each law of a folded property is checked by the
+        # property whose trial already has its inputs
+        assert len(PROPERTIES) == 27
+        assert {g: len(v) for g, v in PROPERTY_GROUPS.items() if g != "all"} == {
+            "metric": 4, "inverse": 2, "curvature": 1, "laplacian": 1,
+            "invariance": 4, "cayley": 7, "kernels": 6, "parseval": 2,
+        }
+
     def test_groups_cover_all_properties(self):
         names = set().union(*(set(v) for k, v in PROPERTY_GROUPS.items() if k != "all"))
         assert names == set(PROPERTY_GROUPS["all"])
@@ -720,3 +755,52 @@ class TestFuzzAll:
     def test_unknown_group(self):
         with pytest.raises(ValueError):
             fuzz_all(n=1, k=4.0, mu=1.0, properties="bogus")
+
+
+class TestFoldedLaws:
+    """Each law folded into another property's trial still fails it when
+    broken alone; the unpatched run passes."""
+
+    @pytest.mark.parametrize(
+        "corrupt, prop",
+        [(None, "theta_homomorphism"), ("roundtrip", "theta_homomorphism"),
+         (None, "det_closed_form"), ("det_origin", "det_closed_form"),
+         (None, "kernel_hermitian"), ("diastasis", "kernel_hermitian")],
+    )
+    def test_corrupted_law_detected(self, monkeypatch, corrupt, prop):
+        import dataclasses
+
+        from siegel_jacobi import groups, kernels, verify
+
+        if corrupt == "roundtrip":
+            inverse = verify.inverse_cayley_conjugate
+
+            def corrupted(gc):
+                g = inverse(gc)
+                return groups.SymplecticR(g.a + 1e-11, g.b, g.c, g.d)
+
+            monkeypatch.setattr(verify, "inverse_cayley_conjugate", corrupted)
+        elif corrupt == "det_origin":
+            det = verify.metric_det
+
+            def corrupted(params, pt):
+                res = det(params, pt)
+                if not np.any(pt.z) and not np.any(pt.W):
+                    return dataclasses.replace(res, value=res.value * (1.0 + 1e-8))
+                return res
+
+            monkeypatch.setattr(verify, "metric_det", corrupted)
+        elif corrupt == "diastasis":
+            normalized = kernels.normalized_kernels
+
+            def corrupted(params, zeta, zeta2):
+                kappa, b, D = normalized(params, zeta, zeta2)
+                if zeta.W[0, 0].real < zeta2.W[0, 0].real:  # one argument order
+                    D *= 1.0 + 1e-9
+                return kappa, b, D
+
+            monkeypatch.setattr(kernels, "normalized_kernels", corrupted)
+        rep = fuzz_all(n=2, k=4.0, mu=1.0, trials=3, master_seed=7, properties=[prop])
+        res = rep.results[0]
+        assert np.isfinite(res.max_error)  # a defect, not a raise
+        assert res.passed == (corrupt is None)

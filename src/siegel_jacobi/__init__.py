@@ -68,7 +68,6 @@ from .metric import (
     metric_blocks,
     metric_det,
     metric_inverse,
-    upper_metric_pair,
 )
 from .oracle import fd_jacobian, fd_wirtinger_gradient, fd_wirtinger_hessian
 from .verify import FuzzReport, PropertyResult, fuzz_all

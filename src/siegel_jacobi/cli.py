@@ -3,9 +3,10 @@ transforms, sample points and group elements, and run the verification
 fuzzer with JSON reports.
 
 Exit codes: 0 success / all properties pass, 1 verification failure,
-2 usage error, 3 domain error.  All output is deterministic JSON (sorted
-keys, shortest round-trip floats); errors are {"error": {"kind", "detail"}},
-written where the result would go (stdout if the --output file cannot be).
+2 usage error, 3 domain error or a size beyond memory.  All output is
+deterministic JSON (sorted keys, shortest round-trip floats); errors are
+{"error": {"kind", "detail"}}, written where the result would go (stdout if
+the --output file cannot be).
 """
 
 from __future__ import annotations
@@ -263,6 +264,8 @@ def run(argv=None) -> int:
             return 0 if passed else 1
     except GeometryError as exc:
         return _fail(exc, args, 3)
+    except MemoryError as exc:  # numpy's _ArrayMemoryError too, reported as a MemoryError
+        return _fail(MemoryError(str(exc)), args, 3)
     except (ValueError, OSError) as exc:
         return _fail(exc, args, 2)
     raise AssertionError(args.command)

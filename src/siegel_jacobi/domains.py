@@ -28,7 +28,9 @@ Conventions fixed here and relied on package-wide:
   point at chart coordinates ``flatten_point(pt) + delta``.  Every
   finite-difference oracle moves a point this way.
 * The Gram data of a ball-model point, ``N = 1 - W Wbar``, ``M = N^{-1}``,
-  ``logdet_N = ln det N`` and (Jacobi ball) ``eta = M (z + W zbar)``, are
+  ``logdet_N = ln det N`` and (Jacobi ball) ``eta = M (z + W zbar)``, and
+  the upper half-plane's Gram pair ``N = 2 Im V``, ``M = N^{-1}`` (the same
+  pair metric is the same form of M in both models), are
   formed only here, once per point object, and kept on it read-only by
   ``kept``, the one store of data derived from a point (``metric`` and
   ``kernels`` keep their own there too).  A validated ball point forms N
@@ -408,6 +410,16 @@ class SiegelUpperPoint(_Point):
     @property
     def R(self) -> np.ndarray:
         return self.V.imag
+
+    @property
+    def N(self) -> np.ndarray:
+        """2 Im V, the ball's 1 - W Wbar in this model, kept like N there."""
+        return kept(self, "N", lambda pt: (2.0 * pt.R).astype(complex))
+
+    @property
+    def M(self) -> np.ndarray:
+        """N^{-1} = (Im V)^{-1} / 2, kept like N."""
+        return kept(self, "M", lambda pt: (0.5 * np.linalg.inv(pt.R)).astype(complex))
 
     def margin(self) -> float:
         """Smallest eigenvalue of Im V: the distance proxy to the boundary,

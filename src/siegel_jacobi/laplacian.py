@@ -28,8 +28,6 @@ from .metric import (
     MetricParams,
     _fold_pair_metric,
     _pair_metric_inverse,
-    _upper_pair_inverse,
-    _upper_pair_metric,
     metric_blocks,
     metric_inverse,
 )
@@ -57,14 +55,12 @@ def laplacian_coefficients(
 ) -> LaplacianCoefficients:
     """Coefficient matrix of the Laplace-Beltrami operator.
 
-    ball:        k_inv[(m,n),(u,v)] = (N_vn Nbar_mu + N_vm Nbar_nu) / 2
-    upper:       2 (R_vn R_mu + R_vm R_nu)
+    ball, upper: k_inv[(m,n),(u,v)] = (N_vn Nbar_mu + N_vm Nbar_nu) / 2 over
+                 the point's own N = 1 - W Wbar or N = 2 Im V
     jacobi_ball: the assembled closed-form metric inverse (d x d)
     """
-    if domain == "ball":
+    if domain in ("ball", "upper"):
         return LaplacianCoefficients(domain, _pair_metric_inverse(pt.N, PairIndex(pt.n)))
-    if domain == "upper":
-        return LaplacianCoefficients(domain, _upper_pair_inverse(pt))
     if domain == "jacobi_ball":
         if params is None:
             raise ValueError("jacobi_ball coefficients need metric parameters")
@@ -145,10 +141,8 @@ def _ln_g(domain: str, params: MetricParams | None):
         if params is None:
             raise ValueError("lnG on the jacobi ball needs metric parameters")
         metric = lambda pt: metric_blocks(params, pt).h
-    elif domain == "ball":
+    elif domain in ("ball", "upper"):
         metric = lambda pt: _fold_pair_metric(pt.M, PairIndex(pt.n))
-    elif domain == "upper":
-        metric = lambda pt: _upper_pair_metric(pt)
     else:
         raise ValueError(f"unknown domain {domain!r}")
     return lambda pt: _item(np.linalg.slogdet(metric(pt))[1])

@@ -13,11 +13,13 @@ half-weights f_pq = 1 - delta_pq / 2 that absorb the symmetric double
 counting.  Each pair block is a single expression over the index arrays
 ``PairIndex.P, Q, f``; the Siegel-ball block is
 
-    hk_pq,mn = 2 f_pq f_mn (M_mp M_nq + M_mq M_np).
+    hk_pq,mn = 2 f_pq f_mn (M_mp M_nq + M_mq M_np),
 
-N, M and eta are the point's own Gram data (see ``domains``).  The metric and
-its inverse are linear in the weights, h = mu A + (k/2) B and h^{-1} = C/mu +
-D/k, with B zero but for hk and C zero but for its z block Nbar; the metric
+and the upper half-plane's pair metric is the same form of its own
+M = (2 Im V)^{-1}.  N, M and eta are the point's own Gram data (see
+``domains``).  The metric and its inverse are linear in the weights,
+h = mu A + (k/2) B and h^{-1} = C/mu + D/k, with B zero but for hk and C
+zero but for its z block Nbar; the metric
 keeps ``h_terms`` (A, hk) and ``inv_terms`` (Nbar, D) on the point by
 ``domains.kept``, so each closed form scales one and adds the other into one
 block.  Nothing that depends on (k, mu) is kept; every result is a new,
@@ -25,8 +27,8 @@ writable array, and the blocks h1..h4 of a result are views of its h.
 ``h @ metric_inverse(...).h_inv`` is the literal identity in this
 ordered-pair indexing.
 
-``kahler_potential``, ``metric_det``, ``ball_metric_pair``
-and ``upper_metric_pair`` broadcast over leading axes of a trusted point
+``kahler_potential``, ``metric_det`` and ``ball_metric_pair`` (on a ball or
+an upper-half-plane point) broadcast over leading axes of a trusted point
 (z of shape (..., n), W of shape (..., n, n)), so a finite-difference
 stencil is evaluated in one call.  A single point is the case with no
 leading axis; each stacked value equals the single-point value to the last
@@ -57,7 +59,6 @@ __all__ = [
     "metric_inverse",
     "metric_det",
     "ball_metric_pair",
-    "upper_metric_pair",
     "curvature",
     "ds2_eval",
 ]
@@ -158,28 +159,12 @@ def _pair_metric_inverse(N: np.ndarray, idx: PairIndex) -> np.ndarray:
 
 
 def ball_metric_pair(W) -> tuple[np.ndarray, np.ndarray]:
-    """Siegel-ball pair metric h^k and its inverse k_inv over ordered pairs;
-    h^k @ k_inv is the identity."""
-    pt = W if isinstance(W, SiegelBallPoint) else SiegelBallPoint(W)
+    """Pair metric h^k of a Siegel-ball point (or of W) or of an
+    upper-half-plane point, and its inverse k_inv, over ordered pairs; h^k @
+    k_inv is the identity."""
+    pt = W if isinstance(W, (SiegelBallPoint, SiegelUpperPoint)) else SiegelBallPoint(W)
     idx = PairIndex(pt.n)
     return _fold_pair_metric(pt.M, idx), _pair_metric_inverse(pt.N, idx)
-
-
-def upper_metric_pair(pt: SiegelUpperPoint) -> tuple[np.ndarray, np.ndarray]:
-    """Upper-half-plane analogue: the pair form of (1/4) Tr(R^{-1} dV R^{-1}
-    dVbar) and its inverse 2(R_vn R_mu + R_vm R_nu)."""
-    return _upper_pair_metric(pt), _upper_pair_inverse(pt)
-
-
-def _upper_pair_metric(pt: SiegelUpperPoint) -> np.ndarray:
-    """The first half of ``upper_metric_pair``: its callers that read only
-    the metric build no inverse."""
-    return _fold_pair_metric((0.5 * np.linalg.inv(pt.R)).astype(complex), PairIndex(pt.n))
-
-
-def _upper_pair_inverse(pt: SiegelUpperPoint) -> np.ndarray:
-    """The second half of ``upper_metric_pair``."""
-    return _pair_metric_inverse((2.0 * pt.R).astype(complex), PairIndex(pt.n))
 
 
 @dataclass(frozen=True)
@@ -335,20 +320,15 @@ def curvature(params: MetricParams, pt: JacobiBallPoint) -> CurvatureData:
 def ds2_eval(domain: str, params: MetricParams, pt, tangent: TangentVector) -> float:
     """Squared length of a tangent vector.
 
-    upper:       Tr(R^{-1} dV R^{-1} dVbar)
-    ball:        4 Tr(M dW Mbar dWbar)
+    ball, upper: 4 Tr(M dX Mbar dXbar), dX = dW or dV, M the point's own
+                 (1 - W Wbar)^{-1} or (2 Im V)^{-1}
     jacobi_ball: quadratic form of the assembled metric on (dz, dW-pairs)
     """
     if tangent.n != pt.n:
         raise DimensionMismatch("tangent and point of different dimension")
-    if domain == "upper":
-        Rinv = np.linalg.inv(pt.R)
-        dV = tangent.dW
-        return float(np.trace(Rinv @ dV @ Rinv @ dV.conj()).real)
-    if domain == "ball":
-        M = pt.M
-        dW = tangent.dW
-        return float(4.0 * np.trace(M @ dW @ M.conj() @ dW.conj()).real)
+    if domain in ("ball", "upper"):
+        M, dX = pt.M, tangent.dW
+        return float(4.0 * np.trace(M @ dX @ M.conj() @ dX.conj()).real)
     if domain == "jacobi_ball":
         t = flatten_point(tangent)
         return float((t @ metric_blocks(params, pt).h @ t.conj()).real)

@@ -427,6 +427,24 @@ class TestErrors:
         assert code == 3
         assert json.loads(out)["error"]["kind"] == "NotInBall"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval", "det", "--point", "origin"),
+            ("sample", "point"),
+            ("sample", "group"),
+            ("transform", "inv-cayley", "--point", "origin"),
+            ("verify", "all", "--trials", "1"),
+        ],
+        ids=["eval", "sample-point", "sample-group", "transform", "verify"],
+    )
+    def test_size_beyond_memory_exit_three(self, capsys, argv):
+        # an n x n float array at n = 1e7 takes 728 TiB, beyond the address
+        # space, so its allocation fails at once
+        code, out = run_cli(capsys, *argv, "--n", "10000000")
+        assert code == 3
+        assert json.loads(out)["error"]["kind"] == "MemoryError"
+
     def test_cayley_image_at_the_boundary_exit_three(self, capsys, tmp_path):
         # a valid upper point whose ball image has margin 3.7e-13 < 1e-10:
         # the image's margin check refuses it as a domain error

@@ -122,7 +122,7 @@ class TestApply:
         name, matrix = {
             "jacobi_ball": ("metric_blocks", lambda args: args[-1].W),
             "ball": ("_fold_pair_metric", lambda args: args[0]),  # pt.M
-            "upper": ("_upper_pair_metric", lambda args: args[0].V),
+            "upper": ("_fold_pair_metric", lambda args: args[0]),  # pt.M
         }[domain]
         inner = getattr(laplacian, name)
 

@@ -20,7 +20,6 @@ from siegel_jacobi.metric import (
     metric_blocks,
     metric_det,
     metric_inverse,
-    upper_metric_pair,
 )
 
 
@@ -402,7 +401,7 @@ class TestDs2:
     def test_upper_pair_consistency(self, rng):
         # quadratic form of the folded pair metric reproduces the trace form
         pt = sample_point("upper", 2, rng)
-        hx, kx = upper_metric_pair(pt)
+        hx, kx = ball_metric_pair(pt)
         assert np.max(np.abs(hx @ kx - np.eye(3))) < 1e-12
         A = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         tv = TangentVector(dz=None, dW=A + A.T)
@@ -514,6 +513,24 @@ class TestGramCache:
         assert (len(grams), len(eigs)) == (1, 1)  # pt and its ball share them
         every_reader(_fresh(pt), ball)
         assert (len(grams), len(eigs)) == (2, 2)
+
+    def test_upper_gram_pair_inverted_once(self, monkeypatch):
+        # the Laplacian coefficients, ds^2 and the pair metric of an upper
+        # point all read its one kept M = (2 Im V)^{-1}
+        params, _, tangent = _case(3)
+        pt = sample_point("upper", 3, np.random.default_rng(8))
+        invs = self._count(monkeypatch, "inv", module=np.linalg)
+        folded = []
+        fold = metric._fold_pair_metric
+        monkeypatch.setattr(
+            metric, "_fold_pair_metric", lambda M, idx: folded.append(M) or fold(M, idx)
+        )
+        for _ in range(2):
+            laplacian_coefficients("upper", None, pt)
+            ds2_eval("upper", params, pt, tangent)
+            ball_metric_pair(pt)
+        assert len(invs) == 1
+        assert len(folded) == 2 and all(M is pt.M for M in folded)
 
     def test_pair_terms_folded_once_per_point(self, monkeypatch):
         h_calls = self._count(monkeypatch, "_h_terms")

@@ -46,7 +46,6 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LaplacianCoefficients:
-    domain: str
     matrix: np.ndarray  # hermitian positive definite over the domain chart
 
 
@@ -60,11 +59,11 @@ def laplacian_coefficients(
     jacobi_ball: the assembled closed-form metric inverse (d x d)
     """
     if domain in ("ball", "upper"):
-        return LaplacianCoefficients(domain, _pair_metric_inverse(pt.N, PairIndex(pt.n)))
+        return LaplacianCoefficients(_pair_metric_inverse(pt.N, PairIndex(pt.n)))
     if domain == "jacobi_ball":
         if params is None:
             raise ValueError("jacobi_ball coefficients need metric parameters")
-        return LaplacianCoefficients(domain, metric_inverse(params, pt).h_inv)
+        return LaplacianCoefficients(metric_inverse(params, pt).h_inv)
     raise ValueError(f"unknown domain {domain!r}")
 
 
@@ -199,7 +198,7 @@ def builtin_field(name: str, domain: str, params: MetricParams | None = None):
             return _item(_dot(vec.conj(), vec).real)
 
         return f
-    m = re.fullmatch(r"re_poly[(:]?(\d+)\)?", name)
+    m = re.fullmatch(r"re_poly\((\d+)\)", name)
     if m:
         return _re_poly(int(m.group(1)))
     raise ValueError(f"unknown field {name!r}; available: {BUILTIN_FIELDS}")

@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .domains import flatten_point
-from .errors import DimensionMismatch, NonHolomorphic, StepTooLarge
+from .errors import DimensionMismatch, NonHolomorphic, NumericalOverflow, StepTooLarge
 
 __all__ = [
     "fd_wirtinger_gradient",
@@ -177,11 +177,14 @@ def fd_laplacian(f: Callable, pt, C: np.ndarray, fd_step: float = 1e-4) -> compl
     moves by exactly that coordinate's step: a unit u_i would take steps
     up to sqrt(d) times shorter, with more rounding.  C enters only through
     the contraction, so no closed form reaches f; f is called on stacked
-    points, as in ``fd_wirtinger_hessian``.
+    points, as in ``fd_wirtinger_hessian``.  A C beyond the float range (a
+    weight near 0) raises NumericalOverflow.
     """
     h = _steps(pt, fd_step)
     if C.shape != (h.shape[0], h.shape[0]):
         raise DimensionMismatch("field chart and coefficient matrix disagree")
+    if not np.all(np.isfinite(C)):
+        raise NumericalOverflow("the coefficient matrix leaves the float range")
     lam, U = np.linalg.eigh(C / np.outer(h, h))
     top = np.max(np.abs(U), axis=0)
     f0, lines = _line_values(f, pt, h * (U / top).conj().T, True)

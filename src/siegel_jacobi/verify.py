@@ -10,8 +10,7 @@ non-finite error fails its property, whichever trial gives it.
 
 A property that checks several laws lists each law's bound in its docstring
 and returns its largest defect weighted by its tolerance over that law's
-bound: a trial fails exactly when one bound fails, and an override
-``NAME=t`` scales every bound by t over the default tolerance.
+bound: a trial fails exactly when one bound fails.
 """
 
 from __future__ import annotations
@@ -240,8 +239,6 @@ def _ricci_match(params, rng):
     - trace(C H) = -scalar curvature, C the Laplacian coefficient matrix,
       to 1e-5 in |rel| + |imag|;
     - Q.-K. Lu form = ((n+1)(n+2)/2) h + H, to a relative 1e-5.
-
-    An override ``ricci_fd_match=t`` puts the z-block bound at t * 1e-3.
     """
     pt = _pt(params, rng)
     n = params.n
@@ -493,14 +490,25 @@ def _epsilon_balanced(params, rng):
     return abs(K.epsilon_function(params, pt) - 1.0), pt
 
 
-@_register("diastasis_invariance", "kernels", 1e-7)
-def _diastasis_invariance(params, rng):
-    p1 = _pt(params, rng)
-    p2 = _pt(params, rng)
+@_register("kernel_three_point_invariance", "kernels", 1e-7)
+def _kernel_three_point(params, rng):
+    """I(a, b, c) = K(a,b) K(b,c) K(c,a) / (K(a,a) K(b,b) K(c,c)) is
+    invariant under the Jacobi group, phase included, whatever the
+    automorphy factor of K: |I(h.a, h.b, h.c) / I(a, b, c) - 1| to 1e-7.
+    It is formed from ln K = mu F - (k/2) ld, so K's overflow ends no
+    trial."""
+    pts = [_pt(params, rng) for _ in range(3)]
     h = random_jacobi_c(params.n, rng)
-    _, _, before = K.normalized_kernels(params, p1, p2)
-    _, _, after = K.normalized_kernels(params, act_ball(h, p1), act_ball(h, p2))
-    return _rel(abs(before - after), abs(before)), p1
+
+    def log_k(x, y):
+        F, ld = K._pair_terms(params, x, y)
+        return params.mu * F - 0.5 * params.k * ld
+
+    def log_i(a, b, c):
+        return log_k(a, b) + log_k(b, c) + log_k(c, a) - log_k(a, a) - log_k(b, b) - log_k(c, c)
+
+    moved = [act_ball(h, p) for p in pts]
+    return abs(np.exp(log_i(*moved) - log_i(*pts)) - 1.0), pts[0]
 
 
 # --------------------------------------------------------------------------
@@ -532,7 +540,7 @@ def _trial_seed(master_seed: int, prop: str, trial: int) -> int:
     return int.from_bytes(digest[:8], "big") % (2**63)
 
 
-def _run_property(prop: _Prop, params: MetricParams, master_seed: int, trials: int, tol: float):
+def _run_property(prop: _Prop, params: MetricParams, master_seed: int, trials: int):
     count = 1 if prop.once else trials
 
     def one(trial: int):
@@ -560,8 +568,8 @@ def _run_property(prop: _Prop, params: MetricParams, master_seed: int, trials: i
         property=prop.name,
         trials=count,
         max_error=max_err,
-        tol=tol,
-        passed=bool(max_err <= tol),
+        tol=prop.tol,
+        passed=bool(max_err <= prop.tol),
         worst=worst,
     )
 
@@ -572,12 +580,10 @@ def fuzz_all(
     mu: float,
     trials: int = 20,
     master_seed: int = 0,
-    tolerances: dict[str, float] | None = None,
     properties: str | list[str] = "all",
 ) -> FuzzReport:
     """Run the named property group (or explicit list) and aggregate a
-    deterministic report.  `tolerances` maps registered property names to
-    finite overrides of their tolerances."""
+    deterministic report, each property at its registered tolerance."""
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
     if isinstance(properties, str):
@@ -592,17 +598,6 @@ def fuzz_all(
         for name in names:
             if name not in PROPERTIES:
                 raise ValueError(f"unknown property {name!r}")
-    tolerances = tolerances or {}
-    for name, tol in tolerances.items():
-        if name not in PROPERTIES:
-            raise ValueError(f"tolerance given for unknown property {name!r}")
-        if not math.isfinite(tol):
-            raise ValueError(f"tolerance for {name!r} must be finite, got {tol!r}")
     params = MetricParams(n=n, k=k, mu=mu)
-    results = []
-    for name in names:
-        prop = PROPERTIES[name]
-        results.append(
-            _run_property(prop, params, master_seed, trials, tolerances.get(name, prop.tol))
-        )
-    return FuzzReport(master_seed=master_seed, n=n, k=k, mu=mu, results=tuple(results))
+    results = tuple(_run_property(PROPERTIES[name], params, master_seed, trials) for name in names)
+    return FuzzReport(master_seed=master_seed, n=n, k=k, mu=mu, results=results)

@@ -248,14 +248,6 @@ class TestVerify:
         for entry in report["properties"]:
             assert set(entry) == {"property", "trials", "max_error", "tol", "pass", "worst"}
 
-    def test_fail_exit_one(self, capsys):
-        code, out = run_cli(
-            capsys, "verify", "inverse", "--n", "1", "--k", "4", "--mu", "1",
-            "--trials", "2", "--seed", "7", "--tol", "inverse_identity=1e-30",
-        )
-        assert code == 1
-        assert json.loads(out)["pass"] is False
-
     def test_byte_identical_reports(self, capsys):
         args = ("verify", "kernels", "--n", "1", "--k", "4", "--mu", "1",
                 "--trials", "2", "--seed", "11")
@@ -270,37 +262,25 @@ class TestVerify:
         report = json.loads(out)
         assert report["k"] == 4.0 and report["pass"] is True
 
-    def test_bad_tol_syntax(self, capsys):
+    def test_tol_option_is_a_usage_error(self, capsys):
+        # each property keeps its registered tolerance; there is no override
         code, out = run_cli(
-            capsys, "verify", "inverse", "--n", "1", "--tol", "oops",
+            capsys, "verify", "inverse", "--n", "1", "--trials", "1",
+            "--tol", "inverse_identity=1e-3",
         )
         assert code == 2
+        assert json.loads(out)["error"]["kind"] == "UsageError"
 
-    @pytest.mark.parametrize("tol", ["bogus=1e-3", "ball_pair_inverse=nan", "ricci_z_block=1e-8"])
-    def test_bad_tol_rejected_before_any_property(self, capsys, monkeypatch, tol):
-        from siegel_jacobi import verify
-
-        def never(*args):
-            raise AssertionError("a property ran")
-
-        monkeypatch.setattr(verify, "_run_property", never)
-        code, out = run_cli(capsys, "verify", "inverse", "--n", "1", "--trials", "1", "--tol", tol)
-        assert code == 2
-        error = json.loads(out, parse_constant=_reject_constant)["error"]
-        assert error["kind"] == "ValueError"
-        assert tol.partition("=")[0] in error["detail"]
-
-    @pytest.mark.parametrize("tol", ["bogus", "bogus=1"])
-    def test_bad_tol_error_follows_output(self, capsys, tmp_path, tol):
-        # a malformed --tol and an unknown name both write their error where
-        # the report would go
+    def test_error_after_parsing_follows_output(self, tmp_path, capsys):
+        # an argument that parses but is rejected later writes its error
+        # where the report would go
         out_path = tmp_path / "report.json"
-        code = main(["verify", "inverse", "--n", "1", "--trials", "1", "--tol", tol,
+        code = main(["verify", "inverse", "--n", "1", "--trials", "-3",
                      "--output", str(out_path)])
         assert code == 2
         assert capsys.readouterr().out == ""
         error = json.loads(out_path.read_text())["error"]
-        assert error["kind"] == "ValueError" and "bogus" in error["detail"]
+        assert error["kind"] == "ValueError" and "-3" in error["detail"]
 
     def test_underflowing_parseval_exit_one(self, capsys):
         # at k = 1e6 the n = 1 norm underflows to 0, and at k = 1e200 scipy
@@ -332,8 +312,7 @@ class TestParserReuse:
             ("eval", "det", "--n", "2", "--k", "3", "--point", point),
             ("transform", "fc", "--point", point),
             ("sample", "group", "--domain", "upper", "--n", "2", "--seed", "7"),
-            (*_INVERSE_ARGS, "--tol", "inverse_identity=1e-30",
-             "--tol", "ball_pair_inverse=1e-30"),
+            ("verify", "inverse", "--n", "2", "--k", "1e-300", "--mu", "1e300", "--trials", "1"),
             ("eval", "det", "--n", "one", "--point", "origin"),
             _INVERSE_ARGS,
         ]
@@ -344,7 +323,7 @@ class TestParserReuse:
         build_parser.cache_clear()
         shared = [run_cli(capsys, *argv) for argv in sequence]
         assert shared == fresh
-        # a --tol list shared across calls would fail the last verify too
+        # state that one call left on the shared parser would change a later call
         assert [code for code, _ in shared] == [0, 0, 0, 1, 2, 0]
 
     def test_parser_built_once(self, capsys, monkeypatch):
@@ -526,13 +505,32 @@ class TestErrors:
         assert code == 3
         assert json.loads(out)["error"]["kind"] == "NumericalOverflow"
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "quantity, weight",
+        [("laplacian", ("--k", "1e-310")), ("inverse", ("--k", "1e-310")),
+         ("potential", ("--mu", "1e308")), ("metric", ("--mu", "1e308")),
+         ("curvature", ("--mu", "1e308"))],
+        ids=["laplacian-k", "inverse-k", "potential-mu", "metric-mu", "curvature-mu"],
+    )
+    def test_extreme_weight_eval_exit_three(self, capsys, tmp_path, quantity, weight):
+        # h^{-1} = C/mu + D/k and h = mu A + (k/2) B leave the float range:
+        # a domain error and no numpy warning, not a LinAlgError from the
+        # Laplacian's eigenframe (exit 2)
+        pt = JacobiBallPoint(z=np.array([3.0, 0.0]), W=np.diag([0.5, 0.3]))
+        point = "origin" if quantity in ("laplacian", "inverse") else write_point(tmp_path, pt)
+        code = main(["eval", quantity, "--n", "2", *weight, "--point", point])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err == ""
+        assert json.loads(captured.out)["error"]["kind"] == "NumericalOverflow"
+
     def test_weight_beyond_half_the_float_range_exit_zero(self, capsys):
         # 2k overflows at k = 1e308; the weight flag is computed without it
         code, out = run_cli(capsys, "eval", "metric", "--n", "1", "--k", "1e308", "--point", "origin")
         assert code == 0
         assert json.loads(out, parse_constant=_reject_constant)["h4"] == [[[5e307, 0.0]]]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning", "ignore::UserWarning")
     @pytest.mark.parametrize(
         "n, k, mu",
         [("2", "4", "1e-300"), ("3", "1e-120", "1"), ("1", "1e308", "1"), ("2", "1e200", "1"),

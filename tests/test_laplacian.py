@@ -278,7 +278,7 @@ class TestBuiltinFields:
     def test_re_poly_seeded(self, rng):
         pt = sample_point("jacobi_ball", 2, rng)
         f1 = builtin_field("re_poly(3)", "jacobi_ball")
-        f2 = builtin_field("re_poly:3", "jacobi_ball")
+        f2 = builtin_field("re_poly(3)", "jacobi_ball")
         f3 = builtin_field("re_poly(4)", "jacobi_ball")
         assert f1(pt) == f2(pt)
         assert f1(pt) != f3(pt)
@@ -296,6 +296,11 @@ class TestBuiltinFields:
     def test_unknown_field(self):
         with pytest.raises(ValueError, match="unknown field"):
             builtin_field("nope", "ball")
+
+    @pytest.mark.parametrize("name", ["re_poly(3", "re_poly3)", "re_poly3", "re_poly:3"])
+    def test_re_poly_has_one_spelling(self, name):
+        with pytest.raises(ValueError, match="unknown field"):
+            builtin_field(name, "ball")
 
 
 _FIELDS = ("const", "lnG", "trWWbar", "normz2", "re_poly(3)")

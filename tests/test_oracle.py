@@ -679,33 +679,6 @@ class TestFuzzAll:
         assert rep.passed
         assert calls == []
 
-    def test_tolerance_override(self):
-        rep = fuzz_all(
-            n=1, k=4.0, mu=1.0, trials=2, master_seed=3,
-            properties=["ball_pair_inverse"], tolerances={"ball_pair_inverse": 1e-30},
-        )
-        assert not rep.passed
-
-    @pytest.mark.parametrize(
-        "tolerances",
-        [{"bogus": 1e-3}, {"ball_pair_inverse": float("nan")}, {"ball_pair_inverse": float("inf")}]
-        # names whose laws were folded into another property
-        + [{name: 1e-3} for name in ("cayley_multiplicative", "cayley_roundtrip",
-                                     "det_ratio_law", "metric_positive_definite",
-                                     "diastasis_symmetry")],
-        ids=["unknown-name", "nan", "inf", "cayley_multiplicative", "cayley_roundtrip",
-             "det_ratio_law", "metric_positive_definite", "diastasis_symmetry"],
-    )
-    def test_bad_tolerance_rejected_before_any_property(self, monkeypatch, tolerances):
-        from siegel_jacobi import verify
-
-        def never(*args):
-            raise AssertionError("a property ran")
-
-        monkeypatch.setattr(verify, "_run_property", never)
-        with pytest.raises(ValueError, match="tolerance"):
-            fuzz_all(n=1, k=4.0, mu=1.0, trials=1, properties="inverse", tolerances=tolerances)
-
     def test_report_schema(self):
         rep = fuzz_all(n=1, k=4.0, mu=1.0, trials=1, master_seed=0, properties="invariance")
         data = rep.to_json()
@@ -804,3 +777,41 @@ class TestFoldedLaws:
         res = rep.results[0]
         assert np.isfinite(res.max_error)  # a defect, not a raise
         assert res.passed == (corrupt is None)
+
+
+def _conjugated_third_term(x, V, y, W):
+    """_two_point_exponent with its third term conjugated: |K| is unchanged
+    and its phase is wrong off the diagonal."""
+    U = np.linalg.inv(np.eye(W.shape[0]) - W @ V.conj())
+    two_f = (
+        2.0 * np.vdot(x, U @ y)
+        + y @ V.conj() @ U @ y
+        + np.conj(np.vdot(x, U @ W @ x.conj()))
+    )
+    return 0.5 * complex(two_f)
+
+
+@pytest.mark.parametrize("mutant", [None, "phase", "modulus"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_kernel_three_point_invariance_catches_phase_and_modulus(monkeypatch, n, mutant):
+    # the cyclic three-point invariant of K: the phase mutant keeps |K|, so
+    # the modulus alone cannot see it; the modulus mutant adds a real
+    # 0.1 Re (x, y) to F
+    from siegel_jacobi import kernels
+
+    exponent = kernels._two_point_exponent
+    if mutant == "phase":
+        monkeypatch.setattr(kernels, "_two_point_exponent", _conjugated_third_term)
+    elif mutant == "modulus":
+        monkeypatch.setattr(
+            kernels, "_two_point_exponent",
+            lambda x, V, y, W: exponent(x, V, y, W) + 0.1 * np.vdot(x, y).real,
+        )
+    rep = fuzz_all(
+        n=n, k=7.0, mu=1.3, trials=5, master_seed=7, properties=["kernel_three_point_invariance"]
+    )
+    res = rep.results[0]
+    if mutant is None:
+        assert res.passed and res.max_error < 1e-12
+    else:
+        assert res.max_error > 1e-2

@@ -271,16 +271,21 @@ class TestVerify:
         assert code == 2
         assert json.loads(out)["error"]["kind"] == "UsageError"
 
-    def test_error_after_parsing_follows_output(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "flag, value, detail",
+        [("--trials", "-3", "trials must be >= 0, got -3"), ("--n", "0", "n must be >= 1")],
+        ids=["trials=-3", "n=0"],
+    )
+    def test_error_after_parsing_follows_output(self, tmp_path, capsys, flag, value, detail):
         # an argument that parses but is rejected later writes its error
         # where the report would go
         out_path = tmp_path / "report.json"
-        code = main(["verify", "inverse", "--n", "1", "--trials", "-3",
+        code = main(["verify", "inverse", "--n", "1", "--trials", "1", flag, value,
                      "--output", str(out_path)])
         assert code == 2
         assert capsys.readouterr().out == ""
         error = json.loads(out_path.read_text())["error"]
-        assert error["kind"] == "ValueError" and "-3" in error["detail"]
+        assert error["kind"] == "ValueError" and error["detail"] == detail
 
     def test_underflowing_parseval_exit_one(self, capsys):
         # at k = 1e6 the n = 1 norm underflows to 0, and at k = 1e200 scipy

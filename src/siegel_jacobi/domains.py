@@ -200,15 +200,6 @@ class PairIndex:
         """Dimension of the Jacobi ball chart: n z-coordinates then pairs."""
         return self.n + self.size
 
-    def flatten(self, p: int, q: int) -> int:
-        p, q = min(p, q), max(p, q)
-        if p < 0 or q >= self.n:
-            raise IndexError(f"pair ({p}, {q}) outside 0..{self.n - 1}")
-        return p * self.n - p * (p - 1) // 2 + q - p
-
-    def unflatten(self, i: int) -> tuple[int, int]:
-        return int(self.P[i]), int(self.Q[i])
-
     def pack(self, sym: np.ndarray) -> np.ndarray:
         """Extract the ordered-pair entries of a symmetric matrix (the last
         two axes of sym; leading axes are kept).  The result is C-ordered

@@ -7,16 +7,18 @@ pbar]]``; the real one is ``[[a, b], [c, d]]``.  Jacobi elements extend these
 by a translation (``alpha`` in C^n, resp. a real 2n-vector) and a central
 coordinate that composes but never enters the actions.
 
-``act_siegel_ball``, ``act_ball``, ``act_upper``, ``partial_cayley``,
-``inverse_partial_cayley`` and ``fc_transform`` broadcast over leading axes
-of a trusted point (z of shape (..., n), W of shape (..., n, n)), so a
-finite-difference stencil is mapped in one call (for ``fc_transform``, to
-stacked ``eta`` and ``W``).  Each point map factorises its denominator once
-(``_right_divide``, which solves for the vector part in the same call) and
-builds its image with the point type's ``image`` (see ``domains``): a single
-image is checked for its margin, a stacked one trusted.  Each stacked image
-equals the single-point image to the last bit: every matrix product and
-solve runs per point exactly as it does alone.
+Each point map (``act_ball``, ``act_upper``, ``partial_cayley`` and
+``inverse_partial_cayley``) takes both points of its model, with or without
+the vector part, and its image has a vector part when the point has one.
+These maps and ``fc_transform`` broadcast over leading axes of a trusted
+point (z of shape (..., n), W of shape (..., n, n)), so a finite-difference
+stencil is mapped in one call (for ``fc_transform``, to stacked ``eta`` and
+``W``).  Each point map factorises its denominator once (``_right_divide``,
+which solves for the vector part in the same call) and builds its image with
+the point type's ``image`` (see ``domains``): a single image is checked for
+its margin, a stacked one trusted.  Each stacked image equals the
+single-point image to the last bit: every matrix product and solve runs per
+point exactly as it does alone.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ __all__ = [
     "theta",
     "act_ball",
     "act_upper",
-    "act_siegel_ball",
     "partial_cayley",
     "inverse_partial_cayley",
     "fc_transform",
@@ -347,13 +348,11 @@ def theta(h: JacobiElementR) -> JacobiElementC:
     return JacobiElementC(cayley_conjugate(h.g), alpha, h.k_center)
 
 
-def act_siegel_ball(g: SymplecticC, W: np.ndarray) -> np.ndarray:
-    """W1 = (p W + q)(qbar W + pbar)^{-1}, returned exactly symmetrized."""
-    return _right_divide(g.p @ W + g.q, g.q.conj() @ W + g.p.conj())[0]
-
-
-def act_ball(h: JacobiElementC, pt: JacobiBallPoint) -> JacobiBallPoint:
-    """Holomorphic action on C^n x D_n:
+def act_ball(
+    h: JacobiElementC, pt: JacobiBallPoint | SiegelBallPoint
+) -> JacobiBallPoint | SiegelBallPoint:
+    """Holomorphic action on C^n x D_n, or on D_n alone (the image of W does
+    not depend on z):
     W1 = (p W + q)(qbar W + pbar)^{-1},
     z1 = (W q* + p*)^{-1} (z + alpha - W conj(alpha)),
     with one factorisation: W q* + p* is (qbar W + pbar)^t, W being
@@ -361,10 +360,9 @@ def act_ball(h: JacobiElementC, pt: JacobiBallPoint) -> JacobiBallPoint:
     if h.n != pt.n:
         raise DimensionMismatch("element and point of different size")
     g, W = h.g, pt.W
-    W1, z1 = _right_divide(
-        g.p @ W + g.q, g.q.conj() @ W + g.p.conj(), pt.z + h.alpha - W @ h.alpha.conj()
-    )
-    return JacobiBallPoint.image(z1, W1)
+    v = None if pt.vector is None else pt.z + h.alpha - W @ h.alpha.conj()
+    W1, z1 = _right_divide(g.p @ W + g.q, g.q.conj() @ W + g.p.conj(), v)
+    return type(pt).image(z1, W1)
 
 
 def act_upper(h: JacobiElementR, pt: SiegelUpperPoint) -> SiegelUpperPoint:

@@ -39,7 +39,6 @@ point exactly as it does alone.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,17 +78,6 @@ class MetricParams:
             raise ValueError(
                 f"weights k and mu must be positive and finite, got k={self.k!r}, mu={self.mu!r}"
             )
-        if self.nonintegral_weight:
-            warnings.warn(
-                "2k is not a non-negative integer; the geometry is well "
-                "defined but outside the discrete-series weight range",
-                stacklevel=2,
-            )
-
-    @property
-    def nonintegral_weight(self) -> bool:
-        # |2k - round(2k)| > 1e-9 without forming 2k, which overflows above ~9e307
-        return abs(math.remainder(self.k, 0.5)) > 0.5e-9
 
     @property
     def pair_index(self) -> PairIndex:
@@ -158,11 +146,10 @@ def _pair_metric_inverse(N: np.ndarray, idx: PairIndex) -> np.ndarray:
     )
 
 
-def ball_metric_pair(W) -> tuple[np.ndarray, np.ndarray]:
-    """Pair metric h^k of a Siegel-ball point (or of W) or of an
-    upper-half-plane point, and its inverse k_inv, over ordered pairs; h^k @
-    k_inv is the identity."""
-    pt = W if isinstance(W, (SiegelBallPoint, SiegelUpperPoint)) else SiegelBallPoint(W)
+def ball_metric_pair(pt: SiegelBallPoint | SiegelUpperPoint) -> tuple[np.ndarray, np.ndarray]:
+    """Pair metric h^k of a Siegel-ball point or of an upper-half-plane
+    point, and its inverse k_inv, over ordered pairs; h^k @ k_inv is the
+    identity."""
     idx = PairIndex(pt.n)
     return _fold_pair_metric(pt.M, idx), _pair_metric_inverse(pt.N, idx)
 

@@ -23,11 +23,10 @@ import numpy as np
 
 from . import kernels as K
 from . import serialize
-from .domains import JacobiBallPoint, SiegelBallPoint, TangentVector, flatten_point, sample_point
+from .domains import JacobiBallPoint, TangentVector, flatten_point, sample_point
 from .errors import GeometryError, NonHolomorphic
 from .groups import (
     act_ball,
-    act_siegel_ball,
     act_upper,
     compose_jacobi_c,
     compose_jacobi_r,
@@ -312,20 +311,15 @@ def _action_jacobian(params, rng):
 def _laplacian_equivariance(params, rng):
     domain = ("jacobi_ball", "ball", "upper")[int(rng.integers(3))]
     f = builtin_field(f"re_poly({int(rng.integers(10**6))})", domain)
-    if domain == "jacobi_ball":
-        pt = _pt(params, rng)
-        h = random_jacobi_c(params.n, rng)
-        action = lambda q: act_ball(h, q)
-    elif domain == "ball":
-        pt = _pt(params, rng).ball
-        g = random_jacobi_c(params.n, rng).g
-        action = lambda q: SiegelBallPoint.assemble(None, act_siegel_ball(g, q.W))
-        params = None
-    else:
+    if domain == "upper":
         pt = sample_point("upper", params.n, rng)
         h = random_jacobi_r(params.n, rng)
         action = lambda q: act_upper(h, q)
-        params = None
+    else:
+        jb = _pt(params, rng)
+        pt = jb if domain == "jacobi_ball" else jb.ball
+        h = random_jacobi_c(params.n, rng)
+        action = lambda q: act_ball(h, q)
     lhs = apply_laplacian(domain, params, lambda q: f(action(q)), pt)
     rhs = apply_laplacian(domain, params, f, action(pt))
     return _rel(abs(lhs - rhs), abs(rhs)), pt

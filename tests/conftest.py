@@ -1,15 +1,9 @@
-import warnings
-
 import numpy as np
 import pytest
 
 # module-level registry filled by test_acceptance; printed at the end of the
 # run so the per-criterion pass/fail lines are visible regardless of capture
 ACCEPTANCE_LINES: list[str] = []
-
-warnings.filterwarnings(
-    "ignore", message="2k is not a non-negative integer", category=UserWarning
-)
 
 
 @pytest.fixture

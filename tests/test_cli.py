@@ -531,10 +531,19 @@ class TestErrors:
         assert json.loads(captured.out)["error"]["kind"] == "NumericalOverflow"
 
     def test_weight_beyond_half_the_float_range_exit_zero(self, capsys):
-        # 2k overflows at k = 1e308; the weight flag is computed without it
+        # 2k overflows at k = 1e308; the metric forms only k/2
         code, out = run_cli(capsys, "eval", "metric", "--n", "1", "--k", "1e308", "--point", "origin")
         assert code == 0
         assert json.loads(out, parse_constant=_reject_constant)["h4"] == [[[5e307, 0.0]]]
+
+    @pytest.mark.filterwarnings("error")
+    def test_nonintegral_weight_exit_zero(self, capsys):
+        # 2k = 4.6 is no integer: a valid weight, evaluated with no warning
+        code = main(["eval", "det", "--n", "1", "--k", "2.3", "--point", "origin"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ""
+        assert json.loads(captured.out, parse_constant=_reject_constant)["value"] == 1.15
 
     @pytest.mark.parametrize(
         "n, k, mu",

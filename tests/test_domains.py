@@ -42,14 +42,12 @@ class TestPairIndex:
         idx = PairIndex(n)
         assert idx.size == n * (n + 1) // 2
         assert idx.total_dim == n * (n + 3) // 2
-        seen = set()
-        for i in range(idx.size):
-            p, q = idx.unflatten(i)
-            assert p <= q
-            assert idx.flatten(p, q) == i
-            assert idx.flatten(q, p) == i
-            seen.add((p, q))
-        assert len(seen) == idx.size
+        assert np.all(idx.P <= idx.Q)
+        assert idx.P.shape == idx.Q.shape == (idx.size,)
+        # pair i -> (P[i], Q[i]) is a bijection onto {(p, q): p <= q < n}
+        pairs = set(zip(idx.P.tolist(), idx.Q.tolist()))
+        assert len(pairs) == idx.size
+        assert pairs == {(p, q) for p in range(n) for q in range(p, n)}
 
     def test_lexicographic_order(self):
         assert PairIndex(3).pairs == ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))

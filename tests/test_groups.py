@@ -238,6 +238,32 @@ class TestBallAction:
             moved = act_ball(h, pt)  # constructor validates membership
             assert np.linalg.eigvalsh(moved.N)[0] > 0
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_siegel_ball_point(self, n, monkeypatch):
+        # a Siegel-ball point maps to the W part of its Jacobi-ball image,
+        # as a read-only point whose margin is checked once when single
+        from siegel_jacobi import domains
+
+        rng = np.random.default_rng(40 + n)
+        ball = sample_point("ball", n, rng)
+        h = random_jacobi_c(n, rng)
+        stack = ball.at_offset(np.zeros((3, flatten_point(ball).shape[0]), dtype=complex))
+        reference = act_ball(h, JacobiBallPoint.from_ball(ball)).W
+        calls = []
+        check = domains._BallPart._check_margin
+        monkeypatch.setattr(
+            domains._BallPart, "_check_margin", lambda self: calls.append(1) or check(self)
+        )
+        image = act_ball(h, ball)
+        assert type(image) is domains.SiegelBallPoint
+        assert not image.W.flags.writeable
+        assert np.max(np.abs(image.W - reference)) < 1e-14
+        assert len(calls) == 1
+        calls.clear()
+        stacked = act_ball(h, stack)
+        assert type(stacked) is domains.SiegelBallPoint and stacked.W.shape == (3, n, n)
+        assert calls == []
+
 
 class TestUpperAction:
     def test_identity(self, rng):
@@ -403,9 +429,7 @@ class TestLazyExpm:
 
 
 def _parts(pt):
-    """The arrays of a point (or the matrix act_siegel_ball returns)."""
-    if isinstance(pt, np.ndarray):
-        return (pt,)
+    """The arrays of a point."""
     return (pt.matrix,) if pt.vector is None else (pt.matrix, pt.vector)
 
 
@@ -417,8 +441,8 @@ def _map_cases(n):
     jb = sample_point("jacobi_ball", n, rng)
     ju = sample_point("jacobi_upper", n, rng)
     return [
-        ("act_ball", lambda q: act_ball(h, q), jb),
-        ("act_siegel_ball", lambda q: groups.act_siegel_ball(h.g, q.W), jb.ball),
+        ("act_ball_z", lambda q: act_ball(h, q), jb),
+        ("act_ball", lambda q: act_ball(h, q), jb.ball),
         ("act_upper_u", lambda q: act_upper(hr, q), ju),
         ("act_upper", lambda q: act_upper(hr, q), SiegelUpperPoint(V=ju.V)),
         ("partial_cayley_u", partial_cayley, ju),
@@ -490,8 +514,7 @@ def test_single_images_are_not_revalidated(monkeypatch):
     for name, map_fn, pt in cases:
         image = map_fn(pt)
         assert calls == [], name
-        if not isinstance(image, np.ndarray):
-            assert not any(a.flags.writeable for a in _parts(image)), name
+        assert not any(a.flags.writeable for a in _parts(image)), name
 
 
 def test_image_within_rounding_of_the_boundary_is_refused():
@@ -547,7 +570,7 @@ def test_stacked_identity_catches_transposed_denominator(monkeypatch):
             return original(num, den, v)
         return original(num, den.swapaxes(-1, -2), v)
 
-    cases = [c for c in _map_cases(2) if c[0] in ("act_ball", "act_siegel_ball")]
+    cases = [c for c in _map_cases(2) if c[0] in ("act_ball_z", "act_ball")]
     for name, map_fn, pt in cases:
         assert _stacked_matches_per_point(map_fn, pt), name
     monkeypatch.setattr(groups, "_right_divide", transposed)

@@ -60,13 +60,14 @@ class TestCoefficients:
         A = 2j * pt.R.astype(complex)
         e = 0.5 * (np.ones((n, n)) + np.eye(n))
         idx = PairIndex(n)
+        index = {pair: i for i, pair in enumerate(idx.pairs)}
         raw = np.zeros((idx.size, idx.size), dtype=complex)
         for al in range(n):
             for ga in range(n):
                 for la in range(n):
                     for ro in range(n):
-                        i = idx.flatten(*sorted((ro, la)))
-                        j = idx.flatten(*sorted((ga, al)))
+                        i = index[tuple(sorted((ro, la)))]
+                        j = index[tuple(sorted((ga, al)))]
                         raw[i, j] += -A[al, la] * A[ga, ro] * e[ro, la] * e[ga, al]
         C = laplacian_coefficients("upper", None, pt).matrix
         assert np.max(np.abs(raw - C)) < 1e-12
@@ -170,13 +171,11 @@ class TestApply:
             assert abs(lhs - rhs) / max(1.0, abs(rhs)) < 1e-5
 
     def test_invariance_on_ball(self, rng):
-        from siegel_jacobi.groups import act_siegel_ball
-
         f = builtin_field("re_poly(12)", "ball")
         for _ in range(3):
             pt = sample_point("ball", 2, rng)
-            g = random_jacobi_c(2, rng).g
-            move = lambda q: SiegelBallPoint.assemble(None, act_siegel_ball(g, q.W))
+            h = random_jacobi_c(2, rng)
+            move = lambda q: act_ball(h, q)
             lhs = apply_laplacian("ball", None, lambda q: f(move(q)), pt)
             rhs = apply_laplacian("ball", None, f, move(pt))
             assert abs(lhs - rhs) / max(1.0, abs(rhs)) < 1e-5

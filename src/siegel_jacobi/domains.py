@@ -45,7 +45,7 @@ Conventions fixed here and relied on package-wide:
   package), where an entry shadows a method of the same name (a property
   such as ``N`` is a data descriptor and is not shadowed): no key may be the
   name of a method, so the margin is kept as ``lam_min``, not ``margin``.
-* ``sample_point`` validates each sampled point once.
+* ``sample_point`` checks each sample's margin once, as a map's image.
 """
 
 from __future__ import annotations
@@ -481,18 +481,23 @@ def _complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
 
 def _sample_W(n: int, rng: np.random.Generator, radius: float) -> np.ndarray:
     """A normalized symmetric Gaussian matrix of spectral norm radius/2 < 1/2,
-    so 1 - W Wbar >= 3/4 needs no check here."""
+    so 1 - W Wbar >= 3/4, exactly symmetric (A + A^t, scaled entrywise) and
+    finite: an all-zero draw, with no direction to scale, raises InvalidInput."""
     if not 0 <= radius < 1:
         raise ValueError(f"radius must lie in [0, 1), got {radius}")
     A = _complex_gaussian(rng, (n, n))  # drawn at radius 0 too: same later draws
     if radius == 0:
         return np.zeros((n, n), dtype=complex)
     S = A + A.T
-    return radius * S / (2.0 * np.linalg.norm(S, 2))
+    sigma = np.linalg.svd(S, compute_uv=False)[0]  # norm(S, 2), without its wrapper
+    if not sigma > 0:
+        raise InvalidInput("the sampled W is zero and has no direction to scale")
+    return radius * S / (2.0 * sigma)
 
 
 def sample_point(domain: str, n: int, rng: np.random.Generator, radius: float = 0.4):
-    """Draw a random interior point of the requested domain, validated once.
+    """Draw a random interior point of the requested domain, as the
+    sampler's image (see ``_Point.image``): its margin is checked once.
 
     The ball part comes from ``_sample_W``; z and u entries are
     standard complex Gaussians.  Upper-half-plane points are the image of
@@ -501,19 +506,15 @@ def sample_point(domain: str, n: int, rng: np.random.Generator, radius: float = 
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if domain not in ("ball", "jacobi_ball", "upper", "jacobi_upper"):
+        raise ValueError(f"unknown domain {domain!r}")
+    W = _sample_W(n, rng, radius)
     if domain == "ball":
-        return SiegelBallPoint(_sample_W(n, rng, radius))
+        return SiegelBallPoint.image(None, W)
+    z = _complex_gaussian(rng, n)
     if domain == "jacobi_ball":
-        W = _sample_W(n, rng, radius)
-        z = _complex_gaussian(rng, n)
-        return JacobiBallPoint(z=z, W=W)
-    if domain in ("upper", "jacobi_upper"):
-        from .groups import inverse_partial_cayley
+        return JacobiBallPoint.image(z, W)
+    from .groups import inverse_partial_cayley
 
-        W = _sample_W(n, rng, radius)
-        z = _complex_gaussian(rng, n)
-        pt = inverse_partial_cayley(JacobiBallPoint.assemble(z, W))
-        if domain == "upper":
-            return SiegelUpperPoint.assemble(None, pt.V)
-        return pt
-    raise ValueError(f"unknown domain {domain!r}")
+    pt = inverse_partial_cayley(JacobiBallPoint.assemble(z, W))
+    return SiegelUpperPoint.assemble(None, pt.V) if domain == "upper" else pt

@@ -7,6 +7,12 @@ pbar]]``; the real one is ``[[a, b], [c, d]]``.  Jacobi elements extend these
 by a translation (``alpha`` in C^n, resp. a real 2n-vector) and a central
 coordinate that composes but never enters the actions.
 
+Every symplectic element goes through its model's one constructor, which
+checks one identity on its 2n x 2n matrix G, G^t J G = J (real) or
+G^* K G = K (complex, K = diag(1, -1)), to a bound times max(1, max |G_ij|)^2:
+the rounding of a product grows as the square of its entries, so a product
+of valid elements is valid at any size.
+
 Each point map (``act_ball``, ``act_upper``, ``partial_cayley`` and
 ``inverse_partial_cayley``) takes both points of its model, with or without
 the vector part, and its image has a vector part when the point has one.
@@ -90,35 +96,62 @@ def _right_divide(
 
 
 def _max_abs(a: np.ndarray) -> float:
-    return float(np.max(np.abs(a))) if a.size else 0.0
+    return float(np.abs(a).max()) if a.size else 0.0
+
+
+def _block(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """[[a, b], [c, d]] of n x n blocks, as one new C-ordered array."""
+    n = a.shape[0]
+    G = np.empty((2 * n, 2 * n), dtype=np.result_type(a, b, c, d))
+    G[:n, :n], G[:n, n:], G[n:, :n], G[n:, n:] = a, b, c, d
+    return G
+
+
+# The complex bound holds every Cayley image of a real element that passes:
+# G_C = U G U^* with U = [[1, -i], [1, i]] / sqrt(2), and U^* K U = -i J, so
+# G_C^* K G_C - K = -i U (G^t J G - J) U^*, whose entries are at most twice
+# the real defect's; and max |G| <= 2 max |G_C| (a = Re(p + q), b = Im(p - q),
+# c = -Im(p + q), d = Re(p - q)).  That is 2 * 4 = 8 real bounds; 1e-9 leaves
+# room for rounding.
+_REAL_BOUND = 1e-10
+_COMPLEX_BOUND = 1e-9
+
+
+def _check_form(G: np.ndarray, F: np.ndarray, bound: float, what: str) -> None:
+    """Require G finite, then max |G^* F G - F| <= bound max(1, max |G_ij|)^2;
+    a NaN defect, from a product that overflows, fails."""
+    if not np.isfinite(G).all():
+        raise InvalidInput(f"{what} blocks must be finite")
+    size = max(1.0, _max_abs(G))
+    defect = _max_abs(G.conj().T @ F @ G - F)
+    if not defect <= bound * size * size:
+        raise InvalidInput(f"{what} relations violated by {defect:.3e} at size {size:.3e}")
+
+
+@lru_cache(maxsize=64)
+def _forms(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """J = [[0, 1], [-1, 0]] and K = [[1, 0], [0, -1]] of size 2n, read-only:
+    the forms that the real and the complex elements keep."""
+    z, e = np.zeros((n, n)), np.eye(n)
+    return _frozen(_block(z, e, -e, z)), _frozen(_block(e, z, z, -e))
 
 
 @dataclass(frozen=True)
 class SymplecticC:
-    """Blocks (p, q) of [[p, q], [qbar, pbar]] with p p* - q q* = 1,
-    p q^t = q p^t, p* p - q^t qbar = 1, p^t qbar = q* p."""
+    """Blocks (p, q) of G = [[p, q], [qbar, pbar]] with G^* K G = K:
+    p* p - q^t qbar = 1, p^t qbar = q* p.  G K G^* = K (p p* - q q* = 1,
+    p q^t = q p^t) follows, as G^{-1} = K G^* K."""
 
     p: np.ndarray
     q: np.ndarray
-    tol: float = 1e-10
 
     def __post_init__(self):
         p = np.asarray(self.p, dtype=complex)
         q = np.asarray(self.q, dtype=complex)
         if p.shape != q.shape or p.ndim != 2 or p.shape[0] != p.shape[1]:
             raise DimensionMismatch("p and q must be square of equal size")
-        if not (np.isfinite(p).all() and np.isfinite(q).all()):
-            raise InvalidInput("p and q must be finite")
-        n = p.shape[0]
-        eye = np.eye(n)
-        defect = float(np.max([
-            _max_abs(p @ p.conj().T - q @ q.conj().T - eye),
-            _max_abs(p @ q.T - q @ p.T),
-            _max_abs(p.conj().T @ p - q.T @ q.conj() - eye),
-            _max_abs(p.T @ q.conj() - q.conj().T @ p),
-        ]))
-        if not defect <= self.tol:  # a product that overflows gives a NaN defect
-            raise InvalidInput(f"symplectic relations violated by {defect:.3e}")
+        G = _block(p, q, q.conj(), p.conj())
+        _check_form(G, _forms(len(p))[1], _COMPLEX_BOUND, "symplectic")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
 
@@ -151,38 +184,25 @@ class SymplecticC:
 
 @dataclass(frozen=True)
 class SymplecticR:
-    """Real blocks (a, b, c, d) with g^t J g = J."""
+    """Real blocks (a, b, c, d) of G = [[a, b], [c, d]] with G^t J G = J; G
+    is formed once, read-only, and the blocks are views of it."""
 
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
     d: np.ndarray
-    tol: float = 1e-10
 
     def __post_init__(self):
-        blocks = {}
-        shape = None
-        for name in "abcd":
-            m = np.asarray(getattr(self, name), dtype=float)
-            if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                raise DimensionMismatch(f"{name} must be square")
-            if shape is None:
-                shape = m.shape
-            elif m.shape != shape:
-                raise DimensionMismatch("blocks of different size")
-            blocks[name] = m
-        if not all(np.isfinite(m).all() for m in blocks.values()):
-            raise InvalidInput("a, b, c and d must be finite")
-        a, b, c, d = blocks["a"], blocks["b"], blocks["c"], blocks["d"]
-        eye = np.eye(shape[0])
-        defect = float(np.max([
-            _max_abs(a.T @ c - c.T @ a),
-            _max_abs(b.T @ d - d.T @ b),
-            _max_abs(a.T @ d - c.T @ b - eye),
-        ]))
-        if not defect <= self.tol:  # a product that overflows gives a NaN defect
-            raise InvalidInput(f"real symplectic relations violated by {defect:.3e}")
-        for name, m in blocks.items():
+        blocks = [np.asarray(getattr(self, name), dtype=float) for name in "abcd"]
+        shape = blocks[0].shape
+        if len(shape) != 2 or shape[0] != shape[1] or any(m.shape != shape for m in blocks):
+            raise DimensionMismatch("a, b, c and d must be square of equal size")
+        G = _block(*blocks)
+        G.setflags(write=False)
+        n = shape[0]
+        _check_form(G, _forms(n)[0], _REAL_BOUND, "real symplectic")
+        object.__setattr__(self, "_G", G)
+        for name, m in zip("abcd", (G[:n, :n], G[:n, n:], G[n:, :n], G[n:, n:])):
             object.__setattr__(self, name, m)
 
     @property
@@ -192,15 +212,16 @@ class SymplecticR:
     @classmethod
     def identity(cls, n: int) -> "SymplecticR":
         z = np.zeros((n, n))
-        return cls(np.eye(n), z, z.copy(), np.eye(n))
+        return cls(np.eye(n), z, z, np.eye(n))
 
     def matrix(self) -> np.ndarray:
-        return np.block([[self.a, self.b], [self.c, self.d]])
+        """G, read-only."""
+        return self._G
 
     @classmethod
-    def from_matrix(cls, M: np.ndarray, tol: float = 1e-10) -> "SymplecticR":
+    def from_matrix(cls, M: np.ndarray) -> "SymplecticR":
         n = M.shape[0] // 2
-        return cls(M[:n, :n], M[:n, n:], M[n:, :n], M[n:, n:], tol=tol)
+        return cls(M[:n, :n], M[:n, n:], M[n:, :n], M[n:, n:])
 
     def inverse(self) -> "SymplecticR":
         return SymplecticR(self.d.T, -self.b.T, -self.c.T, self.a.T)
@@ -286,20 +307,12 @@ def inverse_jacobi_c(h: JacobiElementC) -> JacobiElementC:
     return JacobiElementC(h.g.inverse(), -h.g.act(h.alpha), -h.t)
 
 
-@lru_cache(maxsize=64)
-def _sp_form(n: int) -> np.ndarray:
-    """J = [[0, 1], [-1, 0]] of size 2n, read-only."""
-    z, e = np.zeros((n, n)), np.eye(n)
-    return _frozen(np.block([[z, e], [-e, z]]))
-
-
 def compose_jacobi_r(h1: JacobiElementR, h2: JacobiElementR) -> JacobiElementR:
     """(M, X, k)(M', X', k') = (M M', X M' + X', k + k' + X M' J X'^t)."""
     if h1.n != h2.n:
         raise DimensionMismatch("elements of different size")
-    M2 = h2.g.matrix()
-    xm = h1.lambda_mu @ M2
-    k = h1.k_center + h2.k_center + float(xm @ _sp_form(h1.n) @ h2.lambda_mu)
+    xm = h1.lambda_mu @ h2.g.matrix()
+    k = h1.k_center + h2.k_center + float(xm @ _forms(h1.n)[0] @ h2.lambda_mu)
     return JacobiElementR(h1.g @ h2.g, xm + h2.lambda_mu, k)
 
 
@@ -310,35 +323,25 @@ def inverse_jacobi_r(h: JacobiElementR) -> JacobiElementR:
     return JacobiElementR(ginv, x, -h.k_center)
 
 
-def _cayley_image(g: SymplecticR) -> SymplecticC:
-    """2p = a + d + i(b - c), 2q = a - d - i(b + c), trusted: the image of
-    a validated real element, which satisfies the complex relations up to
-    roundoff."""
-    gc = object.__new__(SymplecticC)
-    object.__setattr__(gc, "p", 0.5 * (g.a + g.d + 1j * (g.b - g.c)))
-    object.__setattr__(gc, "q", 0.5 * (g.a - g.d - 1j * (g.b + g.c)))
-    object.__setattr__(gc, "tol", 1e-8)
-    return gc
-
-
 def cayley_conjugate(g: SymplecticR) -> SymplecticC:
-    """2p = a + d + i(b - c), 2q = a - d - i(b + c), checked at tol 1e-8."""
-    gc = _cayley_image(g)
-    return SymplecticC(gc.p, gc.q, tol=gc.tol)
+    """2p = a + d + i(b - c), 2q = a - d - i(b + c), checked like every
+    complex element (see ``_COMPLEX_BOUND``)."""
+    return SymplecticC(0.5 * (g.a + g.d + 1j * (g.b - g.c)), 0.5 * (g.a - g.d - 1j * (g.b + g.c)))
 
 
 def inverse_cayley_conjugate(gc: SymplecticC) -> SymplecticR:
     """2a = p + q + cc, 2b = i(pbar - qbar - p + q), 2c = i(p + q - cc),
-    2d = p - q + cc."""
+    2d = p - q + cc, real to the complex bound times the size squared; the
+    real image is checked to the real bound."""
     p, q = gc.p, gc.q
     a = (p + q + p.conj() + q.conj()) / 2.0
     b = 1j * (p.conj() - q.conj() - p + q) / 2.0
     c = 1j * (p + q - p.conj() - q.conj()) / 2.0
     d = (p - q + p.conj() - q.conj()) / 2.0
-    for name, m in (("a", a), ("b", b), ("c", c), ("d", d)):
-        if _max_abs(m.imag) > 1e-8:
-            raise InvalidInput(f"block {name} of the real image is not real")
-    return SymplecticR(a.real, b.real, c.real, d.real, tol=1e-8)
+    G = _block(a, b, c, d)
+    if _max_abs(G.imag) > _COMPLEX_BOUND * max(1.0, _max_abs(G)) ** 2:
+        raise InvalidInput("the real image is not real")
+    return SymplecticR.from_matrix(G.real)
 
 
 def theta(h: JacobiElementR) -> JacobiElementC:
@@ -439,12 +442,8 @@ def random_symplectic_r(n: int, rng: np.random.Generator) -> SymplecticR:
     """exp of a random sp(n, R) element with Frobenius norm capped at 1."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    a = rng.standard_normal((n, n))
-    b = rng.standard_normal((n, n))
-    c = rng.standard_normal((n, n))
-    b = 0.5 * (b + b.T)
-    c = 0.5 * (c + c.T)
-    X = np.block([[a, b], [c, -a.T]])
+    a, b, c = (rng.standard_normal((n, n)) for _ in range(3))
+    X = _block(a, 0.5 * (b + b.T), 0.5 * (c + c.T), -a.T)
     norm = np.linalg.norm(X)
     if norm > 1.0:
         X *= 1.0 / norm
@@ -460,7 +459,4 @@ def random_jacobi_r(n: int, rng: np.random.Generator) -> JacobiElementR:
 
 
 def random_jacobi_c(n: int, rng: np.random.Generator) -> JacobiElementC:
-    """theta(random_jacobi_r(n, rng)), the same bits, with the symplectic
-    relations checked once: on the real element, not again on its image."""
-    h = random_jacobi_r(n, rng)
-    return JacobiElementC(_cayley_image(h.g), h.alpha_re + 1j * h.alpha_im, h.k_center)
+    return theta(random_jacobi_r(n, rng))

@@ -88,8 +88,9 @@ class TestSampling:
 
     @pytest.mark.parametrize("domain", ["ball", "jacobi_ball", "upper", "jacobi_upper"])
     def test_one_eigendecomposition_per_sample(self, domain, monkeypatch):
-        # each sampled point is validated once: the ball constructor, or the
-        # image of inverse_partial_cayley for the upper domains
+        # each sample's margin is checked once, as a map's image: the
+        # sampler's for the ball domains, inverse_partial_cayley's for the
+        # upper ones
         calls = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a: calls.append(1) or eigvalsh(*a))

@@ -80,6 +80,69 @@ class TestConstructors:
             assert gc.n == n
 
 
+def _expm_element(norm: float, seed: int = 1, n: int = 2) -> np.ndarray:
+    """exp of a seeded sp(n, R) element scaled to Frobenius norm `norm`."""
+    from scipy.linalg import expm
+
+    rng = np.random.default_rng(seed)
+    a, b, c = (rng.standard_normal((n, n)) for _ in range(3))
+    X = np.block([[a, b + b.T], [c + c.T, -a.T]])
+    return expm(X * (norm / np.linalg.norm(X)))
+
+
+def _moved_largest_entry(G: np.ndarray, rel: float) -> np.ndarray:
+    """G with its largest entry moved by rel max |G| (along itself)."""
+    G = G.copy()
+    G[np.unravel_index(np.argmax(np.abs(G)), G.shape)] *= 1.0 + rel
+    return G
+
+
+class TestSizeScaledCheck:
+    # the identity's defect is held to a bound times max(1, max |G|)^2, the
+    # growth of the rounding of a product, so products of valid elements pass
+
+    def test_products_of_large_valid_elements_accepted(self):
+        g = SymplecticR.from_matrix(_expm_element(8.0))
+        assert 50 < np.max(np.abs(g.matrix())) < 60
+        h = JacobiElementR(g, np.zeros(4))
+        compose_jacobi_r(h, h)
+        compose_jacobi_c(theta(h), theta(h))
+
+    @pytest.mark.parametrize("norm", [0.5, 8.0])
+    def test_moved_entry_rejected_real(self, norm):
+        # scaled defects ~6.9e-9 (norm 0.5) and ~1.5e-9 (norm 8)
+        G = _moved_largest_entry(_expm_element(norm), 1e-8)
+        with pytest.raises(InvalidInput):
+            SymplecticR.from_matrix(G)
+
+    @pytest.mark.parametrize("norm", [0.5, 8.0])
+    def test_moved_entry_rejected_complex(self, norm):
+        g = cayley_conjugate(SymplecticR.from_matrix(_expm_element(norm)))
+        n = g.n
+        pq = _moved_largest_entry(np.hstack([g.p, g.q]), 1e-8)
+        with pytest.raises(InvalidInput):
+            SymplecticC(pq[:, :n], pq[:, n:])
+
+    @pytest.mark.parametrize("seed", range(1, 6))
+    @pytest.mark.parametrize("norm", [0.5, 8.0])
+    def test_cayley_image_of_an_element_near_the_real_bound(self, norm, seed):
+        # a real element 0.9 of the way to its bound has a Cayley image that
+        # passes the complex check, which is at most 8 times looser
+        from siegel_jacobi.groups import _forms
+
+        G0 = _expm_element(norm, seed)
+        J, size2 = _forms(2)[0], max(1.0, np.max(np.abs(G0))) ** 2
+
+        def scaled_defect(G):
+            return np.max(np.abs(G.T @ J @ G - J)) / size2
+
+        rel = 1e-8 * 0.9e-10 / scaled_defect(_moved_largest_entry(G0, 1e-8))
+        g = SymplecticR.from_matrix(_moved_largest_entry(G0, rel))
+        assert 0.8e-10 < scaled_defect(g.matrix()) <= 1e-10
+        gc = cayley_conjugate(g)
+        assert np.max(np.abs(inverse_cayley_conjugate(gc).matrix() - g.matrix())) < 1e-12
+
+
 class TestErrorPaths:
     def test_singular_denominator_surfaces(self):
         from siegel_jacobi.errors import SingularDenominator
@@ -98,8 +161,8 @@ class TestErrorPaths:
             inverse_partial_cayley(boundary)
 
     def test_degenerate_sample_rejected(self):
-        # an all-zero draw has no direction to scale to radius/2; the NaN
-        # it gives stops at the constructor's finite check
+        # an all-zero draw has no direction to scale to radius/2, and the
+        # sampler refuses it
         from siegel_jacobi.domains import sample_point
 
         class ZeroRng:
@@ -173,8 +236,8 @@ class TestCayleyConjugation:
         assert np.max(np.abs(back.matrix() - g.matrix())) < 1e-12
 
     def test_random_jacobi_c_satisfies_relations(self):
-        # random_jacobi_c does not check the Cayley image of its validated
-        # real element again; here every relation is measured instead
+        # the constructor checks the one identity G^* K G = K; here both
+        # pairs of block relations are measured as its reference
         rng = np.random.default_rng(1417)
         worst = 0.0
         for i in range(200):
@@ -197,7 +260,6 @@ class TestCayleyConjugation:
             ref = theta(random_jacobi_r(n, np.random.default_rng(seed)))
             assert np.array_equal(h.g.p, ref.g.p) and np.array_equal(h.g.q, ref.g.q)
             assert np.array_equal(h.alpha, ref.alpha) and h.t == ref.t
-            assert h.g.tol == ref.g.tol
 
 
 class TestBallAction:

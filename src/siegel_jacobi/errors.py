@@ -33,14 +33,6 @@ class SingularDenominator(GeometryError):
     """A matrix that is invertible on the domain came out numerically singular."""
 
 
-class BranchAmbiguity(GeometryError):
-    """The branch of log det(1 - t W Vbar) continuous in t in [0, 1], which
-    det^(k/2) needs, ends with |Im| > pi: it is not the principal log of
-    det(1 - W Vbar), so the value would depend on a branch choice and is
-    reported instead.  The branch is sum_i Log(1 - lam_i) over the
-    eigenvalues of W Vbar, exact since |lam_i| < 1 on ball points."""
-
-
 class GammaPoleError(GeometryError):
     """The normalization constant Lambda_n is undefined or non-positive: k <= 3,
     a Gamma-function argument <= 0, or a factor (k-3)/2 - n + i <= 0."""

@@ -330,18 +330,12 @@ def cayley_conjugate(g: SymplecticR) -> SymplecticC:
 
 
 def inverse_cayley_conjugate(gc: SymplecticC) -> SymplecticR:
-    """2a = p + q + cc, 2b = i(pbar - qbar - p + q), 2c = i(p + q - cc),
-    2d = p - q + cc, real to the complex bound times the size squared; the
-    real image is checked to the real bound."""
+    """a = Re(p + q), b = Im(p - q), c = -Im(p + q), d = Re(p - q), the
+    real image checked to the real bound.  These blocks are real for any
+    p and q, so no realness test is left: the imaginary parts that the
+    complex formulas 2a = p + q + cc etc. would leave are rounding alone."""
     p, q = gc.p, gc.q
-    a = (p + q + p.conj() + q.conj()) / 2.0
-    b = 1j * (p.conj() - q.conj() - p + q) / 2.0
-    c = 1j * (p + q - p.conj() - q.conj()) / 2.0
-    d = (p - q + p.conj() - q.conj()) / 2.0
-    G = _block(a, b, c, d)
-    if _max_abs(G.imag) > _COMPLEX_BOUND * max(1.0, _max_abs(G)) ** 2:
-        raise InvalidInput("the real image is not real")
-    return SymplecticR.from_matrix(G.real)
+    return SymplecticR((p + q).real, (p - q).imag, -(p + q).imag, (p - q).real)
 
 
 def theta(h: JacobiElementR) -> JacobiElementC:

@@ -5,12 +5,11 @@ Gauss-Jacobi rule in u = |w|^2 with the weight (1 - u)^{(k-5)/2}, its nodes
 computed once per (order, weight), and an equally spaced angle average).
 
 Scalar products are antilinear in the first argument: (x, A y) = xbar^t A y.
-Fractional determinant powers take the branch of log det(1 - t W Vbar)
-continuous along t in [0, 1], in closed form: sum_i Log(1 - lam_i) over the
-eigenvalues of W Vbar, exact because |lam_i| < 1 on ball points keeps every
-factor 1 - t lam_i in the right half-plane.  Where its argument ends outside
-[-pi, pi], so that it is not the principal log of det(1 - W Vbar), it is
-reported as BranchAmbiguity rather than returned.
+Fractional determinant powers take the one branch of log det(1 - W Vbar)
+continuous on D x D and 0 at the origin (Faraut & Koranyi, J. Funct. Anal.
+1990, define h(z, w)^{-nu} so), in closed form: sum_i Log(1 - lam_i) over
+the eigenvalues of W Vbar, exact because |lam_i| < 1 on ball points keeps
+every factor 1 - t lam_i in the right half-plane.
 
 The data of a point pair that do not depend on (k, mu), the exponent
 F(x, y) and the tracked log det(1 - W_y Wbar_x), are computed once and kept
@@ -28,8 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .domains import JacobiBallPoint, kept, kept_pair
-from .errors import BranchAmbiguity, DimensionMismatch, GammaPoleError
-from .errors import NotConverged, NumericalOverflow
+from .errors import DimensionMismatch, GammaPoleError, NotConverged, NumericalOverflow
 from .metric import MetricParams, kahler_potential
 
 __all__ = [
@@ -50,16 +48,10 @@ def _tracked_logdet(W: np.ndarray, Vbar: np.ndarray) -> complex:
     identity) to 1, in closed form: sum_i Log(1 - lam_i) over the
     eigenvalues lam_i of W Vbar.  On ball points |W|_op, |V|_op < 1, so
     |lam_i| < 1 and every factor 1 - t lam_i stays in the right half-plane,
-    where the principal Log is continuous.  Raises BranchAmbiguity where
-    |Im| > pi, the one case in which this branch is not the principal log
-    of det(1 - W Vbar)."""
-    ld = complex(np.sum(np.log(1.0 - np.linalg.eigvals(W @ Vbar))))
-    if abs(ld.imag) > np.pi:
-        raise BranchAmbiguity(
-            f"continuous argument of det(1 - t W Vbar) ends at {ld.imag:.4f}, "
-            "outside [-pi, pi], so it is not the principal log of det(1 - W Vbar)"
-        )
-    return ld
+    where the principal Log is continuous.  Its imaginary part may leave
+    [-pi, pi]: it is then not the principal log of det(1 - W Vbar), but it
+    is still the one branch that makes K continuous and sesqui-holomorphic."""
+    return complex(np.sum(np.log(1.0 - np.linalg.eigvals(W @ Vbar))))
 
 
 def _two_point_exponent(x, V, y, W) -> complex:

@@ -354,7 +354,8 @@ def _theta_hom(params, rng):
     """theta(h1 h2) = theta(h1) theta(h2) entrywise, to 1e-10: its (p, q)
     blocks are the Cayley conjugation's multiplicativity; and
     ``inverse_cayley_conjugate`` undoes the conjugation of h1's symplectic
-    part entrywise, to 1e-12."""
+    part entrywise, to 1e-12.  No realness law is checked: that map takes
+    its blocks as Re and Im of p + q and p - q, real for any p and q."""
     h1 = random_jacobi_r(params.n, rng)
     h2 = random_jacobi_r(params.n, rng)
     t1 = theta(h1)
@@ -438,6 +439,9 @@ def _holomorphy(params, rng):
 
 @_register("kernel_potential_tie", "kernels", 1e-12)
 def _kernel_tie(params, rng):
+    """ln K(x, x) = f(x), relative to 1e-12.  It covers the balancedness
+    witness epsilon = 1: ln epsilon = mu Re F(x, x) - (k/2) ln det N - f
+    reads the same F(x, x), and the tie also checks the tracked ln det."""
     pt = _pt(params, rng)
     _, kv = K.two_point_kernel(params, pt, pt)
     f = kahler_potential(params, pt)
@@ -476,12 +480,6 @@ def _berezin_bounds(params, rng):
     _, b, D = K.normalized_kernels(params, p1, p2)
     err = max(0.0, b - (1.0 - 1e-12)) + max(0.0, -b) + max(0.0, -D)
     return err, p1
-
-
-@_register("epsilon_balanced", "kernels", 1e-10)
-def _epsilon_balanced(params, rng):
-    pt = _pt(params, rng)
-    return abs(K.epsilon_function(params, pt) - 1.0), pt
 
 
 @_register("kernel_three_point_invariance", "kernels", 1e-7)

@@ -7,7 +7,7 @@ import pytest
 from siegel_jacobi import kernels
 from siegel_jacobi.domains import JacobiBallPoint, sample_point
 from siegel_jacobi.errors import (
-    BranchAmbiguity, DimensionMismatch, GammaPoleError, NotConverged, NumericalOverflow,
+    DimensionMismatch, GammaPoleError, NotConverged, NumericalOverflow,
 )
 from siegel_jacobi.kernels import (
     epsilon_function,
@@ -75,15 +75,40 @@ class TestTwoPointKernel:
         assert K12 == pytest.approx(np.conj(K21), rel=1e-12)
 
     def test_branch_crossing_reported(self):
-        # three aligned phase factors wind the determinant past -pi
-        r2 = 0.97
-        psi = np.arccos(r2)
-        W = np.sqrt(r2) * np.exp(0.5j * psi) * np.eye(3)
-        V = np.sqrt(r2) * np.exp(-0.5j * psi) * np.eye(3)
-        pa = JacobiBallPoint(z=np.zeros(3), W=V)
-        pb = JacobiBallPoint(z=np.zeros(3), W=W)
-        with pytest.raises(BranchAmbiguity):
-            two_point_kernel(MetricParams(n=3, k=2, mu=1), pa, pb)
+        # three aligned phase factors wind the continuous log det past -pi;
+        # at k = 4 the power det^{-2} has no branch, and at k = 4.5 K takes
+        # the continuous branch sum_i Log(1 - lam_i), not the principal log
+        pa, pb = _crossing_pair()
+        lam = np.full(3, 0.97 * np.exp(1j * np.arccos(0.97)))
+        F, K = two_point_kernel(MetricParams(n=3, k=4, mu=1), pa, pb)
+        det = np.linalg.det(np.eye(3) - pb.W @ pa.W.conj())
+        assert abs(K - det**-2 * np.exp(F)) <= 1e-12 * abs(K)
+        F, K = two_point_kernel(MetricParams(n=3, k=4.5, mu=1), pa, pb)
+        assert K == pytest.approx(np.exp(-2.25 * np.sum(np.log(1.0 - lam)) + F), rel=1e-12)
+
+    @pytest.mark.parametrize("branch, continuous", [("tracked", True), ("principal", False)])
+    def test_kernel_continuous_along_a_crossing_walk(self, monkeypatch, branch, continuous):
+        # K at (s pa, s pb), s in [0, 1] in 2,001 steps, k = 4.5: the tracked
+        # branch moves K by at most 2.7% a step; the principal log of the
+        # determinant (the negative control) jumps by 140% where its
+        # argument crosses -pi
+        if branch == "principal":
+            monkeypatch.setattr(
+                kernels, "_tracked_logdet",
+                lambda W, Vbar: complex(np.log(np.linalg.det(np.eye(len(W)) - W @ Vbar))),
+            )
+        pa, pb = _crossing_pair()
+        params = MetricParams(n=3, k=4.5, mu=1)
+        Ks = np.array([
+            two_point_kernel(
+                params,
+                JacobiBallPoint(z=np.zeros(3), W=s * pa.W),
+                JacobiBallPoint(z=np.zeros(3), W=s * pb.W),
+            )[1]
+            for s in np.linspace(0.0, 1.0, 2001)
+        ])
+        largest_step = np.max(np.abs(np.diff(Ks)) / np.abs(Ks[:-1]))
+        assert (largest_step <= 0.1) == continuous, largest_step
 
     def test_near_boundary_pair(self):
         # an eigenvalue of W Vbar at 0.9999 e^{0.01i}: its factor 1 - lam
@@ -101,6 +126,16 @@ class TestTwoPointKernel:
         expected = np.log(np.linalg.det(np.eye(6) - pb.W @ pa.W.conj()))
         assert kernels._tracked_logdet(pb.W, pa.W.conj()) == pytest.approx(expected, rel=1e-13)
         assert np.isfinite(two_point_kernel(MetricParams(n=6, k=4, mu=1), pa, pb)[1])
+
+
+def _crossing_pair():
+    """(V, W) at n = 3, z = 0, with W Vbar = 0.97 e^{i arccos 0.97} I: the
+    continuous argument of det(1 - W Vbar) ends at -3.9757."""
+    c = np.sqrt(0.97) * np.exp(0.5j * np.arccos(0.97))
+    return (
+        JacobiBallPoint(z=np.zeros(3), W=c.conjugate() * np.eye(3)),
+        JacobiBallPoint(z=np.zeros(3), W=c * np.eye(3)),
+    )
 
 
 def _winding_pair():

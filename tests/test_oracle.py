@@ -705,12 +705,13 @@ class TestFuzzAll:
         assert serialize.dumps(res.to_json())
 
     def test_registry(self):
-        # 27 properties: each law of a folded property is checked by the
-        # property whose trial already has its inputs
-        assert len(PROPERTIES) == 27
+        # 26 properties: each law of a folded property is checked by the
+        # property whose trial already has its inputs (epsilon = 1 by
+        # kernel_potential_tie, which checks a superset of its law)
+        assert len(PROPERTIES) == 26
         assert {g: len(v) for g, v in PROPERTY_GROUPS.items() if g != "all"} == {
             "metric": 4, "inverse": 2, "curvature": 1, "laplacian": 1,
-            "invariance": 4, "cayley": 7, "kernels": 6, "parseval": 2,
+            "invariance": 4, "cayley": 7, "kernels": 5, "parseval": 2,
         }
 
     def test_groups_cover_all_properties(self):
@@ -730,12 +731,17 @@ class TestFoldedLaws:
         "corrupt, prop",
         [(None, "theta_homomorphism"), ("roundtrip", "theta_homomorphism"),
          (None, "det_closed_form"), ("det_origin", "det_closed_form"),
-         (None, "kernel_hermitian"), ("diastasis", "kernel_hermitian")],
+         (None, "kernel_hermitian"), ("diastasis", "kernel_hermitian"),
+         # epsilon = 1 (ln epsilon = mu Re F(x, x) - (k/2) ln det N - f):
+         # each of its terms scaled by 1.01, the tracked ln det too
+         (None, "kernel_potential_tie"), ("exponent", "kernel_potential_tie"),
+         ("tracked_logdet", "kernel_potential_tie"), ("logdet_N", "kernel_potential_tie"),
+         ("F_diag", "kernel_potential_tie")],
     )
     def test_corrupted_law_detected(self, monkeypatch, corrupt, prop):
         import dataclasses
 
-        from siegel_jacobi import groups, kernels, verify
+        from siegel_jacobi import domains, groups, kernels, verify
 
         if corrupt == "roundtrip":
             inverse = verify.inverse_cayley_conjugate
@@ -765,6 +771,16 @@ class TestFoldedLaws:
                 return kappa, b, D
 
             monkeypatch.setattr(kernels, "normalized_kernels", corrupted)
+        elif corrupt == "logdet_N":
+            logdet = domains._BallPart.logdet_N.fget
+            monkeypatch.setattr(
+                domains._BallPart, "logdet_N", property(lambda pt: 1.01 * logdet(pt))
+            )
+        elif corrupt is not None:
+            name = {"exponent": "_two_point_exponent", "tracked_logdet": "_tracked_logdet",
+                    "F_diag": "_diagonal_exponent"}[corrupt]
+            original = getattr(kernels, name)
+            monkeypatch.setattr(kernels, name, lambda *a: 1.01 * original(*a))
         rep = fuzz_all(n=2, k=4.0, mu=1.0, trials=3, master_seed=7, properties=[prop])
         res = rep.results[0]
         assert np.isfinite(res.max_error)  # a defect, not a raise

@@ -349,8 +349,9 @@ class _BallPart(_Point):
 
 
 def _item(x):
-    """A Python float at one point; the array over a stack of points."""
-    return x.item() if np.ndim(x) == 0 else x
+    """A numpy result as a Python scalar at one point; the array over a
+    stack of points."""
+    return x.item() if x.ndim == 0 else x
 
 
 # Matrix-vector products over the leading axes of stacked points.  Each is

@@ -11,11 +11,19 @@ continuous on D x D and 0 at the origin (Faraut & Koranyi, J. Funct. Anal.
 the eigenvalues of W Vbar, exact because |lam_i| < 1 on ball points keeps
 every factor 1 - t lam_i in the right half-plane.
 
+Every kernel quantity comes from the one log-kernel (``_log_kernel``)
+ln K(x, y) = mu F(x, y) - (k/2) log det(1 - W_y Wbar_x): K = exp ln K;
+kappa = exp(2 ln K(x, y) - ln K(x, x) - ln K(y, y)) = K(x, y)^2 / (K(x, x)
+K(y, y)), the square of the textbook normalized kernel K(x, y) / sqrt(K(x, x)
+K(y, y)), with the Berezin kernel and the diastasis from its real part; and
+epsilon = exp(Re ln K(x, x) - f).  The kernels broadcast over the leading
+axes of stacked points, each stacked value equal to its pair's to the bit.
+
 The data of a point pair that do not depend on (k, mu), the exponent
 F(x, y) and the tracked log det(1 - W_y Wbar_x), are computed once and kept
 on x (``domains.kept_pair``, for the last partner y only; ``domains.kept``
-for the diagonal pair and F(x, x)), so the kernels at the same ordered
-pair of point objects, at any (k, mu), only scale and exponentiate them.
+for the diagonal pair), so the kernels at the same ordered pair of point
+objects, at any (k, mu), only scale and exponentiate them.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .domains import JacobiBallPoint, kept, kept_pair
+from .domains import JacobiBallPoint, _dot, _item, _matvec, _vecmat, kept, kept_pair
 from .errors import DimensionMismatch, GammaPoleError, NotConverged, NumericalOverflow
 from .metric import MetricParams, kahler_potential
 
@@ -43,7 +51,7 @@ __all__ = [
 ]
 
 
-def _tracked_logdet(W: np.ndarray, Vbar: np.ndarray) -> complex:
+def _tracked_logdet(W: np.ndarray, Vbar: np.ndarray):
     """The branch of log det(1 - t W Vbar) continuous in t from 0 (the
     identity) to 1, in closed form: sum_i Log(1 - lam_i) over the
     eigenvalues lam_i of W Vbar.  On ball points |W|_op, |V|_op < 1, so
@@ -51,19 +59,20 @@ def _tracked_logdet(W: np.ndarray, Vbar: np.ndarray) -> complex:
     where the principal Log is continuous.  Its imaginary part may leave
     [-pi, pi]: it is then not the principal log of det(1 - W Vbar), but it
     is still the one branch that makes K continuous and sesqui-holomorphic."""
-    return complex(np.sum(np.log(1.0 - np.linalg.eigvals(W @ Vbar))))
+    return np.sum(np.log(1.0 - np.linalg.eigvals(W @ Vbar)), axis=-1)
 
 
-def _two_point_exponent(x, V, y, W) -> complex:
+def _two_point_exponent(x, V, y, W):
     """F with 2F = 2 (x, U y) + (V ybar, U y) + (x, U W xbar),
     U = (1 - W Vbar)^{-1}."""
-    U = np.linalg.inv(np.eye(W.shape[0]) - W @ V.conj())
+    xbar, Vbar = x.conj(), V.conj()
+    U = np.linalg.inv(np.eye(W.shape[-1]) - W @ Vbar)
     two_f = (
-        2.0 * np.vdot(x, U @ y)
-        + y @ V.conj() @ U @ y
-        + np.vdot(x, U @ W @ x.conj())
+        2.0 * _dot(xbar, _matvec(U, y))
+        + _dot(_vecmat(_vecmat(y, Vbar), U), y)
+        + _dot(xbar, _matvec(U @ W, xbar))
     )
-    return 0.5 * complex(two_f)
+    return 0.5 * two_f
 
 
 @dataclass(frozen=True)
@@ -83,64 +92,55 @@ class KernelEval:
     Lambda_n: float | None
 
 
-def _diagonal_exponent(pt: JacobiBallPoint) -> complex:
-    """F(pt, pt), kept on the point.  It takes _two_point_exponent's own
-    path, not pt.M or pt.eta: the fuzz checks it against kahler_potential,
-    which reads those."""
-    return kept(pt, "F_diag", lambda p: _two_point_exponent(p.z, p.W, p.z, p.W))
+def _diagonal_exponent(pt: JacobiBallPoint):
+    """F(pt, pt) on _two_point_exponent's own path, not pt.M or pt.eta: the
+    fuzz checks it against kahler_potential, which reads those."""
+    return _two_point_exponent(pt.z, pt.W, pt.z, pt.W)
 
 
-def _pair_data(zeta: JacobiBallPoint, zeta2: JacobiBallPoint) -> tuple[complex, complex]:
+def _pair_data(zeta: JacobiBallPoint, zeta2: JacobiBallPoint):
+    if zeta.n != zeta2.n:
+        raise DimensionMismatch("points of different dimension")
     return (
         _two_point_exponent(zeta.z, zeta.W, zeta2.z, zeta2.W),
         _tracked_logdet(zeta2.W, zeta.W.conj()),
     )
 
 
-def _pair_terms(
-    params: MetricParams, zeta: JacobiBallPoint, zeta2: JacobiBallPoint
-) -> tuple[complex, complex]:
+def _pair_terms(zeta: JacobiBallPoint, zeta2: JacobiBallPoint):
     """(F(zeta, zeta2), the tracked log det(1 - W2 Wbar1)): the data of a
     point pair that the kernels share, kept on zeta for its last partner
-    (``kept_pair``); the diagonal pair depends on zeta alone and is kept
-    like F(zeta, zeta).  Raises DimensionMismatch unless all three n agree."""
-    if not params.n == zeta.n == zeta2.n:
-        raise DimensionMismatch("params and points of different dimension")
+    (``kept_pair``); those of the diagonal pair depend on zeta alone and are
+    kept like its Gram data."""
     if zeta2 is zeta:
-        ld = kept(zeta, "ld_diag", lambda p: _tracked_logdet(p.W, p.W.conj()))
-        return _diagonal_exponent(zeta), ld
+        return kept(
+            zeta, "diag_terms", lambda p: (_diagonal_exponent(p), _tracked_logdet(p.W, p.W.conj()))
+        )
     return kept_pair(zeta, zeta2, "pair_terms", _pair_data)
 
 
-def _kernel(params: MetricParams, F: complex, ld_mixed: complex) -> complex:
-    """K = det(1 - W Vbar)^{-k/2} exp(mu F) from the pair data."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        K = complex(np.exp(0.5 * params.k * -ld_mixed + params.mu * F))
-    if not np.isfinite(K):
-        raise NumericalOverflow(f"K at k={params.k}, mu={params.mu} exceeds the float range")
-    return K
+def _log_kernel(params: MetricParams, zeta: JacobiBallPoint, zeta2: JacobiBallPoint):
+    """ln K = mu F - (k/2) log det(1 - W2 Wbar1) from the kept pair data:
+    the one log-kernel that every kernel quantity is formed from.  Raises
+    DimensionMismatch unless all three n agree (the pair data check the
+    points' n once, when they are formed)."""
+    if params.n != zeta.n:
+        raise DimensionMismatch("params and points of different dimension")
+    F, ld = _pair_terms(zeta, zeta2)
+    return params.mu * F - 0.5 * params.k * ld
 
 
 def two_point_kernel(
     params: MetricParams, zeta: JacobiBallPoint, zeta2: JacobiBallPoint
 ) -> tuple[complex, complex]:
-    """(F, K) with K = det(U)^{k/2} exp(mu F); raises NumericalOverflow
-    where K leaves the float range."""
-    F, ld_mixed = _pair_terms(params, zeta, zeta2)
-    return F, _kernel(params, F, ld_mixed)
-
-
-def _normalized(
-    params: MetricParams, zeta: JacobiBallPoint, zeta2: JacobiBallPoint,
-    F12: complex, ld_mixed: complex,
-) -> tuple[complex, float, float]:
-    F1, F2 = _diagonal_exponent(zeta), _diagonal_exponent(zeta2)
-    log_ball_kappa = 0.5 * params.k * (zeta.logdet_N + zeta2.logdet_N - 2.0 * ld_mixed)
-    log_kappa = log_ball_kappa + params.mu * (2.0 * F12 - F1 - F2)
-    kappa = complex(np.exp(log_kappa))
-    berezin = float(np.exp(2.0 * log_kappa.real))
-    diastasis = float(-2.0 * log_kappa.real)
-    return kappa, berezin, diastasis
+    """(F, K) with K = exp ln K = det(U)^{k/2} exp(mu F); raises
+    NumericalOverflow where K leaves the float range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        K = np.exp(_log_kernel(params, zeta, zeta2))
+    F, _ = _pair_terms(zeta, zeta2)
+    if not all(np.isfinite(K).flat):
+        raise NumericalOverflow(f"K at k={params.k}, mu={params.mu} exceeds the float range")
+    return _item(F), _item(K)
 
 
 def normalized_kernels(
@@ -148,33 +148,37 @@ def normalized_kernels(
 ) -> tuple[complex, float, float]:
     """(kappa, berezin, diastasis):
 
-    kappa = kappa_ball(V, W) exp mu [2 F(z,z') - F(z) - F(z')]
-    b     = |kappa|^2 in (0, 1], 1 iff the points coincide
-    D     = -ln b >= 0, symmetric in its arguments,
+    ln kappa = 2 ln K(z, z') - ln K(z, z) - ln K(z', z'),
+               so kappa = K(z, z')^2 / (K(z, z) K(z', z'))
+    b        = |kappa|^2 in (0, 1], 1 iff the points coincide
+    D        = -ln b >= 0, symmetric in its arguments.
 
-    with kappa_ball = det^{k/2}[(1 - V Vbar)(1 - W Wbar) / (1 - W Vbar)^2].
+    kappa is the square of the textbook normalized kernel
+    K(z, z') / sqrt(K(z, z) K(z', z')); at z' = z it is exactly 1.
     """
-    return _normalized(params, zeta, zeta2, *_pair_terms(params, zeta, zeta2))
+    log_kappa = (
+        2.0 * _log_kernel(params, zeta, zeta2)
+        - _log_kernel(params, zeta, zeta)
+        - _log_kernel(params, zeta2, zeta2)
+    )
+    log_b = 2.0 * log_kappa.real
+    return _item(np.exp(log_kappa)), _item(np.exp(log_b)), _item(-log_b)
 
 
 def epsilon_function(params: MetricParams, pt: JacobiBallPoint) -> float:
-    """exp(-f) K(z, z); identically 1 exactly because the metric is balanced
-    (f = ln K on the diagonal).  Evaluated in log space for stability."""
-    F = _diagonal_exponent(pt)
-    log_k = -0.5 * params.k * pt.logdet_N + params.mu * F.real
-    f = kahler_potential(params, pt)
-    return float(np.exp(log_k - f))
+    """exp(-f) K(z, z) = exp(Re ln K(z, z) - f); identically 1 exactly
+    because the metric is balanced (f = ln K on the diagonal)."""
+    return _item(np.exp(_log_kernel(params, pt, pt).real - kahler_potential(params, pt)))
 
 
 def kernel_eval(
     params: MetricParams, zeta: JacobiBallPoint, zeta2: JacobiBallPoint | None = None
 ) -> KernelEval:
     """Bundle of all two-point quantities (diagonal when zeta2 is omitted);
-    the pair data are computed once and shared."""
+    the pair data are computed once and kept."""
     other = zeta if zeta2 is None else zeta2
-    F, ld_mixed = _pair_terms(params, zeta, other)
-    K = _kernel(params, F, ld_mixed)
-    kappa, berezin, diastasis = _normalized(params, zeta, other, F, ld_mixed)
+    F, K = two_point_kernel(params, zeta, other)
+    kappa, berezin, diastasis = normalized_kernels(params, zeta, other)
     eps = epsilon_function(params, zeta)
     vol = volume_densities(zeta)
     try:

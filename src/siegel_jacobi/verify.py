@@ -439,13 +439,12 @@ def _holomorphy(params, rng):
 
 @_register("kernel_potential_tie", "kernels", 1e-12)
 def _kernel_tie(params, rng):
-    """ln K(x, x) = f(x), relative to 1e-12.  It covers the balancedness
-    witness epsilon = 1: ln epsilon = mu Re F(x, x) - (k/2) ln det N - f
-    reads the same F(x, x), and the tie also checks the tracked ln det."""
+    """ln K(x, x) = f(x), the complex log-kernel against the real potential,
+    relative to 1e-12, so a phase of K on the diagonal fails it too.  It
+    covers the balancedness witness: ln epsilon = Re ln K(x, x) - f."""
     pt = _pt(params, rng)
-    _, kv = K.two_point_kernel(params, pt, pt)
     f = kahler_potential(params, pt)
-    return _rel(abs(float(np.log(kv.real)) - f), abs(f)), pt
+    return _rel(abs(K._log_kernel(params, pt, pt) - f), abs(f)), pt
 
 
 @_register("kernel_hermitian", "kernels", 1e-12)
@@ -466,13 +465,6 @@ def _kernel_hermitian(params, rng):
     ), p1
 
 
-@_register("kernel_diagonal", "kernels", 1e-12)
-def _kernel_diagonal(params, rng):
-    pt = _pt(params, rng)
-    kappa, b, D = K.normalized_kernels(params, pt, pt)
-    return max(abs(kappa - 1.0), abs(b - 1.0), abs(D)), pt
-
-
 @_register("berezin_bounds", "kernels", 0.0)
 def _berezin_bounds(params, rng):
     p1 = _pt(params, rng)
@@ -487,14 +479,13 @@ def _kernel_three_point(params, rng):
     """I(a, b, c) = K(a,b) K(b,c) K(c,a) / (K(a,a) K(b,b) K(c,c)) is
     invariant under the Jacobi group, phase included, whatever the
     automorphy factor of K: |I(h.a, h.b, h.c) / I(a, b, c) - 1| to 1e-7.
-    It is formed from ln K = mu F - (k/2) ld, so K's overflow ends no
-    trial."""
+    It is formed from ln K (``kernels._log_kernel``), so K's overflow ends
+    no trial."""
     pts = [_pt(params, rng) for _ in range(3)]
     h = random_jacobi_c(params.n, rng)
 
     def log_k(x, y):
-        F, ld = K._pair_terms(params, x, y)
-        return params.mu * F - 0.5 * params.k * ld
+        return K._log_kernel(params, x, y)
 
     def log_i(a, b, c):
         return log_k(a, b) + log_k(b, c) + log_k(c, a) - log_k(a, a) - log_k(b, b) - log_k(c, c)

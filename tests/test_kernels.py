@@ -88,25 +88,23 @@ class TestTwoPointKernel:
 
     @pytest.mark.parametrize("branch, continuous", [("tracked", True), ("principal", False)])
     def test_kernel_continuous_along_a_crossing_walk(self, monkeypatch, branch, continuous):
-        # K at (s pa, s pb), s in [0, 1] in 2,001 steps, k = 4.5: the tracked
-        # branch moves K by at most 2.7% a step; the principal log of the
-        # determinant (the negative control) jumps by 140% where its
-        # argument crosses -pi
+        # K at (s pa, s pb), s in [0, 1] in 2,001 steps, k = 4.5, in one
+        # stacked call: the tracked branch moves K by at most 2.7% a step;
+        # the principal log of the determinant (the negative control) jumps
+        # by 140% where its argument crosses -pi
         if branch == "principal":
             monkeypatch.setattr(
                 kernels, "_tracked_logdet",
-                lambda W, Vbar: complex(np.log(np.linalg.det(np.eye(len(W)) - W @ Vbar))),
+                lambda W, Vbar: np.log(np.linalg.det(np.eye(W.shape[-1]) - W @ Vbar)),
             )
         pa, pb = _crossing_pair()
-        params = MetricParams(n=3, k=4.5, mu=1)
-        Ks = np.array([
-            two_point_kernel(
-                params,
-                JacobiBallPoint(z=np.zeros(3), W=s * pa.W),
-                JacobiBallPoint(z=np.zeros(3), W=s * pb.W),
-            )[1]
-            for s in np.linspace(0.0, 1.0, 2001)
-        ])
+        s = np.linspace(0.0, 1.0, 2001)[:, None, None]
+        z = np.zeros((len(s), 3))
+        _, Ks = two_point_kernel(
+            MetricParams(n=3, k=4.5, mu=1),
+            JacobiBallPoint.assemble(z, s * pa.W),
+            JacobiBallPoint.assemble(z, s * pb.W),
+        )
         largest_step = np.max(np.abs(np.diff(Ks)) / np.abs(Ks[:-1]))
         assert (largest_step <= 0.1) == continuous, largest_step
 
@@ -126,6 +124,35 @@ class TestTwoPointKernel:
         expected = np.log(np.linalg.det(np.eye(6) - pb.W @ pa.W.conj()))
         assert kernels._tracked_logdet(pb.W, pa.W.conj()) == pytest.approx(expected, rel=1e-13)
         assert np.isfinite(two_point_kernel(MetricParams(n=6, k=4, mu=1), pa, pb)[1])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_stacked_pair_equals_each_pair(n):
+    # bit for bit: the log-kernel, the kernels and epsilon of a stack of
+    # pairs are the per-pair values (repr tells -0.0 from 0.0); at n = 3
+    # the crossing pair, whose tracked log det leaves [-pi, pi], is one of
+    # the pairs
+    rng = np.random.default_rng(n)
+    pairs = [tuple(sample_point("jacobi_ball", n, rng) for _ in range(2)) for _ in range(4)]
+    if n == 3:
+        pairs.append(_crossing_pair())
+    params = MetricParams(n=n, k=6.5, mu=1.3)
+    x, y = (
+        JacobiBallPoint.assemble(np.stack([p.z for p in side]), np.stack([p.W for p in side]))
+        for side in zip(*pairs)
+    )
+
+    def values(a, b):
+        return (
+            kernels._log_kernel(params, a, b),
+            *two_point_kernel(params, a, b),
+            *normalized_kernels(params, a, b),
+            epsilon_function(params, a),
+        )
+
+    stacked = values(x, y)
+    for i, (a, b) in enumerate(pairs):
+        assert [repr(complex(v[i])) for v in stacked] == [repr(complex(v)) for v in values(a, b)]
 
 
 def _crossing_pair():
@@ -430,9 +457,10 @@ class TestKernelEval:
         kernel_eval(params, p1)
         assert sorted(calls) == ["_tracked_logdet", "_two_point_exponent"]
         calls.clear()
-        # F(p1, p2) and F(p2, p2); F(p1, p1) is kept on p1
+        # the pair's F and ld, and p2's own diagonal F and ld (ln K(p2, p2)
+        # for kappa); p1's are kept on p1
         kernel_eval(params, p1, p2)
-        assert sorted(calls) == ["_tracked_logdet"] + ["_two_point_exponent"] * 2
+        assert sorted(calls) == ["_tracked_logdet"] * 2 + ["_two_point_exponent"] * 2
         calls.clear()
         # the pair data do not depend on (k, mu): a repeated ordered pair of
         # point objects reads them kept, whatever the kernel

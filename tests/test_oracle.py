@@ -705,13 +705,15 @@ class TestFuzzAll:
         assert serialize.dumps(res.to_json())
 
     def test_registry(self):
-        # 26 properties: each law of a folded property is checked by the
+        # 25 properties: each law of a folded property is checked by the
         # property whose trial already has its inputs (epsilon = 1 by
-        # kernel_potential_tie, which checks a superset of its law)
-        assert len(PROPERTIES) == 26
+        # kernel_potential_tie, which checks a superset of its law); kappa
+        # at a point and itself is exp(2a - a - a) = 1 exactly, so no
+        # property checks it
+        assert len(PROPERTIES) == 25
         assert {g: len(v) for g, v in PROPERTY_GROUPS.items() if g != "all"} == {
             "metric": 4, "inverse": 2, "curvature": 1, "laplacian": 1,
-            "invariance": 4, "cayley": 7, "kernels": 5, "parseval": 2,
+            "invariance": 4, "cayley": 7, "kernels": 4, "parseval": 2,
         }
 
     def test_groups_cover_all_properties(self):
@@ -732,8 +734,9 @@ class TestFoldedLaws:
         [(None, "theta_homomorphism"), ("roundtrip", "theta_homomorphism"),
          (None, "det_closed_form"), ("det_origin", "det_closed_form"),
          (None, "kernel_hermitian"), ("diastasis", "kernel_hermitian"),
-         # epsilon = 1 (ln epsilon = mu Re F(x, x) - (k/2) ln det N - f):
-         # each of its terms scaled by 1.01, the tracked ln det too
+         # epsilon = 1 (ln epsilon = Re ln K(x, x) - f, with
+         # ln K(x, x) = mu F(x, x) - (k/2) ld(x, x)): F(x, x), the tracked
+         # ld and ln det N (in f) each scaled by 1.01
          (None, "kernel_potential_tie"), ("exponent", "kernel_potential_tie"),
          ("tracked_logdet", "kernel_potential_tie"), ("logdet_N", "kernel_potential_tie"),
          ("F_diag", "kernel_potential_tie")],
@@ -785,6 +788,24 @@ class TestFoldedLaws:
         res = rep.results[0]
         assert np.isfinite(res.max_error)  # a defect, not a raise
         assert res.passed == (corrupt is None)
+
+
+@pytest.mark.parametrize("mutant", [None, "phase"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_kernel_potential_tie_catches_a_diagonal_phase(monkeypatch, n, mutant):
+    # F(x, x) + 1e-6 i puts a phase on K(x, x) and leaves Re ln K, so
+    # epsilon cannot see it; the tie compares the complex ln K(x, x) with f
+    from siegel_jacobi import kernels
+
+    if mutant == "phase":
+        diagonal = kernels._diagonal_exponent
+        monkeypatch.setattr(kernels, "_diagonal_exponent", lambda pt: diagonal(pt) + 1e-6j)
+    rep = fuzz_all(n=n, k=4.0, mu=1.0, trials=5, master_seed=7, properties=["kernel_potential_tie"])
+    res = rep.results[0]
+    if mutant is None:
+        assert res.passed
+    else:
+        assert res.max_error > 1e-7
 
 
 def _conjugated_third_term(x, V, y, W):

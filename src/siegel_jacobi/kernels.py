@@ -162,7 +162,8 @@ def normalized_kernels(
         - _log_kernel(params, zeta2, zeta2)
     )
     log_b = 2.0 * log_kappa.real
-    return _item(np.exp(log_kappa)), _item(np.exp(log_b)), _item(-log_b)
+    # 0 - log_b, not -log_b: D = +0.0 where log_b is exactly 0 (a diagonal pair)
+    return _item(np.exp(log_kappa)), _item(np.exp(log_b)), _item(0.0 - log_b)
 
 
 def epsilon_function(params: MetricParams, pt: JacobiBallPoint) -> float:

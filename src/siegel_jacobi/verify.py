@@ -58,7 +58,7 @@ from .metric import (
     metric_det,
     metric_inverse,
 )
-from .oracle import fd_jacobian, fd_wirtinger_hessian
+from .oracle import fd_jacobian, fd_wirtinger_gradient, fd_wirtinger_hessian
 
 __all__ = ["PropertyResult", "FuzzReport", "fuzz_all", "PROPERTY_GROUPS", "PROPERTIES"]
 
@@ -447,24 +447,6 @@ def _kernel_tie(params, rng):
     return _rel(abs(K._log_kernel(params, pt, pt) - f), abs(f)), pt
 
 
-@_register("kernel_hermitian", "kernels", 1e-12)
-def _kernel_hermitian(params, rng):
-    """Swapping a pair's points conjugates K and leaves the Berezin kernel b
-    and the diastasis D unchanged: K relative, b absolute and D relative,
-    each to 1e-12."""
-    p1 = _pt(params, rng)
-    p2 = _pt(params, rng)
-    _, k12 = K.two_point_kernel(params, p1, p2)
-    _, k21 = K.two_point_kernel(params, p2, p1)
-    _, b12, d12 = K.normalized_kernels(params, p1, p2)
-    _, b21, d21 = K.normalized_kernels(params, p2, p1)
-    return max(
-        _rel(abs(k12 - np.conj(k21)), abs(k12)),
-        abs(b12 - b21),
-        _rel(abs(d12 - d21), abs(d12)),
-    ), p1
-
-
 @_register("berezin_bounds", "kernels", 0.0)
 def _berezin_bounds(params, rng):
     p1 = _pt(params, rng)
@@ -474,24 +456,31 @@ def _berezin_bounds(params, rng):
     return err, p1
 
 
-@_register("kernel_three_point_invariance", "kernels", 1e-7)
-def _kernel_three_point(params, rng):
-    """I(a, b, c) = K(a,b) K(b,c) K(c,a) / (K(a,a) K(b,b) K(c,c)) is
-    invariant under the Jacobi group, phase included, whatever the
-    automorphy factor of K: |I(h.a, h.b, h.c) / I(a, b, c) - 1| to 1e-7.
-    It is formed from ln K (``kernels._log_kernel``), so K's overflow ends
-    no trial."""
-    pts = [_pt(params, rng) for _ in range(3)]
-    h = random_jacobi_c(params.n, rng)
+def _sesquiholomorphy_defect(params, x, y) -> float:
+    """The larger of max |d/dx ln K(x, y)| and max |d/dybar ln K(x, y)|,
+    each from one stacked FD gradient and relative (``_rel``) to the
+    largest entry of the half of its gradient that does not vanish."""
+    dx, dxbar = fd_wirtinger_gradient(lambda q: K._log_kernel(params, q, y), x)
+    dy, dybar = fd_wirtinger_gradient(lambda q: K._log_kernel(params, x, q), y)
+    top = lambda a: float(np.max(np.abs(a)))
+    return max(_rel(top(dx), top(dxbar)), _rel(top(dybar), top(dy)))
 
-    def log_k(x, y):
-        return K._log_kernel(params, x, y)
 
-    def log_i(a, b, c):
-        return log_k(a, b) + log_k(b, c) + log_k(c, a) - log_k(a, a) - log_k(b, b) - log_k(c, c)
-
-    moved = [act_ball(h, p) for p in pts]
-    return abs(np.exp(log_i(*moved) - log_i(*pts)) - 1.0), pts[0]
+@_register("kernel_sesquiholomorphy", "kernels", 1e-8)
+def _kernel_sesquiholomorphy(params, rng):
+    """ln K(x, y) is antiholomorphic in x and holomorphic in y, to 1e-8
+    (``_sesquiholomorphy_defect``).  A function holomorphic in (xbar, y)
+    that vanishes on the diagonal vanishes everywhere (Calabi's polarisation
+    lemma, Ann. of Math. 1953), so this law and ``kernel_potential_tie`` fix
+    K everywhere, its Hermitian symmetry included.  Swapping the points
+    leaves the Berezin kernel b and the diastasis D unchanged: b absolute
+    and D relative, each to 1e-12."""
+    x = _pt(params, rng)
+    y = _pt(params, rng)
+    _, b12, d12 = K.normalized_kernels(params, x, y)
+    _, b21, d21 = K.normalized_kernels(params, y, x)
+    swap_err = max(abs(b12 - b21), _rel(abs(d12 - d21), abs(d12)))
+    return max(_sesquiholomorphy_defect(params, x, y), (1e-8 / 1e-12) * swap_err), x
 
 
 # --------------------------------------------------------------------------

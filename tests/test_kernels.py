@@ -1,10 +1,11 @@
 import gc
+import math
 import warnings
 
 import numpy as np
 import pytest
 
-from siegel_jacobi import kernels
+from siegel_jacobi import kernels, verify
 from siegel_jacobi.domains import JacobiBallPoint, sample_point
 from siegel_jacobi.errors import (
     DimensionMismatch, GammaPoleError, NotConverged, NumericalOverflow,
@@ -108,6 +109,14 @@ class TestTwoPointKernel:
         largest_step = np.max(np.abs(np.diff(Ks)) / np.abs(Ks[:-1]))
         assert (largest_step <= 0.1) == continuous, largest_step
 
+    def test_sesquiholomorphy_gate_at_the_crossing_pair(self):
+        # kernel_sesquiholomorphy's gate at the pair of the walk above, both
+        # orders: the tracked branch is holomorphic across the crossing
+        pa, pb = _crossing_pair()
+        params = MetricParams(n=3, k=4.5, mu=1)
+        for x, y in ((pa, pb), (pb, pa)):
+            assert verify._sesquiholomorphy_defect(params, x, y) < 1e-8
+
     def test_near_boundary_pair(self):
         # an eigenvalue of W Vbar at 0.9999 e^{0.01i}: its factor 1 - lam
         # turns by ~pi/2 in the last percent of the path t -> 1 - t lam
@@ -153,6 +162,17 @@ def test_stacked_pair_equals_each_pair(n):
     stacked = values(x, y)
     for i, (a, b) in enumerate(pairs):
         assert [repr(complex(v[i])) for v in stacked] == [repr(complex(v)) for v in values(a, b)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_diastasis_is_plus_zero_on_the_diagonal(n):
+    # ln kappa is exactly 0 at a diagonal pair, and D = -ln b must not
+    # negate it into -0.0
+    rng = np.random.default_rng(n)
+    params = MetricParams(n=n, k=6.5, mu=1.3)
+    for pt in [origin(n)] + [sample_point("jacobi_ball", n, rng) for _ in range(4)]:
+        _, _, D = normalized_kernels(params, pt, pt)
+        assert D == 0.0 and math.copysign(1.0, D) == 1.0
 
 
 def _crossing_pair():

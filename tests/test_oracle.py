@@ -6,6 +6,8 @@ from siegel_jacobi.domains import (
     JacobiBallPoint,
     SiegelUpperPoint,
     TangentVector,
+    _matvec,
+    _vecmat,
     flatten_point,
     sample_point,
 )
@@ -705,15 +707,16 @@ class TestFuzzAll:
         assert serialize.dumps(res.to_json())
 
     def test_registry(self):
-        # 25 properties: each law of a folded property is checked by the
+        # 24 properties: each law of a folded property is checked by the
         # property whose trial already has its inputs (epsilon = 1 by
         # kernel_potential_tie, which checks a superset of its law); kappa
         # at a point and itself is exp(2a - a - a) = 1 exactly, so no
-        # property checks it
-        assert len(PROPERTIES) == 25
+        # property checks it; K's Hermitian symmetry and its three-point
+        # invariant follow from kernel_sesquiholomorphy and the tie
+        assert len(PROPERTIES) == 24
         assert {g: len(v) for g, v in PROPERTY_GROUPS.items() if g != "all"} == {
             "metric": 4, "inverse": 2, "curvature": 1, "laplacian": 1,
-            "invariance": 4, "cayley": 7, "kernels": 4, "parseval": 2,
+            "invariance": 4, "cayley": 7, "kernels": 3, "parseval": 2,
         }
 
     def test_groups_cover_all_properties(self):
@@ -733,7 +736,7 @@ class TestFoldedLaws:
         "corrupt, prop",
         [(None, "theta_homomorphism"), ("roundtrip", "theta_homomorphism"),
          (None, "det_closed_form"), ("det_origin", "det_closed_form"),
-         (None, "kernel_hermitian"), ("diastasis", "kernel_hermitian"),
+         (None, "kernel_sesquiholomorphy"), ("diastasis", "kernel_sesquiholomorphy"),
          # epsilon = 1 (ln epsilon = Re ln K(x, x) - f, with
          # ln K(x, x) = mu F(x, x) - (k/2) ld(x, x)): F(x, x), the tracked
          # ld and ln det N (in f) each scaled by 1.01
@@ -811,36 +814,44 @@ def test_kernel_potential_tie_catches_a_diagonal_phase(monkeypatch, n, mutant):
 def _conjugated_third_term(x, V, y, W):
     """_two_point_exponent with its third term conjugated: |K| is unchanged
     and its phase is wrong off the diagonal."""
-    U = np.linalg.inv(np.eye(W.shape[0]) - W @ V.conj())
+    xbar, Vbar = x.conj(), V.conj()
+    U = np.linalg.inv(np.eye(W.shape[-1]) - W @ Vbar)
     two_f = (
-        2.0 * np.vdot(x, U @ y)
-        + y @ V.conj() @ U @ y
-        + np.conj(np.vdot(x, U @ W @ x.conj()))
+        2.0 * _dot(xbar, _matvec(U, y))
+        + _dot(_vecmat(_vecmat(y, Vbar), U), y)
+        + np.conj(_dot(xbar, _matvec(U @ W, xbar)))
     )
-    return 0.5 * complex(two_f)
+    return 0.5 * two_f
 
 
-@pytest.mark.parametrize("mutant", [None, "phase", "modulus"])
+@pytest.mark.parametrize("mutant", [None, "phase", "modulus", "logdet", "transpose"])
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_kernel_three_point_invariance_catches_phase_and_modulus(monkeypatch, n, mutant):
-    # the cyclic three-point invariant of K: the phase mutant keeps |K|, so
-    # the modulus alone cannot see it; the modulus mutant adds a real
-    # 0.1 Re (x, y) to F
+def test_kernel_sesquiholomorphy_catches_phase_and_modulus(monkeypatch, n, mutant):
+    # ln K(x, y) antiholomorphic in x and holomorphic in y: the phase mutant
+    # keeps |K|, so the modulus alone cannot see it; the modulus mutant adds
+    # a real 0.1 Re (x, y) to F; the logdet mutant conjugates the tracked
+    # log det, which K's Hermitian symmetry and its three-point invariant
+    # both keep; the transpose mutant swaps the pair, K(x, y) -> K(y, x)
     from siegel_jacobi import kernels
 
-    exponent = kernels._two_point_exponent
+    exponent, pair_terms = kernels._two_point_exponent, kernels._pair_terms
+    logdet = kernels._tracked_logdet
     if mutant == "phase":
         monkeypatch.setattr(kernels, "_two_point_exponent", _conjugated_third_term)
     elif mutant == "modulus":
         monkeypatch.setattr(
             kernels, "_two_point_exponent",
-            lambda x, V, y, W: exponent(x, V, y, W) + 0.1 * np.vdot(x, y).real,
+            lambda x, V, y, W: exponent(x, V, y, W) + 0.1 * _dot(x.conj(), y).real,
         )
+    elif mutant == "logdet":
+        monkeypatch.setattr(kernels, "_tracked_logdet", lambda W, Vbar: np.conj(logdet(W, Vbar)))
+    elif mutant == "transpose":
+        monkeypatch.setattr(kernels, "_pair_terms", lambda a, b: pair_terms(b, a))
     rep = fuzz_all(
-        n=n, k=7.0, mu=1.3, trials=5, master_seed=7, properties=["kernel_three_point_invariance"]
+        n=n, k=7.0, mu=1.3, trials=5, master_seed=7, properties=["kernel_sesquiholomorphy"]
     )
     res = rep.results[0]
     if mutant is None:
-        assert res.passed and res.max_error < 1e-12
+        assert res.passed and res.max_error < 1e-10
     else:
         assert res.max_error > 1e-2

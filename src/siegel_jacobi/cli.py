@@ -117,7 +117,10 @@ def build_parser() -> _Parser:
 
 def _read_json(path: str):
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:  # nested deeper than the decoder's recursion limit
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _load_point(spec: str, n: int):

@@ -24,7 +24,7 @@ import numpy as np
 from . import kernels as K
 from . import serialize
 from .domains import JacobiBallPoint, TangentVector, flatten_point, sample_point
-from .errors import GeometryError, NonHolomorphic
+from .errors import GeometryError
 from .groups import (
     act_ball,
     act_upper,
@@ -50,7 +50,6 @@ from .laplacian import (
 from .metric import (
     MetricParams,
     _fold_pair_metric,
-    ball_metric_pair,
     curvature,
     ds2_eval,
     kahler_potential,
@@ -217,14 +216,6 @@ def _inverse_identity(params, rng):
     return err, pt
 
 
-@_register("ball_pair_inverse", "inverse", 1e-10)
-def _ball_pair_inverse(params, rng):
-    pt = _pt(params, rng).ball
-    hk, kinv = ball_metric_pair(pt)
-    err = float(np.max(np.abs(hk @ kinv - np.eye(hk.shape[0]))))
-    return err, pt
-
-
 # --------------------------------------------------------------------------
 # curvature
 
@@ -255,25 +246,7 @@ def _ricci_match(params, rng):
 
 
 # --------------------------------------------------------------------------
-# laplacian
-
-
-@_register("ellipticity", "laplacian", 1e-12)
-def _ellipticity(params, rng):
-    pt = _pt(params, rng)
-    worst = 0.0
-    for domain, p in (
-        ("jacobi_ball", pt),
-        ("ball", pt.ball),
-        ("upper", inverse_partial_cayley(pt.ball)),
-    ):
-        lam = float(np.linalg.eigvalsh(laplacian_coefficients(domain, params, p).matrix)[0])
-        worst = max(worst, -lam)
-    return max(0.0, worst), pt
-
-
-# --------------------------------------------------------------------------
-# invariance
+# invariance (laplacian_equivariance is the laplacian group)
 
 
 @_register("action_jacobian", "invariance", 1e-7)
@@ -307,7 +280,7 @@ def _action_jacobian(params, rng):
     return max(ds2_err, 0.1 * push_err, 0.01 * max(jacobi_err, ball_err)), pt
 
 
-@_register("laplacian_equivariance", "invariance", 1e-5)
+@_register("laplacian_equivariance", "laplacian", 1e-5)
 def _laplacian_equivariance(params, rng):
     domain = ("jacobi_ball", "ball", "upper")[int(rng.integers(3))]
     f = builtin_field(f"re_poly({int(rng.integers(10**6))})", domain)
@@ -332,16 +305,6 @@ def _left_action_ball(params, rng):
     h2 = random_jacobi_c(params.n, rng)
     a = act_ball(h1, act_ball(h2, pt))
     b = act_ball(compose_jacobi_c(h1, h2), pt)
-    return _gap(a, b), pt
-
-
-@_register("left_action_upper", "invariance", 1e-9)
-def _left_action_upper(params, rng):
-    pt = sample_point("jacobi_upper", params.n, rng)
-    h1 = random_jacobi_r(params.n, rng)
-    h2 = random_jacobi_r(params.n, rng)
-    a = act_upper(h1, act_upper(h2, pt))
-    b = act_upper(compose_jacobi_r(h1, h2), pt)
     return _gap(a, b), pt
 
 
@@ -392,8 +355,7 @@ def _partial_cayley_roundtrip(params, rng):
 def _fc_roundtrip(params, rng):
     pt = _pt(params, rng)
     eta, W = fc_transform(pt)
-    back = inverse_fc_transform(eta, W)
-    return float(np.max(np.abs(pt.z - back.z))), pt
+    return _gap(pt, inverse_fc_transform(eta, W)), pt
 
 
 @_register("chain_rule_defect", "cayley", 1e-6)
@@ -421,16 +383,6 @@ def _correspondence(params, rng):
         f = builtin_field(f"re_poly({int(rng.integers(10**6))})", "ball")
     # composed rational pullback: roundoff dominates at the default step
     return laplacian_correspondence_check(f, pt, fd_step=3e-4), pt
-
-
-@_register("holomorphy_gates", "cayley", 1e-7, once=True)
-def _holomorphy(params, rng):
-    pt = _pt(params, rng)
-    try:
-        fd_jacobian(partial_cayley, inverse_partial_cayley(pt))
-    except NonHolomorphic:
-        return float("inf"), pt
-    return 0.0, pt
 
 
 # --------------------------------------------------------------------------

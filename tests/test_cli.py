@@ -397,6 +397,22 @@ class TestErrors:
         assert code == 2
         assert json.loads(out)["error"]["kind"] == "ValueError"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["eval", "det", "--n", "1", "--point"], ["transform", "inv-fc", "--point"]],
+        ids=["point", "fc"],
+    )
+    def test_deeply_nested_file_exit_two(self, capsys, tmp_path, argv):
+        # nesting past the JSON decoder's recursion limit is malformed input
+        # (one error object, exit 2), not a RecursionError traceback
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        got = main([*argv, str(path)])
+        captured = capsys.readouterr()
+        assert got == 2
+        assert captured.err == ""
+        assert json.loads(captured.out)["error"]["kind"] == "ValueError"
+
     def test_usage_error(self, capsys):
         code, out = run_cli(capsys, "frobnicate")
         assert code == 2

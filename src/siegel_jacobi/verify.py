@@ -209,10 +209,20 @@ def _cayley_pullback(params, rng):
 
 @_register("inverse_identity", "inverse", 1e-10)
 def _inverse_identity(params, rng):
+    """h @ h_inv = 1, and the Laplacian coefficient matrices are h_inv on
+    the Jacobi ball and (k/2) times its W block on the Siegel ball, each to
+    a relative 1e-10: so h > 0 makes both positive definite."""
     pt = _pt(params, rng)
+    n = params.n
     ev = metric_blocks(params, pt)
     inv = metric_inverse(params, pt)
     err = float(np.max(np.abs(ev.h @ inv.h_inv - np.eye(params.dim))))
+    for C, expected in (
+        (laplacian_coefficients("jacobi_ball", params, pt).matrix, inv.h_inv),
+        (laplacian_coefficients("ball", params, pt.ball).matrix,
+         0.5 * params.k * inv.h_inv[n:, n:]),
+    ):
+        err = max(err, _rel(float(np.max(np.abs(C - expected))), float(np.max(np.abs(expected)))))
     return err, pt
 
 

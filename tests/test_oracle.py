@@ -505,9 +505,7 @@ class TestActionJacobian:
         assert rep.results[0].trials == 20
 
     def test_one_jacobian_per_trial(self, monkeypatch):
-        # a one-trial verdict builds one Jacobian, of the action
-        # (action_jacobian); the partial Cayley map's holomorphy is checked
-        # more tightly by partial_cayley_roundtrip and theta_equivariance
+        # one Jacobian, of the action (action_jacobian)
         from siegel_jacobi import oracle, verify
 
         calls = []
@@ -709,15 +707,8 @@ class TestFuzzAll:
         assert serialize.dumps(res.to_json())
 
     def test_registry(self):
-        # 20 properties: each law of a folded property is checked by the
-        # property whose trial already has its inputs (epsilon = 1 by
-        # kernel_potential_tie, which checks a superset of its law); kappa
-        # at a point and itself is exp(2a - a - a) = 1 exactly, so no
-        # property checks it; K's Hermitian symmetry and its three-point
-        # invariant follow from kernel_sesquiholomorphy and the tie; the
-        # upper action's composition law, the Siegel-ball pair inverse, the
-        # partial Cayley map's holomorphy gate and the Laplacians'
-        # ellipticity follow from kept properties (TestDeletedPropertyMutants)
+        # 20 properties; TestDeletedPropertyMutants shows the laws of the
+        # deleted ones fail kept properties
         assert len(PROPERTIES) == 20
         assert {g: len(v) for g, v in PROPERTY_GROUPS.items() if g != "all"} == {
             "metric": 4, "inverse": 1, "curvature": 1, "laplacian": 1,
@@ -875,15 +866,17 @@ _DELETED_PROPERTY_MUTANTS = {
     "inverse_cayley_V": ("inverse_partial_cayley", _post(lambda p, pt: SiegelUpperPoint.image(
         p.u, p.V + 1e-6 * pt.W.conj())),
         ("partial_cayley_roundtrip", "cayley_pullback_ds2", "chain_rule_defect")),
-    # ellipticity read the least eigenvalue of C on each of the three domains
-    **{f"C_jacobi_{how}": ("laplacian_coefficients", _indefinite(how, ("jacobi_ball",)),
-                           ("ricci_fd_match",)) for how in _C_HOW},
-    # on the ball or the upper half-plane in turn: the Cayley transport
-    # law, linear in C, holds if both sides change alike (TestCoefficients
-    # in test_laplacian pins each of them)
-    **{f"C_{domain}_{how}": ("laplacian_coefficients", _indefinite(how, (domain,)),
-                             ("laplacian_correspondence",))
-       for domain in ("ball", "upper") for how in _C_HOW},
+    # ellipticity read the least eigenvalue of C on each of the three
+    # domains; inverse_identity ties the Jacobi-ball and ball C to h_inv,
+    # and the Cayley transport law ties the upper C to the ball's (it is
+    # linear in C, so C_ball_upper passes it: both sides change alike)
+    **{f"C_{name}_{how}": ("laplacian_coefficients", _indefinite(how, domains), kept)
+       for name, domains, kept in (
+           ("jacobi", ("jacobi_ball",), ("inverse_identity", "ricci_fd_match")),
+           ("ball", ("ball",), ("inverse_identity", "laplacian_correspondence")),
+           ("upper", ("upper",), ("laplacian_correspondence",)),
+           ("ball_upper", ("ball", "upper"), ("inverse_identity",)),
+    ) for how in _C_HOW},
     # fc_roundtrip compares the whole point, W included
     "inverse_fc_W": ("inverse_fc_transform", _post(lambda p, *_: JacobiBallPoint(
         z=p.z, W=0.99 * p.W)), ("fc_roundtrip",)),

@@ -4,9 +4,9 @@ fuzzer with JSON reports.
 
 Exit codes: 0 success / all properties pass, 1 verification failure,
 2 usage error, 3 domain error or a size beyond memory.  All output is
-deterministic JSON (sorted keys, shortest round-trip floats); errors are
-{"error": {"kind", "detail"}}, written where the result would go (stdout if
-the --output file cannot be).
+deterministic JSON (sorted keys, shortest round-trip floats) on stdout
+only: a result or an error {"error": {"kind", "detail"}} is one compact
+object on one line.
 """
 
 from __future__ import annotations
@@ -49,9 +49,7 @@ _TRANSFORMS = ("cayley", "inv-cayley", "fc", "inv-fc")
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        sys.stdout.write(
-            serialize.dumps({"error": {"kind": "UsageError", "detail": message}}) + "\n"
-        )
+        _emit({"error": {"kind": "UsageError", "detail": message}})
         raise SystemExit(2)
 
 
@@ -59,11 +57,6 @@ def _add_params(p: argparse.ArgumentParser):
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--k", type=float, default=2.0)
     p.add_argument("--mu", type=float, default=1.0)
-
-
-def _add_io(p: argparse.ArgumentParser):
-    p.add_argument("--output", default=None, help="write JSON here instead of stdout")
-    p.add_argument("--format", choices=("json", "pretty"), default="json")
 
 
 @functools.cache
@@ -80,7 +73,6 @@ def build_parser() -> _Parser:
     p_eval.add_argument("--point2", default=None, help="second point for two-point kernels")
     p_eval.add_argument("--field", default="lnG", help="test field for 'laplacian'")
     p_eval.add_argument("--fd-step", type=float, default=1e-4)
-    _add_io(p_eval)
 
     p_tr = sub.add_parser("transform", help="apply a coordinate transform")
     p_tr.add_argument("kind", choices=_TRANSFORMS)
@@ -89,7 +81,6 @@ def build_parser() -> _Parser:
         "--n", type=int, default=None,
         help="size the point must have (default: the file's own; 1 for 'origin')",
     )
-    _add_io(p_tr)
 
     p_sample = sub.add_parser("sample", help="draw a random point or group element")
     p_sample.add_argument("what", choices=("point", "group"))
@@ -101,7 +92,6 @@ def build_parser() -> _Parser:
     p_sample.add_argument("--n", type=int, default=1)
     p_sample.add_argument("--seed", type=int, default=0)
     p_sample.add_argument("--radius", type=float, default=0.4)
-    _add_io(p_sample)
 
     p_ver = sub.add_parser("verify", help="run the property fuzzer")
     p_ver.add_argument("group", choices=tuple(sorted(PROPERTY_GROUPS)))
@@ -110,7 +100,6 @@ def build_parser() -> _Parser:
     p_ver.set_defaults(k=4.0)
     p_ver.add_argument("--trials", type=int, default=20)
     p_ver.add_argument("--seed", type=int, default=0)
-    _add_io(p_ver)
 
     return parser
 
@@ -130,10 +119,10 @@ def _load_point(spec: str, n: int):
 
 
 def _of_size(pt, n: int | None):
-    """pt, or GeometryError (exit 3) when --n is given and pt has another
-    size."""
+    """pt, or DimensionMismatch (exit 3) when --n is given and pt has
+    another size."""
     if n is not None and pt.n != n:
-        raise GeometryError(f"point has n={pt.n}, --n is {n}")
+        raise DimensionMismatch(f"point has n={pt.n}, --n is {n}")
     return pt
 
 
@@ -157,9 +146,9 @@ def _eval(args) -> dict:
         val = apply_laplacian("jacobi_ball", params, f, pt, fd_step=args.fd_step)
         return {"field": args.field, "value": serialize.encode(val)}
     if q == "kernel":
-        other = pt if args.point2 is None else _as_jacobi(_load_point(args.point2, args.n))
-        if other.n != args.n:
-            raise DimensionMismatch(f"--point2 has n={other.n}, --n is {args.n}")
+        other = pt if args.point2 is None else _of_size(
+            _as_jacobi(_load_point(args.point2, args.n)), args.n
+        )
         return serialize.fields_to_json(kernel_eval(params, pt, other))
     # looked up per call, so a rebound module name (a tracer, a test) is used
     result = {
@@ -216,21 +205,12 @@ def _verify(args) -> tuple[dict, bool]:
     return report.to_json(), report.passed
 
 
-def _emit(obj: dict, args, stdout: bool = False) -> None:
-    text = serialize.dumps(obj, pretty=(args.format == "pretty"))
-    if args.output and not stdout:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
+def _emit(obj: dict) -> None:
+    sys.stdout.write(serialize.dumps(obj) + "\n")
 
 
-def _fail(exc: Exception, args, code: int) -> int:
-    obj = {"error": {"kind": type(exc).__name__, "detail": str(exc)}}
-    try:
-        _emit(obj, args)
-    except OSError:  # the --output file itself cannot be written
-        _emit(obj, args, stdout=True)
+def _fail(exc: Exception, code: int) -> int:
+    _emit({"error": {"kind": type(exc).__name__, "detail": str(exc)}})
     return code
 
 
@@ -242,24 +222,24 @@ def run(argv=None) -> int:
         # numpy's warning on the way adds nothing
         with np.errstate(all="ignore"):
             if args.command == "eval":
-                _emit(_eval(args), args)
+                _emit(_eval(args))
                 return 0
             if args.command == "transform":
-                _emit(_transform(args), args)
+                _emit(_transform(args))
                 return 0
             if args.command == "sample":
-                _emit(_sample(args), args)
+                _emit(_sample(args))
                 return 0
             if args.command == "verify":
                 report, passed = _verify(args)
-                _emit(report, args)
+                _emit(report)
                 return 0 if passed else 1
     except GeometryError as exc:
-        return _fail(exc, args, 3)
+        return _fail(exc, 3)
     except MemoryError as exc:  # numpy's _ArrayMemoryError too, reported as a MemoryError
-        return _fail(MemoryError(str(exc)), args, 3)
+        return _fail(MemoryError(str(exc)), 3)
     except (ValueError, OSError) as exc:
-        return _fail(exc, args, 2)
+        return _fail(exc, 2)
     raise AssertionError(args.command)
 
 

@@ -199,10 +199,11 @@ class VolumeData:
 
 
 def _finite_exp(x: float, name: str) -> float:
-    """float(exp(x)), or NumericalOverflow where it leaves the float range."""
+    """float(exp(x)), or NumericalOverflow where it is not finite: where it
+    leaves the float range, or where x is NaN."""
     with np.errstate(over="ignore"):
         value = float(np.exp(x))
-    if value == math.inf:
+    if not value < math.inf:
         raise NumericalOverflow(f"{name} = exp({x:.6g}) exceeds the float range")
     return value
 
@@ -241,7 +242,9 @@ def normalization_constant(params: MetricParams) -> float:
         factor = (k - 3) / 2.0 - n + i
         if factor <= 0:
             raise GammaPoleError(f"factor (k-3)/2 - n + i = {factor} <= 0 (i = {i})")
-        log_prod += np.log(factor) + gammaln(k + i - 2) - gammaln(k + 2 * (i - n - 1))
+        # at k >~ 2.5e305 both gammaln are inf: a NaN, which _finite_exp reports
+        with np.errstate(invalid="ignore"):
+            log_prod += np.log(factor) + gammaln(k + i - 2) - gammaln(k + 2 * (i - n - 1))
     log_lambda = (
         n * np.log(mu)
         + np.log(k - 3)

@@ -168,12 +168,11 @@ def element_from_json(d: dict):
     raise ValueError("element JSON needs (p, q, alpha) or (a, b, c, d, lambda_mu)")
 
 
-def dumps(obj, pretty: bool = False) -> str:
-    """Deterministic JSON text: sorted keys, repr floats.  A NaN or inf that
-    reaches the encoder is a value beyond the float range, not bad input:
-    it raises NumericalOverflow."""
-    layout = {"indent": 2} if pretty else {"separators": (",", ":")}
+def dumps(obj) -> str:
+    """Deterministic compact JSON text: sorted keys, repr floats.  A NaN or
+    inf that reaches the encoder is a value beyond the float range, not bad
+    input: it raises NumericalOverflow."""
     try:
-        return json.dumps(obj, sort_keys=True, allow_nan=False, **layout)
+        return json.dumps(obj, sort_keys=True, allow_nan=False, separators=(",", ":"))
     except ValueError as exc:  # the encoder's refusal of a non-finite float
         raise NumericalOverflow(f"a result is not a finite float ({exc})") from exc

@@ -277,16 +277,16 @@ class TestVerify:
         [("--trials", "-3", "trials must be >= 0, got -3"), ("--n", "0", "n must be >= 1")],
         ids=["trials=-3", "n=0"],
     )
-    def test_error_after_parsing_follows_output(self, tmp_path, capsys, flag, value, detail):
+    def test_error_after_parsing_follows_output(self, capsys, flag, value, detail):
         # an argument that parses but is rejected later writes its error
-        # where the report would go
-        out_path = tmp_path / "report.json"
-        code = main(["verify", "inverse", "--n", "1", "--trials", "1", flag, value,
-                     "--output", str(out_path)])
+        # where the report would go: one line on stdout, nothing on stderr
+        code = main(["verify", "inverse", "--n", "1", "--trials", "1", flag, value])
+        captured = capsys.readouterr()
         assert code == 2
-        assert capsys.readouterr().out == ""
-        error = json.loads(out_path.read_text())["error"]
-        assert error["kind"] == "ValueError" and error["detail"] == detail
+        assert captured.err == ""
+        assert captured.out == (
+            '{"error":{"detail":"' + detail + '","kind":"ValueError"}}\n'
+        )
 
     def test_underflowing_parseval_exit_one(self, capsys):
         # at k = 1e6 the n = 1 norm underflows to 0, and at k = 1e200 scipy
@@ -624,7 +624,7 @@ class TestErrors:
         code, out = run_cli(capsys, "transform", kind, "--n", "1", "--point", path)
         assert code == 3
         assert json.loads(out)["error"] == {
-            "kind": "GeometryError", "detail": "point has n=2, --n is 1"
+            "kind": "DimensionMismatch", "detail": "point has n=2, --n is 1"
         }
 
     def test_point2_dimension_mismatch(self, capsys, tmp_path, rng):
@@ -643,31 +643,31 @@ class TestErrors:
         )
         assert code == 2
 
-    def test_output_file(self, capsys, tmp_path):
-        out_path = tmp_path / "out.json"
-        code, _ = run_cli(
-            capsys, "eval", "det", "--n", "1", "--k", "2", "--mu", "1",
-            "--point", "origin", "--output", str(out_path),
-        )
-        assert code == 0
-        assert json.loads(out_path.read_text())["value"] == 1.0
-
-    @pytest.mark.parametrize("fmt", ["json", "pretty"])
-    def test_unwritable_output_file(self, capsys, tmp_path, fmt):
-        out_path = tmp_path / "missing" / "out.json"
-        code = main(["sample", "point", "--output", str(out_path), "--format", fmt])
+    @pytest.mark.parametrize("argv", [
+        ("eval", "det", "--point", "origin"),
+        ("transform", "fc", "--point", "origin"),
+        ("sample", "point"),
+        ("verify", "inverse", "--trials", "1"),
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("flag", ["--output", "--format"])
+    def test_no_output_or_format_option(self, capsys, tmp_path, argv, flag):
+        # every result and error goes to stdout, in one compact layout
+        value = {"--output": str(tmp_path / "x.json"), "--format": "pretty"}[flag]
+        code = main([*argv, flag, value])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err == ""
-        assert json.loads(captured.out)["error"]["kind"] == "FileNotFoundError"
-        assert not out_path.exists()
+        assert captured.out.count("\n") == 1
+        assert json.loads(captured.out)["error"]["kind"] == "UsageError"
+        assert not (tmp_path / "x.json").exists()
 
-    def test_pretty_format(self, capsys):
-        code, out = run_cli(
-            capsys, "eval", "det", "--n", "1", "--k", "2", "--mu", "1",
-            "--point", "origin", "--format", "pretty",
-        )
-        assert out.startswith("{\n")
+    def test_lambda_beyond_the_float_range_named(self, capsys):
+        # at k = 1e308 the log of Lambda_n is inf - inf: reported by name,
+        # not as a NaN that the JSON encoder refuses
+        code, out = run_cli(capsys, "eval", "kernel", "--n", "2", "--k", "1e308", "--point", "origin")
+        assert code == 3
+        error = json.loads(out)["error"]
+        assert error["kind"] == "NumericalOverflow" and "Lambda_n" in error["detail"]
 
 
 # --------------------------------------------------------------------------

@@ -548,9 +548,11 @@ class TestKernelEval:
             with pytest.raises(DimensionMismatch):
                 kernel(params, a, b)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflow_raises(self):
         # Q_ball = det(1 - W Wbar)^{-(n+1)}, K = det(1 - W Wbar)^{-k/2} at
-        # z = 0, and Lambda_n, each beyond the float range
+        # z = 0, and Lambda_n, each beyond the float range; at k = 1e308 the
+        # log of Lambda_n is inf - inf, a NaN reported with no warning
         near = JacobiBallPoint(z=np.zeros(12), W=0.9995 * np.eye(12))
         with pytest.raises(NumericalOverflow, match="Q_ball"):
             volume_densities(near)
@@ -560,3 +562,5 @@ class TestKernelEval:
             two_point_kernel(params, disk, disk)
         with pytest.raises(NumericalOverflow, match="Lambda_n"):
             normalization_constant(MetricParams(n=10, k=1000, mu=1))
+        with pytest.raises(NumericalOverflow, match="Lambda_n"):
+            normalization_constant(MetricParams(n=2, k=1e308, mu=1))

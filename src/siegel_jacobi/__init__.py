@@ -19,7 +19,6 @@ from .groups import (
     SymplecticC,
     SymplecticR,
     act_ball,
-    act_ball_differential,
     act_upper,
     cayley_conjugate,
     compose_jacobi_c,
@@ -63,7 +62,6 @@ from .metric import (
     MetricParams,
     ball_metric_pair,
     curvature,
-    ds2_eval,
     kahler_potential,
     metric_blocks,
     metric_det,

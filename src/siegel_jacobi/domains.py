@@ -462,7 +462,9 @@ class JacobiBallPoint(_BallPart):
 @dataclass(frozen=True)
 class TangentVector(_Point):
     """Tangent data: dz in C^n and symmetric dW (dV/du for upper points),
-    in the chart of its base point."""
+    in the chart of its base point.  No package module uses it: the metric
+    laws are checked as matrix identities.  It stays until the benchmark's
+    tracer stops wrapping its constructor by name (ROADMAP item 3)."""
 
     dz: np.ndarray | None
     dW: np.ndarray

@@ -35,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .domains import JacobiBallPoint, SiegelBallPoint, SiegelUpperPoint, TangentVector, _frozen
+from .domains import JacobiBallPoint, SiegelBallPoint, SiegelUpperPoint, _frozen
 from .errors import DimensionMismatch, InvalidInput, SingularDenominator
 
 __all__ = [
@@ -56,7 +56,6 @@ __all__ = [
     "inverse_partial_cayley",
     "fc_transform",
     "inverse_fc_transform",
-    "act_ball_differential",
     "random_symplectic_r",
     "random_jacobi_c",
     "random_jacobi_r",
@@ -402,34 +401,6 @@ def inverse_fc_transform(eta: np.ndarray, W: np.ndarray) -> JacobiBallPoint:
     eta = np.asarray(eta, dtype=complex).reshape(-1)
     W = np.asarray(W, dtype=complex)
     return JacobiBallPoint(z=eta - W @ eta.conj(), W=W)
-
-
-def act_ball_differential(
-    h: JacobiElementC, pt: JacobiBallPoint, tangent: TangentVector
-) -> TangentVector:
-    """Pushforward of a tangent under act_ball, in closed form.
-
-    With L = W q* + p*, which is (qbar W + pbar)^t, differentiating
-    W1 = (p W + q) (L^t)^{-1} and z1 = L^{-1} (z + alpha - W conj(alpha))
-    gives
-
-        dW1 = L^{-1} dW (L^{-1})^t,
-        dz1 = L^{-1} (dz - dW (conj(alpha) + q* z1)),
-
-    from one factorisation of L.
-    """
-    if tangent.dz is None:
-        raise ValueError("jacobi-ball tangent needs a dz component")
-    if h.n != pt.n:
-        raise DimensionMismatch("element and point of different size")
-    g, W = h.g, pt.W
-    q_star = g.q.conj().T
-    alpha_bar = h.alpha.conj()
-    Linv = _solve(W @ q_star + g.p.conj().T, np.eye(pt.n))
-    z1 = Linv @ (pt.z + h.alpha - W @ alpha_bar)
-    dW1 = Linv @ tangent.dW @ Linv.T
-    dz1 = Linv @ (tangent.dz - tangent.dW @ (alpha_bar + q_star @ z1))
-    return TangentVector(dz=dz1, dW=0.5 * (dW1 + dW1.T))
 
 
 def random_symplectic_r(n: int, rng: np.random.Generator) -> SymplecticR:

@@ -1,7 +1,6 @@
 """Balanced metric of the Siegel-Jacobi ball: Kaehler potential, the four
 closed-form blocks, their closed-form inverse, determinant, the Siegel-ball
-sub-metric with its paired inverse, curvature data, and metric evaluation on
-tangent vectors.
+sub-metric with its paired inverse, and curvature data.
 
 Block layout over the coordinates (z_1..z_n, ordered pairs of W):
 
@@ -43,8 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import JacobiBallPoint, PairIndex, SiegelBallPoint, SiegelUpperPoint, TangentVector
-from .domains import _dot, _item, _matvec, _vecmat, flatten_point, kept
+from .domains import JacobiBallPoint, PairIndex, SiegelBallPoint, SiegelUpperPoint
+from .domains import _dot, _item, _matvec, _vecmat, kept
 from .errors import DimensionMismatch, NumericalOverflow
 
 __all__ = [
@@ -59,7 +58,6 @@ __all__ = [
     "metric_det",
     "ball_metric_pair",
     "curvature",
-    "ds2_eval",
 ]
 
 
@@ -302,21 +300,3 @@ def curvature(params: MetricParams, pt: JacobiBallPoint) -> CurvatureData:
     qk = ((n + 1) * (n + 2) / 2.0) * _blocks(params, pt).h
     qk[n:, n:] -= ric[n:, n:]
     return CurvatureData(ric=ric, scalar_curvature=scalar, qk_lu=qk)
-
-
-def ds2_eval(domain: str, params: MetricParams, pt, tangent: TangentVector) -> float:
-    """Squared length of a tangent vector.
-
-    ball, upper: 4 Tr(M dX Mbar dXbar), dX = dW or dV, M the point's own
-                 (1 - W Wbar)^{-1} or (2 Im V)^{-1}
-    jacobi_ball: quadratic form of the assembled metric on (dz, dW-pairs)
-    """
-    if tangent.n != pt.n:
-        raise DimensionMismatch("tangent and point of different dimension")
-    if domain in ("ball", "upper"):
-        M, dX = pt.M, tangent.dW
-        return float(4.0 * np.trace(M @ dX @ M.conj() @ dX.conj()).real)
-    if domain == "jacobi_ball":
-        t = flatten_point(tangent)
-        return float((t @ metric_blocks(params, pt).h @ t.conj()).real)
-    raise ValueError(f"unknown domain {domain!r}")

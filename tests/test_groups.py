@@ -12,7 +12,6 @@ from siegel_jacobi import groups
 from siegel_jacobi.domains import (
     JacobiBallPoint,
     SiegelUpperPoint,
-    TangentVector,
     flatten_point,
     sample_point,
 )
@@ -24,7 +23,6 @@ from siegel_jacobi.groups import (
     SymplecticR,
     _solve,
     act_ball,
-    act_ball_differential,
     act_upper,
     cayley_conjugate,
     compose_jacobi_c,
@@ -418,45 +416,6 @@ class TestFcTransform:
         assert np.max(np.abs(back.z - pt.z)) < 1e-12
 
 
-class TestDifferential:
-    def test_identity_element(self, rng):
-        pt = sample_point("jacobi_ball", 2, rng)
-        tv = TangentVector(
-            dz=rng.standard_normal(2) + 1j * rng.standard_normal(2),
-            dW=np.eye(2, dtype=complex),
-        )
-        out = act_ball_differential(JacobiElementC.identity(2), pt, tv)
-        assert np.max(np.abs(out.dW - tv.dW)) < 1e-12
-        assert np.max(np.abs(out.dz - tv.dz)) < 1e-9
-
-    def test_origin_w_part_unchanged(self, rng):
-        origin = JacobiBallPoint(z=np.zeros(2), W=np.zeros((2, 2)))
-        tv = TangentVector(dz=np.zeros(2), dW=np.array([[0.3, 0.1], [0.1, 0.0]]))
-        out = act_ball_differential(JacobiElementC.identity(2), origin, tv)
-        assert np.allclose(out.dW, tv.dW)
-
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_one_factorisation_per_call(self, n, monkeypatch):
-        # L = W q* + p* is factorised once: z1, dW1 and dz1 all read L^{-1}
-        rng = np.random.default_rng(90 + n)
-        pt = sample_point("jacobi_ball", n, rng)
-        h = random_jacobi_c(n, rng)
-        A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        tv = TangentVector(dz=rng.standard_normal(n) + 1j * rng.standard_normal(n), dW=A + A.T)
-        calls = []
-        for name in ("solve", "inv"):
-            f = getattr(np.linalg, name)
-            monkeypatch.setattr(np.linalg, name, lambda *a, f=f: calls.append(f) or f(*a))
-        act_ball_differential(h, pt, tv)
-        assert len(calls) == 1
-
-    def test_dimension_mismatch(self, rng):
-        pt = sample_point("jacobi_ball", 2, rng)
-        tv = TangentVector(dz=np.zeros(2), dW=np.zeros((2, 2)))
-        with pytest.raises(DimensionMismatch):
-            act_ball_differential(JacobiElementC.identity(3), pt, tv)
-
-
 class TestLazyExpm:
     def test_cli_import_leaves_scipy_linalg_unloaded(self):
         src = os.path.dirname(os.path.dirname(siegel_jacobi.__file__))
@@ -639,19 +598,3 @@ def test_stacked_identity_catches_transposed_denominator(monkeypatch):
     for name, map_fn, pt in cases:
         assert not _stacked_matches_per_point(map_fn, pt), name
 
-
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_differential_matches_loop_jacobian(n):
-    # the closed-form pushforward equals the finite-difference Jacobian of
-    # act_ball, taken with one validated point per stencil offset, applied
-    # to the tangent
-    from fd_reference import loop_jacobian
-
-    rng = np.random.default_rng(310 + n)
-    pt = sample_point("jacobi_ball", n, rng)
-    h = random_jacobi_c(n, rng)
-    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    tv = TangentVector(dz=rng.standard_normal(n) + 1j * rng.standard_normal(n), dW=A + A.T)
-    J, _ = loop_jacobian(lambda q: act_ball(h, q), pt)
-    push = act_ball_differential(h, pt, tv)
-    assert np.max(np.abs(flatten_point(push) - J @ flatten_point(tv))) < 1e-8

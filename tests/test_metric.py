@@ -8,25 +8,25 @@ from dataclasses import fields
 from siegel_jacobi import domains, metric
 from siegel_jacobi.domains import (
     JacobiBallPoint,
+    PairIndex,
     SiegelBallPoint,
     SiegelUpperPoint,
-    TangentVector,
     sample_point,
 )
 from siegel_jacobi.errors import DimensionMismatch, NumericalOverflow
-from siegel_jacobi.groups import fc_transform
+from siegel_jacobi.groups import fc_transform, inverse_partial_cayley
 from siegel_jacobi.kernels import kernel_eval, volume_densities
 from siegel_jacobi.laplacian import apply_laplacian, builtin_field, laplacian_coefficients
 from siegel_jacobi.metric import (
     MetricParams,
     ball_metric_pair,
     curvature,
-    ds2_eval,
     kahler_potential,
     metric_blocks,
     metric_det,
     metric_inverse,
 )
+from siegel_jacobi.oracle import fd_jacobian
 
 
 def origin(n):
@@ -197,7 +197,7 @@ class TestLinearForm:
     matrices; the blocks are views of the assembled matrix."""
 
     def test_blocks_are_views(self):
-        params, pt, _ = _case(3)
+        params, pt = _case(3)
         n = params.n
         ev, inv = metric_blocks(params, pt), metric_inverse(params, pt)
         for whole, blocks in ((ev.h, (ev.h1, ev.h2, ev.h3, ev.h4)),
@@ -209,7 +209,7 @@ class TestLinearForm:
     @pytest.mark.parametrize("n", [1, 2, 3, 6])
     def test_doubling_both_weights_doubles_h(self, n):
         # doubling is exact in floating point, so the linear form gives the same bits
-        params, pt, _ = _case(n)
+        params, pt = _case(n)
         doubled = MetricParams(n=n, k=2 * params.k, mu=2 * params.mu)
         assert np.array_equal(metric_blocks(doubled, pt).h, 2 * metric_blocks(params, pt).h)
 
@@ -262,8 +262,6 @@ class TestInverse:
 class TestBallPair:
     def test_w_zero(self):
         hk, kinv = ball_metric_pair(SiegelBallPoint(np.zeros((3, 3))))
-        from siegel_jacobi.domains import PairIndex
-
         idx = PairIndex(3)
         assert np.allclose(hk, np.diag([1.0 if p == q else 2.0 for p, q in idx.pairs]))
         assert np.allclose(kinv, np.diag([1.0 if p == q else 0.5 for p, q in idx.pairs]))
@@ -364,48 +362,58 @@ class TestCurvature:
         assert np.allclose(data.qk_lu, expected)
 
 
+def _trace_ds2(M, dX):
+    """The reference line element of the ball and upper models,
+    4 Tr(M dX Mbar dXbar) with M the point's own Gram inverse."""
+    return float(4.0 * np.trace(M @ dX @ M.conj() @ dX.conj()).real)
+
+
+def _pair_ds2(pt, dX):
+    """4 w^T h^k conj(w), with h^k from ball_metric_pair and w the pairs of dX."""
+    w = PairIndex(pt.n).pack(dX)
+    return 4.0 * float((w @ ball_metric_pair(pt)[0] @ w.conj()).real)
+
+
 class TestDs2:
-    def test_zero_tangent(self, rng):
-        params = MetricParams(n=2, k=2, mu=1)
-        pt = sample_point("jacobi_ball", 2, rng)
-        tv = TangentVector(dz=np.zeros(2), dW=np.zeros((2, 2)))
-        assert ds2_eval("jacobi_ball", params, pt, tv) == 0.0
+    """The line element as the quadratic form of the metric matrices."""
 
     def test_ball_basis_vector(self):
-        params = MetricParams(n=2, k=2, mu=1)
         pt = sample_point("ball", 2, np.random.default_rng(0), radius=0.0)
         dW = np.zeros((2, 2), dtype=complex)
         dW[0, 0] = 1.0
-        assert ds2_eval("ball", params, pt, TangentVector(dz=None, dW=dW)) == pytest.approx(4.0)
+        assert _trace_ds2(pt.M, dW) == pytest.approx(4.0)
+        assert _pair_ds2(pt, dW) == pytest.approx(4.0)
 
     def test_upper_at_i(self):
-        params = MetricParams(n=3, k=2, mu=1)
         pt = SiegelUpperPoint(V=1j * np.eye(3))
-        tv = TangentVector(dz=None, dW=1j * np.eye(3))
-        assert ds2_eval("upper", params, pt, tv) == pytest.approx(3.0)
+        dV = 1j * np.eye(3)
+        assert _trace_ds2(pt.M, dV) == pytest.approx(3.0)
+        assert _pair_ds2(pt, dV) == pytest.approx(3.0)
 
     def test_positive(self, rng):
         params = MetricParams(n=2, k=2, mu=1)
         pt = sample_point("jacobi_ball", 2, rng)
-        dz = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        A = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        tv = TangentVector(dz=dz, dW=A + A.T)
-        assert ds2_eval("jacobi_ball", params, pt, tv) > 0
+        v = rng.standard_normal(params.dim) + 1j * rng.standard_normal(params.dim)
+        assert (v @ metric_blocks(params, pt).h @ v.conj()).real > 0
 
     def test_upper_pair_consistency(self, rng):
-        # quadratic form of the folded pair metric reproduces the trace form
+        # the quadratic form of the folded pair metric reproduces the trace
+        # form (the ball's takes the same path, _fold_pair_metric of pt.M)
         pt = sample_point("upper", 2, rng)
         hx, kx = ball_metric_pair(pt)
         assert np.max(np.abs(hx @ kx - np.eye(3))) < 1e-12
         A = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        tv = TangentVector(dz=None, dW=A + A.T)
-        params = MetricParams(n=2, k=2, mu=1)
-        direct = ds2_eval("upper", params, pt, tv)
-        from siegel_jacobi.domains import PairIndex
+        assert _pair_ds2(pt, A + A.T) == pytest.approx(_trace_ds2(pt.M, A + A.T), rel=1e-12)
 
-        flat = PairIndex(2).pack(tv.dW)
-        quad = 4.0 * float((flat @ hx @ flat.conj()).real)
-        assert direct == pytest.approx(quad, rel=1e-12)
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_cayley_pullback_with_fd_differential(self, n):
+        # cayley_pullback_ds2's law C^T hk(V) conj(C) = hk(W), with C the FD
+        # Jacobian of W -> V in place of the closed form 2i U dW U
+        pt = sample_point("ball", n, np.random.default_rng(320 + n))
+        C = fd_jacobian(inverse_partial_cayley, pt)
+        hk = ball_metric_pair(pt)[0]
+        pulled = C.T @ ball_metric_pair(inverse_partial_cayley(pt))[0] @ C.conj()
+        assert np.max(np.abs(pulled - hk)) <= 1e-8 * np.max(np.abs(hk))
 
 
 class TestDiskRegression:
@@ -426,7 +434,7 @@ class TestDiskRegression:
             assert det.value == pytest.approx(det_ref, rel=1e-10)
 
 
-def _seven_closed_forms(params, at, tangent):
+def _closed_forms(params, at):
     """Every closed form that reads a point's Gram data, as arrays; at()
     gives the point object that each one is called at."""
     ev = metric_blocks(params, at())
@@ -439,7 +447,6 @@ def _seven_closed_forms(params, at, tangent):
         inv.h1, inv.h2, inv.h3, inv.h4, inv.h_inv,
         np.array([det.value, det.closed_form, det.constant_C]),
         cd.ric, np.asarray(cd.scalar_curvature), cd.qk_lu,
-        np.asarray(ds2_eval("jacobi_ball", params, at(), tangent)),
         laplacian_coefficients("jacobi_ball", params, at()).matrix,
     ]
 
@@ -462,10 +469,7 @@ def _fresh(pt):
 def _case(n, seed=40):
     rng = np.random.default_rng(seed + n)
     params = MetricParams(n=n, k=3.0 + n, mu=0.8)
-    pt = sample_point("jacobi_ball", n, rng, radius=0.7)
-    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    tangent = TangentVector(dz=rng.standard_normal(n) + 0j, dW=A + A.T)
-    return params, pt, tangent
+    return params, sample_point("jacobi_ball", n, rng, radius=0.7)
 
 
 class TestGramCache:
@@ -487,17 +491,16 @@ class TestGramCache:
         # a validated point forms N and its margin once, at construction
         grams = self._count(monkeypatch, "cross_gram", module=domains)
         eigs = self._count(monkeypatch, "eigvalsh", module=np.linalg)
-        params, pt, tangent = _case(3)
+        params, pt = _case(3)
         ball = pt.ball
         field = builtin_field("trWWbar", "ball")
 
         def every_reader(pt, ball):
-            _seven_closed_forms(params, lambda: pt, tangent)
+            _closed_forms(params, lambda: pt)
             _gram_readers(params, lambda: pt)
             pt.margin()
             apply_laplacian("jacobi_ball", params, field, pt)
             ball_metric_pair(ball)
-            ds2_eval("ball", params, ball, tangent)
             volume_densities(ball)
             ball.margin()
             apply_laplacian("ball", None, field, ball)
@@ -509,9 +512,8 @@ class TestGramCache:
         assert (len(grams), len(eigs)) == (2, 2)
 
     def test_upper_gram_pair_inverted_once(self, monkeypatch):
-        # the Laplacian coefficients, ds^2 and the pair metric of an upper
-        # point all read its one kept M = (2 Im V)^{-1}
-        params, _, tangent = _case(3)
+        # the Laplacian coefficients and the pair metric of an upper point
+        # both read its one kept M = (2 Im V)^{-1}
         pt = sample_point("upper", 3, np.random.default_rng(8))
         invs = self._count(monkeypatch, "inv", module=np.linalg)
         folded = []
@@ -521,7 +523,6 @@ class TestGramCache:
         )
         for _ in range(2):
             laplacian_coefficients("upper", None, pt)
-            ds2_eval("upper", params, pt, tangent)
             ball_metric_pair(pt)
         assert len(invs) == 1
         assert len(folded) == 2 and all(M is pt.M for M in folded)
@@ -529,7 +530,7 @@ class TestGramCache:
     def test_pair_terms_folded_once_per_point(self, monkeypatch):
         h_calls = self._count(monkeypatch, "_h_terms")
         inv_calls = self._count(monkeypatch, "_inv_terms")
-        params, pt, _ = _case(3)
+        params, pt = _case(3)
         for _ in range(2):
             for closed_form in (metric_blocks, metric_det, curvature, metric_inverse):
                 closed_form(params, pt)
@@ -542,14 +543,14 @@ class TestGramCache:
 
     def test_metric_inverse_folds_k_inv_once(self, monkeypatch):
         calls = self._count(monkeypatch, "_pair_metric_inverse")
-        params, pt, _ = _case(3)
+        params, pt = _case(3)
         for _ in range(2):
             metric_inverse(params, pt)
             laplacian_coefficients("jacobi_ball", params, pt)
         assert len(calls) == 1
 
     def test_point_data_is_read_only(self):
-        params, pt, _ = _case(2)
+        params, pt = _case(2)
         stack = pt.at_offset(np.zeros((3, params.dim)))
         for a in (
             pt.N, pt.M, pt.eta, pt.ball.N, pt.ball.M, stack.N, stack.M, stack.eta,
@@ -562,17 +563,17 @@ class TestGramCache:
         # X = Wbar M is formed in _h_terms, S = eta Nbar and alpha in _inv_terms
         h_calls = self._count(monkeypatch, "_h_terms")
         inv_calls = self._count(monkeypatch, "_inv_terms")
-        params, pt, tangent = _case(3)
+        params, pt = _case(3)
         for _ in range(2):
-            _seven_closed_forms(params, lambda: pt, tangent)
+            _closed_forms(params, lambda: pt)
         assert (len(h_calls), len(inv_calls)) == (1, 1)
         fresh = _fresh(pt)
-        _seven_closed_forms(params, lambda: fresh, tangent)
+        _closed_forms(params, lambda: fresh)
         assert (len(h_calls), len(inv_calls)) == (2, 2)
 
     def test_curvature_folds_hk_once(self, monkeypatch):
         calls = self._count(monkeypatch, "_fold_pair_metric")
-        params, pt, _ = _case(3)
+        params, pt = _case(3)
         curvature(params, pt)
         assert len(calls) == 1
         metric_blocks(params, pt)
@@ -580,7 +581,7 @@ class TestGramCache:
         assert len(calls) == 1
 
     def test_cached_arrays_are_read_only(self):
-        params, pt, _ = _case(2)
+        params, pt = _case(2)
         metric_blocks(params, pt)
         metric_inverse(params, pt)
         kept_terms = vars(pt)["h_terms"] + vars(pt)["inv_terms"]
@@ -591,16 +592,16 @@ class TestGramCache:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_warm_equals_cold(self, n):
-        params, pt, tangent = _case(n)
-        cold = _seven_closed_forms(params, lambda: _fresh(pt), tangent)
+        params, pt = _case(n)
+        cold = _closed_forms(params, lambda: _fresh(pt))
         cold += _gram_readers(params, lambda: _fresh(pt))
         for _ in range(2):
-            warm = _seven_closed_forms(params, lambda: pt, tangent)
+            warm = _closed_forms(params, lambda: pt)
             warm += _gram_readers(params, lambda: pt)
             assert all(np.array_equal(a, b) for a, b in zip(warm, cold, strict=True))
 
     def test_warm_equals_cold_stacked(self):
-        params, pt, _ = _case(3)
+        params, pt = _case(3)
         offsets = 1e-3 * np.random.default_rng(8).standard_normal((4, params.dim))
         stack = pt.at_offset(offsets)
         cold = [
@@ -619,8 +620,8 @@ class TestGramCache:
             assert all(np.array_equal(a, b) for a, b in zip(warm, cold))
 
     def test_stacked_point_has_its_own_cache(self, monkeypatch):
-        params, pt, tangent = _case(2)
-        _seven_closed_forms(params, lambda: pt, tangent)
+        params, pt = _case(2)
+        _closed_forms(params, lambda: pt)
         calls = self._count(monkeypatch, "_fold_pair_metric")
         stack = pt.at_offset(np.zeros((3, params.dim)))
         det = metric_det(params, stack).value
@@ -632,24 +633,22 @@ class TestGramCache:
         assert np.array_equal(det, np.full(3, metric_det(params, pt).value))
 
     def test_mutating_results_leaves_the_cache_intact(self):
-        params, pt, tangent = _case(3)
-        reference = _seven_closed_forms(params, lambda: _fresh(pt), tangent)
-        for a in _seven_closed_forms(params, lambda: pt, tangent):
+        params, pt = _case(3)
+        reference = _closed_forms(params, lambda: _fresh(pt))
+        for a in _closed_forms(params, lambda: pt):
             if a.ndim:
                 a[...] = 7.0
-        for a, b in zip(_seven_closed_forms(params, lambda: pt, tangent), reference):
+        for a, b in zip(_closed_forms(params, lambda: pt), reference):
             assert np.array_equal(a, b)
 
     def test_dimension_mismatch_on_warm_point(self):
-        params, pt, tangent = _case(2)
-        _seven_closed_forms(params, lambda: pt, tangent)
+        params, pt = _case(2)
+        _closed_forms(params, lambda: pt)
         wrong = MetricParams(n=3, k=params.k, mu=params.mu)
         for closed_form in (
             kahler_potential, metric_blocks, metric_inverse, metric_det, curvature,
         ):
             with pytest.raises(DimensionMismatch):
                 closed_form(wrong, pt)
-        with pytest.raises(DimensionMismatch):
-            ds2_eval("jacobi_ball", wrong, pt, tangent)
         with pytest.raises(DimensionMismatch):
             laplacian_coefficients("jacobi_ball", wrong, pt)

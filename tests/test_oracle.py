@@ -7,7 +7,6 @@ from siegel_jacobi import serialize
 from siegel_jacobi.domains import (
     JacobiBallPoint,
     SiegelUpperPoint,
-    TangentVector,
     _matvec,
     _vecmat,
     flatten_point,
@@ -488,8 +487,9 @@ class TestVolumeInvariance:
 
 
 class TestActionJacobian:
-    """action_jacobian: one FD Jacobian of act_ball per trial checks the ds2
-    pullback, the pushforward and both volume laws."""
+    """action_jacobian: one FD Jacobian of act_ball per trial checks the
+    isometry law J^T G(h.pt) conj(J) = G(pt), G the metric matrix, and both
+    volume laws."""
 
     def test_identity_element(self, monkeypatch):
         from siegel_jacobi import verify
@@ -520,32 +520,18 @@ class TestActionJacobian:
         assert fuzz_all(n=2, k=4.0, mu=1.0, trials=1, master_seed=7).passed
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("corrupt", [None, "h4", "dz", "Q_jacobi", "Q_ball"])
+    @pytest.mark.parametrize("corrupt", [None, "h4", "act_ball_z", "Q_jacobi", "Q_ball"])
     def test_corrupted_law_detected(self, monkeypatch, corrupt):
-        # negative controls, one per law: the metric's h4 block (ds2
-        # pullback), the dz part of the differential (pushforward) and each
+        # negative controls: the metric's h4 block times 1.01 and the z part
+        # of the action's image times 1 + 1e-4 (isometry law), and each
         # density's exponent (volume laws); the unpatched run passes
-        from siegel_jacobi import kernels, metric, verify
+        from siegel_jacobi import kernels
         from siegel_jacobi.kernels import VolumeData
 
         if corrupt == "h4":
-            blocks = metric.metric_blocks
-
-            def corrupted(params, pt):
-                ev = blocks(params, pt)
-                h4 = 1.01 * ev.h4
-                h = metric._assemble(ev.h1, ev.h2, ev.h3, h4)
-                return MetricEval(h1=ev.h1, h2=ev.h2, h3=ev.h3, h4=h4, h=h)
-
-            monkeypatch.setattr(metric, "metric_blocks", corrupted)
-        elif corrupt == "dz":
-            differential = verify.act_ball_differential
-
-            def corrupted(h, pt, v):
-                push = differential(h, pt, v)
-                return TangentVector(dz=1.0001 * push.dz, dW=push.dW)
-
-            monkeypatch.setattr(verify, "act_ball_differential", corrupted)
+            _mutate(monkeypatch, "metric_blocks", _post(_h4_scaled))
+        elif corrupt == "act_ball_z":
+            _mutate(monkeypatch, "act_ball", _scaled_image("z"))
         elif corrupt is not None:
             densities = kernels.volume_densities
 
@@ -658,8 +644,8 @@ class TestFuzzAll:
         fuzz_all(n=2, k=4.0, mu=1.0, trials=3, master_seed=7)
         assert len(lng_hessians) == 3
 
-    def test_ds2_ball_builds_no_pair_inverse(self, monkeypatch):
-        # ds2_ball_consistency reads only the pair metric h^k
+    def test_cayley_pullback_builds_no_pair_inverse(self, monkeypatch):
+        # cayley_pullback_ds2 reads only the two pair metrics h^k
         from siegel_jacobi import metric
 
         calls = []
@@ -668,7 +654,7 @@ class TestFuzzAll:
             metric, "_pair_metric_inverse", lambda *a: calls.append(a) or inverse(*a)
         )
         rep = fuzz_all(
-            n=2, k=4.0, mu=1.0, trials=3, master_seed=7, properties=["ds2_ball_consistency"]
+            n=2, k=4.0, mu=1.0, trials=3, master_seed=7, properties=["cayley_pullback_ds2"]
         )
         assert rep.passed
         assert calls == []
@@ -707,11 +693,11 @@ class TestFuzzAll:
         assert serialize.dumps(res.to_json())
 
     def test_registry(self):
-        # 20 properties; TestDeletedPropertyMutants shows the laws of the
+        # 19 properties; TestDeletedPropertyMutants shows the laws of the
         # deleted ones fail kept properties
-        assert len(PROPERTIES) == 20
+        assert len(PROPERTIES) == 19
         assert {g: len(v) for g, v in PROPERTY_GROUPS.items() if g != "all"} == {
-            "metric": 4, "inverse": 1, "curvature": 1, "laplacian": 1,
+            "metric": 3, "inverse": 1, "curvature": 1, "laplacian": 1,
             "invariance": 2, "cayley": 6, "kernels": 3, "parseval": 2,
         }
 
@@ -789,9 +775,15 @@ class TestFoldedLaws:
 
 def _mutate(monkeypatch, name, wrap):
     """Replace the package function ``name`` by ``wrap(original)`` in every
-    module the fuzzer reads it from, as an edit of its definition would."""
-    from siegel_jacobi import groups, laplacian, metric, verify
+    module the fuzzer reads it from, as an edit of its definition would;
+    a name ``Type.attr`` is a property of a point type in ``domains``."""
+    from siegel_jacobi import domains, groups, laplacian, metric, verify
 
+    if "." in name:
+        cls, attr = name.split(".")
+        cls = getattr(domains, cls)
+        monkeypatch.setattr(cls, attr, property(wrap(getattr(cls, attr).fget)))
+        return
     modules = [m for m in (groups, metric, laplacian, verify) if hasattr(m, name)]
     mutant = wrap(getattr(modules[0], name))
     for module in modules:
@@ -815,6 +807,27 @@ def _conj_added(part, eps):
         return type(b).image(b.z + eps * b.z.conj(), b.W)
 
     return _post(change)
+
+
+def _scaled_image(part):
+    """The image's W or z scaled by 1 + 1e-4 (a Siegel-ball image has no z)."""
+
+    def change(b, *_):
+        if part == "W":
+            return type(b).image(b.vector, (1.0 + 1e-4) * b.W)
+        if b.vector is None:
+            return b
+        return type(b).image((1.0 + 1e-4) * b.vector, b.W)
+
+    return _post(change)
+
+
+def _h4_scaled(ev, *_):
+    """A metric result with its h4 block scaled by 1.01."""
+    from siegel_jacobi.metric import _assemble
+
+    h4 = 1.01 * ev.h4
+    return MetricEval(h1=ev.h1, h2=ev.h2, h3=ev.h3, h4=h4, h=_assemble(ev.h1, ev.h2, ev.h3, h4))
 
 
 def _indefinite(how, domains):
@@ -850,11 +863,12 @@ _DELETED_PROPERTY_MUTANTS = {
         None if p.u is None else 1.01 * p.u, p.V)), ("theta_equivariance",)),
     "act_upper_swap": ("act_upper", lambda act: lambda h, pt: act(
         dataclasses.replace(h, lambda_mu=np.roll(h.lambda_mu, h.n)), pt), ("theta_equivariance",)),
-    # ball_pair_inverse read the two pair forms that h and h_inv are built of
+    # ball_pair_inverse read the two pair forms that h and h_inv are built of;
+    # ds2_ball_consistency, which compared the trace form 4 Tr(M dW Mbar dWbar)
+    # with the folded pair form, failed both _fold_pair_metric mutants
     **{f"{name}_{how}": (name, wrap, kept) for name, kept in (
         ("_pair_metric_inverse", ("inverse_identity", "ricci_fd_match", "laplacian_equivariance")),
-        ("_fold_pair_metric",
-         ("inverse_identity", "metric_fd_match", "ricci_fd_match", "ds2_ball_consistency")),
+        ("_fold_pair_metric", ("inverse_identity", "metric_fd_match", "ricci_fd_match")),
     ) for how, wrap in (
         ("scaled", _post(lambda A, *_: 1.01 * A)),
         ("conj", lambda form: lambda M, idx: form(M.conj(), idx)),
@@ -880,15 +894,28 @@ _DELETED_PROPERTY_MUTANTS = {
     # fc_roundtrip compares the whole point, W included
     "inverse_fc_W": ("inverse_fc_transform", _post(lambda p, *_: JacobiBallPoint(
         z=p.z, W=0.99 * p.W)), ("fc_roundtrip",)),
+    # cayley_pullback_ds2 compared the two models' trace forms along one
+    # tangent, and failed the upper point's M scaled, as no other property
+    # does; its matrix law reads that M through _fold_pair_metric
+    "upper_M": ("SiegelUpperPoint.M", _post(lambda M, *_: 1.01 * M), ("cayley_pullback_ds2",)),
+    # action_jacobian's ds2 pullback along one v failed all three, and its
+    # pushforward law (against a closed-form differential) the act_ball ones
+    **{f"act_ball_{part}": ("act_ball", _scaled_image(part), (
+        "action_jacobian", "left_action_ball", "theta_equivariance", "laplacian_equivariance"))
+       for part in ("z", "W")},
+    "metric_blocks_h4": ("metric_blocks", _post(_h4_scaled),
+                         ("action_jacobian", "inverse_identity", "metric_fd_match", "ricci_fd_match")),
 }
 
 
 class TestDeletedPropertyMutants:
-    """left_action_upper, ball_pair_inverse, holomorphy_gates and
-    ellipticity are implied by kept properties: every mutant that they
-    caught fails a kept one at n = 2 (3 trials, seed 7); so does
-    inverse_fc_W, which no property caught while fc_roundtrip compared z
-    alone.  The unmutated run passes every kept property named here."""
+    """left_action_upper, ball_pair_inverse, holomorphy_gates,
+    ellipticity and ds2_ball_consistency are implied by kept properties,
+    and the matrix laws of action_jacobian and cayley_pullback_ds2 by what
+    their tangent-vector laws checked: every mutant that those caught fails
+    a kept property at n = 2 (3 trials, seed 7); so does inverse_fc_W,
+    which no property caught while fc_roundtrip compared z alone.  The
+    unmutated run passes every kept property named here."""
 
     @pytest.mark.parametrize("mutant", [None, *_DELETED_PROPERTY_MUTANTS])
     def test_kept_property_fails(self, monkeypatch, mutant):

@@ -50,9 +50,7 @@ from .laplacian import (
     LaplacianCoefficients,
     apply_laplacian,
     builtin_field,
-    cayley_chain_rule_check,
     laplacian_coefficients,
-    laplacian_correspondence_check,
 )
 from .metric import (
     CurvatureData,

@@ -1,6 +1,7 @@
 """Laplace-Beltrami operators on the ball, the upper half-plane and the
-Jacobi ball, the Cayley chain rule for symmetric-matrix derivatives, and the
-operator-transport check across the Cayley map.
+Jacobi ball.  The partial Cayley transform carries the upper half-plane's
+operator to the ball's: with C its pair-coordinate differential, the
+coefficient matrices obey conj(C) Cb C^T = Cu (``cayley_pullback_ds2``).
 
 Convention: a coefficient matrix C acts on a scalar field f as
 
@@ -22,8 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .domains import PairIndex, SiegelUpperPoint, _dot, _item, _vecmat, flatten_point
-from .groups import inverse_partial_cayley, partial_cayley
+from .domains import PairIndex, _dot, _item, _vecmat, flatten_point
 from .metric import (
     MetricParams,
     _fold_pair_metric,
@@ -31,14 +31,12 @@ from .metric import (
     metric_blocks,
     metric_inverse,
 )
-from .oracle import fd_laplacian, fd_wirtinger_gradient
+from .oracle import fd_laplacian
 
 __all__ = [
     "LaplacianCoefficients",
     "laplacian_coefficients",
     "apply_laplacian",
-    "cayley_chain_rule_check",
-    "laplacian_correspondence_check",
     "builtin_field",
     "BUILTIN_FIELDS",
 ]
@@ -80,56 +78,6 @@ def apply_laplacian(
     stacked points of the same type as pt; symmetric-matrix coordinates are
     perturbed jointly."""
     return fd_laplacian(f, pt, laplacian_coefficients(domain, params, pt).matrix, fd_step)
-
-
-def _sym_derivative_matrix(f: Callable, pt) -> np.ndarray:
-    """G[a, b] = e_ab df/dz_ab over a symmetric-matrix chart, as an n x n
-    symmetric matrix; e_ab = (1 + delta_ab) / 2."""
-    idx = PairIndex(pt.n)
-    hol, _ = fd_wirtinger_gradient(f, pt)
-    return idx.unpack(0.5 * hol / idx.f)  # e_ab = 1 / (2 f_ab)
-
-
-def cayley_chain_rule_check(f: Callable, pt: SiegelUpperPoint) -> float:
-    """Defect of the symmetric-derivative chain rule across the Cayley map:
-
-        e_ab df/dv_ab  =  -(i/2) [(1 - W) G_W (1 - W)]_ab,
-
-    where W is the Cayley image of V, G_W the weighted w-derivative matrix of
-    f expressed in W, and f a scalar field on the upper half-plane.  The
-    Cayley maps broadcast, so f expressed in W takes stacked points as f
-    does.
-    """
-    if pt.u is not None:
-        pt = SiegelUpperPoint(V=pt.V)
-    G_V = _sym_derivative_matrix(f, pt)
-    ball = partial_cayley(pt)
-
-    def f_in_w(b):
-        return f(inverse_partial_cayley(b))
-
-    G_W = _sym_derivative_matrix(f_in_w, ball)
-    A = np.eye(pt.n) - ball.W
-    rhs = -0.5j * (A @ G_W @ A)
-    return float(np.max(np.abs(G_V - rhs)))
-
-
-def laplacian_correspondence_check(
-    f: Callable, pt: SiegelUpperPoint, fd_step: float = 1e-4
-) -> float:
-    """|Delta_upper(f o Phi)(V) - Delta_ball(f)(Phi(V))| for a scalar field f
-    on the ball: the operator is transported by the Cayley biholomorphism.
-    Phi broadcasts, so f o Phi takes stacked points as f does."""
-    if pt.u is not None:
-        pt = SiegelUpperPoint(V=pt.V)
-    ball = partial_cayley(pt)
-
-    def pulled_back(v):
-        return f(partial_cayley(v))
-
-    upper_val = apply_laplacian("upper", None, pulled_back, pt, fd_step)
-    ball_val = apply_laplacian("ball", None, f, ball, fd_step)
-    return float(abs(upper_val - ball_val))
 
 
 def _ln_g(domain: str, params: MetricParams | None):

@@ -39,13 +39,7 @@ from .groups import (
     random_jacobi_r,
     theta,
 )
-from .laplacian import (
-    apply_laplacian,
-    builtin_field,
-    cayley_chain_rule_check,
-    laplacian_coefficients,
-    laplacian_correspondence_check,
-)
+from .laplacian import apply_laplacian, builtin_field, laplacian_coefficients
 from .metric import (
     MetricParams,
     _fold_pair_metric,
@@ -142,7 +136,7 @@ def _gap(a, b) -> float:
 
 
 # --------------------------------------------------------------------------
-# metric
+# metric (cayley_pullback_ds2 is the cayley group)
 
 
 @_register("metric_fd_match", "metric", 1e-6)
@@ -170,13 +164,19 @@ def _det_closed(params, rng):
     return max(abs(res.value / res.closed_form - 1.0), abs(ratio / expected - 1.0)), pt
 
 
-@_register("cayley_pullback_ds2", "metric", 1e-8)
+@_register("cayley_pullback_ds2", "cayley", 1e-8)
 def _cayley_pullback(params, rng):
     """The partial Cayley transform carries the upper half-plane's pair
-    metric to the ball's: C^T hk(V) conj(C) = hk(W), relative to 1e-8.
-    Each hk is ``_fold_pair_metric`` of its own point's M, and C is the
-    pair-coordinate matrix of the differential dV = 2i U dW U,
-    U = (1 - W)^{-1}: its column j is the image of pair j's symmetric unit."""
+    metric and Laplacian to the ball's.  C is the pair-coordinate matrix of
+    the differential dV = 2i U dW U, U = (1 - W)^{-1}: its column j is the
+    image of pair j's symmetric unit.  Two laws on that C:
+
+    - pullback: C^T hk(V) conj(C) = hk(W), relative to max |hk(W)|, to
+      1e-8; each hk is ``_fold_pair_metric`` of its own point's M;
+    - transport: conj(C) Cb(W) C^T = Cu(V), relative to max |Cu(V)|, to
+      1e-8; Cb and Cu are the ``laplacian_coefficients`` matrices of the
+      ball and the upper half-plane.
+    """
     pt = _pt(params, rng).ball
     idx = params.pair_index
     upper = inverse_partial_cayley(pt)
@@ -184,7 +184,12 @@ def _cayley_pullback(params, rng):
     C = idx.pack(2j * U @ idx.unpack(np.eye(idx.size)) @ U).T
     hk = _fold_pair_metric(pt.M, idx)
     pulled = C.T @ _fold_pair_metric(upper.M, idx) @ C.conj()
-    return float(np.max(np.abs(pulled - hk)) / np.max(np.abs(hk))), pt
+    Cu = laplacian_coefficients("upper", None, upper).matrix
+    carried = C.conj() @ laplacian_coefficients("ball", None, pt).matrix @ C.T
+    return max(
+        float(np.max(np.abs(pulled - hk)) / np.max(np.abs(hk))),
+        float(np.max(np.abs(carried - Cu)) / np.max(np.abs(Cu))),
+    ), pt
 
 
 # --------------------------------------------------------------------------
@@ -348,33 +353,6 @@ def _fc_roundtrip(params, rng):
     pt = _pt(params, rng)
     eta, W = fc_transform(pt)
     return _gap(pt, inverse_fc_transform(eta, W)), pt
-
-
-@_register("chain_rule_defect", "cayley", 1e-6)
-def _chain_rule(params, rng):
-    pt = sample_point("upper", params.n, rng)
-    pick = int(rng.integers(3))
-    if pick == 0:
-        B = rng.standard_normal((params.n, params.n))
-        B = B + B.T
-        f = lambda p: np.trace(B @ p.V, axis1=-2, axis2=-1)
-    elif pick == 1:
-        f = lambda p: np.trace(p.V @ p.V, axis1=-2, axis2=-1)
-    else:
-        f = builtin_field(f"re_poly({int(rng.integers(10**6))})", "upper")
-    return cayley_chain_rule_check(f, pt), pt
-
-
-@_register("laplacian_correspondence", "cayley", 1e-5)
-def _correspondence(params, rng):
-    pt = sample_point("upper", params.n, rng)
-    pick = int(rng.integers(2))
-    if pick == 0:
-        f = builtin_field("trWWbar", "ball")
-    else:
-        f = builtin_field(f"re_poly({int(rng.integers(10**6))})", "ball")
-    # composed rational pullback: roundoff dominates at the default step
-    return laplacian_correspondence_check(f, pt, fd_step=3e-4), pt
 
 
 # --------------------------------------------------------------------------

@@ -645,7 +645,9 @@ class TestFuzzAll:
         assert len(lng_hessians) == 3
 
     def test_cayley_pullback_builds_no_pair_inverse(self, monkeypatch):
-        # cayley_pullback_ds2 reads only the two pair metrics h^k
+        # cayley_pullback_ds2 forms the two pair metrics h^k itself, and the
+        # pair inverses only through laplacian_coefficients, whose matrices
+        # its transport law checks (laplacian holds its own binding)
         from siegel_jacobi import metric
 
         calls = []
@@ -693,12 +695,12 @@ class TestFuzzAll:
         assert serialize.dumps(res.to_json())
 
     def test_registry(self):
-        # 19 properties; TestDeletedPropertyMutants shows the laws of the
+        # 17 properties; TestDeletedPropertyMutants shows the laws of the
         # deleted ones fail kept properties
-        assert len(PROPERTIES) == 19
+        assert len(PROPERTIES) == 17
         assert {g: len(v) for g, v in PROPERTY_GROUPS.items() if g != "all"} == {
-            "metric": 3, "inverse": 1, "curvature": 1, "laplacian": 1,
-            "invariance": 2, "cayley": 6, "kernels": 3, "parseval": 2,
+            "metric": 2, "inverse": 1, "curvature": 1, "laplacian": 1,
+            "invariance": 2, "cayley": 5, "kernels": 3, "parseval": 2,
         }
 
     def test_groups_cover_all_properties(self):
@@ -877,18 +879,30 @@ _DELETED_PROPERTY_MUTANTS = {
     **{f"cayley_{part}_{eps:.0e}": ("partial_cayley", _conj_added(part, eps),
                                     ("partial_cayley_roundtrip", "theta_equivariance"))
        for part in ("W", "z") for eps in (1e-6, 1e-9)},
+    # chain_rule_defect and laplacian_correspondence compared FD derivatives
+    # across the Cayley map: the first caught the inverse_cayley rows, the
+    # second cayley_W_scaled, upper_N and the C_ball and C_upper rows
+    "cayley_W_scaled": ("partial_cayley", _scaled_image("W"),
+                        ("partial_cayley_roundtrip", "theta_equivariance")),
     "inverse_cayley_V": ("inverse_partial_cayley", _post(lambda p, pt: SiegelUpperPoint.image(
-        p.u, p.V + 1e-6 * pt.W.conj())),
-        ("partial_cayley_roundtrip", "cayley_pullback_ds2", "chain_rule_defect")),
+        p.u, p.V + 1e-6 * pt.W.conj())), ("partial_cayley_roundtrip", "cayley_pullback_ds2")),
+    "inverse_cayley_V_scaled": ("inverse_partial_cayley", _post(lambda p, pt: SiegelUpperPoint.image(
+        p.u, 1.01 * p.V)), ("partial_cayley_roundtrip", "cayley_pullback_ds2")),
+    # a real translation is an isometry of the upper half-plane: only the
+    # roundtrip sees it
+    "inverse_cayley_V_shifted": ("inverse_partial_cayley", _post(
+        lambda p, pt: SiegelUpperPoint.image(p.u, p.V + 0.01)), ("partial_cayley_roundtrip",)),
+    "upper_N": ("SiegelUpperPoint.N", _post(lambda N, *_: 1.01 * N), ("cayley_pullback_ds2",)),
     # ellipticity read the least eigenvalue of C on each of the three
     # domains; inverse_identity ties the Jacobi-ball and ball C to h_inv,
-    # and the Cayley transport law ties the upper C to the ball's (it is
-    # linear in C, so C_ball_upper passes it: both sides change alike)
+    # and cayley_pullback_ds2's transport law ties the upper C to the ball's
+    # (it is linear in C, so C_ball_upper_neg passes it: both sides change
+    # alike)
     **{f"C_{name}_{how}": ("laplacian_coefficients", _indefinite(how, domains), kept)
        for name, domains, kept in (
            ("jacobi", ("jacobi_ball",), ("inverse_identity", "ricci_fd_match")),
-           ("ball", ("ball",), ("inverse_identity", "laplacian_correspondence")),
-           ("upper", ("upper",), ("laplacian_correspondence",)),
+           ("ball", ("ball",), ("inverse_identity", "cayley_pullback_ds2")),
+           ("upper", ("upper",), ("cayley_pullback_ds2",)),
            ("ball_upper", ("ball", "upper"), ("inverse_identity",)),
     ) for how in _C_HOW},
     # fc_roundtrip compares the whole point, W included
@@ -910,12 +924,13 @@ _DELETED_PROPERTY_MUTANTS = {
 
 class TestDeletedPropertyMutants:
     """left_action_upper, ball_pair_inverse, holomorphy_gates,
-    ellipticity and ds2_ball_consistency are implied by kept properties,
-    and the matrix laws of action_jacobian and cayley_pullback_ds2 by what
-    their tangent-vector laws checked: every mutant that those caught fails
-    a kept property at n = 2 (3 trials, seed 7); so does inverse_fc_W,
-    which no property caught while fc_roundtrip compared z alone.  The
-    unmutated run passes every kept property named here."""
+    ellipticity, ds2_ball_consistency, chain_rule_defect and
+    laplacian_correspondence are implied by kept properties, and the matrix
+    laws of action_jacobian and cayley_pullback_ds2 by what their
+    tangent-vector laws checked: every mutant that those caught fails a
+    kept property at n = 2 (3 trials, seed 7); so does inverse_fc_W, which
+    no property caught while fc_roundtrip compared z alone.  The unmutated
+    run passes every kept property named here."""
 
     @pytest.mark.parametrize("mutant", [None, *_DELETED_PROPERTY_MUTANTS])
     def test_kept_property_fails(self, monkeypatch, mutant):

@@ -23,7 +23,6 @@ from .groups import (
     cayley_conjugate,
     compose_jacobi_c,
     compose_jacobi_r,
-    fc_transform,
     inverse_cayley_conjugate,
     inverse_fc_transform,
     inverse_jacobi_c,

@@ -22,7 +22,6 @@ from . import serialize
 from .domains import JacobiBallPoint, SiegelUpperPoint, sample_point
 from .errors import DimensionMismatch, GeometryError
 from .groups import (
-    fc_transform,
     inverse_fc_transform,
     inverse_partial_cayley,
     partial_cayley,
@@ -177,8 +176,7 @@ def _transform(args) -> dict:
     if kind == "fc":
         if not isinstance(pt, JacobiBallPoint):
             raise GeometryError("fc expects a Jacobi-ball point (z, W)")
-        eta, W = fc_transform(pt)
-        return {"n": pt.n, "eta": serialize.encode(eta), "W": serialize.encode(W)}
+        return {"n": pt.n, "eta": serialize.encode(pt.eta), "W": serialize.encode(pt.W)}
     raise AssertionError(kind)
 
 

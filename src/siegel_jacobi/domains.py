@@ -439,7 +439,8 @@ class JacobiBallPoint(_BallPart):
 
     @property
     def eta(self) -> np.ndarray:
-        """The FC coordinate M (z + W zbar), kept like N."""
+        """The FC coordinate M (z + W zbar), kept like N;
+        ``groups.inverse_fc_transform`` inverts it."""
         return kept(self, "eta", lambda pt: _matvec(pt.M, pt.z + _matvec(pt.W, pt.z.conj())))
 
     @property

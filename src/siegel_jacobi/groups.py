@@ -1,6 +1,7 @@
 """Symplectic and Jacobi group elements, their actions on the four domains,
-Cayley conjugation, the partial Cayley transform and the FC change of
-coordinates.
+Cayley conjugation, the partial Cayley transform and the inverse of the FC
+change of coordinates (the FC coordinate itself is a point's ``eta``, see
+``domains``).
 
 The complexified symplectic element is the block matrix ``[[p, q], [qbar,
 pbar]]``; the real one is ``[[a, b], [c, d]]``.  Jacobi elements extend these
@@ -16,15 +17,14 @@ of valid elements is valid at any size.
 Each point map (``act_ball``, ``act_upper``, ``partial_cayley`` and
 ``inverse_partial_cayley``) takes both points of its model, with or without
 the vector part, and its image has a vector part when the point has one.
-These maps and ``fc_transform`` broadcast over leading axes of a trusted
-point (z of shape (..., n), W of shape (..., n, n)), so a finite-difference
-stencil is mapped in one call (for ``fc_transform``, to stacked ``eta`` and
-``W``).  Each point map factorises its denominator once (``_right_divide``,
-which solves for the vector part in the same call) and builds its image with
-the point type's ``image`` (see ``domains``): a single image is checked for
-its margin, a stacked one trusted.  Each stacked image equals the
-single-point image to the last bit: every matrix product and solve runs per
-point exactly as it does alone.
+These maps broadcast over leading axes of a trusted point (z of shape
+(..., n), W of shape (..., n, n)), so a finite-difference stencil is mapped
+in one call.  Each point map factorises its denominator once
+(``_right_divide``, which solves for the vector part in the same call) and
+builds its image with the point type's ``image`` (see ``domains``): a single
+image is checked for its margin, a stacked one trusted.  Each stacked image
+equals the single-point image to the last bit: every matrix product and
+solve runs per point exactly as it does alone.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ __all__ = [
     "act_upper",
     "partial_cayley",
     "inverse_partial_cayley",
-    "fc_transform",
     "inverse_fc_transform",
     "random_symplectic_r",
     "random_jacobi_c",
@@ -390,16 +389,13 @@ def inverse_partial_cayley(pt: JacobiBallPoint | SiegelBallPoint) -> SiegelUpper
     return SiegelUpperPoint.image(u, 1j * X)
 
 
-def fc_transform(pt: JacobiBallPoint) -> tuple[np.ndarray, np.ndarray]:
-    """Kaehler-product coordinates: eta = (1 - W Wbar)^{-1}(z + W zbar), the
-    point's own (see ``domains``), returned as new arrays."""
-    return np.array(pt.eta), np.array(pt.W)
-
-
 def inverse_fc_transform(eta: np.ndarray, W: np.ndarray) -> JacobiBallPoint:
-    """z = eta - W conj(eta)."""
+    """z = eta - W conj(eta), the inverse of a point's FC coordinate
+    ``eta = (1 - W Wbar)^{-1}(z + W zbar)``."""
     eta = np.asarray(eta, dtype=complex).reshape(-1)
     W = np.asarray(W, dtype=complex)
+    if eta.shape != W.shape[-1:]:
+        raise ValueError("eta must have length n")
     return JacobiBallPoint(z=eta - W @ eta.conj(), W=W)
 
 

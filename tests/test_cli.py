@@ -257,7 +257,7 @@ class TestVerify:
         assert out1 == out2
 
     def test_default_weight_passes_parseval(self, capsys):
-        # the parseval properties are undefined for k <= 3
+        # the parseval property is undefined for k <= 3
         code, out = run_cli(capsys, "verify", "parseval", "--n", "1", "--trials", "1")
         assert code == 0
         report = json.loads(out)
@@ -290,17 +290,16 @@ class TestVerify:
 
     def test_underflowing_parseval_exit_one(self, capsys):
         # at k = 1e6 the n = 1 norm underflows to 0, and at k = 1e200 scipy
-        # forms no Gauss-Jacobi rule: each parseval property reports
+        # forms no Gauss-Jacobi rule: the parseval property reports
         # NotConverged instead of a traceback or a usage error
         for k in ("1e6", "1e200"):
             code, out = run_cli(capsys, "verify", "parseval", "--n", "1", "--k", k, "--trials", "1")
             assert code == 1
             report = json.loads(out, parse_constant=_reject_constant)
             assert report["pass"] is False
-            assert len(report["properties"]) == 2
-            for entry in report["properties"]:
-                assert entry["max_error"] is None
-                assert entry["worst"]["point"]["error"].startswith("NotConverged")
+            [entry] = report["properties"]
+            assert entry["max_error"] is None
+            assert entry["worst"]["point"]["error"].startswith("NotConverged")
 
     def test_negative_trials_rejected(self, capsys):
         code, out = run_cli(capsys, "verify", "metric", "--trials", "-3")
@@ -388,14 +387,19 @@ class TestErrors:
         assert json.loads(captured.out, parse_constant=_reject_constant)["error"]["kind"] == kind
 
     @pytest.mark.parametrize(
-        "payload", [{"n": 1, "W": [[[0.1, 0.0]]]}, {"n": 1, "eta": 0.5, "W": [[[0.1, 0.0]]]}]
+        "payload",
+        [{"n": 1, "W": [[[0.1, 0.0]]]}, {"n": 1, "eta": 0.5, "W": [[[0.1, 0.0]]]},
+         # an eta of another length than W's size is named, as a point's z is
+         {"n": 1, "eta": [0.5, 0.1], "W": [[[0.1, 0.0]]]}],
     )
     def test_malformed_fc_file(self, capsys, tmp_path, payload):
         path = tmp_path / "fc.json"
         path.write_text(json.dumps(payload))
         code, out = run_cli(capsys, "transform", "inv-fc", "--point", str(path))
         assert code == 2
-        assert json.loads(out)["error"]["kind"] == "ValueError"
+        error = json.loads(out)["error"]
+        assert error["kind"] == "ValueError"
+        assert "eta" in error["detail"]
 
     @pytest.mark.parametrize(
         "argv",

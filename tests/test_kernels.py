@@ -397,13 +397,13 @@ class TestParseval:
         assert calls == []
 
     def test_wrong_constant_fails_fuzz(self, monkeypatch):
-        # negative control: a Lambda_1 3% off fails parseval_n1 (tol 0.02);
-        # parseval_mu_stability cancels the constant, so it still passes
+        # negative control: a Lambda_1 3% off fails parseval_n1's first law
+        # (tol 0.02); its mu law cancels the constant
         constant = kernels.normalization_constant
         monkeypatch.setattr(kernels, "normalization_constant", lambda p: 1.03 * constant(p))
         rep = fuzz_all(n=1, k=4.0, mu=1.0, trials=1, master_seed=7, properties="parseval")
         passed = {r.property: r.passed for r in rep.results}
-        assert passed == {"parseval_n1": False, "parseval_mu_stability": True}
+        assert passed == {"parseval_n1": False}
 
 
 def _loop_parseval_reference(k, mu):

@@ -14,7 +14,7 @@ from siegel_jacobi.domains import (
     sample_point,
 )
 from siegel_jacobi.errors import DimensionMismatch, NumericalOverflow
-from siegel_jacobi.groups import fc_transform, inverse_partial_cayley
+from siegel_jacobi.groups import inverse_partial_cayley
 from siegel_jacobi.kernels import kernel_eval, volume_densities
 from siegel_jacobi.laplacian import apply_laplacian, builtin_field, laplacian_coefficients
 from siegel_jacobi.metric import (
@@ -452,12 +452,12 @@ def _closed_forms(params, at):
 
 
 def _gram_readers(params, at):
-    """The kernels and the FC transform, which read a point's ln det N and
+    """The kernels and the FC coordinate, which read a point's ln det N and
     eta, as arrays; at() gives the point object for each call."""
     ev = kernel_eval(params, at())
     vol = volume_densities(at())
     return [np.asarray(getattr(ev, f.name)) for f in fields(ev)] + [
-        np.array([vol.Q_ball, vol.Q_jacobi]), fc_transform(at())[0],
+        np.array([vol.Q_ball, vol.Q_jacobi]), at().eta,
     ]
 
 
@@ -608,14 +608,14 @@ class TestGramCache:
             kahler_potential(params, pt.at_offset(offsets)),
             metric_det(params, pt.at_offset(offsets)).value,
             metric_blocks(params, pt.at_offset(offsets)).h,
-            fc_transform(pt.at_offset(offsets))[0],
+            pt.at_offset(offsets).eta,
         ]
         for _ in range(2):
             warm = [
                 kahler_potential(params, stack),
                 metric_det(params, stack).value,
                 metric_blocks(params, stack).h,
-                fc_transform(stack)[0],
+                stack.eta,
             ]
             assert all(np.array_equal(a, b) for a, b in zip(warm, cold))
 

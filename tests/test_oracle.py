@@ -17,7 +17,6 @@ from siegel_jacobi.groups import (
     JacobiElementC,
     act_ball,
     act_upper,
-    fc_transform,
     inverse_partial_cayley,
     partial_cayley,
     random_jacobi_c,
@@ -454,9 +453,8 @@ class TestJacobian:
         # eta = M(z + W zbar) depends on the conjugates; the gate must fire
         pt = sample_point("jacobi_ball", 2, rng)
 
-        def fc_map(p):
-            eta, W = fc_transform(p)
-            return JacobiBallPoint.assemble(eta, W)
+        def fc_map(q):
+            return JacobiBallPoint.assemble(q.eta, q.W)
 
         with pytest.raises(NonHolomorphic):
             fd_jacobian(fc_map, pt)
@@ -695,12 +693,12 @@ class TestFuzzAll:
         assert serialize.dumps(res.to_json())
 
     def test_registry(self):
-        # 17 properties; TestDeletedPropertyMutants shows the laws of the
+        # 16 properties; TestDeletedPropertyMutants shows the laws of the
         # deleted ones fail kept properties
-        assert len(PROPERTIES) == 17
+        assert len(PROPERTIES) == 16
         assert {g: len(v) for g, v in PROPERTY_GROUPS.items() if g != "all"} == {
             "metric": 2, "inverse": 1, "curvature": 1, "laplacian": 1,
-            "invariance": 2, "cayley": 5, "kernels": 3, "parseval": 2,
+            "invariance": 2, "cayley": 5, "kernels": 3, "parseval": 1,
         }
 
     def test_groups_cover_all_properties(self):
@@ -726,7 +724,10 @@ class TestFoldedLaws:
          # ld and ln det N (in f) each scaled by 1.01
          (None, "kernel_potential_tie"), ("exponent", "kernel_potential_tie"),
          ("tracked_logdet", "kernel_potential_tie"), ("logdet_N", "kernel_potential_tie"),
-         ("F_diag", "kernel_potential_tie")],
+         ("F_diag", "kernel_potential_tie"),
+         # the n = 1 norm is 1 and does not move when mu doubles: a power of
+         # mu in Lambda_1 keeps the first law at mu = 1 and fails the second
+         (None, "parseval_n1"), ("mu_power", "parseval_n1")],
     )
     def test_corrupted_law_detected(self, monkeypatch, corrupt, prop):
         from siegel_jacobi import domains, groups, kernels, verify
@@ -764,6 +765,11 @@ class TestFoldedLaws:
             monkeypatch.setattr(
                 domains._BallPart, "logdet_N", property(lambda pt: 1.01 * logdet(pt))
             )
+        elif corrupt == "mu_power":
+            constant = kernels.normalization_constant
+            monkeypatch.setattr(
+                kernels, "normalization_constant", lambda p: p.mu**0.01 * constant(p)
+            )
         elif corrupt is not None:
             name = {"exponent": "_two_point_exponent", "tracked_logdet": "_tracked_logdet",
                     "F_diag": "_diagonal_exponent"}[corrupt]
@@ -779,14 +785,14 @@ def _mutate(monkeypatch, name, wrap):
     """Replace the package function ``name`` by ``wrap(original)`` in every
     module the fuzzer reads it from, as an edit of its definition would;
     a name ``Type.attr`` is a property of a point type in ``domains``."""
-    from siegel_jacobi import domains, groups, laplacian, metric, verify
+    from siegel_jacobi import domains, groups, kernels, laplacian, metric, verify
 
     if "." in name:
         cls, attr = name.split(".")
         cls = getattr(domains, cls)
         monkeypatch.setattr(cls, attr, property(wrap(getattr(cls, attr).fget)))
         return
-    modules = [m for m in (groups, metric, laplacian, verify) if hasattr(m, name)]
+    modules = [m for m in (groups, metric, kernels, laplacian, verify) if hasattr(m, name)]
     mutant = wrap(getattr(modules[0], name))
     for module in modules:
         monkeypatch.setattr(module, name, mutant)
@@ -919,16 +925,22 @@ _DELETED_PROPERTY_MUTANTS = {
        for part in ("z", "W")},
     "metric_blocks_h4": ("metric_blocks", _post(_h4_scaled),
                          ("action_jacobian", "inverse_identity", "metric_fd_match", "ricci_fd_match")),
+    # parseval_mu_stability compared the n = 1 norm at mu and 2 mu, and alone
+    # caught a power of mu in Lambda_1 (parseval_n1 read 3.8e-15 under it);
+    # the folded parseval_n1 keeps that law
+    "lambda_mu_power": ("normalization_constant", _post(lambda lam, p: p.mu**0.01 * lam),
+                        ("parseval_n1",)),
 }
 
 
 class TestDeletedPropertyMutants:
     """left_action_upper, ball_pair_inverse, holomorphy_gates,
-    ellipticity, ds2_ball_consistency, chain_rule_defect and
-    laplacian_correspondence are implied by kept properties, and the matrix
-    laws of action_jacobian and cayley_pullback_ds2 by what their
-    tangent-vector laws checked: every mutant that those caught fails a
-    kept property at n = 2 (3 trials, seed 7); so does inverse_fc_W, which
+    ellipticity, ds2_ball_consistency, chain_rule_defect,
+    laplacian_correspondence and parseval_mu_stability are implied by kept
+    properties, and the matrix laws of action_jacobian and
+    cayley_pullback_ds2 by what their tangent-vector laws checked: every
+    mutant that those caught fails a kept property at n = 2 (3 trials,
+    seed 7); so does inverse_fc_W, which
     no property caught while fc_roundtrip compared z alone.  The unmutated
     run passes every kept property named here."""
 

@@ -306,6 +306,20 @@ class TestVerify:
         assert code == 2
         assert json.loads(out)["error"]["kind"] == "ValueError"
 
+    def test_linalg_error_fails_its_trial(self, capsys):
+        # at mu = 1e308 h has infinite entries and metric_fd_match's eigvalsh
+        # raises numpy's LinAlgError: a failed trial (exit 1), not a usage
+        # error (exit 2)
+        code = main(["verify", "metric", "--n", "2", "--k", "4", "--mu", "1e308",
+                     "--trials", "2", "--seed", "5"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == ""
+        report = json.loads(captured.out, parse_constant=_reject_constant)
+        entry = {e["property"]: e for e in report["properties"]}["metric_fd_match"]
+        assert entry["max_error"] is None
+        assert entry["worst"]["point"]["error"].startswith("LinAlgError")
+
 
 _INVERSE_ARGS = ("verify", "inverse", "--n", "1", "--k", "4", "--trials", "2", "--seed", "7")
 
@@ -474,6 +488,14 @@ class TestErrors:
         code, out = run_cli(capsys, "verify", "volume", "--n", "1", "--trials", "1")
         assert code == 2
         assert json.loads(out)["error"]["kind"] == "UsageError"
+
+    def test_laplacian_group_is_gone(self, capsys):
+        # action_jacobian's isometry law carries the Laplacian's equivariance
+        code = main(["verify", "laplacian", "--n", "1", "--trials", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ""
+        assert json.loads(captured.out)["error"]["kind"] == "UsageError"
 
     @pytest.mark.parametrize("kind", ["fc", "inv-cayley", "cayley"])
     def test_transform_of_an_empty_point_exit_two(self, capsys, kind):

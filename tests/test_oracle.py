@@ -617,7 +617,7 @@ class TestFuzzAll:
 
     def test_one_lng_hessian_per_ricci_trial(self, monkeypatch):
         # a verdict differences ln det h once per ricci_fd_match trial and
-        # nowhere else (the Laplacians take no Hessian)
+        # nowhere else (no property applies a Laplacian)
         from siegel_jacobi import laplacian, verify
 
         lng_fields, lng_hessians = set(), []
@@ -693,11 +693,11 @@ class TestFuzzAll:
         assert serialize.dumps(res.to_json())
 
     def test_registry(self):
-        # 16 properties; TestDeletedPropertyMutants shows the laws of the
+        # 15 properties; TestDeletedPropertyMutants shows the laws of the
         # deleted ones fail kept properties
-        assert len(PROPERTIES) == 16
+        assert len(PROPERTIES) == 15
         assert {g: len(v) for g, v in PROPERTY_GROUPS.items() if g != "all"} == {
-            "metric": 2, "inverse": 1, "curvature": 1, "laplacian": 1,
+            "metric": 2, "inverse": 1, "curvature": 1,
             "invariance": 2, "cayley": 5, "kernels": 3, "parseval": 1,
         }
 
@@ -855,6 +855,22 @@ def _indefinite(how, domains):
     return _post(change)
 
 
+def _point_dependent_or_conj(how, domain):
+    """The Laplacian coefficient matrix C on one domain made
+    point-dependent, (1 + 1e-3 |X|_F^2) C for the point's matrix part X (V
+    on the upper half-plane, W elsewhere), or conjugated."""
+
+    def change(res, d, params, pt):
+        if d != domain:
+            return res
+        X = pt.V if d == "upper" else pt.W
+        C = res.matrix
+        C = (1.0 + 1e-3 * np.sum(np.abs(X) ** 2)) * C if how == "point" else C.conj()
+        return dataclasses.replace(res, matrix=C)
+
+    return _post(change)
+
+
 _C_HOW = ("neg", "shift", "flip")
 
 # mutant id -> (mutated function, wrapper, the kept properties it must fail)
@@ -875,7 +891,7 @@ _DELETED_PROPERTY_MUTANTS = {
     # ds2_ball_consistency, which compared the trace form 4 Tr(M dW Mbar dWbar)
     # with the folded pair form, failed both _fold_pair_metric mutants
     **{f"{name}_{how}": (name, wrap, kept) for name, kept in (
-        ("_pair_metric_inverse", ("inverse_identity", "ricci_fd_match", "laplacian_equivariance")),
+        ("_pair_metric_inverse", ("inverse_identity", "ricci_fd_match")),
         ("_fold_pair_metric", ("inverse_identity", "metric_fd_match", "ricci_fd_match")),
     ) for how, wrap in (
         ("scaled", _post(lambda A, *_: 1.01 * A)),
@@ -911,6 +927,16 @@ _DELETED_PROPERTY_MUTANTS = {
            ("upper", ("upper",), ("cayley_pullback_ds2",)),
            ("ball_upper", ("ball", "upper"), ("inverse_identity",)),
     ) for how in _C_HOW},
+    # laplacian_equivariance compared two FD Laplacians across a group
+    # action and caught each of these: C made point-dependent or
+    # conjugated.  The upper half-plane's C is real, so its conjugate is no
+    # mutant
+    **{f"C_{name}_{how}": ("laplacian_coefficients", _point_dependent_or_conj(how, domain), kept)
+       for name, domain, hows, kept in (
+           ("jacobi", "jacobi_ball", ("point", "conj"), ("inverse_identity", "ricci_fd_match")),
+           ("ball", "ball", ("point", "conj"), ("inverse_identity", "cayley_pullback_ds2")),
+           ("upper", "upper", ("point",), ("cayley_pullback_ds2",)),
+    ) for how in hows},
     # fc_roundtrip compares the whole point, W included
     "inverse_fc_W": ("inverse_fc_transform", _post(lambda p, *_: JacobiBallPoint(
         z=p.z, W=0.99 * p.W)), ("fc_roundtrip",)),
@@ -921,7 +947,7 @@ _DELETED_PROPERTY_MUTANTS = {
     # action_jacobian's ds2 pullback along one v failed all three, and its
     # pushforward law (against a closed-form differential) the act_ball ones
     **{f"act_ball_{part}": ("act_ball", _scaled_image(part), (
-        "action_jacobian", "left_action_ball", "theta_equivariance", "laplacian_equivariance"))
+        "action_jacobian", "left_action_ball", "theta_equivariance"))
        for part in ("z", "W")},
     "metric_blocks_h4": ("metric_blocks", _post(_h4_scaled),
                          ("action_jacobian", "inverse_identity", "metric_fd_match", "ricci_fd_match")),
@@ -936,8 +962,9 @@ _DELETED_PROPERTY_MUTANTS = {
 class TestDeletedPropertyMutants:
     """left_action_upper, ball_pair_inverse, holomorphy_gates,
     ellipticity, ds2_ball_consistency, chain_rule_defect,
-    laplacian_correspondence and parseval_mu_stability are implied by kept
-    properties, and the matrix laws of action_jacobian and
+    laplacian_correspondence, parseval_mu_stability and
+    laplacian_equivariance are implied by kept properties, and the matrix
+    laws of action_jacobian and
     cayley_pullback_ds2 by what their tangent-vector laws checked: every
     mutant that those caught fails a kept property at n = 2 (3 trials,
     seed 7); so does inverse_fc_W, which
@@ -954,6 +981,50 @@ class TestDeletedPropertyMutants:
         rep = fuzz_all(n=2, k=4.0, mu=1.0, trials=3, master_seed=7, properties=list(kept))
         failed = {r.property for r in rep.results if not r.passed}
         assert failed == (set() if mutant is None else set(kept))
+
+
+def _nan_at_origin(res, params, pt):
+    """A metric determinant result whose value is NaN at the origin."""
+    at_origin = not np.any(pt.z) and not np.any(pt.W)
+    return dataclasses.replace(res, value=np.nan) if at_origin else res
+
+
+class TestNaNLaws:
+    """A property that folds several laws fails when one of them is NaN,
+    wherever it stands in the fold; the unmutated run passes."""
+
+    _MUTANTS = {
+        "scalar_curvature": ("curvature", _post(
+            lambda cd, *_: dataclasses.replace(cd, scalar_curvature=np.nan)), "ricci_fd_match"),
+        "det_origin": ("metric_det", _post(_nan_at_origin), "det_closed_form"),
+        "norm_2mu": ("parseval_check_n1", _post(
+            lambda v, k, mu: np.nan if mu == 2.0 else v), "parseval_n1"),
+        "normalized_kernels": ("normalized_kernels", _post(
+            lambda *_: (np.nan, np.nan, np.nan)), "berezin_bounds"),
+    }
+
+    @pytest.mark.parametrize("mutant", [None, *_MUTANTS])
+    def test_nan_law_fails(self, monkeypatch, mutant):
+        if mutant is None:
+            props = [prop for *_, prop in self._MUTANTS.values()]
+        else:
+            name, wrap, prop = self._MUTANTS[mutant]
+            _mutate(monkeypatch, name, wrap)
+            props = [prop]
+        rep = fuzz_all(n=2, k=4.0, mu=1.0, trials=3, master_seed=7, properties=props)
+        if mutant is None:
+            assert rep.passed
+        else:
+            assert [r.to_json()["max_error"] for r in rep.results] == [None]
+            assert not rep.passed
+
+    def test_berezin_bounds_fails_past_the_float_range(self):
+        # at mu = 1e308 the Berezin kernel is NaN in 6 of these 20 trials
+        rep = fuzz_all(
+            n=2, k=4.0, mu=1e308, trials=20, master_seed=7, properties=["berezin_bounds"]
+        )
+        assert rep.results[0].to_json()["max_error"] is None
+        assert not rep.passed
 
 
 @pytest.mark.parametrize("mutant", [None, "phase"])

@@ -2,19 +2,19 @@
 transforms, sample points and group elements, and run the verification
 fuzzer with JSON reports.
 
-Exit codes: 0 success / all properties pass, 1 verification failure,
-2 usage error, 3 domain error or a size beyond memory.  All output is
-deterministic JSON (sorted keys, shortest round-trip floats) on stdout
-only: a result or an error {"error": {"kind", "detail"}} is one compact
-object on one line.
+Exit codes: 0 success / all properties pass / -h or --help, 1 verification
+failure, 2 usage error, 3 domain error or a size beyond memory.  All output
+is deterministic JSON (sorted keys, shortest round-trip floats) on stdout
+only: a result, an error {"error": {"kind", "detail"}} or the usage
+{"usage": ...} is one compact object on one line.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
+import re
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -46,65 +46,194 @@ _EVAL_KINDS = ("potential", "metric", "inverse", "det", "curvature", "kernel", "
 _TRANSFORMS = ("cayley", "inv-cayley", "fc", "inv-fc")
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        _emit({"error": {"kind": "UsageError", "detail": message}})
-        raise SystemExit(2)
+_REQUIRED = object()  # the default of an option that must be given
+_PARAMS = {"--n": (int, 1), "--k": (float, 2.0), "--mu": (float, 1.0)}
 
-
-def _add_params(p: argparse.ArgumentParser):
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--k", type=float, default=2.0)
-    p.add_argument("--mu", type=float, default=1.0)
-
-
-@functools.cache
-def build_parser() -> _Parser:
-    """The `sjk` parser, built on first use and shared by every `run()` in
-    the process: building it costs ~1 ms, most of a small request."""
-    parser = _Parser(prog="sjk", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_eval = sub.add_parser("eval", help="evaluate a quantity at a point")
-    p_eval.add_argument("quantity", choices=_EVAL_KINDS)
-    _add_params(p_eval)
-    p_eval.add_argument("--point", required=True, help="point JSON file or 'origin'")
-    p_eval.add_argument("--point2", default=None, help="second point for two-point kernels")
-    p_eval.add_argument("--field", default="lnG", help="test field for 'laplacian'")
-    p_eval.add_argument("--fd-step", type=float, default=1e-4)
-
-    p_tr = sub.add_parser("transform", help="apply a coordinate transform")
-    p_tr.add_argument("kind", choices=_TRANSFORMS)
-    p_tr.add_argument("--point", required=True)
-    p_tr.add_argument(
-        "--n", type=int, default=None,
-        help="size the point must have (default: the file's own; 1 for 'origin')",
-    )
-
-    p_sample = sub.add_parser("sample", help="draw a random point or group element")
-    p_sample.add_argument("what", choices=("point", "group"))
-    p_sample.add_argument(
-        "--domain",
-        choices=("ball", "jacobi_ball", "upper", "jacobi_upper"),
-        default="jacobi_ball",
-    )
-    p_sample.add_argument("--n", type=int, default=1)
-    p_sample.add_argument("--seed", type=int, default=0)
-    p_sample.add_argument("--radius", type=float, default=0.4)
-
-    p_ver = sub.add_parser("verify", help="run the property fuzzer")
-    p_ver.add_argument("group", choices=tuple(sorted(PROPERTY_GROUPS)))
-    _add_params(p_ver)
+# command -> (its positional, the positional's choices, {option: (type or
+# choices, default)}), each in the order of its usage line
+_COMMANDS = {
+    "eval": ("quantity", _EVAL_KINDS, {
+        **_PARAMS,
+        "--point": (str, _REQUIRED),  # a point JSON file or 'origin'
+        "--point2": (str, None),      # the second point of the two-point kernels
+        "--field": (str, "lnG"),      # the test field of 'laplacian'
+        "--fd-step": (float, 1e-4),
+    }),
+    "transform": ("kind", _TRANSFORMS, {
+        "--point": (str, _REQUIRED),
+        "--n": (int, None),  # the size the point must have (default: the file's own)
+    }),
+    "sample": ("what", ("point", "group"), {
+        "--domain": (("ball", "jacobi_ball", "upper", "jacobi_upper"), "jacobi_ball"),
+        "--n": (int, 1),
+        "--seed": (int, 0),
+        "--radius": (float, 0.4),
+    }),
     # the parseval properties need k > 3 (the squared norms diverge below)
-    p_ver.set_defaults(k=4.0)
-    p_ver.add_argument("--trials", type=int, default=20)
-    p_ver.add_argument("--seed", type=int, default=0)
+    "verify": ("group", tuple(sorted(PROPERTY_GROUPS)), {
+        **_PARAMS, "--k": (float, 4.0), "--trials": (int, 20), "--seed": (int, 0),
+    }),
+}
+_HELP = ("-h", "--help")
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
-    return parser
+
+class UsageError(ValueError):
+    """An argv that `sjk` refuses (exit 2)."""
+
+
+class _Help(Exception):
+    """-h or --help was given; the argument is the usage to print (exit 0)."""
+
+
+def _dest(option: str) -> str:
+    return option[2:].replace("-", "_")
+
+
+def _braced(choices) -> str:
+    return "{" + ",".join(choices) + "}"
+
+
+def _usage(command: str | None = None) -> str:
+    """The usage line of one command, or of all four, read off _COMMANDS."""
+    if command is None:
+        return "\n".join(map(_usage, _COMMANDS))
+    _, choices, options = _COMMANDS[command]
+    words = ["sjk", command, _braced(choices)]
+    for option, (kind, default) in options.items():
+        word = f"{option} {_braced(kind) if isinstance(kind, tuple) else kind.__name__.upper()}"
+        if default is _REQUIRED:
+            words.append(word)
+        else:
+            words.append(f"[{word}]" if default is None else f"[{word}={default}]")
+    return " ".join(words)
+
+
+def _choice(name: str, value: str, choices) -> str:
+    if value not in choices:
+        raise UsageError(f"argument {name}: invalid choice: {value!r} "
+                         f"(choose from {', '.join(map(repr, choices))})")
+    return value
+
+
+def _value(option: str, value: str, kind):
+    """value as option's type, or one of its choices."""
+    if isinstance(kind, tuple):
+        return _choice(option, value, kind)
+    try:
+        return kind(value)
+    except ValueError:
+        raise UsageError(f"argument {option}: invalid {kind.__name__} value: {value!r}") from None
+
+
+def _option(token: str, options):
+    """None when token is a value or a positional; else (option, explicit
+    value or None), with option None for an unknown one.  Exact names and
+    `--opt=value` first, then a unique prefix of a long option; a token that
+    looks like a negative number or holds a space is a value."""
+    if not token or token[0] != "-":
+        return None
+    if token in options:
+        return token, None
+    if len(token) == 1:
+        return None
+    head, eq, value = token.partition("=")
+    if eq and head in options:
+        return head, value
+    if token[1] == "-":
+        matches = [(o, value if eq else None) for o in options if o.startswith(head)]
+    else:  # -h is the only short option; -hXYZ gives it the value XYZ
+        matches = [("-h", token[2:])] if token[:2] == "-h" else []
+    if len(matches) > 1:
+        raise UsageError(
+            f"ambiguous option: {token} could match {', '.join(o for o, _ in matches)}"
+        )
+    if matches:
+        return matches[0]
+    if _NEGATIVE_NUMBER.match(token) or " " in token:
+        return None
+    return None, None
+
+
+def _help(option: str, value: str | None, usage: str):
+    """Raise _Help, or UsageError when -h/--help was given a value (-hh is
+    -h twice)."""
+    while value is not None:
+        if option != "-h" or not value.startswith("h"):
+            raise UsageError(f"argument -h/--help: ignored explicit argument {value!r}")
+        value = value[1:] or None
+    raise _Help(usage)
+
+
+def _parse(argv) -> tuple[str, SimpleNamespace]:
+    """(command, its values) for argv, UsageError for an argv that `sjk`
+    refuses, or _Help for -h/--help.
+
+    An option takes the next argument or `--opt=value`; the last one given
+    wins; a long option may be cut to a unique prefix; the positional may
+    stand anywhere after the command; `--` ends the options.  An option
+    before the command is unknown, and a `--` before it is read as the
+    command (an invalid one)."""
+    command, extras = None, []
+    for i, token in enumerate(argv):
+        if token == "--" and i + 1 == len(argv):
+            break
+        kind = None if token == "--" else _option(token, _HELP)
+        if kind is None:
+            command, rest = _choice("command", token, _COMMANDS), argv[i + 1:]
+            break
+        if kind[0] is None:
+            extras.append(token)
+        else:
+            _help(*kind, _usage())
+    if command is None:
+        raise UsageError("the following arguments are required: command")
+
+    positional, choices, spec = _COMMANDS[command]
+    dash = rest.index("--") if "--" in rest else len(rest)
+    # every option is classified, and an ambiguous one refused, before any is read
+    kinds = [_option(token, (*_HELP, *spec)) for token in rest[:dash]]
+    values, at = {}, None  # at: the index of the positional's argument
+    i = 0
+    while i < len(rest):
+        token, kind = rest[i], kinds[i] if i < dash else None
+        if i == dash:
+            # `--` goes with the positional beside it, and is unrecognized elsewhere
+            if at is not None and at != i - 1:
+                extras.append(token)
+        elif kind is None:
+            if at is None:
+                values[positional], at = _choice(positional, token, choices), i
+            else:
+                extras.append(token)
+        elif kind[0] is None:
+            extras.append(token)
+        elif kind[0] in _HELP:
+            _help(*kind, _usage(command))
+        else:
+            option, value = kind
+            if value is None:
+                if i + 1 == dash or kinds[i + 1] is not None:
+                    raise UsageError(f"argument {option}: expected one argument")
+                i += 1
+                value = rest[i]
+            values[_dest(option)] = _value(option, value, spec[option][0])
+        i += 1
+
+    missing = [positional] if at is None else []
+    missing += [o for o, (_, d) in spec.items() if d is _REQUIRED and _dest(o) not in values]
+    if missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise UsageError(f"unrecognized arguments: {' '.join(extras)}")
+    for option, (_, default) in spec.items():
+        values.setdefault(_dest(option), default)
+    return command, SimpleNamespace(**values)
 
 
 def _read_json(path: str):
-    with open(path) as fh:
+    # bytes: JSON is UTF-8 (a BOM allowed) whatever the locale
+    with open(path, "rb") as fh:
         try:
             return json.load(fh)
         except RecursionError:  # nested deeper than the decoder's recursion limit
@@ -212,40 +341,31 @@ def _fail(exc: Exception, code: int) -> int:
     return code
 
 
-def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def run(argv) -> int:
     try:
+        command, args = _parse(argv)
         # a value beyond the float range is reported as an error object;
         # numpy's warning on the way adds nothing
         with np.errstate(all="ignore"):
-            if args.command == "eval":
-                _emit(_eval(args))
-                return 0
-            if args.command == "transform":
-                _emit(_transform(args))
-                return 0
-            if args.command == "sample":
-                _emit(_sample(args))
-                return 0
-            if args.command == "verify":
+            if command == "verify":
                 report, passed = _verify(args)
                 _emit(report)
                 return 0 if passed else 1
+            _emit({"eval": _eval, "transform": _transform, "sample": _sample}[command](args))
+            return 0
+    except _Help as exc:
+        _emit({"usage": str(exc)})
+        return 0
     except GeometryError as exc:
         return _fail(exc, 3)
     except MemoryError as exc:  # numpy's _ArrayMemoryError too, reported as a MemoryError
         return _fail(MemoryError(str(exc)), 3)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # a UsageError too
         return _fail(exc, 2)
-    raise AssertionError(args.command)
 
 
 def main(argv=None) -> int:
-    try:
-        return run(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    return run(sys.argv[1:] if argv is None else list(argv))
 
 
 if __name__ == "__main__":

@@ -2,6 +2,10 @@ import contextlib
 import io
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from siegel_jacobi import cli, domains, serialize
-from siegel_jacobi.cli import build_parser, main
+from siegel_jacobi.cli import main
 from siegel_jacobi.domains import JacobiBallPoint, sample_point
 from siegel_jacobi.errors import GeometryError
 
@@ -323,9 +327,99 @@ class TestVerify:
 
 _INVERSE_ARGS = ("verify", "inverse", "--n", "1", "--k", "4", "--trials", "2", "--seed", "7")
 
+_COMMANDS = "(choose from 'eval', 'transform', 'sample', 'verify')"
 
-class TestParserReuse:
-    def test_shared_parser_matches_fresh_parser(self, capsys, tmp_path, rng):
+# argv -> (exit code, error kind or None, the error's detail), recorded from
+# the argparse parser that the table parser replaced; every detail names the
+# argument at fault
+_PARSE_CONTRACT = {
+    "eval det --k=4 --point origin": (0, None, None),
+    "eval --point origin det": (0, None, None),
+    "eval --point origin -- det": (0, None, None),
+    "transform fc --poi origin": (0, None, None),  # --point is the one match here
+    # a negative number is a value: the library refuses k = -1, the parser does not
+    "eval det --k -1 --point origin": (
+        2, "ValueError", "weights k and mu must be positive and finite, got k=-1.0, mu=1.0"),
+    "eval det --poi origin": (
+        2, "UsageError", "ambiguous option: --poi could match --point, --point2"),
+    "eval det --point origin --bogus 1": (2, "UsageError", "unrecognized arguments: --bogus 1"),
+    "eval det --point": (2, "UsageError", "argument --point: expected one argument"),
+    "eval det --n one --point origin": (
+        2, "UsageError", "argument --n: invalid int value: 'one'"),
+    "eval volume --point origin": (
+        2, "UsageError", "argument quantity: invalid choice: 'volume' (choose from 'potential', "
+        "'metric', 'inverse', 'det', 'curvature', 'kernel', 'laplacian')"),
+    "sample point --domain cube": (
+        2, "UsageError", "argument --domain: invalid choice: 'cube' "
+        "(choose from 'ball', 'jacobi_ball', 'upper', 'jacobi_upper')"),
+    "eval det extra --point origin": (2, "UsageError", "unrecognized arguments: extra"),
+    "transform fc": (2, "UsageError", "the following arguments are required: --point"),
+    "eval --point origin": (
+        2, "UsageError", "the following arguments are required: quantity"),
+    "frobnicate": (2, "UsageError", f"argument command: invalid choice: 'frobnicate' {_COMMANDS}"),
+    "": (2, "UsageError", "the following arguments are required: command"),
+    # an option before the command is unknown, so its value is read as the command
+    "--n 1 eval det --point origin": (
+        2, "UsageError", f"argument command: invalid choice: '1' {_COMMANDS}"),
+    # -1e5 does not look like a negative number to argparse; --k=-1e5 passes it
+    "eval det --k -1e5 --point origin": (2, "UsageError", "argument --k: expected one argument"),
+    "eval det --point origin --help=x": (
+        2, "UsageError", "argument -h/--help: ignored explicit argument 'x'"),
+    # argparse read --opt=-- as an empty list (a TypeError traceback); it is the value '--'
+    "eval det --point origin --k=--": (
+        2, "UsageError", "argument --k: invalid float value: '--'"),
+}
+
+
+class TestParse:
+    @pytest.mark.parametrize("argv", list(_PARSE_CONTRACT), ids=lambda argv: argv or "empty")
+    def test_parse_contract(self, capsys, argv):
+        code, kind, detail = _PARSE_CONTRACT[argv]
+        got = main(argv.split())
+        captured = capsys.readouterr()
+        assert got == code
+        assert captured.err == ""
+        assert captured.out.count("\n") == 1
+        data = json.loads(captured.out)
+        if kind is None:
+            assert "error" not in data
+        else:
+            assert data == {"error": {"kind": kind, "detail": detail}}
+
+    @pytest.mark.parametrize("given, spelled", [
+        ("eval det --n 1 --n 2 --point origin", "eval det --n 2 --point origin"),
+        ("eval laplacian --fd 1e-3 --point origin", "eval laplacian --fd-step 1e-3 --point origin"),
+        ("verify inverse --tri 1", "verify inverse --trials 1"),
+        ("eval det --k=3 --point=origin", "eval det --k 3 --point origin"),
+    ], ids=["last-wins", "fd-prefix", "trials-prefix", "equals"])
+    def test_same_values_however_spelled(self, capsys, given, spelled):
+        assert run_cli(capsys, *given.split()) == run_cli(capsys, *spelled.split())
+
+    @pytest.mark.parametrize("argv, usage", [
+        (["--help"], "sjk eval {potential,"),
+        (["-h"], "sjk verify {"),
+        (["eval", "-h"], "sjk eval {potential,metric,inverse,det,curvature,kernel,laplacian} "
+                         "[--n INT=1] [--k FLOAT=2.0] [--mu FLOAT=1.0] --point STR"),
+        (["verify", "all", "--he"], "sjk verify {all,"),
+    ], ids=["sjk-help", "sjk-h", "eval-h", "verify-he"])
+    def test_help_is_one_json_object(self, capsys, argv, usage):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ""
+        assert captured.out.count("\n") == 1
+        data = json.loads(captured.out)
+        assert list(data) == ["usage"]
+        assert usage in data["usage"]
+        # all four commands before a command, one after it
+        assert data["usage"].count("\n") == (3 if len(argv) == 1 else 0)
+
+    def test_point_option_ending_in_dashes_is_a_file_name(self, capsys):
+        code, out = run_cli(capsys, "eval", "det", "--point=--")
+        assert code == 2
+        assert json.loads(out)["error"]["kind"] == "FileNotFoundError"
+
+    def test_one_call_leaves_no_state_for_the_next(self, capsys, tmp_path, rng):
         point = write_point(tmp_path, sample_point("jacobi_ball", 2, rng))
         sequence = [
             ("eval", "det", "--n", "2", "--k", "3", "--point", point),
@@ -335,30 +429,14 @@ class TestParserReuse:
             ("eval", "det", "--n", "one", "--point", "origin"),
             _INVERSE_ARGS,
         ]
-        fresh = []
+        interleaved = []
         for argv in sequence:
-            build_parser.cache_clear()
-            fresh.append(run_cli(capsys, *argv))
-        build_parser.cache_clear()
-        shared = [run_cli(capsys, *argv) for argv in sequence]
-        assert shared == fresh
-        # state that one call left on the shared parser would change a later call
-        assert [code for code, _ in shared] == [0, 0, 0, 1, 2, 0]
-
-    def test_parser_built_once(self, capsys, monkeypatch):
-        run_cli(capsys, "eval", "det", "--point", "origin")
-        built = []
-        init = cli._Parser.__init__
-
-        def counting_init(self, *args, **kwargs):
-            built.append(kwargs.get("prog"))
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(cli._Parser, "__init__", counting_init)
-        for quantity in ("det", "potential", "metric"):
-            code, _ = run_cli(capsys, "eval", quantity, "--point", "origin")
-            assert code == 0
-        assert built == []
+            interleaved.append(run_cli(capsys, *argv))
+            run_cli(capsys, "eval", "det", "--n", "3", "--k", "5", "--point", "origin")
+        in_a_row = [run_cli(capsys, *argv) for argv in sequence]
+        assert in_a_row == interleaved
+        # state that one call left behind would change a later call
+        assert [code for code, _ in in_a_row] == [0, 0, 0, 1, 2, 0]
 
 
 def _reject_constant(token):
@@ -430,6 +508,33 @@ class TestErrors:
         assert got == 2
         assert captured.err == ""
         assert json.loads(captured.out)["error"]["kind"] == "ValueError"
+
+    @pytest.mark.parametrize("argv", [
+        ("eval", "det", "--n", "2", "--point"),
+        ("eval", "kernel", "--n", "2", "--point", "origin", "--point2"),
+        ("transform", "inv-cayley", "--point"),
+    ], ids=["point", "point2", "transform"])
+    def test_point_file_with_a_bom(self, capsys, tmp_path, rng, argv):
+        # JSON is UTF-8, so a file that opens with a UTF-8 BOM reads as the same point
+        plain = write_point(tmp_path, sample_point("jacobi_ball", 2, rng))
+        bom = tmp_path / "bom.json"
+        bom.write_bytes(b"\xef\xbb\xbf" + (tmp_path / "pt.json").read_bytes())
+        expected = run_cli(capsys, *argv, plain)
+        assert expected[0] == 0
+        assert run_cli(capsys, *argv, str(bom)) == expected
+
+    def test_non_ascii_point_file_under_an_ascii_locale(self, tmp_path):
+        # the file is read as bytes, so the locale's encoding plays no part
+        path = tmp_path / "note.json"
+        path.write_bytes('{"n": 1, "z": [[0.1, 0.0]], "W": [[[0.1, 0.0]]], "note": "é"}'.encode())
+        env = {**os.environ, "PYTHONUTF8": "0", "LC_ALL": "C",
+               "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "siegel_jacobi.cli", "eval", "det", "--point", str(path)],
+            env=env, capture_output=True, text=True, check=False,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout)["value"] > 1.0
 
     def test_usage_error(self, capsys):
         code, out = run_cli(capsys, "frobnicate")

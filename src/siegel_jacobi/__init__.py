@@ -25,8 +25,6 @@ from .groups import (
     compose_jacobi_r,
     inverse_cayley_conjugate,
     inverse_fc_transform,
-    inverse_jacobi_c,
-    inverse_jacobi_r,
     inverse_partial_cayley,
     partial_cayley,
     random_jacobi_c,

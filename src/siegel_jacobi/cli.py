@@ -279,12 +279,9 @@ def _eval(args) -> dict:
         )
         return serialize.fields_to_json(kernel_eval(params, pt, other))
     # looked up per call, so a rebound module name (a tracer, a test) is used
-    result = {
-        "metric": metric_blocks,
-        "inverse": metric_inverse,
-        "det": metric_det,
-        "curvature": curvature,
-    }[q]
+    if q == "metric":
+        return {"h": serialize.encode(metric_blocks(params, pt).h)}
+    result = {"inverse": metric_inverse, "det": metric_det, "curvature": curvature}[q]
     return serialize.fields_to_json(result(params, pt))
 
 

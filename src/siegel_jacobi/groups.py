@@ -45,8 +45,6 @@ __all__ = [
     "JacobiElementR",
     "compose_jacobi_c",
     "compose_jacobi_r",
-    "inverse_jacobi_c",
-    "inverse_jacobi_r",
     "cayley_conjugate",
     "inverse_cayley_conjugate",
     "theta",
@@ -161,19 +159,12 @@ class SymplecticC:
     def identity(cls, n: int) -> "SymplecticC":
         return cls(np.eye(n), np.zeros((n, n)))
 
-    def inverse(self) -> "SymplecticC":
-        return SymplecticC(self.p.conj().T, -self.q.T)
-
     def __matmul__(self, other: "SymplecticC") -> "SymplecticC":
         if self.n != other.n:
             raise DimensionMismatch("group elements of different size")
         p = self.p @ other.p + self.q @ other.q.conj()
         q = self.p @ other.q + self.q @ other.p.conj()
         return SymplecticC(p, q)
-
-    def act(self, alpha: np.ndarray) -> np.ndarray:
-        """g x alpha = p alpha + q conj(alpha)."""
-        return self.p @ alpha + self.q @ alpha.conj()
 
     def act_inverse(self, alpha: np.ndarray) -> np.ndarray:
         """g^{-1} x alpha = p* alpha - q^t conj(alpha)."""
@@ -220,9 +211,6 @@ class SymplecticR:
     def from_matrix(cls, M: np.ndarray) -> "SymplecticR":
         n = M.shape[0] // 2
         return cls(M[:n, :n], M[:n, n:], M[n:, :n], M[n:, n:])
-
-    def inverse(self) -> "SymplecticR":
-        return SymplecticR(self.d.T, -self.b.T, -self.c.T, self.a.T)
 
     def __matmul__(self, other: "SymplecticR") -> "SymplecticR":
         if self.n != other.n:
@@ -301,10 +289,6 @@ def compose_jacobi_c(h1: JacobiElementC, h2: JacobiElementC) -> JacobiElementC:
     return JacobiElementC(h1.g @ h2.g, alpha, t)
 
 
-def inverse_jacobi_c(h: JacobiElementC) -> JacobiElementC:
-    return JacobiElementC(h.g.inverse(), -h.g.act(h.alpha), -h.t)
-
-
 def compose_jacobi_r(h1: JacobiElementR, h2: JacobiElementR) -> JacobiElementR:
     """(M, X, k)(M', X', k') = (M M', X M' + X', k + k' + X M' J X'^t)."""
     if h1.n != h2.n:
@@ -312,13 +296,6 @@ def compose_jacobi_r(h1: JacobiElementR, h2: JacobiElementR) -> JacobiElementR:
     xm = h1.lambda_mu @ h2.g.matrix()
     k = h1.k_center + h2.k_center + float(xm @ _forms(h1.n)[0] @ h2.lambda_mu)
     return JacobiElementR(h1.g @ h2.g, xm + h2.lambda_mu, k)
-
-
-def inverse_jacobi_r(h: JacobiElementR) -> JacobiElementR:
-    ginv = h.g.inverse()
-    x = -h.lambda_mu @ ginv.matrix()
-    # central part: -k - (X M^{-1}) J (-X M^{-1})^t = -k, since v J v^t = 0
-    return JacobiElementR(ginv, x, -h.k_center)
 
 
 def cayley_conjugate(g: SymplecticR) -> SymplecticC:

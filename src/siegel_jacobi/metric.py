@@ -19,10 +19,10 @@ M = (2 Im V)^{-1}.  N, M and eta are the point's own Gram data (see
 ``domains``).  The metric and its inverse are linear in the weights,
 h = mu A + (k/2) B and h^{-1} = C/mu + D/k, with B zero but for hk and C
 zero but for its z block Nbar; the metric
-keeps ``h_terms`` (A, hk) and ``inv_terms`` (Nbar, D) on the point by
-``domains.kept``, so each closed form scales one and adds the other into one
-block.  Nothing that depends on (k, mu) is kept; every result is a new,
-writable array, and the blocks h1..h4 of a result are views of its h.
+keeps ``h_terms`` (A, hk) and ``inv_terms`` (Nbar, D), with their largest
+magnitudes, on the point by ``domains.kept``, so each closed form scales one
+and adds the other into one block, range-checked by ``_in_range``.  Nothing
+that depends on (k, mu) is kept; every result is a new, writable array.
 ``h @ metric_inverse(...).h_inv`` is the literal identity in this
 ordered-pair indexing.
 
@@ -86,12 +86,26 @@ class MetricParams:
         return self.pair_index.total_dim
 
 
-def _kept(params: MetricParams, pt: JacobiBallPoint, key: str, compute):
-    """compute(pt), kept on pt (``domains.kept``); the dimension check runs
-    on every call."""
+def _terms(params: MetricParams, pt: JacobiBallPoint, key: str):
+    """pt's kept "h_terms" or "inv_terms"; the dimension check runs each call."""
     if params.n != pt.n:
         raise DimensionMismatch("params and point of different dimension")
-    return kept(pt, key, compute)
+    compute = _h_terms if key == "h_terms" else _inv_terms
+    return kept(pt, key, lambda p: compute(p, params.pair_index))
+
+
+def _in_range(what: str, params: MetricParams, bound: float, compute):
+    """compute(), whose entries bound bounds with their roundings, so a finite bound proves
+    them finite; an infinite or NaN one forms compute() with warnings off and checks it."""
+    if math.isfinite(bound):
+        return compute()
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = compute()
+    if np.isfinite(value).all():
+        return value
+    raise NumericalOverflow(
+        f"{what} at n={params.n}, k={params.k}, mu={params.mu} leaves the float range"
+    )
 
 
 def _split(h: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -104,8 +118,7 @@ def _assemble(h1: np.ndarray, h2: np.ndarray, h3: np.ndarray, h4: np.ndarray) ->
     a general block builder at these sizes; broadcasts over leading axes."""
     n = h1.shape[-1]
     h = np.empty(h4.shape[:-2] + (n + h4.shape[-1],) * 2, dtype=complex)
-    for view, block in zip(_split(h, n), (h1, h2, h3, h4)):
-        view[...] = block
+    h[..., :n, :n], h[..., :n, n:], h[..., n:, :n], h[..., n:, n:] = h1, h2, h3, h4
     return h
 
 
@@ -154,6 +167,9 @@ def ball_metric_pair(pt: SiegelBallPoint | SiegelUpperPoint) -> tuple[np.ndarray
 
 @dataclass(frozen=True)
 class MetricEval:
+    """h and its blocks h1..h4, views of h that stay only until the benchmark's
+    negative control builds a MetricEval from h alone (ROADMAP items 3, 12)."""
+
     h1: np.ndarray
     h2: np.ndarray
     h3: np.ndarray
@@ -171,13 +187,15 @@ def metric_blocks(params: MetricParams, pt: JacobiBallPoint) -> MetricEval:
     hmu_pq,mn  = [etab_p (eta_n Mbar_qm + eta_m Mbar_qn)
                   + etab_q (eta_n Mbar_pm + eta_m Mbar_pn)] f_pq f_mn.
     """
-    return _blocks(params, pt)
+    A, hk, a, b = _terms(params, pt, "h_terms")
+    h = _in_range("metric", params, params.mu * a + 0.5 * params.k * b, lambda: _h(params, A, hk))
+    return MetricEval(*_split(h, params.n), h=h)
 
 
-def _h_terms(pt: JacobiBallPoint, idx: PairIndex) -> tuple[np.ndarray, np.ndarray]:
+def _h_terms(pt: JacobiBallPoint, idx: PairIndex) -> tuple[np.ndarray, np.ndarray, float, float]:
     """The (k, mu)-free parts of h = mu A + (k/2) B: the assembled
     A = [[Mbar, f X], [(f X)*, hmu]] with X_i,pq = eta_q Mbar_ip + eta_p Mbar_iq,
-    and the Siegel-ball pair form hk of M, the one non-zero block of B."""
+    and hk, M's Siegel-ball pair form and B's one non-zero block; then max |A|, max |hk|."""
     P, Q, f = idx.P, idx.Q, idx.f
     Mb = pt.M.conj()
     eta = pt.eta
@@ -190,42 +208,40 @@ def _h_terms(pt: JacobiBallPoint, idx: PairIndex) -> tuple[np.ndarray, np.ndarra
         etab.take(P, -1)[..., None] * X.take(Q, -2) + etab.take(Q, -1)[..., None] * X.take(P, -2)
     )
     fX = f * X
-    return _assemble(Mb, fX, fX.conj().swapaxes(-1, -2), hmu), _fold_pair_metric(pt.M, idx)
+    A, hk = _assemble(Mb, fX, fX.conj().swapaxes(-1, -2), hmu), _fold_pair_metric(pt.M, idx)
+    return A, hk, float(np.abs(A).max()), float(np.abs(hk).max())
 
 
-def _blocks(params: MetricParams, pt: JacobiBallPoint) -> MetricEval:
-    A, hk = _kept(params, pt, "h_terms", lambda p: _h_terms(p, params.pair_index))
+def _h(params: MetricParams, A: np.ndarray, hk: np.ndarray) -> np.ndarray:
+    """mu A + (k/2) hk on the W block, unchecked."""
     n = params.n
     h = params.mu * A
     h[..., n:, n:] += (0.5 * params.k) * hk
-    return MetricEval(*_split(h, n), h=h)
+    return h
 
 
 @dataclass(frozen=True)
 class MetricInverse:
-    h1: np.ndarray
-    h2: np.ndarray
-    h3: np.ndarray
-    h4: np.ndarray
     h_inv: np.ndarray
 
 
-def _inv_terms(pt: JacobiBallPoint, idx: PairIndex) -> tuple[np.ndarray, np.ndarray]:
+def _inv_terms(pt: JacobiBallPoint, idx: PairIndex) -> tuple[np.ndarray, np.ndarray, float, float]:
     """The (k, mu)-free parts of h^{-1} = C/mu + D/k: Nbar, the one non-zero
     block of C, and the assembled D = [[alpha Nbar + Sbar S^t, -Y], [-Y*, 2 k_inv]]
     with S_n = sum_q eta_q Nbar_qn, alpha = eta^t Nbar conj(eta) >= 0,
-    Y_i,mn = S_n Nbar_im + S_m Nbar_in and the Siegel-ball pair inverse k_inv."""
+    Y_i,mn = S_n Nbar_im + S_m Nbar_in and the ball's pair inverse k_inv; then max |Nbar|, |D|."""
     P, Q = idx.P, idx.Q
     Nb = pt.N.conj()
     S = _vecmat(pt.eta, Nb)
     alpha = _item(_dot(S, pt.eta.conj()).real)
     Y = S[Q] * Nb[:, P] + S[P] * Nb[:, Q]
     D1 = alpha * Nb + np.outer(S.conj(), S)
-    return Nb, _assemble(D1, -Y, -Y.conj().T, 2.0 * _pair_metric_inverse(pt.N, idx))
+    D = _assemble(D1, -Y, -Y.conj().T, 2.0 * _pair_metric_inverse(pt.N, idx))
+    return Nb, D, float(np.abs(Nb).max()), float(np.abs(D).max())
 
 
 def metric_inverse(params: MetricParams, pt: JacobiBallPoint) -> MetricInverse:
-    """Closed-form inverse blocks.
+    """Closed-form inverse h_inv = [[hinv1, hinv2], [hinv3, hinv4]].
 
     hinv1_ij    = (1/mu + alpha/k) Nbar_ij + Sbar_i S_j / k
     hinv2_i,mn  = -(S_n Nbar_im + S_m Nbar_in) / k
@@ -237,11 +253,15 @@ def metric_inverse(params: MetricParams, pt: JacobiBallPoint) -> MetricInverse:
     scalar and hinv1 reduces to (1/mu + 2 alpha/k) Nbar.
     hinv4 is the Siegel-ball pair inverse scaled by 2/k.
     """
-    Nb, D = _kept(params, pt, "inv_terms", lambda p: _inv_terms(p, params.pair_index))
-    n = params.n
-    h_inv = D / params.k
-    h_inv[:n, :n] += Nb / params.mu
-    return MetricInverse(*_split(h_inv, n), h_inv=h_inv)
+    Nb, D, nb, d = _terms(params, pt, "inv_terms")
+
+    def h_inv():
+        out = D / params.k
+        out[:params.n, :params.n] += Nb / params.mu
+        return out
+
+    bound = d * (1.0 / params.k) + nb * (1.0 / params.mu)  # numpy's D / k is D * (1 / k)
+    return MetricInverse(_in_range("metric inverse", params, bound, h_inv))
 
 
 @dataclass(frozen=True)
@@ -259,7 +279,7 @@ def metric_det(params: MetricParams, pt: JacobiBallPoint) -> DetResult:
     """
     n = params.n
     with np.errstate(over="ignore", invalid="ignore"):
-        value = np.linalg.det(_blocks(params, pt).h).real
+        value = np.linalg.det(_h(params, *_terms(params, pt, "h_terms")[:2])).real
         logdet_n = pt.logdet_N
         try:
             const = 2.0 ** (n * (n - 1) // 2)
@@ -292,11 +312,18 @@ def curvature(params: MetricParams, pt: JacobiBallPoint) -> CurvatureData:
     the constant scalar curvature -(2/k) n(n+1)(n+2)/2 and the Q.-K. Lu
     matrix ((n+1)(n+2)/2) h - Ric."""
     n = params.n
-    d = params.dim
-    ric = np.zeros((d, d), dtype=complex)
-    hk = _kept(params, pt, "h_terms", lambda p: _h_terms(p, params.pair_index))[1]
+    A, hk, a, b = _terms(params, pt, "h_terms")
+    ric = np.zeros((params.dim,) * 2, dtype=complex)
     ric[n:, n:] = -(n + 2) * hk
-    scalar = -(2.0 / params.k) * n * (n + 1) * (n + 2) / 2.0
-    qk = ((n + 1) * (n + 2) / 2.0) * _blocks(params, pt).h
-    qk[n:, n:] -= ric[n:, n:]
+    s = (2.0 / params.k) * n * (n + 1) * (n + 2) / 2.0
+    scalar = _in_range("scalar curvature", params, s, lambda: -s)
+    c = (n + 1) * (n + 2) / 2.0
+
+    def qk_lu():
+        qk = c * _h(params, A, hk)
+        qk[n:, n:] -= ric[n:, n:]
+        return qk
+
+    bound = c * (params.mu * a + 0.5 * params.k * b) + (n + 2) * b
+    qk = _in_range("Q.-K. Lu matrix of the curvature", params, bound, qk_lu)
     return CurvatureData(ric=ric, scalar_curvature=scalar, qk_lu=qk)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from siegel_jacobi import cli, domains, serialize
+from siegel_jacobi import cli, domains, serialize, verify
 from siegel_jacobi.cli import main
 from siegel_jacobi.domains import JacobiBallPoint, sample_point
 from siegel_jacobi.errors import GeometryError
@@ -166,15 +166,15 @@ class TestEval:
             capsys, "eval", "metric", "--n", "1", "--k", "2", "--mu", "1",
             "--point", "origin",
         )
-        data = json.loads(out)
-        assert set(data) == {"h1", "h2", "h3", "h4", "h"}
+        # h once: no copy of its blocks
+        assert list(json.loads(out)) == ["h"]
 
     def test_inverse_blocks_emitted(self, capsys):
         code, out = run_cli(
             capsys, "eval", "inverse", "--n", "1", "--k", "2", "--mu", "1",
             "--point", "origin",
         )
-        assert set(json.loads(out)) == {"h1", "h2", "h3", "h4", "h_inv"}
+        assert list(json.loads(out)) == ["h_inv"]
 
 
 class TestTransform:
@@ -310,10 +310,9 @@ class TestVerify:
         assert code == 2
         assert json.loads(out)["error"]["kind"] == "ValueError"
 
-    def test_linalg_error_fails_its_trial(self, capsys):
-        # at mu = 1e308 h has infinite entries and metric_fd_match's eigvalsh
-        # raises numpy's LinAlgError: a failed trial (exit 1), not a usage
-        # error (exit 2)
+    def _metric_fd_match_error(self, capsys) -> str:
+        # at mu = 1e308 h leaves the float range: a check that raises there is
+        # a failed trial (exit 1), not a usage error (exit 2)
         code = main(["verify", "metric", "--n", "2", "--k", "4", "--mu", "1e308",
                      "--trials", "2", "--seed", "5"])
         captured = capsys.readouterr()
@@ -322,7 +321,18 @@ class TestVerify:
         report = json.loads(captured.out, parse_constant=_reject_constant)
         entry = {e["property"]: e for e in report["properties"]}["metric_fd_match"]
         assert entry["max_error"] is None
-        assert entry["worst"]["point"]["error"].startswith("LinAlgError")
+        return entry["worst"]["point"]["error"]
+
+    def test_overflowing_metric_fails_its_trial(self, capsys):
+        error = self._metric_fd_match_error(capsys)
+        assert error.startswith("NumericalOverflow: metric at n=2, k=4.0, mu=1e+308")
+
+    def test_linalg_error_fails_its_trial(self, capsys, monkeypatch):
+        def metric_blocks(params, pt):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(verify, "metric_blocks", metric_blocks)
+        assert self._metric_fd_match_error(capsys).startswith("LinAlgError")
 
 
 _INVERSE_ARGS = ("verify", "inverse", "--n", "1", "--k", "4", "--trials", "2", "--seed", "7")
@@ -678,11 +688,26 @@ class TestErrors:
         assert captured.err == ""
         assert json.loads(captured.out)["error"]["kind"] == "NumericalOverflow"
 
+    @pytest.mark.parametrize("quantity, weight, what", [
+        ("inverse", ("--mu", "1e-310"), "metric inverse"),
+        ("curvature", ("--k", "1e-310"), "scalar curvature"),
+    ])
+    def test_overflow_detail_names_the_quantity(self, capsys, quantity, weight, what):
+        # the closed form refuses its own non-finite result, before the JSON
+        # encoder's "a result is not a finite float" could
+        code = main(["eval", quantity, "--n", "1", *weight, "--point", "origin"])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (3, "")
+        error = json.loads(captured.out)["error"]
+        assert error["kind"] == "NumericalOverflow"
+        assert error["detail"].startswith(what + " at n=1, ")
+
     def test_weight_beyond_half_the_float_range_exit_zero(self, capsys):
         # 2k overflows at k = 1e308; the metric forms only k/2
         code, out = run_cli(capsys, "eval", "metric", "--n", "1", "--k", "1e308", "--point", "origin")
         assert code == 0
-        assert json.loads(out, parse_constant=_reject_constant)["h4"] == [[[5e307, 0.0]]]
+        h = json.loads(out, parse_constant=_reject_constant)["h"]
+        assert [row[1:] for row in h[1:]] == [[[5e307, 0.0]]]  # the W block
 
     @pytest.mark.filterwarnings("error")
     def test_nonintegral_weight_exit_zero(self, capsys):

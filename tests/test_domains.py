@@ -36,6 +36,37 @@ class TestValidate:
             SiegelBallPoint(np.array([[1.0]]))
 
 
+class TestThresholds:
+    """Each validation threshold, pinned by one input 0.05% inside it (accepted)
+    and one 0.05% past it (refused)."""
+
+    def test_ball_margin(self):
+        # the smallest eigenvalue of 1 - W Wbar must exceed 1e-10
+        inside = SiegelBallPoint(np.array([[np.sqrt(1 - 1.0005e-10)]]))
+        assert 1e-10 < inside.margin() < 1.001e-10
+        with pytest.raises(NotInBall, match=r"is 9\.99\de-11"):
+            SiegelBallPoint(np.array([[np.sqrt(1 - 0.9995e-10)]]))
+
+    def test_upper_margin(self):
+        # the smallest eigenvalue of Im V must be positive: the least positive
+        # float passes, 0 does not
+        assert SiegelUpperPoint(np.array([[5e-324j]])).margin() == 5e-324
+        with pytest.raises(NotInUpperHalfPlane):
+            SiegelUpperPoint(np.array([[0j]]))
+
+    @pytest.mark.parametrize("kind", ["W", "V"])
+    def test_symmetry_tolerance(self, kind):
+        # max |W - W^t| and max |V - V^t| may be at most 1e-10
+        def point(defect):
+            if kind == "W":
+                return SiegelBallPoint(np.array([[0.0, 0.0], [defect, 0.0]]))
+            return SiegelUpperPoint(np.array([[1j, 0.0], [defect, 1j]]))
+
+        point(0.9995e-10)
+        with pytest.raises(NonSymmetric, match="exceeds tol 1.000e-10"):
+            point(1.0005e-10)
+
+
 class TestPairIndex:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_roundtrip_bijection(self, n):

@@ -79,7 +79,7 @@ class TestAux:
         params = MetricParams(n=3, k=2, mu=1)
         pt = sample_point("jacobi_ball", 3, rng)
         metric_inverse(params, pt)
-        Nb, D = vars(pt)["inv_terms"]
+        Nb, D, *_ = vars(pt)["inv_terms"]
         S = pt.eta @ Nb
         alpha = (S @ pt.eta.conj()).real
         assert np.max(np.abs(pt.M @ pt.N - np.eye(3))) < 1e-12
@@ -186,25 +186,24 @@ def test_pair_blocks_match_loop_reference(n):
     # n >= 4 has pairs sharing no index, where an index slip would first show
     params = MetricParams(n=n, k=3.0, mu=1.3)
     pt = sample_point("jacobi_ball", n, np.random.default_rng(1000 + n), radius=0.6)
-    ev, inv = metric_blocks(params, pt), metric_inverse(params, pt)
-    got = (ev.h2, ev.h4, inv.h2, inv.h4) + ball_metric_pair(pt.ball)
+    ev, h_inv = metric_blocks(params, pt), metric_inverse(params, pt).h_inv
+    got = (ev.h2, ev.h4, h_inv[:n, n:], h_inv[n:, n:]) + ball_metric_pair(pt.ball)
     for block, ref in zip(got, _loop_pair_blocks(params, pt)):
         assert np.max(np.abs(block - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 class TestLinearForm:
     """h = mu A + (k/2) B and h^{-1} = C/mu + D/k from kept (k, mu)-free
-    matrices; the blocks are views of the assembled matrix."""
+    matrices; the blocks of a MetricEval are views of its h."""
 
     def test_blocks_are_views(self):
         params, pt = _case(3)
         n = params.n
-        ev, inv = metric_blocks(params, pt), metric_inverse(params, pt)
-        for whole, blocks in ((ev.h, (ev.h1, ev.h2, ev.h3, ev.h4)),
-                              (inv.h_inv, (inv.h1, inv.h2, inv.h3, inv.h4))):
-            assert all(np.shares_memory(b, whole) for b in blocks)
-            assert np.array_equal(whole, np.block([[blocks[0], blocks[1]], [blocks[2], blocks[3]]]))
-            assert blocks[0].shape == (n, n) and blocks[3].shape == (params.dim - n,) * 2
+        ev = metric_blocks(params, pt)
+        blocks = (ev.h1, ev.h2, ev.h3, ev.h4)
+        assert all(np.shares_memory(b, ev.h) for b in blocks)
+        assert np.array_equal(ev.h, np.block([[blocks[0], blocks[1]], [blocks[2], blocks[3]]]))
+        assert blocks[0].shape == (n, n) and blocks[3].shape == (params.dim - n,) * 2
 
     @pytest.mark.parametrize("n", [1, 2, 3, 6])
     def test_doubling_both_weights_doubles_h(self, n):
@@ -217,34 +216,34 @@ class TestLinearForm:
 class TestInverse:
     def test_origin(self):
         params = MetricParams(n=2, k=3.0, mu=2.0)
-        inv = metric_inverse(params, origin(2))
-        assert np.allclose(inv.h1, np.eye(2) / params.mu)
-        assert np.allclose(inv.h2, 0)
+        h_inv = metric_inverse(params, origin(2)).h_inv
+        assert np.allclose(h_inv[:2, :2], np.eye(2) / params.mu)
+        assert np.allclose(h_inv[:2, 2:], 0)
         idx = params.pair_index
         expected = np.diag(
             [(2.0 if p == q else 1.0) / params.k for p, q in idx.pairs]
         )
-        assert np.allclose(inv.h4, expected)
+        assert np.allclose(h_inv[2:, 2:], expected)
 
     def test_w_zero_z_nonzero(self, rng):
         # rank-one corrected z-block: (1/mu + |z|^2/k) I + zbar z^t / k
         params = MetricParams(n=2, k=3.0, mu=2.0)
         z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        inv = metric_inverse(params, JacobiBallPoint(z=z, W=np.zeros((2, 2))))
+        h_inv = metric_inverse(params, JacobiBallPoint(z=z, W=np.zeros((2, 2)))).h_inv
         norm2 = np.vdot(z, z).real
         expected = (1 / params.mu + norm2 / params.k) * np.eye(2) + np.outer(
             z.conj(), z
         ) / params.k
-        assert np.max(np.abs(inv.h1 - expected)) < 1e-14
+        assert np.max(np.abs(h_inv[:2, :2] - expected)) < 1e-14
 
     def test_scalar_matches_half_weight_form(self, rng):
         # n = 1: h^1 = P/mu + 2 P^2 |eta|^2 / k
         params = MetricParams(n=1, k=2.5, mu=1.1)
         pt = sample_point("jacobi_ball", 1, rng)
-        inv = metric_inverse(params, pt)
+        h_inv = metric_inverse(params, pt).h_inv
         P = 1 - abs(pt.W[0, 0]) ** 2
         eta = (pt.z[0] + np.conj(pt.z[0]) * pt.W[0, 0]) / P
-        assert inv.h1[0, 0] == pytest.approx(
+        assert h_inv[0, 0] == pytest.approx(
             P / params.mu + 2 * P**2 * abs(eta) ** 2 / params.k
         )
 
@@ -362,6 +361,60 @@ class TestCurvature:
         assert np.allclose(data.qk_lu, expected)
 
 
+_LARGEST = np.finfo(float).max
+
+
+@pytest.mark.filterwarnings("error")
+class TestFiniteResults:
+    """metric_blocks, metric_inverse and curvature return finite values or
+    raise NumericalOverflow naming the quantity and (k, mu), with no numpy
+    warning on the way."""
+
+    @pytest.mark.parametrize("closed_form, n, k, mu, what", [
+        (metric_inverse, 1, 4.0, 1e-310, "metric inverse"),
+        (metric_inverse, 2, 1e-310, 1.0, "metric inverse"),
+        (curvature, 1, 1e-310, 1.0, "scalar curvature"),
+        (curvature, 2, 1e308, 1e308, "Q.-K. Lu matrix of the curvature"),
+        (metric_blocks, 2, 4.0, 1e308, "metric"),
+    ])
+    def test_overflow_names_the_quantity(self, closed_form, n, k, mu, what):
+        pt = JacobiBallPoint(z=np.full(n, 3.0), W=0.5 * np.eye(n))
+        with pytest.raises(NumericalOverflow) as exc:
+            closed_form(MetricParams(n=n, k=k, mu=mu), pt)
+        assert str(exc.value) == f"{what} at n={n}, k={k}, mu={mu} leaves the float range"
+
+    def test_finite_past_the_bound(self):
+        # h at the origin: mu on the z block, (k/2) hk (entries 1, 2) on the
+        # W block; the bound mu + k is past the largest float, and h is not
+        h = metric_blocks(MetricParams(n=2, k=1e308, mu=1e308), origin(2)).h
+        assert np.array_equal(np.diag(h), [1e308, 1e308, 5e307, 1e308, 5e307])
+        h = metric_blocks(MetricParams(n=1, k=1e308, mu=1.0), origin(1)).h
+        assert h[1, 1] == 5e307
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_bound_just_under_the_largest_float(self, n):
+        # weights that put each bound just under the largest float: the
+        # closed form skips its isfinite pass, and every entry is finite
+        pt = sample_point("jacobi_ball", n, np.random.default_rng(70 + n), radius=0.7)
+        params = MetricParams(n=n, k=1.0, mu=1.0)
+        metric_blocks(params, pt)
+        metric_inverse(params, pt)
+        _, _, a, b = vars(pt)["h_terms"]
+        _, _, nb, d = vars(pt)["inv_terms"]
+        c = (n + 1) * (n + 2) / 2.0
+        top = _LARGEST * (1 - 1e-9)
+        h = MetricParams(n, k=top / b, mu=0.5 * top / a)
+        inv = MetricParams(n, k=2 * d / top, mu=2 * nb / top)
+        lu = MetricParams(n, k=top / (c * b), mu=0.5 * top / (c * a))
+        for matrix, bound in (
+            (metric_blocks(h, pt).h, h.mu * a + 0.5 * h.k * b),
+            (metric_inverse(inv, pt).h_inv, d * (1 / inv.k) + nb * (1 / inv.mu)),
+            (curvature(lu, pt).qk_lu, c * (lu.mu * a + 0.5 * lu.k * b) + (n + 2) * b),
+        ):
+            assert 0.25 * _LARGEST < bound < _LARGEST
+            assert np.isfinite(matrix).all() and np.max(np.abs(matrix)) > 1e-3 * _LARGEST
+
+
 def _trace_ds2(M, dX):
     """The reference line element of the ball and upper models,
     4 Tr(M dX Mbar dXbar) with M the point's own Gram inverse."""
@@ -438,13 +491,12 @@ def _closed_forms(params, at):
     """Every closed form that reads a point's Gram data, as arrays; at()
     gives the point object that each one is called at."""
     ev = metric_blocks(params, at())
-    inv = metric_inverse(params, at())
+    h_inv = metric_inverse(params, at()).h_inv
     det = metric_det(params, at())
     cd = curvature(params, at())
     return [
         np.asarray(kahler_potential(params, at())),
-        ev.h1, ev.h2, ev.h3, ev.h4, ev.h,
-        inv.h1, inv.h2, inv.h3, inv.h4, inv.h_inv,
+        ev.h1, ev.h2, ev.h3, ev.h4, ev.h, h_inv,
         np.array([det.value, det.closed_form, det.constant_C]),
         cd.ric, np.asarray(cd.scalar_curvature), cd.qk_lu,
         laplacian_coefficients("jacobi_ball", params, at()).matrix,
@@ -584,11 +636,21 @@ class TestGramCache:
         params, pt = _case(2)
         metric_blocks(params, pt)
         metric_inverse(params, pt)
-        kept_terms = vars(pt)["h_terms"] + vars(pt)["inv_terms"]
-        assert len(kept_terms) == 4
-        for a in kept_terms:
+        A, hk, *_ = vars(pt)["h_terms"]
+        Nb, D, *_ = vars(pt)["inv_terms"]
+        for a in (A, hk, Nb, D):
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0
+
+    def test_each_term_keeps_its_largest_magnitude(self):
+        # the bound that decides whether a weighted sum can overflow
+        params, pt = _case(3)
+        metric_blocks(params, pt)
+        metric_inverse(params, pt)
+        for key in ("h_terms", "inv_terms"):
+            first, second, a, b = vars(pt)[key]
+            assert (a, b) == (np.abs(first).max(), np.abs(second).max())
+            assert type(a) is float and type(b) is float
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_warm_equals_cold(self, n):
